@@ -1,34 +1,18 @@
-"""Sieve and summation kernels, JIT-compiled with a pure-numpy fallback.
+"""Sieve and summation kernels, vectorized with numpy.
 
-Every hot loop lives here in two lanes:
-
-* a ``numba``-jitted loop (default when numba imports cleanly), and
-* a vectorized numpy implementation.
-
-Set ``DIRWEIGHT_DISABLE_NUMBA=1`` in the environment to force the numpy
-lane; the same flag is what ``benchmarks/bench_accel.py`` toggles to
-compare both.  All tables are 1-indexed: an array of length ``n + 1``
-whose slot 0 is unused.
+All tables are 1-indexed: an array of length ``n + 1`` whose slot 0 is
+unused.  Every Dirichlet convolution (d(n), d_beta, the divisor sums
+S(n)) goes through one kernel, ``_convolve``, which splits the pairs
+(j, q) with jq <= n at sqrt(n) (the Dirichlet hyperbola method): the
+O(n log n) multiply-adds run inside numpy in O(sqrt n) Python iterations.
+The sieves loop once per prime in Python.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_env = os.environ.get("DIRWEIGHT_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in ("1", "true", "yes")
-
-HAVE_NUMBA = False
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
 
 
 def prime_mask(n: int) -> np.ndarray:
@@ -45,12 +29,8 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(prime_mask(n))[0].astype(np.int64)
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-
-def _mobius_table_numpy(n: int) -> np.ndarray:
+def mobius_table(n: int) -> np.ndarray:
+    """Mobius function values mu(1..n) as int8, 1-indexed."""
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes_up_to(n):
@@ -61,7 +41,8 @@ def _mobius_table_numpy(n: int) -> np.ndarray:
     return mu
 
 
-def _gpf_table_numpy(n: int) -> np.ndarray:
+def gpf_table(n: int) -> np.ndarray:
+    """Greatest prime factor of 2..n (0 at indices 0 and 1)."""
     # ascending prime order: the last assignment wins, i.e. the largest factor
     gpf = np.zeros(n + 1, dtype=np.int64)
     for p in primes_up_to(n):
@@ -69,7 +50,8 @@ def _gpf_table_numpy(n: int) -> np.ndarray:
     return gpf
 
 
-def _spf_table_numpy(n: int) -> np.ndarray:
+def spf_table(n: int) -> np.ndarray:
+    """Smallest prime factor of 2..n (0 at indices 0 and 1)."""
     spf = np.zeros(n + 1, dtype=np.int64)
     for p in primes_up_to(math.isqrt(n)):
         view = spf[p::p]
@@ -80,21 +62,16 @@ def _spf_table_numpy(n: int) -> np.ndarray:
     return spf
 
 
-def _divisor_count_table_numpy(n: int) -> np.ndarray:
-    cnt = np.zeros(n + 1, dtype=np.int64)
-    for j in range(1, n + 1):
-        cnt[j::j] += 1
-    return cnt
-
-
-def _omega_table_numpy(n: int) -> np.ndarray:
+def omega_table(n: int) -> np.ndarray:
+    """Number of distinct prime factors of 0..n."""
     cnt = np.zeros(n + 1, dtype=np.int64)
     for p in primes_up_to(n):
         cnt[p::p] += 1
     return cnt
 
 
-def _big_omega_table_numpy(n: int) -> np.ndarray:
+def big_omega_table(n: int) -> np.ndarray:
+    """Number of prime factors with multiplicity of 0..n."""
     cnt = np.zeros(n + 1, dtype=np.int64)
     for p in primes_up_to(n):
         q = p
@@ -104,240 +81,38 @@ def _big_omega_table_numpy(n: int) -> np.ndarray:
     return cnt
 
 
-def _dirichlet_convolve_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
+    """c[m] = sum over j * q = m with j >= start of a[j] * b[q], as float64.
+
+    Dirichlet hyperbola split at r = isqrt(n): pairs with j <= r are added
+    one j at a time, the rest one q at a time, so every pair is visited
+    once in O(sqrt n) slice updates.  Neither input is copied or cast.
+    """
     n = min(len(a), len(b)) - 1
     c = np.zeros(n + 1, dtype=np.float64)
-    for m in range(1, n + 1):
-        lim = n // m
-        c[m :: m] += a[m] * b[1 : lim + 1]
+    if n < 1:
+        return c
+    r = math.isqrt(n)
+    for j in range(max(start, 1), r + 1):
+        c[j::j] += a[j] * b[1 : n // j + 1]
+    lo = max(r + 1, start)
+    for q in range(1, n // lo + 1):
+        hi = n // q
+        c[lo * q : hi * q + 1 : q] += a[lo : hi + 1] * b[q]
     return c
 
 
-def _divisor_sum_table_numpy(
-    vals: np.ndarray, mu: np.ndarray, delta: float, k: int
-) -> np.ndarray:
-    n = min(len(vals), len(mu)) - 1
-    out = np.zeros(n + 1, dtype=np.float64)
-    mu_f = mu[: n + 1].astype(np.float64)
-    for j in range(max(k, 1), n + 1):
-        coef = vals[j] if delta == 0.0 else vals[j] * j ** (-delta)
-        if coef != 0.0:
-            lim = n // j
-            out[j :: j] += coef * mu_f[1 : lim + 1]
-    return out
-
-
-def _power_sum_numpy(vals: np.ndarray, start: int, zre: float, zim: float) -> complex:
-    n = len(vals) - 1
-    if start > n:
-        return 0j
-    j = np.arange(start, n + 1, dtype=np.float64)
-    logs = np.log(j)
-    terms = vals[start:] * np.exp(-(zre + 1j * zim) * logs)
-    return complex(terms.sum())
-
-
-_NUMPY_IMPLS = {
-    "mobius_table": _mobius_table_numpy,
-    "gpf_table": _gpf_table_numpy,
-    "spf_table": _spf_table_numpy,
-    "divisor_count_table": _divisor_count_table_numpy,
-    "omega_table": _omega_table_numpy,
-    "big_omega_table": _big_omega_table_numpy,
-    "dirichlet_convolve": _dirichlet_convolve_numpy,
-    "divisor_sum_table": _divisor_sum_table_numpy,
-    "power_sum": _power_sum_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-_NUMBA_IMPLS = {}
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mobius_table_nb(n):  # pragma: no cover - exercised via dispatch
-        # linear sieve: each composite is visited once via its smallest prime
-        mu = np.zeros(n + 1, dtype=np.int8)
-        if n >= 1:
-            mu[1] = 1
-        is_comp = np.zeros(n + 1, dtype=np.uint8)
-        primes = np.zeros(n + 1, dtype=np.int64)
-        np_count = 0
-        for i in range(2, n + 1):
-            if is_comp[i] == 0:
-                primes[np_count] = i
-                np_count += 1
-                mu[i] = -1
-            for t in range(np_count):
-                p = primes[t]
-                ip = i * p
-                if ip > n:
-                    break
-                is_comp[ip] = 1
-                if i % p == 0:
-                    mu[ip] = 0
-                    break
-                mu[ip] = -mu[i]
-        return mu
-
-    @njit(cache=True)
-    def _gpf_table_nb(n):  # pragma: no cover
-        gpf = np.zeros(n + 1, dtype=np.int64)
-        for p in range(2, n + 1):
-            if gpf[p] == 0:
-                for m in range(p, n + 1, p):
-                    gpf[m] = p
-        return gpf
-
-    @njit(cache=True)
-    def _spf_table_nb(n):  # pragma: no cover
-        spf = np.zeros(n + 1, dtype=np.int64)
-        for p in range(2, n + 1):
-            if spf[p] == 0:
-                for m in range(p, n + 1, p):
-                    if spf[m] == 0:
-                        spf[m] = p
-        return spf
-
-    @njit(cache=True)
-    def _divisor_count_table_nb(n):  # pragma: no cover
-        cnt = np.zeros(n + 1, dtype=np.int64)
-        for j in range(1, n + 1):
-            for m in range(j, n + 1, j):
-                cnt[m] += 1
-        return cnt
-
-    @njit(cache=True)
-    def _omega_table_nb(n):  # pragma: no cover
-        cnt = np.zeros(n + 1, dtype=np.int64)
-        for p in range(2, n + 1):
-            if cnt[p] == 0:
-                for m in range(p, n + 1, p):
-                    cnt[m] += 1
-        return cnt
-
-    @njit(cache=True)
-    def _big_omega_table_nb(n):  # pragma: no cover
-        cnt = np.zeros(n + 1, dtype=np.int64)
-        marked = np.zeros(n + 1, dtype=np.int64)
-        for p in range(2, n + 1):
-            if marked[p] == 0:
-                for m in range(p, n + 1, p):
-                    marked[m] += 1
-                q = p
-                while q <= n:
-                    for m in range(q, n + 1, q):
-                        cnt[m] += 1
-                    if q > n // p:
-                        break
-                    q *= p
-        return cnt
-
-    @njit(cache=True)
-    def _dirichlet_convolve_nb(a, b):  # pragma: no cover
-        n = min(len(a), len(b)) - 1
-        c = np.zeros(n + 1, dtype=np.float64)
-        for m in range(1, n + 1):
-            am = a[m]
-            if am != 0.0:
-                for q in range(1, n // m + 1):
-                    c[m * q] += am * b[q]
-        return c
-
-    @njit(cache=True)
-    def _divisor_sum_table_nb(vals, mu, delta, k):  # pragma: no cover
-        n = min(len(vals), len(mu)) - 1
-        out = np.zeros(n + 1, dtype=np.float64)
-        lo = k if k > 1 else 1
-        for j in range(lo, n + 1):
-            coef = vals[j]
-            if delta != 0.0:
-                coef = coef * math.exp(-delta * math.log(j))
-            if coef != 0.0:
-                for q in range(1, n // j + 1):
-                    out[j * q] += coef * mu[q]
-        return out
-
-    @njit(cache=True)
-    def _power_sum_nb(vals, start, zre, zim):  # pragma: no cover
-        n = len(vals) - 1
-        acc_re = 0.0
-        acc_im = 0.0
-        for j in range(start, n + 1):
-            v = vals[j]
-            if v != 0.0:
-                logj = math.log(j)
-                r = math.exp(-zre * logj) * v
-                ang = -zim * logj
-                acc_re += r * math.cos(ang)
-                acc_im += r * math.sin(ang)
-        return acc_re + 1j * acc_im
-
-    _NUMBA_IMPLS = {
-        "mobius_table": _mobius_table_nb,
-        "gpf_table": _gpf_table_nb,
-        "spf_table": _spf_table_nb,
-        "divisor_count_table": _divisor_count_table_nb,
-        "omega_table": _omega_table_nb,
-        "big_omega_table": _big_omega_table_nb,
-        "dirichlet_convolve": _dirichlet_convolve_nb,
-        "divisor_sum_table": _divisor_sum_table_nb,
-        "power_sum": _power_sum_nb,
-    }
-
-
-def implementations(name: str) -> dict:
-    """Available lanes for a kernel, keyed 'numpy' / 'numba'."""
-    lanes = {"numpy": _NUMPY_IMPLS[name]}
-    if name in _NUMBA_IMPLS:
-        lanes["numba"] = _NUMBA_IMPLS[name]
-    return lanes
-
-
-def _dispatch(name: str):
-    if HAVE_NUMBA:
-        return _NUMBA_IMPLS[name]
-    return _NUMPY_IMPLS[name]
-
-
-def mobius_table(n: int) -> np.ndarray:
-    """Mobius function values mu(1..n) as int8, 1-indexed."""
-    return _dispatch("mobius_table")(n)
-
-
-def gpf_table(n: int) -> np.ndarray:
-    """Greatest prime factor of 2..n (0 at indices 0 and 1)."""
-    return _dispatch("gpf_table")(n)
-
-
-def spf_table(n: int) -> np.ndarray:
-    """Smallest prime factor of 2..n (0 at indices 0 and 1)."""
-    return _dispatch("spf_table")(n)
-
-
 def divisor_count_table(n: int) -> np.ndarray:
-    return _dispatch("divisor_count_table")(n)
-
-
-def omega_table(n: int) -> np.ndarray:
-    """Number of distinct prime factors of 0..n."""
-    return _dispatch("omega_table")(n)
-
-
-def big_omega_table(n: int) -> np.ndarray:
-    """Number of prime factors with multiplicity of 0..n."""
-    return _dispatch("big_omega_table")(n)
+    """Number of divisors d(0..n) as int64 (d(0) = 0)."""
+    ones = np.ones(n + 1)
+    return _convolve(ones, ones).astype(np.int64)
 
 
 def dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Float Dirichlet convolution of two 1-indexed coefficient tables."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    return _dispatch("dirichlet_convolve")(a, b)
+    return _convolve(a, b)
 
 
 def divisor_sum_table(
@@ -345,14 +120,21 @@ def divisor_sum_table(
 ) -> np.ndarray:
     """out[n] = sum over divisors j of n with j >= k of j^(-delta) vals[j] mu[n/j]."""
     vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if HAVE_NUMBA:
-        mu_f = np.ascontiguousarray(mu, dtype=np.float64)
-        return _NUMBA_IMPLS["divisor_sum_table"](vals, mu_f, float(delta), int(k))
-    return _NUMPY_IMPLS["divisor_sum_table"](vals, mu, float(delta), int(k))
+    if delta != 0.0:
+        scaled = np.zeros_like(vals)
+        scaled[1:] = vals[1:] * np.arange(1, len(vals), dtype=np.float64) ** (-float(delta))
+        vals = scaled
+    return _convolve(vals, mu, int(k))
 
 
 def power_sum(vals: np.ndarray, start: int, z: complex) -> complex:
     """Partial sum over j >= start of vals[j] * j^(-z)."""
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     start = max(int(start), 1)
-    return _dispatch("power_sum")(vals, start, float(z.real), float(z.imag))
+    n = len(vals) - 1
+    if start > n:
+        return 0j
+    zre, zim = float(z.real), float(z.imag)
+    logs = np.log(np.arange(start, n + 1, dtype=np.float64))
+    terms = vals[start:] * np.exp(-(zre + 1j * zim) * logs)
+    return complex(terms.sum())

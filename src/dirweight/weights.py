@@ -114,7 +114,8 @@ class WeightFamily:
 
     def values_table(self, n: int) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
-        the defined range are zero.  Feeds the numeric kernels."""
+        the defined range are zero.  Feeds the numeric kernels.  The table
+        is read-only because it may be the cached one: copy it to edit."""
         cached = self._table_cache.get(n)
         if cached is not None:
             return cached
@@ -125,6 +126,7 @@ class WeightFamily:
             for m in range(self.defined_from, n + 1):
                 table[m] = float(self.value(m))
         table[: self.defined_from] = 0.0
+        table.setflags(write=False)
         if len(self._table_cache) < 4:  # keep the few hot sizes only
             self._table_cache[n] = table
         return table

@@ -146,6 +146,17 @@ def test_values_table_matches_value():
             assert table[n] == pytest.approx(float(fam.value(n)), rel=1e-12)
 
 
+def test_values_table_cache_cannot_be_corrupted():
+    fam = weights.named_family("omega")
+    table = fam.values_table(10)
+    with pytest.raises(ValueError):
+        table[5] = 99
+    assert fam.values_table(10)[5] == 1.0
+    # batch-built families derived from a base still get a fresh array
+    plus = weights.named_family("one_plus", base=fam)
+    assert list(plus.values_table(10)[1:]) == [1.0 + fam.value(n) for n in range(1, 11)]
+
+
 # -- measure-induced weights --------------------------------------------------
 
 
