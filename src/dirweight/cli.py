@@ -80,6 +80,11 @@ def _family(cfg: dict) -> weights.WeightFamily:
         raise ConfigError(str(e)) from e
 
 
+def _delta(cfg: dict) -> float | None:
+    """The top-level delta override; strings such as "1/2" parse as rationals."""
+    return weights._optional_float(cfg.get("delta"))
+
+
 def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
     mode = cfg.get("mode", "auto")
     if mode not in ("auto", "exact", "float"):
@@ -87,7 +92,7 @@ def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
     if mode == "float":
         fam.exact = False
     elif mode == "exact":
-        d = fam.delta if delta is None else float(delta)
+        d = fam.delta if delta is None else delta
         if not (fam.exact and d == 0.0):
             raise ConfigError(
                 "exact mode needs rational weights and delta = 0 "
@@ -107,8 +112,11 @@ def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
     return out
 
 
-def _emit(report: dict, cfg: dict, default_prefix: str | None, csv_rows=None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _emit(report, cfg: dict, default_prefix: str | None, csv_rows=None) -> None:
+    """Write a report: ``report`` is the envelope dict, or its JSON text as
+    a list of pieces; ``csv_rows`` (header first) become the CSV projection."""
+    if isinstance(report, dict):
+        report = [json.dumps(report, sort_keys=True, indent=2)]
     out_prefix = cfg.get("out")
     to_stdout = cfg.get("stdout_flag", False)
     if out_prefix is None and not to_stdout:
@@ -119,17 +127,39 @@ def _emit(report: dict, cfg: dict, default_prefix: str | None, csv_rows=None) ->
     if out_prefix:
         json_path = f"{out_prefix}.json"
         with open(json_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(report)
+            fh.write("\n")
         print(f"wrote {json_path}", file=sys.stderr)
         if csv_rows is not None:
             csv_path = f"{out_prefix}.csv"
             with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in csv_rows:
-                    writer.writerow(row)
+                csv.writer(fh).writerows(csv_rows)
             print(f"wrote {csv_path}", file=sys.stderr)
     if to_stdout:
-        sys.stdout.write(text)
+        sys.stdout.writelines(report)
+        sys.stdout.write("\n")
+
+
+def _condition_json(envelope: dict, report: condition.ConditionReport) -> list[str]:
+    """The check-condition report as JSON text pieces, byte-identical to
+    json.dumps(envelope with report.to_json_dict(), sort_keys=True, indent=2):
+    records are rendered from the report's columns, with every scalar token
+    from one compact (C encoder) json.dumps per column chunk."""
+    text = json.dumps(envelope, sort_keys=True, indent=2)
+    # keys are sorted, so only result.tol and result.verdict follow the
+    # records placeholder: its last occurrence is the one
+    head, _, tail = text.rpartition('"records": []')
+    pad = head[head.rfind("\n") + 1 :]
+    row = (f'{pad}  {{\n{pad}    "margin": %s,\n{pad}    "method": %s,\n{pad}    "n": %s,\n'
+           f'{pad}    "value": %s,\n{pad}    "verdict": %s\n{pad}  }}')
+    pieces, sep = [head, '"records": [\n'], ""
+    for cols in report.json_columns():
+        n, value, method, verdict, margin = (
+            json.dumps(c, separators=("\n", ":"))[1:-1].split("\n") for c in cols)
+        pieces += [sep, ",\n".join([row % r for r in zip(margin, method, n, value, verdict)])]
+        sep = ",\n"
+    pieces += [f"\n{pad}]", tail]
+    return pieces
 
 
 def _clean_config(cfg: dict) -> dict:
@@ -153,7 +183,7 @@ def cmd_check_condition(args) -> int:
     cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
-    delta = cfg.get("delta")
+    delta = _delta(cfg)
     _apply_mode(fam, cfg, delta)
     methods = tuple(cfg.get("methods", ["divisor_sum"]))
     tol = float(cfg.get("tol", condition.DEFAULT_TOL))
@@ -162,14 +192,9 @@ def cmd_check_condition(args) -> int:
     report = condition.check_range(
         fam, delta, cfg.get("k"), int(cfg["n_max"]), methods=methods, tol=tol
     )
-    result = report.to_json_dict()
-    envelope = _report_envelope("check-condition", _clean_config(cfg), result)
-    csv_rows = [["n", "value", "method", "verdict", "margin"]]
-    csv_rows += [
-        [r.n, condition._scalar_json(r.value), r.method, r.verdict, r.margin]
-        for r in report.records
-    ]
-    _emit(envelope, cfg, "condition_report", csv_rows)
+    envelope = _report_envelope("check-condition", _clean_config(cfg),
+                                report.to_json_dict(with_records=False))
+    _emit(_condition_json(envelope, report), cfg, "condition_report", report.csv_rows())
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _EXIT_BY_VERDICT[report.verdict]
 
@@ -182,7 +207,7 @@ def cmd_classify(args) -> int:
     cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
-    delta = cfg.get("delta")
+    delta = _delta(cfg)
     n_max = int(cfg["n_max"])
     tol = float(cfg.get("tol", condition.DEFAULT_TOL))
 
@@ -226,9 +251,13 @@ def cmd_classify(args) -> int:
         if increasing:
             routes.append("one-plus composition route")
 
-    report = condition.check_range(fam, delta, None, n_max, tol=tol)
+    sample = {"n_max": n_max}
+    last = fam.last_index
+    if last is not None and n_max > last:  # a finite list of values ends here
+        sample = {"n_max": last, "clamped_from": n_max}
+    report = condition.check_range(fam, delta, None, sample["n_max"], tol=tol)
     result["condition_sample"] = {
-        "n_max": n_max,
+        **sample,
         "verdict": report.verdict,
         "counts": report.counts(),
     }
@@ -282,7 +311,7 @@ def cmd_gram(args) -> int:
     print(f"gram check for {fam.name} via {route} kernel", file=sys.stderr)
     check = kernel.gram_psd(
         fam,
-        delta=cfg.get("delta"),
+        delta=_delta(cfg),
         points=points,
         kernel=route,
         tol=tol,
@@ -315,7 +344,7 @@ def cmd_eval_kernel(args) -> int:
     u = complex(*cfg["u"]) if "u" in cfg else s
     route = cfg.get("kernel", "weight")
     tol = float(cfg.get("tol", 1e-8))
-    delta = cfg.get("delta")
+    delta = _delta(cfg)
 
     try:
         if route == "weight":
@@ -451,6 +480,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except condition.MethodDisagreement as e:
+        print(f"error: {e}", file=sys.stderr)
+        return _EXIT_BY_VERDICT[condition.INCONCLUSIVE]
 
 
 if __name__ == "__main__":

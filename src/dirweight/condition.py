@@ -12,7 +12,9 @@ individual terms are the sharper per-term certificates.  ``check_range``
 runs any subset of the three over a range and cross-checks agreement.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
-computed in exact arithmetic and verdicts are exact; otherwise floats are
+computed in exact arithmetic (int64 columns where overflow is ruled out in
+advance, Python ints and Fractions otherwise) and verdicts are exact;
+otherwise floats are
 used and a value in (-tol, 0) is reported as nonnegative-within-tolerance,
 never as a certified violation.
 """
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 
 import numpy as np
@@ -193,6 +197,18 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
 # range evaluation
 # ---------------------------------------------------------------------------
 
+#: Verdicts by rising severity.
+VERDICTS = (NONNEG_EXACT, NONNEG_TOL, INCONCLUSIVE, NEGATIVE)
+
+#: Integers below 2^53 are exact in float64.  int64 products are exact modulo
+#: 2^64, so a float bound below 2^62 on |product| rules out overflow.
+_FLOAT_EXACT = 2**53
+_INT64_SAFE = 2.0**62
+
+
+class MethodDisagreement(RuntimeError):
+    """Exact routes gave different values: a defect, never a verdict."""
+
 
 @dataclass(frozen=True)
 class ConditionRecord:
@@ -203,10 +219,19 @@ class ConditionRecord:
     margin: float
 
 
-@dataclass(frozen=True)
+FIELDS = ("n", "value", "method", "verdict", "margin")
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Per-n outcomes of the condition over [n_lo, n_hi], with method
-    provenance, sign margins, and an aggregate verdict."""
+    provenance, sign margins, and an aggregate verdict.
+
+    The rows are stored as columns: ``columns`` maps each of FIELDS to an
+    array with one entry per (n, method) row; ``value`` is int64, float64,
+    or object for Python ints and Fractions.  ``records`` builds the rows
+    as ConditionRecords on first access.
+    """
 
     family: str
     delta: float
@@ -216,17 +241,26 @@ class ConditionReport:
     mode: str
     tol: float
     methods: tuple[str, ...]
-    records: tuple[ConditionRecord, ...]
+    columns: dict
     verdict: str
     agreement_failures: int
 
-    def counts(self) -> dict:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.verdict] = out.get(r.verdict, 0) + 1
-        return out
+    @cached_property
+    def records(self) -> tuple[ConditionRecord, ...]:
+        return tuple(map(ConditionRecord, *(c.tolist() for c in self.columns.values())))
 
-    def to_json_dict(self) -> dict:
+    def counts(self) -> dict:
+        return dict(Counter(self.columns["verdict"].tolist()))
+
+    def json_columns(self, chunk: int = 1 << 14):
+        """Yield the rows in chunks, each as one JSON-ready list per field."""
+        for lo in range(0, len(self.columns["n"]), chunk):
+            cols = [c[lo : lo + chunk].tolist() for c in self.columns.values()]
+            if self.columns["value"].dtype == object:
+                cols[1] = [_scalar_json(v) for v in cols[1]]
+            yield cols
+
+    def to_json_dict(self, with_records: bool = True) -> dict:
         return {
             "family": self.family,
             "delta": self.delta,
@@ -239,22 +273,20 @@ class ConditionReport:
             "agreement_failures": self.agreement_failures,
             "counts": self.counts(),
             "records": [
-                {
-                    "n": r.n,
-                    "value": _scalar_json(r.value),
-                    "method": r.method,
-                    "verdict": r.verdict,
-                    "margin": r.margin,
-                }
-                for r in self.records
+                dict(zip(FIELDS, row))
+                for cols in (self.json_columns() if with_records else ())
+                for row in zip(*cols)
             ],
         }
 
+    def csv_rows(self):
+        """The CSV projection: a header, then one row per record."""
+        yield list(FIELDS)
+        for cols in self.json_columns():
+            yield from zip(*cols)
+
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "value", "method", "verdict", "margin"])
-        for r in self.records:
-            writer.writerow([r.n, _scalar_json(r.value), r.method, r.verdict, r.margin])
+        csv.writer(fh).writerows(self.csv_rows())
 
 
 def _scalar_json(v):
@@ -265,14 +297,13 @@ def _scalar_json(v):
     return float(v)
 
 
-def _sign_verdict(value, exact: bool, tol: float) -> tuple[str, float]:
-    if exact:
-        margin = float(value)
-        return (NONNEG_EXACT if value >= 0 else NEGATIVE), margin
-    v = float(value)
-    if v < -tol:
-        return NEGATIVE, v
-    return NONNEG_TOL, v
+def _exact_table(w: WeightFamily, n_max: int):
+    """The float table of w_0..w_n_max when it holds the exact integer
+    values: w is integer-valued and every |w_j| < 2^53.  Else None."""
+    if not w.integer_valued:
+        return None
+    table = w.values_table(n_max)
+    return table if np.abs(table).max() < _FLOAT_EXACT else None
 
 
 def _divisor_sums_range(w: WeightFamily, delta: float, k: int, n_max: int, exact: bool):
@@ -280,6 +311,10 @@ def _divisor_sums_range(w: WeightFamily, delta: float, k: int, n_max: int, exact
     mu = arith.mobius_sieve(n_max)
     if not exact:
         return _accel.divisor_sum_table(w.values_table(n_max), mu, delta, k)
+    table = _exact_table(w, n_max)
+    if table is not None and n_max * int(np.abs(table).max()) < _FLOAT_EXACT:
+        # every partial sum is an integer below 2^53, hence exact in float64
+        return _accel.divisor_sum_table(table, mu, 0.0, k).astype(np.int64)
     mu_int = [int(x) for x in mu]
     out: list = [0] * (n_max + 1)
     for j in range(k, n_max + 1):
@@ -290,7 +325,67 @@ def _divisor_sums_range(w: WeightFamily, delta: float, k: int, n_max: int, exact
             m = mu_int[q]
             if m:
                 out[j * q] += wj * m
-    return out
+    return np.array(out, dtype=object)
+
+
+def _prime_power_blocks(n_max: int):
+    """Level by level, in ascending prime order, the prime-power blocks of
+    every 2 <= n <= n_max: yields (idx, p, q) with q = p^r exactly dividing
+    n, for each n in idx.  One numpy pass per level and per extra power."""
+    spf = _accel.spf_table(n_max)
+    idx = np.arange(2, n_max + 1)
+    rest = idx.copy()
+    while idx.size:
+        p = spf[rest]
+        q = p.copy()
+        rest //= p
+        sub = np.flatnonzero(rest % p == 0)
+        while sub.size:
+            rest[sub] //= p[sub]
+            q[sub] *= p[sub]
+            sub = sub[rest[sub] % p[sub] == 0]
+        yield idx, p, q
+        more = rest > 1
+        idx, rest = idx[more], rest[more]
+
+
+def _factored_column(table: np.ndarray, n_max: int, method: str):
+    """mult_product or additive_Tt at delta = 0 for n <= n_max as int64,
+    reading w at p^r and p^(r-1) only; None when a product could overflow."""
+    w = table.astype(np.int64)
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    blocks = _prime_power_blocks(n_max)
+    if method == "additive_Tt":
+        # at delta = 0 every T_t vanishes unless n = p^r: then S(n) = w_n - w_(n/p)
+        idx, p, q = next(blocks)
+        pp = q == idx
+        out[idx[pp]] = w[q[pp]] - w[q[pp] // p[pp]]
+        return out
+    out[2:] = 1
+    size = np.ones(n_max + 1)
+    for idx, p, q in blocks:
+        f = w[q] - w[q // p]
+        out[idx] *= f
+        size[idx] *= np.abs(f)
+    return out if size.max() < _INT64_SAFE else None
+
+
+def _factored_range(w: WeightFamily, delta: float, n_max: int, exact: bool, method: str):
+    """mult_product or additive_Tt for every 2 <= n <= n_max, per n in
+    Python (ints, Fractions or floats)."""
+    out: list = [None] * (n_max + 1)
+    for n, factors in arith.factorizations_up_to(n_max):
+        if n < 2:
+            continue
+        if method == "mult_product":
+            val = 1 if exact else 1.0
+            for f in _mult_factors_from(w, delta, factors, exact):
+                val = val * f
+        else:
+            terms = _additive_terms_from(w, delta, factors, exact)
+            val = sum(terms) if terms else (0 if exact else 0.0)
+        out[n] = val
+    return np.array(out, dtype=object)
 
 
 def check_range(
@@ -307,6 +402,13 @@ def check_range(
     With k = 1 the trivially satisfied n = 1 value (= w_1) is recorded as
     well.  Per-n verdicts follow the sign policy; the aggregate verdict is
     the worst per-n outcome (negative > inconclusive > within-tol > exact).
+
+    Every route is computed as a column over n, and the report stores its
+    rows as columns (see ConditionReport).  Exact runs of integer-valued
+    families take int64 numpy routes while their values stay below 2^53
+    (and n_max * max|w_j| < 2^53 for divisor_sum, |S(n)| < 2^62 for
+    mult_product); otherwise the routes run per n in Python ints or
+    Fractions.  Exact routes that disagree raise MethodDisagreement.
     """
     delta, k = _resolve(w, delta, k)
     n_max = arith._check_positive(n_max, "n_max")
@@ -327,69 +429,45 @@ def check_range(
         raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}")
     if "mult_product" in methods and k != 1:
         raise ValueError("mult_product agrees with the condition only for k = 1")
+    if "additive_Tt" in methods and k != 2:
+        raise ValueError("additive_Tt agrees with the condition only for k = 2")
 
     exact = _use_exact(w, delta)
-    per_method: dict[str, object] = {}
-    if "divisor_sum" in methods:
-        per_method["divisor_sum"] = _divisor_sums_range(w, delta, k, n_max, exact)
-    if "mult_product" in methods or "additive_Tt" in methods:
-        mp = [None] * (n_max + 1)
-        at = [None] * (n_max + 1)
-        want_mp = "mult_product" in methods
-        want_at = "additive_Tt" in methods
-        for n, factors in arith.factorizations_up_to(n_max):
-            if n < 2:
-                continue
-            if want_mp:
-                val = 1 if exact else 1.0
-                for f in _mult_factors_from(w, delta, factors, exact):
-                    val = val * f
-                mp[n] = val
-            if want_at:
-                terms = _additive_terms_from(w, delta, factors, exact)
-                at[n] = sum(terms) if terms else (0 if exact else 0.0)
-        if want_mp:
-            per_method["mult_product"] = mp
-        if want_at:
-            per_method["additive_Tt"] = at
-
-    records: list[ConditionRecord] = []
-    failures = 0
     n_lo = max(k, 2)
+    cols = []  # S(n_lo..n_max) per method
+    for m in methods:
+        if m == "divisor_sum":
+            col = _divisor_sums_range(w, delta, k, n_max, exact)
+        else:
+            table = _exact_table(w, n_max) if exact else None
+            col = None if table is None else _factored_column(table, n_max, m)
+            col = _factored_range(w, delta, n_max, exact, m) if col is None else col
+        cols.append(np.asarray(col[n_lo:], dtype=None if exact else np.float64))
 
+    ref = cols[0]
+    bad = np.zeros(len(ref), dtype=bool)
+    with np.errstate(all="ignore"):  # inf - inf compares as agreeing, as in Python
+        for col in cols[1:]:
+            bad |= (col != ref) if exact else np.abs(col - ref) > tol * np.maximum(
+                np.maximum(1.0, np.abs(col)), np.abs(ref))
+    if exact and bad.any():
+        i = int(np.argmax(bad))
+        vals = {m: c.tolist()[i] for m, c in zip(methods, cols)}
+        raise MethodDisagreement(f"exact methods disagree at n={n_lo + i}: {vals} for {w.name}")
+
+    head = []  # the n = 1 rows of k = 1
     if k == 1:
-        v1 = w.value(1)
-        verdict, margin = _sign_verdict(v1, exact, tol)
-        records.append(ConditionRecord(1, v1, "divisor_sum", verdict, margin))
+        head = [("divisor_sum", w.value(1))]
         if "mult_product" in methods:
-            vm = 1 if exact else 1.0
-            verdict, margin = _sign_verdict(vm, exact, tol)
-            records.append(ConditionRecord(1, vm, "mult_product", verdict, margin))
-
-    for n in range(n_lo, n_max + 1):
-        vals = {m: per_method[m][n] for m in methods}
-        agree = True
-        ref = next(iter(vals.values()))
-        for v in vals.values():
-            if exact:
-                if v != ref:
-                    raise RuntimeError(
-                        f"exact methods disagree at n={n}: {vals} for {w.name}"
-                    )
-            elif abs(float(v) - float(ref)) > tol * max(1.0, abs(float(v)), abs(float(ref))):
-                agree = False
-        if not agree:
-            failures += 1
-        for m in methods:
-            if not agree:
-                records.append(ConditionRecord(n, vals[m], m, INCONCLUSIVE, float(vals[m])))
-            else:
-                verdict, margin = _sign_verdict(vals[m], exact, tol)
-                records.append(ConditionRecord(n, vals[m], m, verdict, margin))
-
-    order = {NEGATIVE: 3, INCONCLUSIVE: 2, NONNEG_TOL: 1, NONNEG_EXACT: 0}
-    worst = max((order[r.verdict] for r in records), default=0)
-    overall = {0: NONNEG_EXACT, 1: NONNEG_TOL, 2: INCONCLUSIVE, 3: NEGATIVE}[worst]
+            head.append(("mult_product", 1 if exact else 1.0))
+    body = np.stack(cols, axis=1).reshape(-1)  # n-major, methods in order
+    if any(type(v) is not {"i": int, "f": float}.get(body.dtype.kind) for _, v in head):
+        body = body.astype(object)  # keep each value's own type: it sets the JSON token
+    value = np.concatenate([np.array([v for _, v in head], dtype=body.dtype), body])
+    margin = value.astype(np.float64)
+    code = np.where(value < 0 if exact else margin < -tol, VERDICTS.index(NEGATIVE),
+                    VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL))
+    code[len(head):][np.repeat(bad, len(methods))] = VERDICTS.index(INCONCLUSIVE)
 
     return ConditionReport(
         family=w.name,
@@ -400,7 +478,14 @@ def check_range(
         mode="exact" if exact else "float",
         tol=tol,
         methods=methods,
-        records=tuple(records),
-        verdict=overall,
-        agreement_failures=failures,
+        columns={
+            "n": np.concatenate([np.ones(len(head), dtype=np.int64),
+                                 np.repeat(np.arange(n_lo, n_max + 1), len(methods))]),
+            "value": value,
+            "method": np.array([m for m, _ in head] + list(methods) * len(ref), dtype=object),
+            "verdict": np.array(VERDICTS, dtype=object)[code],
+            "margin": margin,
+        },
+        verdict=VERDICTS[int(code.max())],
+        agreement_failures=int(bad.sum()),
     )

@@ -32,13 +32,21 @@ def _parse_scalar(v):
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got {v!r}")
     if isinstance(v, str):
-        f = Fraction(v)
+        try:
+            f = Fraction(v)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValueError(f"expected a number, got {v!r}") from e
         return int(f) if f.denominator == 1 else f
     if isinstance(v, int):
         return v
     if isinstance(v, float):
         return v
     raise ValueError(f"expected a number, got {v!r}")
+
+
+def _optional_float(v):
+    """A config scalar (see _parse_scalar) as a float; None stays None."""
+    return None if v is None else float(_parse_scalar(v))
 
 
 def _is_exact(v) -> bool:
@@ -51,7 +59,9 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).
+    (additive).  ``integer_valued`` marks exact families of integers whose
+    ``values_table`` is exact below 2^53 and never rounds a larger value
+    below it; the exact lane of ``condition.check_range`` relies on it.
     """
 
     def __init__(
@@ -66,6 +76,7 @@ class WeightFamily:
         batch_fn=None,
         exact: bool = False,
         params: dict | None = None,
+        integer_valued: bool = False,
     ):
         if kind not in ("multiplicative", "additive", "explicit", "measure_induced"):
             raise ValueError(f"unknown family kind {kind!r}")
@@ -83,6 +94,7 @@ class WeightFamily:
         self.delta = float(delta)
         self.growth_bound = (float(c), float(tau))
         self.exact = bool(exact)
+        self.integer_valued = self.exact and bool(integer_valued)
         self.params = dict(params or {})
         self._value_fn = value_fn
         self._batch_fn = batch_fn
@@ -98,6 +110,14 @@ class WeightFamily:
         if self.kind in ("multiplicative", "additive"):
             return 1
         return self.start_index
+
+    @property
+    def last_index(self) -> int | None:
+        """Last n with a value for families given by a finite list, else None."""
+        if isinstance(self.params.get("base"), WeightFamily):
+            return self.params["base"].last_index
+        count = self.params.get("n_values")
+        return None if count is None else self.start_index + count - 1
 
     def value(self, n: int):
         """w_n; exact families return int/Fraction, the rest float."""
@@ -160,6 +180,7 @@ def multiplicative_from_prime_powers(
     batch_fn=None,
     exact: bool = False,
     params: dict | None = None,
+    integer_valued: bool = False,
 ) -> WeightFamily:
     """Multiplicative family from prime-power values: w_n = prod f(p_i, r_i)
     over the factorization, w_1 = 1."""
@@ -176,6 +197,7 @@ def multiplicative_from_prime_powers(
     return WeightFamily(
         name, "multiplicative", 1, sigma, delta, growth_bound,
         value_fn, batch_fn=batch_fn, exact=exact, params=params,
+        integer_valued=integer_valued,
     )
 
 
@@ -188,6 +210,7 @@ def additive_from_prime_powers(
     batch_fn=None,
     exact: bool = False,
     params: dict | None = None,
+    integer_valued: bool = False,
 ) -> WeightFamily:
     """Additive family from prime-power values: w_n = sum f(p_i, r_i),
     extended by w_1 = 0.  Start index is 2; positivity for n >= 2 is
@@ -202,6 +225,7 @@ def additive_from_prime_powers(
     return WeightFamily(
         name, "additive", 2, sigma, delta, growth_bound,
         value_fn, batch_fn=batch_fn, exact=exact, params=params,
+        integer_valued=integer_valued,
     )
 
 
@@ -496,7 +520,7 @@ def smooth_growth_diagnostic(
 def _ones_family() -> WeightFamily:
     return multiplicative_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
-        name="ones", batch_fn=lambda n: np.ones(n + 1), exact=True,
+        name="ones", batch_fn=lambda n: np.ones(n + 1), exact=True, integer_valued=True,
     )
 
 
@@ -504,14 +528,14 @@ def _omega_family() -> WeightFamily:
     # omega(n) <= log2(n) and log2(n)/sqrt(n) peaks at 2/(e ln 2) ~ 1.062
     return additive_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="omega", batch_fn=_accel.omega_table, exact=True,
+        name="omega", batch_fn=_accel.omega_table, exact=True, integer_valued=True,
     )
 
 
 def _big_omega_family() -> WeightFamily:
     return additive_from_prime_powers(
         lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="big_omega", batch_fn=_accel.big_omega_table, exact=True,
+        name="big_omega", batch_fn=_accel.big_omega_table, exact=True, integer_valued=True,
     )
 
 
@@ -524,13 +548,15 @@ def _divisor_pow_family(alpha) -> WeightFamily:
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
     def batch(n):
-        return _accel.divisor_count_table(n).astype(np.float64) ** af
+        d = _accel.divisor_count_table(n).astype(np.float64)
+        # integer alpha: rounded products are exact below 2^53 (pow need not be)
+        return math.prod([d] * alpha, start=np.ones(n + 1)) if exact else d**af
 
     # d(n) <= 2 sqrt(n)
     return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0, growth_bound=(2.0**af, af / 2.0),
         name=f"divisor_pow(alpha={alpha})", batch_fn=batch, exact=exact,
-        params={"alpha": alpha},
+        params={"alpha": alpha}, integer_valued=exact,
     )
 
 
@@ -574,7 +600,7 @@ def _d_beta_family(beta) -> WeightFamily:
         f, sigma=1.0, delta=0.0,
         growth_bound=(2.0 ** (m - 1), (m - 1) / 2.0),
         name=f"d_beta(beta={beta})", batch_fn=batch, exact=exact,
-        params={"beta": beta},
+        params={"beta": beta}, integer_valued=exact,
     )
 
 
@@ -627,6 +653,7 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
         batch_fn=batch,
         exact=base.exact,
         params={"base": base},
+        integer_valued=base.integer_valued,
     )
 
 
@@ -718,9 +745,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
             raise ValueError("named family config needs 'name'")
         fam = named_family(cfg["name"], **cfg.get("parameters", {}))
         if "sigma" in cfg:
-            fam.sigma = float(cfg["sigma"])
+            fam.sigma = float(_parse_scalar(cfg["sigma"]))
         if "delta" in cfg:
-            fam.delta = float(cfg["delta"])
+            fam.delta = float(_parse_scalar(cfg["delta"]))
         if "start_index" in cfg:
             fam.start_index = int(cfg["start_index"])
         if fam.delta > fam.sigma:
@@ -743,9 +770,10 @@ def family_from_config(cfg: dict) -> WeightFamily:
 
         c, tau = cfg["growth_bound"]
         return WeightFamily(
-            "explicit", "explicit", start, float(cfg["sigma"]), float(cfg["delta"]),
-            (float(c), float(tau)), value_fn, exact=exact,
-            params={"n_values": len(values)},
+            "explicit", "explicit", start, float(_parse_scalar(cfg["sigma"])),
+            float(_parse_scalar(cfg["delta"])), (float(c), float(tau)), value_fn,
+            exact=exact, params={"n_values": len(values)},
+            integer_valued=all(isinstance(v, int) for v in values),
         )
 
     spec_cfg = cfg.get("spec")
@@ -763,6 +791,6 @@ def family_from_config(cfg: dict) -> WeightFamily:
         spec,
         n0=int(cfg.get("n0", 2)),
         name=f"measure({stype})",
-        sigma=cfg.get("sigma"),
-        delta=cfg.get("delta"),
+        sigma=_optional_float(cfg.get("sigma")),
+        delta=_optional_float(cfg.get("delta")),
     )

@@ -1,8 +1,14 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dirweight import cli
+import dirweight
+from dirweight import cli, condition
 
 
 def write_config(tmp_path, name, payload):
@@ -226,3 +232,111 @@ def test_von_mangoldt_values(capsys):
     assert values[8] == pytest.approx(0.6931471805599453)
     assert values[6] == 0.0
     assert report["result"]["min_value"] >= 0.0
+
+
+# -- columnar check-condition reports -----------------------------------------
+
+DPOW = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}
+GEOM = {"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}, "delta": 0.0}
+
+# name: (config, flags, exit code, a token the report must contain)
+REPORT_CASES = {
+    "omega-exact": ({"family": {"kind": "named", "name": "omega"}, "n_max": 300,
+                     "methods": ["divisor_sum", "additive_Tt"]}, ["--exact"], 0, '"value": 1,'),
+    "divisor-pow-exact": ({"family": DPOW, "n_max": 300,
+                           "methods": ["divisor_sum", "mult_product"]}, ["--exact"], 0, '"n": 1,'),
+    "geometric-fraction": ({"family": GEOM, "n_max": 100,
+                            "methods": ["divisor_sum", "mult_product"]}, [], 2, '"value": "-1/2"'),
+    "float-delta": ({"family": DPOW, "n_max": 300, "delta": 0.5,
+                     "methods": ["divisor_sum", "mult_product"]}, [], 2, '"margin": -'),
+    "float-inconclusive": ({"family": {**DPOW, "parameters": {"alpha": 1.5}}, "n_max": 300,
+                            "tol": 1e-18, "methods": ["divisor_sum", "mult_product"]},
+                           [], 3, '"verdict": "inconclusive"'),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path, monkeypatch):
+    cfg, flags, code, token = REPORT_CASES[case]
+    reports = []
+    check_range = condition.check_range
+    monkeypatch.setattr(condition, "check_range",
+                        lambda *a, **kw: reports.append(check_range(*a, **kw)) or reports[-1])
+    if chunk:  # rows split across many column chunks
+        json_columns = condition.ConditionReport.json_columns
+        monkeypatch.setattr(condition.ConditionReport, "json_columns",
+                            lambda self: json_columns(self, chunk))
+    out = tmp_path / "rep"
+    assert run(["check-condition", *flags, "--config", write_config(tmp_path, "c.json", cfg),
+                "--out", str(out), "--no-timestamp"]) == code
+    (report,) = reports
+    text = (tmp_path / "rep.json").read_bytes().decode()
+    assert token in text
+    envelope = json.loads(text)
+    envelope["result"] = report.to_json_dict()
+    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    report.write_csv(buf)
+    assert (tmp_path / "rep.csv").read_bytes().decode() == buf.getvalue()
+
+
+@pytest.mark.parametrize("family,k", [
+    ({"kind": "named", "name": "omega"}, 3),
+    ({"kind": "named", "name": "omega", "start_index": 3}, None),
+])
+def test_additive_route_off_k2_exits_one(family, k, tmp_path, capsys):
+    cfg = {"family": family, "n_max": 50, "methods": ["divisor_sum", "additive_Tt"]}
+    if k is not None:
+        cfg["k"] = k
+    assert run(["check-condition", "--exact", "--config",
+                write_config(tmp_path, "c.json", cfg), "--stdout"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: additive_Tt")
+    assert "Traceback" not in err
+
+
+def test_exact_disagreement_exits_three(omega_cfg, capsys, monkeypatch):
+    factored = condition._factored_column
+
+    def corrupted(*args):
+        col = factored(*args)
+        col[7] += 1
+        return col
+
+    monkeypatch.setattr(condition, "_factored_column", corrupted)
+    assert run(["check-condition", "--exact", "--config", omega_cfg, "--stdout"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("error: exact methods disagree at n=7")
+    assert captured.out == ""
+
+
+def test_top_level_delta_accepts_rational_string(tmp_path, capsys):
+    cfg = {"family": {"kind": "named", "name": "omega"}, "n_max": 50, "delta": "1/2"}
+    path = write_config(tmp_path, "c.json", cfg)
+    assert run(["check-condition", "--config", path, "--no-timestamp", "--stdout"]) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["delta"], result["mode"], result["verdict"]) == (0.5, "float", "negative_certified")
+    cfg["delta"] = "1/0"
+    path = write_config(tmp_path, "bad.json", cfg)
+    assert run(["check-condition", "--config", path]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: expected a number, got '1/0'"
+
+
+def test_classify_explicit_clamps_n_max(tmp_path, capsys):
+    cfg = write_config(tmp_path, "e.json", {"family": {
+        "kind": "explicit", "values": ["1", "2", "3", "4", "5"], "start_index": 2,
+        "sigma": 1.0, "delta": 0.0, "growth_bound": [5.0, 0.0]}})
+    assert run(["classify", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
+    sample = json.loads(capsys.readouterr().out)["result"]["condition_sample"]
+    assert (sample["n_max"], sample["clamped_from"]) == (6, 2000)
+    assert sample["counts"] == {"nonneg_exact": 5}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dirweight.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dirweight", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "check-condition" in proc.stdout

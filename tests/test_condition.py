@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirweight import arith, condition, weights
@@ -256,6 +257,12 @@ def test_check_range_method_validation(fam):
         condition.check_range(fam["d"], None, 2, 100, methods=("mult_product",))
     with pytest.raises(ValueError):
         condition.check_range(fam["d"], None, None, 100, methods=("nope",))
+    # additive_Tt is S(n) only for k = 2, whether k is passed or declared
+    with pytest.raises(ValueError, match="k = 2"):
+        condition.check_range(fam["omega"], None, 3, 50, methods=("divisor_sum", "additive_Tt"))
+    shifted = weights.family_from_config({"kind": "named", "name": "omega", "start_index": 3})
+    with pytest.raises(ValueError, match="k = 2"):
+        condition.check_range(shifted, None, None, 50, methods=("divisor_sum", "additive_Tt"))
 
 
 def test_per_term_nonnegativity_additive(fam):
@@ -307,3 +314,125 @@ def test_report_json_and_csv(fam):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "n,value,method,verdict,margin"
     assert len(lines) == len(rep.records) + 1
+
+
+# -- exact lane ----------------------------------------------------------------
+
+
+INTEGER_FAMILIES = [
+    ("ones", {}), ("omega", {}), ("big_omega", {}),
+    ("divisor_pow", {"alpha": 1}), ("divisor_pow", {"alpha": 2}), ("divisor_pow", {"alpha": 3}),
+    ("d_beta", {"beta": 2}), ("d_beta", {"beta": 3}),
+]
+
+
+@pytest.mark.parametrize("name,params", INTEGER_FAMILIES)
+def test_integer_values_table_is_exact(name, params):
+    # the exact lane reads these tables as the exact values
+    w = weights.named_family(name, **params)
+    assert w.integer_valued
+    table = w.values_table(10**4)
+    assert table[1:].tolist() == [w.value(j) for j in range(1, 10**4 + 1)]
+
+
+@pytest.mark.parametrize("name,params,method", [
+    ("ones", {}, "mult_product"),
+    ("divisor_pow", {"alpha": 1}, "mult_product"),
+    ("divisor_pow", {"alpha": 3}, "mult_product"),
+    ("d_beta", {"beta": 3}, "mult_product"),
+    ("omega", {}, "additive_Tt"),
+    ("big_omega", {}, "additive_Tt"),
+])
+def test_vectorized_factored_routes_match_per_n(name, params, method):
+    w = weights.named_family(name, **params)
+    col = condition._factored_column(w.values_table(5000), 5000, method)
+    assert col.dtype == np.int64
+    if method == "mult_product":
+        want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
+    else:
+        want = [condition.additive_Tt(w, 0.0, n)[0] for n in range(2, 5001)]
+    assert col[2:].tolist() == want
+
+
+def test_vectorized_product_overflow_guard():
+    # (2^40 - 1)^2 at n = 6 does not fit the 2^62 bound: no int64 column
+    table = np.array([0, 1, 2**40, 2**40, 1, 1, 1], dtype=np.float64)
+    assert condition._factored_column(table, 6, "mult_product") is None
+
+
+@pytest.mark.parametrize("name,params,methods", [
+    ("omega", {}, ("divisor_sum", "additive_Tt")),
+    ("big_omega", {}, ("additive_Tt", "divisor_sum")),
+    ("divisor_pow", {"alpha": 1}, ("divisor_sum", "mult_product")),
+    ("d_beta", {"beta": 3}, ("mult_product",)),
+])
+def test_exact_lane_matches_python_int_path(name, params, methods, monkeypatch):
+    w = weights.named_family(name, **params)
+    calls = []
+    value = weights.WeightFamily.value
+    monkeypatch.setattr(weights.WeightFamily, "value",
+                        lambda self, n: calls.append(n) or value(self, n))
+    rep = condition.check_range(w, None, None, 3000, methods=methods)
+    assert rep.columns["value"].dtype == np.int64
+    assert calls in ([], [1])  # at most the n = 1 row of k = 1
+    slow = weights.named_family(name, **params)
+    slow.integer_valued = False
+    ref = condition.check_range(slow, None, None, 3000, methods=methods)
+    assert ref.columns["value"].dtype == object
+    assert json.dumps(rep.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+
+@pytest.mark.parametrize("big", [2**50, 2**60 + 1])
+def test_exact_lane_bound_falls_back_to_python_ints(big, monkeypatch):
+    # n_max * max|w| >= 2^53: float64 partial sums could round
+    w = weights.family_from_config({
+        "kind": "explicit", "values": [str(big + 3 * i) for i in range(11)],
+        "start_index": 2, "sigma": 1.0, "delta": 0.0, "growth_bound": [2.0**61, 0.0],
+    })
+    assert w.integer_valued
+
+    def no_float_sums(*args):
+        raise AssertionError("float divisor sums past the 2^53 bound")
+
+    monkeypatch.setattr(condition._accel, "divisor_sum_table", no_float_sums)
+    rep = condition.check_range(w, None, None, 12)
+    assert rep.columns["value"].dtype == object
+    assert [r.value for r in rep.records] == [
+        condition.divisor_sum(w, 0.0, 2, n) for n in range(2, 13)]
+
+
+def test_exact_disagreement_raises(fam, monkeypatch):
+    factored = condition._factored_column
+
+    def corrupted(*args):
+        col = factored(*args)
+        col[7] += 1
+        return col
+
+    monkeypatch.setattr(condition, "_factored_column", corrupted)
+    with pytest.raises(condition.MethodDisagreement, match="n=7"):
+        condition.check_range(fam["omega"], None, None, 50,
+                              methods=("divisor_sum", "additive_Tt"))
+
+
+@pytest.mark.parametrize("name,delta,k,methods,tol", [
+    ("d", None, 1, ("divisor_sum", "mult_product"), condition.DEFAULT_TOL),
+    ("omega", None, 2, ("divisor_sum", "additive_Tt"), condition.DEFAULT_TOL),
+    ("geom_half", None, 1, ("divisor_sum", "mult_product"), condition.DEFAULT_TOL),
+    ("geom_half", 0.5, 1, ("mult_product",), condition.DEFAULT_TOL),
+    ("d", 0.5, 1, ("divisor_sum", "mult_product"), 1e-18),
+])
+def test_report_columns_match_records(fam, name, delta, k, methods, tol):
+    rep = condition.check_range(fam[name], delta, k, 300, methods=methods, tol=tol)
+    records = rep.records
+    assert len(records) == len(rep.columns["n"])
+    by_record = [
+        {"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
+         "verdict": r.verdict, "margin": r.margin}
+        for r in records
+    ]
+    assert json.dumps(rep.to_json_dict()["records"]) == json.dumps(by_record)
+    counts: dict = {}
+    for r in records:
+        counts[r.verdict] = counts.get(r.verdict, 0) + 1
+    assert list(rep.counts().items()) == list(counts.items())

@@ -296,6 +296,19 @@ def test_named_config_with_overrides():
     assert fam.value(2) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "named", "name": "omega"},
+    {"kind": "explicit", "values": ["1", "2"], "start_index": 2, "growth_bound": [2.0, 0.0]},
+    {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0]]}},
+])
+def test_config_sigma_delta_accept_rational_strings(cfg):
+    fam = weights.family_from_config({**cfg, "sigma": "3/2", "delta": "1/2"})
+    assert (fam.sigma, fam.delta) == (1.5, 0.5)
+    for bad in ("1/0", "half"):
+        with pytest.raises(ValueError, match="expected a number"):
+            weights.family_from_config({**cfg, "sigma": "3/2", "delta": bad})
+
+
 def test_explicit_config():
     fam = weights.family_from_config({
         "kind": "explicit", "values": ["1", "2", "3"], "start_index": 2,
