@@ -402,9 +402,26 @@ def cmd_von_mangoldt(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like config errors: exit 2 means a certified
+    violation.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _rational(text: str) -> float:
+    """A flag value as a float; exact rationals such as 1/2 are accepted."""
+    try:
+        return weights._optional_float(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (or a previous report)")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_rational, default=None,
                    help="override the family's declared delta")
     p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     p.add_argument("--out", default=None, help="output path prefix (.json/.csv)")
@@ -415,7 +432,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dirweight",
         description="Weighted Dirichlet series toolkit: condition checks, "
                     "growth audits, kernel evaluation, Gram diagnostics.",

@@ -12,6 +12,7 @@ here only corroborate a declaration (see ``smooth_partial_sum``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,12 @@ from . import _accel, arith
 #: Default ceiling for positivity/growth/structure audits.
 AUDIT_CEILING = 10_000
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+#: The alphas the gamma quadrature serves.  Below 1e-4 its t = u^alpha
+#: branch misses the 1e-12 target (5e-5 relative error at alpha = 1e-5).
+#: Past 44 the cutoff 8 alpha reaches u where e^(-2u) is a subnormal float;
+#: the lost bits keep panels from meeting the relative test, and the
+#: refinement runs to depth 40.
+GAMMA_QUADRATURE_ALPHAS = (1e-4, 44.0)
 
 
 def _parse_scalar(v):
@@ -44,9 +50,17 @@ def _parse_scalar(v):
     raise ValueError(f"expected a number, got {v!r}")
 
 
+def _float(v) -> float:
+    """A config scalar (see _parse_scalar) as a float."""
+    try:
+        return float(_parse_scalar(v))
+    except OverflowError as e:
+        raise ValueError(f"number too large for a float: {v!r}") from e
+
+
 def _optional_float(v):
-    """A config scalar (see _parse_scalar) as a float; None stays None."""
-    return None if v is None else float(_parse_scalar(v))
+    """A config scalar as a float (see _float); None stays None."""
+    return None if v is None else _float(v)
 
 
 def _is_exact(v) -> bool:
@@ -248,13 +262,13 @@ class MeasureSpec:
             if not self.atoms:
                 raise ValueError("discrete measure needs at least one atom")
             for sig, mass in self.atoms:
-                if sig < 0:
-                    raise ValueError(f"atom position {sig} must be >= 0")
-                if mass <= 0:
-                    raise ValueError(f"atom mass {mass} must be positive")
+                if not 0 <= sig < math.inf:
+                    raise ValueError(f"atom position {sig} must be finite and >= 0")
+                if not 0 < mass < math.inf:
+                    raise ValueError(f"atom mass {mass} must be finite and positive")
         elif self.kind == "gamma_density":
-            if self.alpha <= 0:
-                raise ValueError("gamma density needs alpha > 0")
+            if not 0 < self.alpha < math.inf:
+                raise ValueError(f"gamma density needs a finite alpha > 0, got {self.alpha}")
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
@@ -266,13 +280,9 @@ class MeasureSpec:
         return any(sig == 0 for sig, _ in self.atoms)
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int = 24):
-    cached = _GL_NODES_CACHE.get(order)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(order)
-        cached = (x, w)
-        _GL_NODES_CACHE[order] = cached
-    return cached
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _gl_panel(fvec, a: float, b: float) -> float:
@@ -305,12 +315,31 @@ def _gamma_cutoff(alpha: float) -> float:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _gamma_core(alpha: float) -> float:
+    """The n-independent integral of e^(-2u) u^(alpha-1) over [0, cutoff],
+    by adaptive Gauss-Legendre (relative target 1e-12); Gamma(alpha)/2^alpha
+    in closed form."""
+    lo, hi = GAMMA_QUADRATURE_ALPHAS
+    if not lo <= alpha <= hi:
+        raise ValueError(f"the gamma-density quadrature needs {lo:g} <= alpha <= {hi:g}, "
+                         f"got {alpha}")
+    cutoff = _gamma_cutoff(alpha)
+    if alpha >= 1.0:
+        integrand = lambda u: np.exp(-2.0 * u) * u ** (alpha - 1.0)
+        return _adaptive_gl(integrand, 0.0, cutoff, 1e-12)
+    # t = u^alpha removes the endpoint singularity
+    integrand = lambda t: np.exp(-2.0 * t ** (1.0 / alpha)) / alpha
+    return _adaptive_gl(integrand, 0.0, cutoff**alpha, 1e-12)
+
+
 def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
     """Weight induced by a measure: w_n = 1 / integral of n^(-2 sigma).
 
-    Discrete specs sum exactly; the gamma density is integrated by adaptive
-    Gauss-Legendre (relative target 1e-10) after the substitution
-    u = sigma * log n, which turns the integrand into a damped exponential.
+    Discrete specs sum exactly.  For the gamma density the substitution
+    u = sigma * log n leaves 2^alpha / (Gamma(alpha) (log n)^alpha) times an
+    integral that does not depend on n; ``_gamma_core`` computes it once
+    per alpha.
     """
     n = arith._check_positive(n)
     if n < max(n0, 2):
@@ -321,16 +350,9 @@ def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
             raise ValueError(f"measure integral at n={n} is {inv}; no weight defined")
         return 1.0 / inv
     alpha = spec.alpha
+    core = _gamma_core(alpha)
     ln = math.log(n)
     pref = 2.0**alpha / (math.gamma(alpha) * ln**alpha)
-    cutoff = _gamma_cutoff(alpha)
-    if alpha >= 1.0:
-        integrand = lambda u: np.exp(-2.0 * u) * u ** (alpha - 1.0)
-        core = _adaptive_gl(integrand, 0.0, cutoff, 1e-12)
-    else:
-        # t = u^alpha removes the endpoint singularity
-        integrand = lambda t: np.exp(-2.0 * t ** (1.0 / alpha)) / alpha
-        core = _adaptive_gl(integrand, 0.0, cutoff**alpha, 1e-12)
     inv = pref * core
     if not (inv > 0 and math.isfinite(inv)):
         raise ValueError(f"measure integral at n={n} is {inv}; no weight defined")
@@ -349,8 +371,17 @@ def measure_family(
         bound = (1.0 / m_min, 2.0 * s_min)
     else:
         a = spec.alpha
+        _gamma_core(a)  # fails at build time if the quadrature cannot serve alpha
         # w_n tracks (log n)^alpha and log n <= (2/e) sqrt(n)
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
+
+    def batch(n):
+        # per-n scalar calls: numpy's log and power differ from math.log and
+        # pow in the last bit for some n, and values_table must equal value()
+        table = np.zeros(n + 1)
+        table[start:] = [measure_induced(spec, n0, m) for m in range(start, n + 1)]
+        return table
+
     return WeightFamily(
         name,
         "measure_induced",
@@ -359,6 +390,7 @@ def measure_family(
         0.0 if delta is None else delta,
         bound,
         lambda n: measure_induced(spec, n0, n),
+        batch_fn=batch,
         exact=False,
         params={"measure": spec, "n0": n0},
     )
@@ -726,13 +758,18 @@ _FAMILY_KEYS = {
     "measure": {"kind", "spec", "n0", "sigma", "delta"},
 }
 
+_SPEC_KEYS = {
+    "discrete": {"type", "atoms"},
+    "gamma_density": {"type", "alpha"},
+}
+
 
 def family_from_config(cfg: dict) -> WeightFamily:
     """Build a family from its JSON description; unknown keys are rejected."""
     if not isinstance(cfg, dict):
         raise ValueError("family config must be an object")
     kind = cfg.get("kind")
-    if kind not in _FAMILY_KEYS:
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ValueError(
             f"family kind must be one of {sorted(_FAMILY_KEYS)}, got {kind!r}"
         )
@@ -745,9 +782,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
             raise ValueError("named family config needs 'name'")
         fam = named_family(cfg["name"], **cfg.get("parameters", {}))
         if "sigma" in cfg:
-            fam.sigma = float(_parse_scalar(cfg["sigma"]))
+            fam.sigma = _float(cfg["sigma"])
         if "delta" in cfg:
-            fam.delta = float(_parse_scalar(cfg["delta"]))
+            fam.delta = _float(cfg["delta"])
         if "start_index" in cfg:
             fam.start_index = int(cfg["start_index"])
         if fam.delta > fam.sigma:
@@ -770,8 +807,8 @@ def family_from_config(cfg: dict) -> WeightFamily:
 
         c, tau = cfg["growth_bound"]
         return WeightFamily(
-            "explicit", "explicit", start, float(_parse_scalar(cfg["sigma"])),
-            float(_parse_scalar(cfg["delta"])), (float(c), float(tau)), value_fn,
+            "explicit", "explicit", start, _float(cfg["sigma"]),
+            _float(cfg["delta"]), (float(c), float(tau)), value_fn,
             exact=exact, params={"n_values": len(values)},
             integer_valued=all(isinstance(v, int) for v in values),
         )
@@ -780,13 +817,20 @@ def family_from_config(cfg: dict) -> WeightFamily:
     if not isinstance(spec_cfg, dict):
         raise ValueError("measure family config needs a 'spec' object")
     stype = spec_cfg.get("type")
-    if stype == "discrete":
-        atoms = tuple((float(a), float(m)) for a, m in spec_cfg.get("atoms", []))
-        spec = MeasureSpec("discrete", atoms=atoms)
-    elif stype == "gamma_density":
-        spec = MeasureSpec("gamma_density", alpha=float(spec_cfg.get("alpha", 1)))
-    else:
+    if not isinstance(stype, str) or stype not in _SPEC_KEYS:
         raise ValueError(f"unknown measure spec type {stype!r}")
+    unknown = set(spec_cfg) - _SPEC_KEYS[stype]
+    if unknown:
+        raise ValueError(f"unknown {stype} spec keys: {sorted(unknown)}")
+    if stype == "discrete":
+        atoms = spec_cfg.get("atoms", [])
+        if not (isinstance(atoms, (list, tuple))
+                and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
+            raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
+        atoms = tuple((_float(a), _float(m)) for a, m in atoms)
+        spec = MeasureSpec("discrete", atoms=atoms)
+    else:
+        spec = MeasureSpec("gamma_density", alpha=_float(spec_cfg.get("alpha", 1)))
     return measure_family(
         spec,
         n0=int(cfg.get("n0", 2)),

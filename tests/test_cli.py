@@ -111,6 +111,41 @@ def test_no_command_exits_one():
     assert run([]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-condition", "--bogus"],
+    ["check-condition", "--delta", "abc"],
+    ["check-condition", "--n-max", "ten"],
+    ["gram", "--kernel", "nope"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # exit 2 is reserved for a certified violation
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dirweight")
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_delta_flag_accepts_rational(omega_cfg, capsys):
+    assert run(["check-condition", "--config", omega_cfg, "--delta", "1/2",
+                "--no-timestamp", "--stdout"]) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["delta"], result["verdict"]) == (0.5, "negative_certified")
+
+
+@pytest.mark.parametrize("alpha", [400, 120])
+def test_large_gamma_alpha_exits_one(alpha, tmp_path, capsys):
+    cfg = write_config(tmp_path, "g.json", {
+        "family": {"kind": "measure", "spec": {"type": "gamma_density", "alpha": alpha}},
+    })
+    assert run(["eval-kernel", "--config", cfg, "--s", "2.0", "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"config error: the gamma-density quadrature needs 0.0001 <= alpha <= 44, got {alpha}.0"]
+    assert captured.out == ""
+
+
 # -- determinism and round-trips ----------------------------------------------
 
 

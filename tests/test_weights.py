@@ -196,16 +196,82 @@ def test_measure_spec_validation():
         weights.MeasureSpec("discrete", atoms=((-1.0, 1.0),))
     with pytest.raises(ValueError):
         weights.MeasureSpec("discrete", atoms=((0.0, 0.0),))
-    with pytest.raises(ValueError):
-        weights.MeasureSpec("gamma_density", alpha=0.0)
+    for atom in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            weights.MeasureSpec("discrete", atoms=(atom,))
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma density needs"):
+            weights.MeasureSpec("gamma_density", alpha=alpha)
     assert weights.MeasureSpec("discrete", atoms=((0.0, 1.0),)).has_zero_support
     assert not weights.MeasureSpec("discrete", atoms=((0.5, 1.0),)).has_zero_support
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 1e-5, 44.5, 48.0, 120.0, 400.0])
+def test_gamma_family_outside_the_quadrature_range_is_rejected(alpha):
+    # 48 and 120 refined without end, 1e-5 missed the target by 5e-5, and
+    # Gamma(alpha) overflowed at 1e-320 and 400
+    spec = weights.MeasureSpec("gamma_density", alpha=alpha)
+    with pytest.raises(ValueError, match="quadrature needs"):
+        weights.measure_family(spec)
+    with pytest.raises(ValueError, match="quadrature needs"):
+        weights.measure_induced(spec, 2, 10)
 
 
 def test_measure_induced_needs_n_past_start():
     spec = weights.MeasureSpec("discrete", atoms=((0.0, 1.0),))
     with pytest.raises(ValueError):
         weights.measure_induced(spec, 3, 2)
+
+
+_TABLE_SPECS = [
+    *(weights.MeasureSpec("gamma_density", alpha=a) for a in (0.5, 1.0, 2.0, 3.0)),
+    weights.MeasureSpec("discrete", atoms=((0.0, 0.5), (0.5, 0.5))),
+]
+
+
+@pytest.mark.parametrize("spec", _TABLE_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+def test_measure_table_is_the_scalar_weights_bit_for_bit(spec):
+    n = 10**4
+    fam = weights.measure_family(spec)
+    table = fam.values_table(n)
+    assert not table.flags.writeable
+    assert fam._cache == {}  # the table build skips the per-n value cache
+    want = np.array([0.0, 0.0] + [weights.measure_induced(spec, 2, m) for m in range(2, n + 1)])
+    assert table.tobytes() == want.tobytes()
+    assert all(table[m] == fam.value(m) for m in range(2, n + 1))
+
+
+def test_gamma_table_runs_the_quadrature_once(monkeypatch):
+    adaptive, top_level = weights._adaptive_gl, []
+
+    def counting(fvec, a, b, rel_tol, _depth=0):
+        if _depth == 0:
+            top_level.append((a, b))
+        return adaptive(fvec, a, b, rel_tol, _depth)
+
+    monkeypatch.setattr(weights, "_adaptive_gl", counting)
+    weights._gamma_core.cache_clear()
+    fam = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=2.0))
+    fam.values_table(10**4)
+    fam.value(17)
+    assert len(top_level) == 1
+    assert weights._gamma_core.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.5, 1.0, 2.0, 3.0, 7.3, 44.0])
+def test_gamma_core_is_the_gamma_function(alpha):
+    want = math.gamma(alpha) / 2.0**alpha
+    assert weights._gamma_core(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_gamma_table_matches_log_pow_closed_form(alpha):
+    # the quadrature cross-checks log_pow's w_n = (log n)^alpha
+    n = 10**4
+    gamma = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
+    closed = weights.named_family("log_pow", alpha=alpha)
+    np.testing.assert_allclose(gamma.values_table(n)[2:], closed.values_table(n)[2:],
+                               rtol=1e-12, atol=0)
 
 
 # -- growth checks ------------------------------------------------------------
@@ -307,6 +373,9 @@ def test_config_sigma_delta_accept_rational_strings(cfg):
     for bad in ("1/0", "half"):
         with pytest.raises(ValueError, match="expected a number"):
             weights.family_from_config({**cfg, "sigma": "3/2", "delta": bad})
+    for big in (10**400, "1e400"):
+        with pytest.raises(ValueError, match="too large for a float"):
+            weights.family_from_config({**cfg, "sigma": big, "delta": "1/2"})
 
 
 def test_explicit_config():
@@ -331,11 +400,49 @@ def test_measure_config():
     assert fam.kind == "measure_induced"
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "gamma_density", "alpah": 3},
+    {"type": "gamma_density", "atoms": [[0.0, 1.0]]},
+    {"type": "discrete", "atoms": [[0.0, 1.0]], "alpha": 2},
+])
+def test_measure_config_rejects_unknown_spec_keys(spec):
+    with pytest.raises(ValueError, match="unknown .* spec keys"):
+        weights.family_from_config({"kind": "measure", "spec": spec})
+
+
+def test_measure_config_scalars_are_config_scalars():
+    fam = weights.family_from_config(
+        {"kind": "measure", "spec": {"type": "gamma_density", "alpha": "1/2"}})
+    assert fam.params["measure"].alpha == 0.5
+    fam = weights.family_from_config(
+        {"kind": "measure", "spec": {"type": "discrete", "atoms": [["1/4", "1/2"], [0, 1]]}})
+    assert fam.params["measure"].atoms == ((0.25, 0.5), (0.0, 1.0))
+    for spec in ({"type": "gamma_density", "alpha": True},
+                 {"type": "discrete", "atoms": [[0.0, True]]},
+                 {"type": "discrete", "atoms": [[None, 1.0]]},
+                 {"type": "gamma_density", "alpha": "half"}):
+        with pytest.raises(ValueError, match="expected a number"):
+            weights.family_from_config({"kind": "measure", "spec": spec})
+    for spec in ({"type": "gamma_density", "alpha": 10**400},
+                 {"type": "discrete", "atoms": [[0.0, "1e400"]]}):
+        with pytest.raises(ValueError, match="too large for a float"):
+            weights.family_from_config({"kind": "measure", "spec": spec})
+    for atoms in (5, [0.5], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(ValueError, match="position, mass"):
+            weights.family_from_config(
+                {"kind": "measure", "spec": {"type": "discrete", "atoms": atoms}})
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         weights.family_from_config({"kind": "named", "name": "ones", "bogus": 1})
     with pytest.raises(ValueError):
         weights.family_from_config({"kind": "wat"})
+    # a list is no kind or type, and must not end in "unhashable type"
+    with pytest.raises(ValueError, match="family kind must be one of"):
+        weights.family_from_config({"kind": ["named"]})
+    with pytest.raises(ValueError, match="unknown measure spec type"):
+        weights.family_from_config({"kind": "measure", "spec": {"type": ["discrete"]}})
 
 
 def test_one_plus_config_nested():
