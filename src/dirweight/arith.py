@@ -11,7 +11,7 @@ resource guard, not an overflow guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -36,6 +36,14 @@ def _check_positive(n, name: str = "n") -> int:
     if n > MAX_INPUT:
         raise ResourceLimitError(f"{name} exceeds the 64-bit input bound")
     return n
+
+
+def _check_tol(tol) -> None:
+    """Reject a tolerance that is not a finite number > 0: nan switches the
+    comparisons off, tol < 0 calls values in [0, -tol) negative, and tol = 0
+    asks a truncated sum for a zero tail."""
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,14 @@ def _family(cfg: dict) -> weights.WeightFamily:
         raise ConfigError(str(e)) from e
 
 
+def _config_int(cfg: dict, key: str, default=None) -> int:
+    """cfg[key] (default when absent) via weights._int; bad values are config errors."""
+    try:
+        return weights._int(cfg.get(key, default))
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def _delta(cfg: dict) -> float | None:
     """The top-level delta override; strings such as "1/2" parse as rationals."""
     return weights._optional_float(cfg.get("delta"))
@@ -186,11 +194,12 @@ def cmd_check_condition(args) -> int:
     delta = _delta(cfg)
     _apply_mode(fam, cfg, delta)
     methods = tuple(cfg.get("methods", ["divisor_sum"]))
-    tol = float(cfg.get("tol", condition.DEFAULT_TOL))
+    tol = weights._float(cfg.get("tol", condition.DEFAULT_TOL))
+    k = None if cfg.get("k") is None else _config_int(cfg, "k")
 
     print(f"checking condition for {fam.name} up to n = {cfg['n_max']}", file=sys.stderr)
     report = condition.check_range(
-        fam, delta, cfg.get("k"), int(cfg["n_max"]), methods=methods, tol=tol
+        fam, delta, k, _config_int(cfg, "n_max"), methods=methods, tol=tol
     )
     envelope = _report_envelope("check-condition", _clean_config(cfg),
                                 report.to_json_dict(with_records=False))
@@ -208,8 +217,8 @@ def cmd_classify(args) -> int:
 
     fam = _family(cfg)
     delta = _delta(cfg)
-    n_max = int(cfg["n_max"])
-    tol = float(cfg.get("tol", condition.DEFAULT_TOL))
+    n_max = _config_int(cfg, "n_max")
+    tol = weights._float(cfg.get("tol", condition.DEFAULT_TOL))
 
     result: dict = {
         "family": fam.name,
@@ -277,23 +286,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _parse_points(grid_cfg) -> list[complex] | None:
-    if grid_cfg is None:
-        return None
-    pts = grid_cfg.get("points")
-    if pts is None:
-        return None
-    return [complex(p[0], p[1]) for p in pts]
-
-
 def cmd_gram(args) -> int:
     cfg = _merge(_load_config(args.config), args, ["delta", "tol", "kernel", "out"])
     if args.no_timestamp:
         cfg["timestamp"] = False
     if args.points:
-        pts = []
-        for chunk in args.points.split(";"):
-            pts.append(complex(chunk.strip()))
+        pts = [complex(chunk.strip()) for chunk in args.points.split(";")]
         cfg["grid"] = {"points": [[p.real, p.imag] for p in pts]}
     if args.n_points is not None:
         cfg.setdefault("grid", {})["n_points"] = args.n_points
@@ -304,9 +302,10 @@ def cmd_gram(args) -> int:
     unknown = set(grid_cfg) - {"points", "n_points"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    points = _parse_points(grid_cfg)
+    pts = grid_cfg.get("points")
+    points = None if pts is None else [complex(p[0], p[1]) for p in pts]
     route = cfg.get("kernel", "series")
-    tol = float(cfg.get("tol", 1e-10))
+    tol = weights._float(cfg.get("tol", 1e-10))
 
     print(f"gram check for {fam.name} via {route} kernel", file=sys.stderr)
     check = kernel.gram_psd(
@@ -315,7 +314,7 @@ def cmd_gram(args) -> int:
         points=points,
         kernel=route,
         tol=tol,
-        n_points=int(grid_cfg.get("n_points", 8)),
+        n_points=_config_int(grid_cfg, "n_points", 8),
     )
     envelope = _report_envelope("gram", _clean_config(cfg), check.to_json_dict())
     _emit(envelope, cfg, "gram_report")
@@ -343,7 +342,7 @@ def cmd_eval_kernel(args) -> int:
     s = complex(*cfg["s"])
     u = complex(*cfg["u"]) if "u" in cfg else s
     route = cfg.get("kernel", "weight")
-    tol = float(cfg.get("tol", 1e-8))
+    tol = weights._float(cfg.get("tol", 1e-8))
     delta = _delta(cfg)
 
     try:
@@ -377,12 +376,12 @@ def cmd_von_mangoldt(args) -> int:
     if args.no_timestamp:
         cfg["timestamp"] = False
     cfg["stdout_flag"] = args.stdout
-    alpha = int(cfg.get("alpha", 1))
+    alpha = _config_int(cfg, "alpha", 1)
 
-    if "n" in cfg and cfg["n"] is not None:
-        ns = [int(cfg["n"])]
+    if cfg.get("n") is not None:
+        ns = [_config_int(cfg, "n")]
     else:
-        ns = list(range(2, int(cfg.get("n_max", 100)) + 1))
+        ns = list(range(2, _config_int(cfg, "n_max", 100) + 1))
     values = [(n, condition.von_mangoldt_alpha(n, alpha)) for n in ns]
     result = {
         "alpha": alpha,

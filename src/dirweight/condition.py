@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import combinations
 
 import numpy as np
 
@@ -178,9 +178,9 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
     exps = [r for _, r in factors]
     fact = math.factorial
     total = 0.0
-    for comp in iter_product(range(1, alpha + 1), repeat=m):
-        if sum(comp) != alpha:
-            continue
+    # compositions of alpha into m parts, lexicographic like their m - 1 cuts
+    for cuts in combinations(range(1, alpha), m - 1):
+        comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
         coef = fact(alpha)
         for a in comp:
             coef //= fact(a)
@@ -412,6 +412,7 @@ def check_range(
     """
     delta, k = _resolve(w, delta, k)
     n_max = arith._check_positive(n_max, "n_max")
+    arith._check_tol(tol)
     if n_max < k:
         raise ValueError(f"n_max={n_max} below the start index k={k}")
     if isinstance(methods, (set, frozenset)):

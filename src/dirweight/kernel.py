@@ -17,6 +17,15 @@ Three kernel routes are exposed for a weight family w:
 Every evaluation returns a value plus a rigorous truncation tail bound;
 a Gram verdict of "indefinite" must clear the accumulated truncation
 budget, because the statement being tested concerns the exact kernel.
+
+The three functions, ``default_grid`` and ``gram_psd`` share one
+``_Route``: its tail bound (c, tau) and point abscissa, each entry's
+truncation (``terms``), the coefficient table (``table``) and one entry
+with its tail (``entry``, which alone propagates the quotient's error).
+An eval-kernel value thus equals the Gram entry at the same point and
+per-entry target bit for bit when the table is prefix-consistent: weights
+and integer S(n) are; float S(n) (log_pow, delta != 0) are not, as the
+convolution's summation order depends on isqrt(n).
 """
 
 from __future__ import annotations
@@ -54,9 +63,7 @@ class HalfPlanePoint:
 
     def __post_init__(self):
         if not self.s.real > self.min_re:
-            raise ValueError(
-                f"point {self.s} outside the half-plane Re > {self.min_re}"
-            )
+            raise ValueError(f"point {self.s} outside the half-plane Re > {self.min_re}")
 
 
 def beta_abscissa(w: WeightFamily, delta: float | None = None) -> float:
@@ -66,27 +73,92 @@ def beta_abscissa(w: WeightFamily, delta: float | None = None) -> float:
     return 0.5 * max(w.sigma - delta, 1.0)
 
 
-def _route_params(w: WeightFamily, delta: float, route: str):
-    """(C_eff, tau_eff, per-point Re bound) for a kernel route's tails."""
+@dataclass(frozen=True)
+class _Route:
+    """One kernel route for a family at a resolved delta: the tail bound
+    |coefficient_j| <= c j^tau, the abscissa every point must clear, and
+    the start index and shift of the power sums."""
+
+    kernel: str
+    family: WeightFamily
+    delta: float
+    c: float
+    tau: float
+    abscissa: float
+    start: int
+    shift: float
+
+    def tail_target(self, target: float) -> float:
+        return target / _RATIO_MARGIN if self.kernel == "ratio" else target
+
+    def terms(self, sigma_t: float, target: float) -> int:
+        """Truncation length N for an entry at Re(s + conj(u)) = sigma_t;
+        the quotient's numerator and denominator share one N."""
+        target = self.tail_target(target)
+        n = _pick_terms(self.c, self.tau, sigma_t, target)
+        if self.kernel == "ratio":
+            n = max(n, _pick_terms(1.0, 0.0, sigma_t, target))
+        return n
+
+    def table(self, n: int) -> np.ndarray:
+        """Coefficients 0..n: the weights, or for the series route the
+        condition values S(n) from the mu sieve."""
+        w = self.family
+        if self.kernel != "series":
+            return w.values_table(n)
+        mu = arith.mobius_sieve(n)
+        return _accel.divisor_sum_table(w.values_table(n), mu, self.delta, w.start_index)
+
+    def entry(self, table: np.ndarray, z: complex, n: int) -> tuple[complex, float]:
+        """(value, tail bound) at z = s + conj(u) from table[:n + 1].  A
+        quotient whose denominator does not clear its own tail bound is
+        (nan, inf): inconclusive."""
+        tail = power_tail_bound(self.c, self.tau, z.real, n)
+        value = complex(_accel.power_sum(table[: n + 1], self.start, z + self.shift))
+        if self.kernel != "ratio":
+            return value, tail
+        tail_den = power_tail_bound(1.0, 0.0, z.real, n)
+        den = complex(_accel.power_sum(np.ones(n + 1), 1, z))
+        if not abs(den) > tail_den:
+            return complex(math.nan), math.inf
+        value /= den
+        err = (tail + abs(value) * tail_den) / (abs(den) - tail_den)
+        return value, math.inf if math.isinf(tail) else err
+
+
+def _route(w: WeightFamily, delta: float | None, kernel: str) -> _Route:
+    delta = w.delta if delta is None else float(delta)
     c, tau = w.growth_bound
-    if route == "weight":
-        return c, tau, w.sigma / 2.0
+    if kernel == "weight":
+        return _Route(kernel, w, delta, c, tau, w.sigma / 2.0, max(w.start_index, 2), 0.0)
     beta = beta_abscissa(w, delta)
-    if route == "ratio":
-        return c, tau - delta, beta
-    if route == "series":
+    if kernel == "ratio":
+        return _Route(kernel, w, delta, c, tau - delta, beta, w.start_index, delta)
+    if kernel == "series":
         # |S(n)| <= d(n) max_j j^(-delta) w_j and d(n) <= 2 sqrt(n)
-        return 2.0 * c, max(tau - delta, 0.0) + 0.5, beta
-    raise ValueError(f"unknown kernel route {route!r}; pick from {ROUTES}")
+        return _Route(kernel, w, delta, 2.0 * c, max(tau - delta, 0.0) + 0.5, beta, 1, 0.0)
+    raise ValueError(f"unknown kernel route {kernel!r}; pick from {ROUTES}")
 
 
-def _pick_terms(c: float, tau: float, sigma_t: float, target: float):
-    """(N, tail_at_N): solved from the tail formula, capped."""
+def _pick_terms(c: float, tau: float, sigma_t: float, target: float) -> int:
+    """N solved from the tail formula, clamped to [64, TRUNCATION_CAP]."""
     n = terms_for_tail(c, tau, sigma_t, target)
-    if n is None:
-        return UNCERTIFIED_TERMS, math.inf
-    n = min(max(n, 64), TRUNCATION_CAP)
-    return n, power_tail_bound(c, tau, sigma_t, n)
+    return UNCERTIFIED_TERMS if n is None else min(max(n, 64), TRUNCATION_CAP)
+
+
+def _evaluate(route: _Route, s: complex, u: complex, tol: float) -> EvaluatedValue:
+    arith._check_tol(tol)
+    s, u = complex(s), complex(u)
+    z = s + u.conjugate()
+    w = route.family
+    if route.kernel != "weight":
+        HalfPlanePoint(s, route.abscissa)
+        HalfPlanePoint(u, route.abscissa)
+    elif not z.real > w.sigma:
+        raise ValueError(f"Re(s)+Re(u) = {z.real} is not past the abscissa {w.sigma} of {w.name}")
+    n = route.terms(z.real, tol)
+    value, tail = route.entry(route.table(n), z, n)
+    return EvaluatedValue(value, tail, n)
 
 
 def weight_kernel(w: WeightFamily, s: complex, u: complex, tol: float = 1e-6) -> EvaluatedValue:
@@ -96,20 +168,7 @@ def weight_kernel(w: WeightFamily, s: complex, u: complex, tol: float = 1e-6) ->
     finite only when the sum of real parts also clears the growth
     threshold tau + 1.
     """
-    z = complex(s) + complex(u).conjugate()
-    if not z.real > w.sigma:
-        raise ValueError(
-            f"Re(s)+Re(u) = {z.real} is not past the abscissa {w.sigma} of {w.name}"
-        )
-    c, tau = w.growth_bound
-    n, tail = _pick_terms(c, tau, z.real, tol)
-    vals = w.values_table(n)
-    start = max(w.start_index, 2)
-    return EvaluatedValue(complex(_accel.power_sum(vals, start, z)), tail, n)
-
-
-def _zeta_partial(n: int, z: complex) -> complex:
-    return complex(_accel.power_sum(np.ones(n + 1), 1, z))
+    return _evaluate(_route(w, None, "weight"), s, u, tol)
 
 
 def condition_kernel_ratio(
@@ -122,28 +181,7 @@ def condition_kernel_ratio(
     error budgets compose; if the denominator partial sum is smaller than
     its own tail bound the result carries an infinite bound (inconclusive).
     """
-    delta = w.delta if delta is None else float(delta)
-    beta = beta_abscissa(w, delta)
-    s, u = complex(s), complex(u)
-    HalfPlanePoint(s, beta)
-    HalfPlanePoint(u, beta)
-    z = s + u.conjugate()
-    sigma_t = z.real
-    c, tau_shift, _ = _route_params(w, delta, "ratio")
-    n_num, _ = _pick_terms(c, tau_shift, sigma_t, tol / _RATIO_MARGIN)
-    n_den, _ = _pick_terms(1.0, 0.0, sigma_t, tol / _RATIO_MARGIN)
-    n = max(n_num, n_den)
-    tail_num = power_tail_bound(c, tau_shift, sigma_t, n)
-    tail_den = power_tail_bound(1.0, 0.0, sigma_t, n)
-    num = complex(_accel.power_sum(w.values_table(n), w.start_index, z + delta))
-    den = _zeta_partial(n, z)
-    if not abs(den) > tail_den:
-        return EvaluatedValue(complex(math.nan), math.inf, n)
-    ratio = num / den
-    if math.isinf(tail_num):
-        return EvaluatedValue(ratio, math.inf, n)
-    err = (tail_num + abs(ratio) * tail_den) / (abs(den) - tail_den)
-    return EvaluatedValue(ratio, err, n)
+    return _evaluate(_route(w, delta, "ratio"), s, u, tol)
 
 
 def condition_kernel_series(
@@ -153,21 +191,7 @@ def condition_kernel_series(
     """Normalized kernel via its coefficient expansion: partial sum of
     S(n) n^(-s - conj(u)) with S computed by the condition sieve.  The
     tail bound dominates |S(n)| by the divisor-count bound."""
-    delta = w.delta if delta is None else float(delta)
-    beta = beta_abscissa(w, delta)
-    s, u = complex(s), complex(u)
-    HalfPlanePoint(s, beta)
-    HalfPlanePoint(u, beta)
-    z = s + u.conjugate()
-    c_eff, tau_eff, _ = _route_params(w, delta, "series")
-    n, tail = _pick_terms(c_eff, tau_eff, z.real, tol)
-    coeffs = _condition_coefficients(w, delta, n)
-    return EvaluatedValue(complex(_accel.power_sum(coeffs, 1, z)), tail, n)
-
-
-def _condition_coefficients(w: WeightFamily, delta: float, n: int) -> np.ndarray:
-    mu = arith.mobius_sieve(n)
-    return _accel.divisor_sum_table(w.values_table(n), mu, delta, w.start_index)
+    return _evaluate(_route(w, delta, "series"), s, u, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +253,9 @@ def default_grid(
     the truncation cap; the spacing base is therefore family- and
     route-dependent (documented, overridable by passing explicit points).
     """
-    delta = w.delta if delta is None else float(delta)
-    c_eff, tau_eff, point_lo = _route_params(w, delta, kernel)
-    target = tol / (10.0 * n_points)
-    if kernel == "ratio":
-        target /= _RATIO_MARGIN
-    x = _solve_cap_exponent(c_eff, target)
-    g = max(point_lo, (tau_eff + 1.0 + x) / 2.0) + 0.05
+    route = _route(w, delta, kernel)
+    x = _solve_cap_exponent(route.c, route.tail_target(tol / (10.0 * n_points)))
+    g = max(route.abscissa, (route.tau + 1.0 + x) / 2.0) + 0.05
     n_points = max(n_points, 1)
     n_real = n_points if n_points < 3 else n_points - 2
     offsets = np.logspace(-2, 0, n_real)
@@ -285,66 +305,29 @@ def gram_psd(
     target within the truncation cap make the verdict "inconclusive",
     never a silent answer.
     """
-    delta = w.delta if delta is None else float(delta)
-    if kernel not in ROUTES:
-        raise ValueError(f"unknown kernel route {kernel!r}; pick from {ROUTES}")
+    arith._check_tol(tol)
+    route = _route(w, delta, kernel)
     if points is None:
         points = default_grid(w, kernel, tol, n_points, delta)
     points = [complex(p) for p in points]
     if not 1 <= len(points) <= MAX_POINTS:
         raise ValueError(f"need between 1 and {MAX_POINTS} points, got {len(points)}")
-    _, _, point_lo = _route_params(w, delta, kernel)
     for p in points:
-        HalfPlanePoint(p, point_lo)
+        HalfPlanePoint(p, route.abscissa)
 
     m = len(points)
     target = tol / (10.0 * m)
-    c_eff, tau_eff, _ = _route_params(w, delta, kernel)
-
+    zs = {(i, j): points[i] + points[j].conjugate() for i in range(m) for j in range(i, m)}
+    plan = {ij: (z, route.terms(z.real, target)) for ij, z in zs.items()}
     # one shared coefficient table at the largest truncation any entry needs
-    plan = {}
-    n_max = 64
-    entry_target = target / _RATIO_MARGIN if kernel == "ratio" else target
-    for i in range(m):
-        for j in range(i, m):
-            z = points[i] + points[j].conjugate()
-            n, tail = _pick_terms(c_eff, tau_eff, z.real, entry_target)
-            if kernel == "ratio":
-                n = max(n, _pick_terms(1.0, 0.0, z.real, entry_target)[0])
-            plan[(i, j)] = (z, n)
-            n_max = max(n_max, n)
-
-    if kernel == "series":
-        table = _condition_coefficients(w, delta, n_max)
-        start = 1
-        shift = 0.0
-    else:
-        table = w.values_table(n_max)
-        start = max(w.start_index, 2) if kernel == "weight" else w.start_index
-        shift = 0.0 if kernel == "weight" else delta
-    ones = np.ones(n_max + 1) if kernel == "ratio" else None
+    n_max = max(64, *(n for _, n in plan.values()))
+    table = route.table(n_max)
 
     matrix = np.zeros((m, m), dtype=np.complex128)
     worst_tail = 0.0
     certified = True
     for (i, j), (z, n) in plan.items():
-        if kernel == "ratio":
-            tail_num = power_tail_bound(c_eff, tau_eff, z.real, n)
-            tail_den = power_tail_bound(1.0, 0.0, z.real, n)
-            num = complex(_accel.power_sum(table[: n + 1], start, z + shift))
-            den = complex(_accel.power_sum(ones[: n + 1], 1, z))
-            if not abs(den) > tail_den:
-                value, tail = complex(math.nan), math.inf
-            else:
-                value = num / den
-                tail = (
-                    math.inf
-                    if math.isinf(tail_num)
-                    else (tail_num + abs(value) * tail_den) / (abs(den) - tail_den)
-                )
-        else:
-            value = complex(_accel.power_sum(table[: n + 1], start, z + shift))
-            tail = power_tail_bound(c_eff, tau_eff, z.real, n)
+        value, tail = route.entry(table, z, n)
         matrix[i, j] = value
         matrix[j, i] = value.conjugate()
         if not (math.isfinite(tail) and tail <= target * (1 + 1e-9)):
@@ -364,7 +347,7 @@ def gram_psd(
     return GramCheck(
         family=w.name,
         kernel=kernel,
-        delta=delta,
+        delta=route.delta,
         points=tuple(points),
         matrix=matrix,
         min_eigenvalue=min_eig,

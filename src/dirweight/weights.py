@@ -58,6 +58,15 @@ def _float(v) -> float:
         raise ValueError(f"number too large for a float: {v!r}") from e
 
 
+def _int(v) -> int:
+    """A config scalar (see _parse_scalar) that is an integer: integral
+    floats such as 1e5 count, 1.5 does not."""
+    x = _parse_scalar(v)
+    if not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(x)
+
+
 def _optional_float(v):
     """A config scalar as a float (see _float); None stays None."""
     return None if v is None else _float(v)
@@ -786,7 +795,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if "delta" in cfg:
             fam.delta = _float(cfg["delta"])
         if "start_index" in cfg:
-            fam.start_index = int(cfg["start_index"])
+            fam.start_index = _int(cfg["start_index"])
         if fam.delta > fam.sigma:
             raise ValueError("declared delta exceeds sigma")
         return fam
@@ -796,7 +805,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
             if key not in cfg:
                 raise ValueError(f"explicit family config needs {key!r}")
         values = [_parse_scalar(v) for v in cfg["values"]]
-        start = int(cfg["start_index"])
+        start = _int(cfg["start_index"])
         exact = all(_is_exact(v) for v in values)
         table = {start + i: v for i, v in enumerate(values)}
 
@@ -833,7 +842,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
         spec = MeasureSpec("gamma_density", alpha=_float(spec_cfg.get("alpha", 1)))
     return measure_family(
         spec,
-        n0=int(cfg.get("n0", 2)),
+        n0=_int(cfg.get("n0", 2)),
         name=f"measure({stype})",
         sigma=_optional_float(cfg.get("sigma")),
         delta=_optional_float(cfg.get("delta")),

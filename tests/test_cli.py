@@ -146,6 +146,73 @@ def test_large_gamma_alpha_exits_one(alpha, tmp_path, capsys):
     assert captured.out == ""
 
 
+OMEGA = {"kind": "named", "name": "omega"}
+
+
+@pytest.mark.parametrize("argv,cfg,message", [
+    # omega's S(n) is 0 or 1, yet tol = -1 called it negative (exit 2)
+    (["check-condition", "--float", "--n-max", "12", "--tol", "-1"], {},
+     "error: tol must be a finite number > 0, got -1.0"),
+    # nan switched the agreement check off
+    (["check-condition", "--float", "--methods", "divisor_sum,additive_Tt", "--tol", "nan"], {},
+     "error: tol must be a finite number > 0, got nan"),
+    # the quotient route certified tol = 0, the other two routes did not
+    (["eval-kernel", "--kernel", "ratio", "--s", "2.0", "--tol", "0"], {},
+     "config error: tol must be a finite number > 0, got 0.0"),
+    (["gram", "--kernel", "weight", "--points", "2.0"], {"tol": None},
+     "error: expected a number, got None"),
+], ids=["negative", "nan", "zero", "null"])
+def test_tolerance_must_be_finite_and_positive(argv, cfg, message, tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {"family": OMEGA, **cfg})
+    assert run([*argv, "--config", path, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == message
+    assert len([line for line in captured.err.splitlines() if "error" in line]) == 1
+    assert captured.out == ""
+
+
+MEASURE = {"kind": "measure", "spec": {"type": "gamma_density", "alpha": 2}}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("check-condition", {"n_max": None}, "n_max: expected a number, got None"),
+    ("check-condition", {"n_max": 1.5}, "n_max: expected an integer, got 1.5"),
+    ("check-condition", {"n_max": True}, "n_max: expected a number, got True"),
+    ("check-condition", {"n_max": 20, "k": 2.5}, "k: expected an integer, got 2.5"),
+    ("classify", {"n_max": None}, "n_max: expected a number, got None"),
+    ("gram", {"grid": {"n_points": None}}, "n_points: expected a number, got None"),
+    ("gram", {"grid": {"n_points": 2.5}}, "n_points: expected an integer, got 2.5"),
+    ("von-mangoldt", {"alpha": None}, "alpha: expected a number, got None"),
+    ("von-mangoldt", {"alpha": True}, "alpha: expected a number, got True"),
+    ("von-mangoldt", {"n": 6.5}, "n: expected an integer, got 6.5"),
+    ("check-condition", {"family": {**MEASURE, "n0": None}}, "expected a number, got None"),
+    ("check-condition", {"family": {**MEASURE, "n0": 2.5}}, "expected an integer, got 2.5"),
+    ("check-condition", {"family": {**OMEGA, "start_index": True}},
+     "expected a number, got True"),
+    ("check-condition", {"family": {
+        "kind": "explicit", "values": [1, 2], "start_index": 1.5, "sigma": 1.0,
+        "delta": 0.0, "growth_bound": [2.0, 0.0]}}, "expected an integer, got 1.5"),
+])
+def test_integer_config_values_are_integers(command, cfg, message, tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {"family": OMEGA, **cfg})
+    assert run([command, "--config", path, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"config error: {message}"]
+    assert captured.out == ""
+
+
+def test_integral_float_config_values_are_accepted(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"family": {"kind": "named", "name": "omega", "start_index": 2.0},'
+                    ' "n_max": 1e2, "k": 2.0}')
+    assert run(["check-condition", "--config", str(path), "--no-timestamp", "--stdout"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["result"]["range"], report["result"]["k"]) == ([2, 100], 2)
+    # the embedded config keeps the values as written
+    assert (report["config"]["n_max"], report["config"]["k"]) == (100.0, 2.0)
+
+
 # -- determinism and round-trips ----------------------------------------------
 
 

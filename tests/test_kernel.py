@@ -78,12 +78,12 @@ def test_ratio_kernel_hermitian(fams):
 
 def test_series_kernel_coefficients_divisor_count(fams):
     # for w = d (start 1) the condition values are 1 at every n
-    coeffs = kernel._condition_coefficients(fams["d"], 0.0, 200)
+    coeffs = kernel._route(fams["d"], 0.0, "series").table(200)
     assert np.allclose(coeffs[1:], 1.0)
 
 
 def test_series_kernel_coefficients_omega_prime_indicator(fams):
-    coeffs = kernel._condition_coefficients(fams["omega"], 0.0, 200)
+    coeffs = kernel._route(fams["omega"], 0.0, "series").table(200)
     primes = set(int(p) for p in arith.primes_up_to(200))
     for n in range(1, 201):
         assert coeffs[n] == pytest.approx(1.0 if n in primes else 0.0, abs=1e-12)
@@ -95,7 +95,7 @@ def test_series_kernel_coefficients_ones_from_two_is_minus_mobius():
         "kind": "explicit", "values": ["1"] * 200, "start_index": 2,
         "sigma": 1.0, "delta": 0.0, "growth_bound": [1.0, 0.0],
     })
-    coeffs = kernel._condition_coefficients(ones_from_two, 0.0, 200)
+    coeffs = kernel._route(ones_from_two, 0.0, "series").table(200)
     mu = arith.mobius_sieve(200)
     assert coeffs[1] == 0.0
     for n in range(2, 201):
@@ -225,6 +225,49 @@ def test_gram_json_roundtrip(fams):
     assert d["verdict"] == check.verdict
     assert len(d["matrix"]) == 4 and len(d["matrix"][0]) == 4
     assert d["matrix"][0][0][0] == pytest.approx(check.matrix[0, 0].real)
+
+
+# -- shared route -------------------------------------------------------------
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex())
+
+
+EVALUATORS = {
+    "weight": lambda fam, s, u, tol: kernel.weight_kernel(fam, s, u, tol=tol),
+    "ratio": lambda fam, s, u, tol: kernel.condition_kernel_ratio(fam, s, u, tol=tol),
+    "series": lambda fam, s, u, tol: kernel.condition_kernel_series(fam, None, s, u, tol=tol),
+}
+
+
+# series only on integer coefficients: float S(n) tables are not prefix-consistent
+@pytest.mark.parametrize("route,name", [
+    *((r, n) for r in ("weight", "ratio") for n in ("ones", "d", "omega", "log1")),
+    *(("series", n) for n in ("ones", "d", "omega")),
+])
+def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
+    fam, pts, tol = fams[name], [2.1, 2.4 + 0.3j, 2.8 - 0.5j], 1e-8
+    check = kernel.gram_psd(fam, points=pts, kernel=route, tol=tol)
+    n_terms = set()
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            ev = EVALUATORS[route](fam, pts[i], pts[j], tol / (10 * len(pts)))
+            # matrix[j, i] holds the conjugate, also on the diagonal (written last)
+            assert _hex(ev.value) == _hex(complex(check.matrix[j, i]).conjugate())
+            assert ev.tail_bound <= check.truncation_bound
+            n_terms.add(ev.n_terms)
+    # entries sum different prefixes of the one Gram table
+    assert len(n_terms) > 1 and max(n_terms) == check.n_terms_max
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_kernel_tolerance_must_be_finite_and_positive(fams, tol):
+    for evaluate in EVALUATORS.values():
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            evaluate(fams["d"], 2.0, 2.0, tol)
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        kernel.gram_psd(fams["d"], points=[2.0], kernel="weight", tol=tol)
 
 
 # -- helpers ------------------------------------------------------------------
