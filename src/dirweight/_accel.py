@@ -5,80 +5,128 @@ unused.  Every Dirichlet convolution (d(n), d_beta, the divisor sums
 S(n)) goes through one kernel, ``_convolve``, which splits the pairs
 (j, q) with jq <= n at sqrt(n) (the Dirichlet hyperbola method): the
 O(n log n) multiply-adds run inside numpy in O(sqrt n) Python iterations.
-The sieves loop once per prime in Python.
+Every arithmetic table comes from one engine, ``factor_tables`` (spf, mu,
+omega, Omega, gpf and prime-power parts, one numpy pass per block), and
+every multiplicative or additive one from ``prime_power_fill``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 
-def prime_mask(n: int) -> np.ndarray:
-    """Boolean array of length n+1, True at prime indices."""
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
+class FactorTables(NamedTuple):
+    """Arithmetic columns of 0..n (slot 0 zero); ``ppart[m]`` is P^r, the
+    largest power of P = gpf(m) dividing m (ppart[1] = 1).  mu, omega and
+    big_omega are int8, the rest int32."""
+
+    spf: np.ndarray
+    mu: np.ndarray
+    omega: np.ndarray
+    big_omega: np.ndarray
+    gpf: np.ndarray
+    ppart: np.ndarray
+
+    def prime_powers(self):
+        """(q, p, r) for every prime power q = p^r <= n, ascending in q."""
+        q = np.flatnonzero(self.gpf == self.spf)[2:]  # slots 0 and 1 hold 0 == 0
+        return q, self.spf[q], self.big_omega[q]
+
+
+def _blocks(n: int):
+    """[lo, hi) covering 2..n with hi <= 2 lo: every m // spf(m) of a
+    block lies in an earlier one."""
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, lo + (1 << 16), n + 1)
+        yield lo, hi
+        lo = hi
+
+
+def factor_tables(n: int) -> FactorTables:
+    """spf from the sieve of Eratosthenes up to sqrt(n), every other column
+    at m from its value at m / spf(m), block by block: a linear sieve in the
+    manner of Gries and Misra, one numpy pass per block."""
+    # columns before any temporary is freed: malloc maps each and returns it whole
+    spf, gpf, ppart = (np.zeros(n + 1, dtype=np.int32) for _ in range(3))
+    mu, omega, big_omega = (np.zeros(n + 1, dtype=np.int8) for _ in range(3))
+    mu[1:2] = ppart[1:2] = 1
     for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
+        if spf[p] == 0:  # p is prime: a smaller prime would have marked it
+            view = spf[p * p :: p]
+            view[view == 0] = p
+    for lo, hi in _blocks(n):
+        idx = np.arange(lo, hi, dtype=np.int32)
+        p = spf[lo:hi]
+        np.copyto(p, idx, where=p == 0)  # primes: no smaller prime marked them
+        m = idx // p
+        new = spf[m] != p  # p does not divide m
+        mu[lo:hi] = np.where(new, -mu[m], 0)
+        omega[lo:hi] = omega[m] + new
+        big_omega[lo:hi] = big_omega[m] + 1
+        g = gpf[lo:hi] = np.maximum(gpf[m], p)
+        ppart[lo:hi] = np.where(g == p, ppart[m] * p, ppart[m])
+    return FactorTables(spf, mu, omega, big_omega, gpf, ppart)
+
+
+def prime_power_values(ft: FactorTables, f, dtype) -> np.ndarray:
+    """fq[p^r] = f(p, r) at every prime power p^r <= n, zero elsewhere.
+    f is called once per prime power, on Python ints, in chunks that keep
+    the Python objects few."""
+    fq = np.zeros(len(ft.ppart), dtype=dtype)
+    q, p, r = ft.prime_powers()
+    for i in range(0, len(q), 1 << 12):
+        part = slice(i, i + (1 << 12))
+        fq[q[part]] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype, len(q[part]))
+    return fq
+
+
+def prime_power_fill(ft: FactorTables, fq: np.ndarray, op) -> np.ndarray:
+    """w[1] = the identity of op (np.multiply or np.add), and
+    w[m] = op(w[m / P^r], fq[P^r]) with P^r = ppart[m], in fq's dtype.
+
+    Peeling the largest prime applies the prime powers of m in ascending
+    prime order, as a per-m loop over its factorization does, so float
+    and Python-object results equal that loop's bit for bit."""
+    w = np.zeros(len(ft.ppart), dtype=fq.dtype)
+    w[1:2] = op.identity
+    for lo, hi in _blocks(len(w) - 1):
+        q = ft.ppart[lo:hi]
+        w[lo:hi] = op(w[np.arange(lo, hi, dtype=np.int32) // q], fq[q])
+    return w
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    return np.nonzero(prime_mask(n))[0].astype(np.int64)
+    """The primes <= n, ascending (int64): the m with Omega(m) = 1."""
+    return np.flatnonzero(factor_tables(n).big_omega == 1)
 
 
 def mobius_table(n: int) -> np.ndarray:
     """Mobius function values mu(1..n) as int8, 1-indexed."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes_up_to(n):
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
-    return mu
+    return factor_tables(n).mu
 
 
 def gpf_table(n: int) -> np.ndarray:
     """Greatest prime factor of 2..n (0 at indices 0 and 1)."""
-    # ascending prime order: the last assignment wins, i.e. the largest factor
-    gpf = np.zeros(n + 1, dtype=np.int64)
-    for p in primes_up_to(n):
-        gpf[p::p] = p
-    return gpf
+    return factor_tables(n).gpf.astype(np.int64)
 
 
 def spf_table(n: int) -> np.ndarray:
     """Smallest prime factor of 2..n (0 at indices 0 and 1)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in primes_up_to(math.isqrt(n)):
-        view = spf[p::p]
-        view[view == 0] = p
-    idx = np.arange(n + 1, dtype=np.int64)
-    rest = (spf == 0) & (idx >= 2)
-    spf[rest] = idx[rest]
-    return spf
+    return factor_tables(n).spf.astype(np.int64)
 
 
 def omega_table(n: int) -> np.ndarray:
     """Number of distinct prime factors of 0..n."""
-    cnt = np.zeros(n + 1, dtype=np.int64)
-    for p in primes_up_to(n):
-        cnt[p::p] += 1
-    return cnt
+    return factor_tables(n).omega.astype(np.int64)
 
 
 def big_omega_table(n: int) -> np.ndarray:
     """Number of prime factors with multiplicity of 0..n."""
-    cnt = np.zeros(n + 1, dtype=np.int64)
-    for p in primes_up_to(n):
-        q = p
-        while q <= n:
-            cnt[q::q] += 1
-            q *= p
-    return cnt
+    return factor_tables(n).big_omega.astype(np.int64)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:

@@ -38,6 +38,14 @@ def _check_positive(n, name: str = "n") -> int:
     return n
 
 
+def _check_sieve(n, name: str = "N") -> int:
+    """n >= 1 that fits the sieve ceiling MAX_SIEVE."""
+    n = _check_positive(n, name)
+    if n > MAX_SIEVE:
+        raise ResourceLimitError(f"sieve length {n} exceeds ceiling {MAX_SIEVE}")
+    return n
+
+
 def _check_tol(tol) -> None:
     """Reject a tolerance that is not a finite number > 0: nan switches the
     comparisons off, tol < 0 calls values in [0, -tol) negative, and tol = 0
@@ -91,22 +99,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def is_prime(n: int) -> bool:
-    n = _check_positive(n)
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    p = 5
-    while p * p <= n:
-        if n % p == 0 or n % (p + 2) == 0:
-            return False
-        p += 6
-    return True
-
-
 def mobius(n: int) -> int:
     """Mobius function: 1 at n=1, (-1)^j on a product of j distinct primes,
     0 when a squared prime divides n."""
@@ -123,10 +115,7 @@ def mobius(n: int) -> int:
 
 def mobius_sieve(n: int) -> np.ndarray:
     """Table of mu(1..n), returned 1-indexed (length n+1, slot 0 unused)."""
-    n = _check_positive(n, "N")
-    if n > MAX_SIEVE:
-        raise ResourceLimitError(f"sieve length {n} exceeds ceiling {MAX_SIEVE}")
-    return _accel.mobius_table(n)
+    return _accel.mobius_table(_check_sieve(n))
 
 
 def divisors(n: int) -> list[int]:
@@ -171,10 +160,7 @@ def divisor_count(n: int) -> int:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    n = _check_positive(n, "N")
-    if n > MAX_SIEVE:
-        raise ResourceLimitError(f"sieve length {n} exceeds ceiling {MAX_SIEVE}")
-    return _accel.primes_up_to(n)
+    return _accel.primes_up_to(_check_sieve(n))
 
 
 def first_primes(count: int) -> list[int]:
@@ -190,21 +176,14 @@ def first_primes(count: int) -> list[int]:
 
 
 def factorizations_up_to(n_max: int):
-    """Yield (n, ((p, r), ...)) for n = 1..n_max using a smallest-prime-factor
-    table; much faster than per-n trial division over a full range."""
-    n_max = _check_positive(n_max, "n_max")
-    if n_max > MAX_SIEVE:
-        raise ResourceLimitError(f"sieve length {n_max} exceeds ceiling {MAX_SIEVE}")
-    spf = _accel.spf_table(n_max)
-    yield 1, ()
-    for n in range(2, n_max + 1):
-        m = n
-        factors = []
+    """Yield (n, ((p, r), ...)) for n = 1..n_max, peeling the largest
+    prime-power part off n with the factor-table engine's columns."""
+    ft = _accel.factor_tables(_check_sieve(n_max, "n_max"))
+    gpf, ppart, big_omega = map(memoryview, (ft.gpf, ft.ppart, ft.big_omega))
+    for n in range(1, n_max + 1):
+        factors, m = (), n
         while m > 1:
-            p = int(spf[m])
-            r = 0
-            while m % p == 0:
-                m //= p
-                r += 1
-            factors.append((p, r))
-        yield n, tuple(factors)
+            q = ppart[m]
+            factors = ((gpf[m], big_omega[q]),) + factors
+            m //= q
+        yield n, factors

@@ -88,6 +88,16 @@ def _config_int(cfg: dict, key: str, default=None) -> int:
         raise ConfigError(f"{key}: {e}") from e
 
 
+def _config_pair(value, key: str) -> complex:
+    """A [re, im] pair of config scalars (see weights._float) as a complex."""
+    try:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ValueError(f"expected a pair [re, im], got {value!r}")
+        return complex(*map(weights._float, value))
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def _delta(cfg: dict) -> float | None:
     """The top-level delta override; strings such as "1/2" parse as rationals."""
     return weights._optional_float(cfg.get("delta"))
@@ -193,13 +203,15 @@ def cmd_check_condition(args) -> int:
     fam = _family(cfg)
     delta = _delta(cfg)
     _apply_mode(fam, cfg, delta)
-    methods = tuple(cfg.get("methods", ["divisor_sum"]))
+    methods = cfg.get("methods", ["divisor_sum"])
+    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+        raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
     tol = weights._float(cfg.get("tol", condition.DEFAULT_TOL))
     k = None if cfg.get("k") is None else _config_int(cfg, "k")
 
     print(f"checking condition for {fam.name} up to n = {cfg['n_max']}", file=sys.stderr)
     report = condition.check_range(
-        fam, delta, k, _config_int(cfg, "n_max"), methods=methods, tol=tol
+        fam, delta, k, _config_int(cfg, "n_max"), methods=tuple(methods), tol=tol
     )
     envelope = _report_envelope("check-condition", _clean_config(cfg),
                                 report.to_json_dict(with_records=False))
@@ -299,11 +311,15 @@ def cmd_gram(args) -> int:
 
     fam = _family(cfg)
     grid_cfg = cfg.get("grid") or {}
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError(f"grid: expected an object, got {grid_cfg!r}")
     unknown = set(grid_cfg) - {"points", "n_points"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     pts = grid_cfg.get("points")
-    points = None if pts is None else [complex(p[0], p[1]) for p in pts]
+    if not (pts is None or isinstance(pts, list)):
+        raise ConfigError(f"grid.points: expected a list of [re, im] pairs, got {pts!r}")
+    points = None if pts is None else [_config_pair(p, "grid.points") for p in pts]
     route = cfg.get("kernel", "series")
     tol = weights._float(cfg.get("tol", 1e-10))
 
@@ -339,8 +355,8 @@ def cmd_eval_kernel(args) -> int:
     fam = _family(cfg)
     if "s" not in cfg:
         raise ConfigError("eval-kernel needs a point --s")
-    s = complex(*cfg["s"])
-    u = complex(*cfg["u"]) if "u" in cfg else s
+    s = _config_pair(cfg["s"], "s")
+    u = _config_pair(cfg["u"], "u") if "u" in cfg else s
     route = cfg.get("kernel", "weight")
     tol = weights._float(cfg.get("tol", 1e-8))
     delta = _delta(cfg)

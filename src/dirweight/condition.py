@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _accel, arith
-from .weights import WeightFamily
+from .weights import WeightFamily, _int
 
 NONNEG_EXACT = "nonneg_exact"
 NONNEG_TOL = "nonneg_within_tol"
@@ -52,7 +52,7 @@ def _resolve(w: WeightFamily, delta, k):
         # never inferred from context: the family's declared start governs
         # (1 for multiplicative, 2 for additive, as declared otherwise)
         k = w.start_index
-    k = int(k)
+    k = _int(k)
     if k < 1:
         raise ValueError("start index k must be >= 1")
     if k < w.defined_from:
@@ -110,11 +110,8 @@ def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
 def mult_product(w: WeightFamily, delta: float, n: int):
     """Factored form of S(n) over the prime factorization; equals
     divisor_sum with k = 1 for multiplicative families."""
-    factors = mult_factors(w, delta, n)
-    out = 1 if _use_exact(w, w.delta if delta is None else float(delta)) else 1.0
-    for f in factors:
-        out = out * f
-    return out
+    exact = _use_exact(w, w.delta if delta is None else float(delta))
+    return math.prod(mult_factors(w, delta, n), start=1 if exact else 1.0)
 
 
 def _additive_terms_from(w, delta, factors, exact):
@@ -328,63 +325,36 @@ def _divisor_sums_range(w: WeightFamily, delta: float, k: int, n_max: int, exact
     return np.array(out, dtype=object)
 
 
-def _prime_power_blocks(n_max: int):
-    """Level by level, in ascending prime order, the prime-power blocks of
-    every 2 <= n <= n_max: yields (idx, p, q) with q = p^r exactly dividing
-    n, for each n in idx.  One numpy pass per level and per extra power."""
-    spf = _accel.spf_table(n_max)
-    idx = np.arange(2, n_max + 1)
-    rest = idx.copy()
-    while idx.size:
-        p = spf[rest]
-        q = p.copy()
-        rest //= p
-        sub = np.flatnonzero(rest % p == 0)
-        while sub.size:
-            rest[sub] //= p[sub]
-            q[sub] *= p[sub]
-            sub = sub[rest[sub] % p[sub] == 0]
-        yield idx, p, q
-        more = rest > 1
-        idx, rest = idx[more], rest[more]
-
-
 def _factored_column(table: np.ndarray, n_max: int, method: str):
     """mult_product or additive_Tt at delta = 0 for n <= n_max as int64,
     reading w at p^r and p^(r-1) only; None when a product could overflow."""
     w = table.astype(np.int64)
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    blocks = _prime_power_blocks(n_max)
+    ft = _accel.factor_tables(n_max)
+    q, p, _ = ft.prime_powers()
+    f = np.zeros(n_max + 1, dtype=np.int64)
+    f[q] = w[q] - w[q // p]
     if method == "additive_Tt":
         # at delta = 0 every T_t vanishes unless n = p^r: then S(n) = w_n - w_(n/p)
-        idx, p, q = next(blocks)
-        pp = q == idx
-        out[idx[pp]] = w[q[pp]] - w[q[pp] // p[pp]]
-        return out
-    out[2:] = 1
-    size = np.ones(n_max + 1)
-    for idx, p, q in blocks:
-        f = w[q] - w[q // p]
-        out[idx] *= f
-        size[idx] *= np.abs(f)
-    return out if size.max() < _INT64_SAFE else None
+        return f
+    size = _accel.prime_power_fill(ft, np.abs(f).astype(np.float64), np.multiply)
+    return _accel.prime_power_fill(ft, f, np.multiply) if size.max() < _INT64_SAFE else None
 
 
 def _factored_range(w: WeightFamily, delta: float, n_max: int, exact: bool, method: str):
-    """mult_product or additive_Tt for every 2 <= n <= n_max, per n in
-    Python (ints, Fractions or floats)."""
+    """mult_product or additive_Tt for every 2 <= n <= n_max in Python ints
+    and Fractions (exact) or floats: the product as one prime-power fill,
+    the additive terms per n."""
+    if method == "mult_product":
+        ft = _accel.factor_tables(n_max)
+        fq = _accel.prime_power_values(
+            ft, lambda p, r: _mult_factors_from(w, delta, ((p, r),), exact)[0],
+            object if exact else np.float64)
+        return _accel.prime_power_fill(ft, fq, np.multiply)
     out: list = [None] * (n_max + 1)
     for n, factors in arith.factorizations_up_to(n_max):
-        if n < 2:
-            continue
-        if method == "mult_product":
-            val = 1 if exact else 1.0
-            for f in _mult_factors_from(w, delta, factors, exact):
-                val = val * f
-        else:
+        if n >= 2:
             terms = _additive_terms_from(w, delta, factors, exact)
-            val = sum(terms) if terms else (0 if exact else 0.0)
-        out[n] = val
+            out[n] = sum(terms) if terms else (0 if exact else 0.0)
     return np.array(out, dtype=object)
 
 
@@ -411,7 +381,7 @@ def check_range(
     Fractions.  Exact routes that disagree raise MethodDisagreement.
     """
     delta, k = _resolve(w, delta, k)
-    n_max = arith._check_positive(n_max, "n_max")
+    n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     if n_max < k:
         raise ValueError(f"n_max={n_max} below the start index k={k}")

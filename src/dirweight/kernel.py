@@ -298,12 +298,12 @@ def gram_psd(
 ) -> GramCheck:
     """Hermitian Gram matrix of kernel evaluations and its verdict.
 
-    Every entry (i, j) with i <= j is computed once and mirrored by
-    conjugation.  An "indefinite" verdict requires the most negative
-    eigenvalue to clear tol plus the accumulated truncation budget
-    n_points * max_entry_tail; entries that cannot reach their tail
-    target within the truncation cap make the verdict "inconclusive",
-    never a silent answer.
+    Every entry (i, j) with i < j is computed once and mirrored by
+    conjugation; a diagonal entry is written once, as its real part.  An
+    "indefinite" verdict requires the most negative eigenvalue to clear
+    tol plus the accumulated truncation budget n_points * max_entry_tail;
+    entries that cannot reach their tail target within the truncation cap
+    make the verdict "inconclusive", never a silent answer.
     """
     arith._check_tol(tol)
     route = _route(w, delta, kernel)
@@ -328,8 +328,10 @@ def gram_psd(
     certified = True
     for (i, j), (z, n) in plan.items():
         value, tail = route.entry(table, z, n)
-        matrix[i, j] = value
-        matrix[j, i] = value.conjugate()
+        if i == j:  # z = s + conj(s) is real: the imaginary part is a signed zero
+            matrix[i, i] = value.real
+        else:
+            matrix[i, j], matrix[j, i] = value, value.conjugate()
         if not (math.isfinite(tail) and tail <= target * (1 + 1e-9)):
             certified = False
         worst_tail = max(worst_tail, tail)

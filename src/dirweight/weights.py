@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -43,8 +44,8 @@ def _parse_scalar(v):
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"expected a number, got {v!r}") from e
         return int(f) if f.denominator == 1 else f
-    if isinstance(v, int):
-        return v
+    if isinstance(v, (int, np.integer)):
+        return int(v)
     if isinstance(v, float):
         return v
     raise ValueError(f"expected a number, got {v!r}")
@@ -194,62 +195,61 @@ class WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-def multiplicative_from_prime_powers(
-    f,
-    sigma: float,
-    delta: float,
-    growth_bound: tuple[float, float],
-    name: str = "multiplicative",
-    batch_fn=None,
-    exact: bool = False,
-    params: dict | None = None,
-    integer_valued: bool = False,
-) -> WeightFamily:
-    """Multiplicative family from prime-power values: w_n = prod f(p_i, r_i)
-    over the factorization, w_1 = 1."""
+def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exact, params,
+                        integer_valued) -> WeightFamily:
+    """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
+    (additive) of f(p_i, r_i) over the factorization, in ascending prime
+    order.  Without a batch_fn the table calls f once per prime power <= n
+    and is one ``_accel.prime_power_fill``: in float64, or in Python ints
+    and Fractions converted with float() at the end, as value() would be."""
+    op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
+
+    def checked(p, r):
+        v = f(p, r)
+        if op is np.multiply and not v > 0:
+            raise ValueError(f"prime-power value f({p},{r}) = {v} not positive")
+        return v
 
     def value_fn(n):
-        out = 1 if exact else 1.0
+        out = op.identity if exact else float(op.identity)
         for p, r in arith.factorize(n):
-            v = f(p, r)
-            if not v > 0:
-                raise ValueError(f"prime-power value f({p},{r}) = {v} not positive")
-            out = out * v
+            out = py_op(out, checked(p, r))
         return out
 
+    dtype = np.float64 if integer_valued or not exact else object
+
+    def batch(n):
+        ft = _accel.factor_tables(n)
+        return _accel.prime_power_fill(ft, _accel.prime_power_values(ft, checked, dtype), op)
+
     return WeightFamily(
-        name, "multiplicative", 1, sigma, delta, growth_bound,
-        value_fn, batch_fn=batch_fn, exact=exact, params=params,
+        name, kind, 1 if op is np.multiply else 2, sigma, delta, growth_bound,
+        value_fn, batch_fn=batch_fn or batch, exact=exact, params=params,
         integer_valued=integer_valued,
     )
 
 
+def multiplicative_from_prime_powers(
+    f, sigma: float, delta: float, growth_bound: tuple[float, float],
+    name: str = "multiplicative", batch_fn=None, exact: bool = False,
+    params: dict | None = None, integer_valued: bool = False,
+) -> WeightFamily:
+    """Multiplicative family from prime-power values: w_n = prod f(p_i, r_i)
+    over the factorization, w_1 = 1 (see _prime_power_family)."""
+    return _prime_power_family("multiplicative", f, sigma, delta, growth_bound, name,
+                               batch_fn, exact, params, integer_valued)
+
+
 def additive_from_prime_powers(
-    f,
-    sigma: float,
-    delta: float,
-    growth_bound: tuple[float, float],
-    name: str = "additive",
-    batch_fn=None,
-    exact: bool = False,
-    params: dict | None = None,
-    integer_valued: bool = False,
+    f, sigma: float, delta: float, growth_bound: tuple[float, float],
+    name: str = "additive", batch_fn=None, exact: bool = False,
+    params: dict | None = None, integer_valued: bool = False,
 ) -> WeightFamily:
     """Additive family from prime-power values: w_n = sum f(p_i, r_i),
     extended by w_1 = 0.  Start index is 2; positivity for n >= 2 is
     checked by audit()."""
-
-    def value_fn(n):
-        out = 0 if exact else 0.0
-        for p, r in arith.factorize(n):
-            out = out + f(p, r)
-        return out
-
-    return WeightFamily(
-        name, "additive", 2, sigma, delta, growth_bound,
-        value_fn, batch_fn=batch_fn, exact=exact, params=params,
-        integer_valued=integer_valued,
-    )
+    return _prime_power_family("additive", f, sigma, delta, growth_bound, name,
+                               batch_fn, exact, params, integer_valued)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +561,7 @@ def smooth_growth_diagnostic(
 def _ones_family() -> WeightFamily:
     return multiplicative_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
-        name="ones", batch_fn=lambda n: np.ones(n + 1), exact=True, integer_valued=True,
+        name="ones", exact=True, integer_valued=True,
     )
 
 
@@ -569,14 +569,14 @@ def _omega_family() -> WeightFamily:
     # omega(n) <= log2(n) and log2(n)/sqrt(n) peaks at 2/(e ln 2) ~ 1.062
     return additive_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="omega", batch_fn=_accel.omega_table, exact=True, integer_valued=True,
+        name="omega", exact=True, integer_valued=True,
     )
 
 
 def _big_omega_family() -> WeightFamily:
     return additive_from_prime_powers(
         lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="big_omega", batch_fn=_accel.big_omega_table, exact=True, integer_valued=True,
+        name="big_omega", exact=True, integer_valued=True,
     )
 
 
@@ -589,14 +589,13 @@ def _divisor_pow_family(alpha) -> WeightFamily:
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
     def batch(n):
-        d = _accel.divisor_count_table(n).astype(np.float64)
-        # integer alpha: rounded products are exact below 2^53 (pow need not be)
-        return math.prod([d] * alpha, start=np.ones(n + 1)) if exact else d**af
+        # kept as d(n)**af: the product of the per-prime powers rounds differently
+        return _accel.divisor_count_table(n).astype(np.float64) ** af
 
     # d(n) <= 2 sqrt(n)
     return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0, growth_bound=(2.0**af, af / 2.0),
-        name=f"divisor_pow(alpha={alpha})", batch_fn=batch, exact=exact,
+        name=f"divisor_pow(alpha={alpha})", batch_fn=None if exact else batch, exact=exact,
         params={"alpha": alpha}, integer_valued=exact,
     )
 
@@ -620,27 +619,12 @@ def _d_beta_family(beta) -> WeightFamily:
                 out *= (bf + i) / (i + 1)
             return out
 
-    def batch(n):
-        table = np.ones(n + 1)
-        if exact:
-            for _ in range(beta - 1):
-                table = _accel.dirichlet_convolve(table, np.ones(n + 1))
-            table[0] = 0.0
-            return table
-        out = np.zeros(n + 1)
-        for m, factors in arith.factorizations_up_to(n):
-            v = 1.0
-            for _, r in factors:
-                v *= f(0, r)
-            out[m] = v
-        return out
-
     m = max(1, math.ceil(bf))
     # d_beta(n) <= d(n)^(ceil(beta)-1) <= (2 sqrt n)^(ceil(beta)-1)
     return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0,
         growth_bound=(2.0 ** (m - 1), (m - 1) / 2.0),
-        name=f"d_beta(beta={beta})", batch_fn=batch, exact=exact,
+        name=f"d_beta(beta={beta})", exact=exact,
         params={"beta": beta}, integer_valued=exact,
     )
 

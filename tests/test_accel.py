@@ -158,3 +158,43 @@ def test_power_sum_brute_force():
     z = 1.25 + 0.5j
     want = sum(vals[j] * j ** (-z) for j in range(2, 6))
     assert abs(_accel.power_sum(vals, 2, z) - want) < 1e-14
+
+
+def test_factor_tables_match_trial_division():
+    # every m <= 3000, and m within 50 of the block edges 2^16 and 2^17
+    n = 2**17 + 50
+    ft = _accel.factor_tables(n)
+    assert [c.dtype for c in ft] == [np.int32, np.int8, np.int8, np.int8, np.int32, np.int32]
+    assert all(len(c) == n + 1 for c in ft)
+    assert [int(c[1]) for c in ft] == [0, 1, 0, 0, 0, 1]
+    for m in [*range(2, 3001), *range(2**16 - 50, 2**16 + 51), *range(2**17 - 50, n + 1)]:
+        f = arith.factorize(m).factors
+        p_max, r_max = f[-1]
+        assert (ft.spf[m], ft.mu[m], ft.omega[m], ft.big_omega[m], ft.gpf[m], ft.ppart[m]) == (
+            f[0][0], arith.mobius(m), len(f), sum(r for _, r in f), p_max, p_max**r_max), m
+
+
+def test_sieve_tables_keep_their_dtypes():
+    dtypes = {_accel.mobius_table: np.int8, _accel.gpf_table: np.int64,
+              _accel.spf_table: np.int64, _accel.omega_table: np.int64,
+              _accel.big_omega_table: np.int64}
+    for table, dtype in dtypes.items():
+        assert table(100).dtype == dtype and table(100).shape == (101,)
+
+
+def test_prime_power_fill_applies_prime_powers_in_ascending_order():
+    ft = _accel.factor_tables(1000)
+    q, p, r = ft.prime_powers()
+    assert q.tolist() == [m for m in range(2, 1001) if len(arith.factorize(m).factors) == 1]
+
+    class Word(str):
+        """Concatenation, which does not commute, with 0 as the empty word."""
+
+        def __radd__(self, other):
+            return Word(f"{'' if other == 0 else other}{self}")
+
+    fq = _accel.prime_power_values(ft, lambda p, r: Word(f"{p}^{r};"), object)
+    w = _accel.prime_power_fill(ft, fq, np.add)
+    assert w[1] == 0 and w[2 * 9 * 7] == "2^1;3^2;7^1;"
+    for m in range(2, 1001):
+        assert w[m] == "".join(f"{p}^{r};" for p, r in arith.factorize(m).factors)

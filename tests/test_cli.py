@@ -202,6 +202,38 @@ def test_integer_config_values_are_integers(command, cfg, message, tmp_path, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command,cfg,message", [
+    ("check-condition", {"methods": None}, "methods: expected a list of method names, got None"),
+    ("check-condition", {"methods": "divisor_sum"},
+     "methods: expected a list of method names, got 'divisor_sum'"),
+    ("check-condition", {"methods": ["divisor_sum", 1]},
+     "methods: expected a list of method names, got ['divisor_sum', 1]"),
+    ("eval-kernel", {"s": None}, "s: expected a pair [re, im], got None"),
+    ("eval-kernel", {"s": [2.0]}, "s: expected a pair [re, im], got [2.0]"),
+    ("eval-kernel", {"s": [2.0, 0.0], "u": [2.0, None]}, "u: expected a number, got None"),
+    ("gram", {"grid": {"points": [[2.0]]}}, "grid.points: expected a pair [re, im], got [2.0]"),
+    ("gram", {"grid": {"points": 2.0}},
+     "grid.points: expected a list of [re, im] pairs, got 2.0"),
+    ("gram", {"grid": {"points": [[2.0, "i"]]}}, "grid.points: expected a number, got 'i'"),
+    ("gram", {"grid": [2.0]}, "grid: expected an object, got [2.0]"),
+])
+def test_config_shapes_are_checked(command, cfg, message, tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {"family": OMEGA, **cfg})
+    assert run([command, "--config", path, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"config error: {message}"]
+    assert captured.out == ""
+
+
+def test_config_points_accept_rational_strings(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {"family": OMEGA, "kernel": "weight",
+                                             "s": ["5/2", 0], "u": [2.5, "0"]})
+    assert run(["eval-kernel", "--config", path, "--no-timestamp", "--stdout"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["s"] == report["result"]["u"] == [2.5, 0.0]
+
+
 def test_integral_float_config_values_are_accepted(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"family": {"kind": "named", "name": "omega", "start_index": 2.0},'

@@ -294,6 +294,31 @@ def test_check_range_tolerance_must_be_finite_and_positive(fam, tol):
         condition.check_range(fam["omega"], None, None, 12, tol=tol)
 
 
+@pytest.mark.parametrize("name,params,method", [
+    ("divisor_pow", {"alpha": 1}, "divisor_sum"),
+    ("omega", {}, "additive_Tt"),
+    ("divisor_pow", {"alpha": 1}, "mult_product"),
+    ("d_beta", {"beta": 2}, "mult_product"),
+])
+def test_check_range_enforces_the_sieve_ceiling(name, params, method, monkeypatch):
+    def no_tables(n):
+        raise AssertionError("a table was built past the sieve ceiling")
+
+    monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
+    monkeypatch.setattr(condition._accel, "factor_tables", no_tables)
+    monkeypatch.setattr(condition._accel, "mobius_table", no_tables)
+    w = weights.named_family(name, **params)
+    with pytest.raises(arith.ResourceLimitError, match="exceeds ceiling 1000"):
+        condition.check_range(w, None, None, 5000, methods=(method,))
+
+
+def test_check_range_start_index_must_be_an_integer(fam):
+    with pytest.raises(ValueError, match="expected an integer, got 2.5"):
+        condition.check_range(fam["omega"], None, 2.5, 20)
+    for k in (2.0, np.int64(2)):
+        assert condition.check_range(fam["omega"], None, k, 20).k == 2
+
+
 def test_check_range_method_validation(fam):
     with pytest.raises(ValueError):
         condition.check_range(fam["omega"], None, None, 100, methods=("mult_product",))
@@ -396,6 +421,25 @@ def test_vectorized_factored_routes_match_per_n(name, params, method):
     else:
         want = [condition.additive_Tt(w, 0.0, n)[0] for n in range(2, 5001)]
     assert col[2:].tolist() == want
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else (type(v), v)
+
+
+@pytest.mark.parametrize("name,params,delta", [
+    ("d_beta", {"beta": 2}, 0.3),
+    ("d_beta", {"beta": "3/2"}, 0.3),
+    ("divisor_pow", {"alpha": "1/2"}, 0.0),
+    ("geometric", {"ratio": "1/2"}, 0.0),  # exact: Fractions
+])
+def test_product_route_is_the_per_n_product_bit_for_bit(name, params, delta):
+    w = weights.named_family(name, **params)
+    rep = condition.check_range(w, delta, 1, 3000, methods=("mult_product",))
+    assert rep.mode == ("exact" if w.exact and delta == 0.0 else "float")
+    got = [r.value for r in rep.records[2:]]  # past the two n = 1 rows
+    want = [condition.mult_product(w, delta, n) for n in range(2, 3001)]
+    assert list(map(_hex, got)) == list(map(_hex, want))
 
 
 def test_vectorized_product_overflow_guard():

@@ -167,6 +167,21 @@ def test_gram_spec_grid_eigenvalue_inequality(fams):
     assert check.verdict == kernel.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("route", kernel.ROUTES)
+def test_gram_diagonal_is_written_once_as_a_real_value(fams, route):
+    check = kernel.gram_psd(fams["omega"], kernel=route, tol=1e-8, n_points=4)
+    diag = [complex(check.matrix[i, i]) for i in range(4)]
+    assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in diag)
+    assert all(json.dumps(row[i][1]) == "0.0" for i, row in enumerate(
+        check.to_json_dict()["matrix"]))
+    # eigvalsh reads the lower triangle and the real diagonal: the sign of a
+    # zero imaginary part cannot move an eigenvalue
+    flipped = check.matrix.copy()
+    flipped[np.diag_indices(4)] = [complex(v.real, -0.0) for v in diag]
+    assert np.linalg.eigvalsh(flipped).tobytes() == np.linalg.eigvalsh(check.matrix).tobytes()
+    assert check.min_eigenvalue == np.linalg.eigvalsh(check.matrix)[0]
+
+
 def test_gram_ones_ratio_constant_matrix(fams):
     check = kernel.gram_psd(fams["ones"], kernel="ratio", tol=1e-10, n_points=6)
     assert check.verdict == kernel.PSD_TOL
@@ -253,8 +268,9 @@ def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
     for i in range(len(pts)):
         for j in range(i, len(pts)):
             ev = EVALUATORS[route](fam, pts[i], pts[j], tol / (10 * len(pts)))
-            # matrix[j, i] holds the conjugate, also on the diagonal (written last)
-            assert _hex(ev.value) == _hex(complex(check.matrix[j, i]).conjugate())
+            # the upper triangle holds the values, the diagonal their real parts
+            want = ev.value if i < j else complex(ev.value.real, 0.0)
+            assert _hex(want) == _hex(complex(check.matrix[i, j]))
             assert ev.tail_bound <= check.truncation_bound
             n_terms.add(ev.n_terms)
     # entries sum different prefixes of the one Gram table

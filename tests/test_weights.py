@@ -157,6 +157,49 @@ def test_values_table_cache_cannot_be_corrupted():
     assert list(plus.values_table(10)[1:]) == [1.0 + fam.value(n) for n in range(1, 11)]
 
 
+def _fraction_family():
+    # exact, not integer-valued: the fill runs on Fractions
+    return weights.multiplicative_from_prime_powers(
+        lambda p, r: Fraction(p + r, p + 2 * r), 1.0, 0.0, (1.0, 0.0), exact=True)
+
+
+@pytest.mark.parametrize("fam", [
+    *(weights.named_family(name, **params) for name, params in [
+        ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 2}),
+        ("d_beta", {"beta": "3/2"}), ("d_beta", {"beta": 3})]),
+    _fraction_family(),
+], ids=lambda fam: fam.name)
+def test_prime_power_table_is_the_per_n_value_bit_for_bit(fam):
+    n = 5000
+    calls = []
+    f = fam._value_fn
+    fam._value_fn = lambda m: calls.append(m) or f(m)
+    table = fam.values_table(n)
+    assert calls == [] and fam._cache == {}  # built from f(p, r), not from value()
+    want = np.array([0.0] + [float(fam.value(m)) for m in range(1, n + 1)])
+    assert table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("builder", [weights.multiplicative_from_prime_powers,
+                                     weights.additive_from_prime_powers])
+def test_prime_power_table_calls_f_once_per_prime_power(builder):
+    seen = []
+    fam = builder(lambda p, r: seen.append((p, r)) or r, 1.0, 0.0, (1.0, 1.0))
+    fam.values_table(1000)
+    assert seen == sorted(seen, key=lambda pr: pr[0] ** pr[1])
+    assert sorted(p**r for p, r in seen) == [
+        m for m in range(2, 1001) if len(arith.factorize(m).factors) == 1]
+
+
+def test_prime_power_table_rejects_a_non_positive_value():
+    fam = weights.multiplicative_from_prime_powers(
+        lambda p, r: 0 if p == 7 else 1, 1.0, 0.0, (1.0, 0.0), exact=True)
+    with pytest.raises(ValueError, match=r"f\(7,1\) = 0 not positive"):
+        fam.values_table(100)
+    with pytest.raises(ValueError, match=r"f\(7,1\) = 0 not positive"):
+        fam.value(14)
+
+
 # -- measure-induced weights --------------------------------------------------
 
 
