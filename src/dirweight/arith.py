@@ -74,26 +74,15 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Deterministic trial-division factorization of n >= 1."""
     n = _check_positive(n)
-    m = n
-    factors = []
-    for p in (2, 3):
-        if m % p == 0:
+    m, q, factors = n, 2, []
+    while q * q <= m:
+        if m % q == 0:
             r = 0
-            while m % p == 0:
-                m //= p
+            while m % q == 0:
+                m //= q
                 r += 1
-            factors.append((p, r))
-    p = 5
-    while p * p <= m:
-        # candidates 6k +- 1 only
-        for q in (p, p + 2):
-            if m % q == 0:
-                r = 0
-                while m % q == 0:
-                    m //= q
-                    r += 1
-                factors.append((q, r))
-        p += 6
+            factors.append((q, r))
+        q += 1 if q == 2 else 2 if q == 3 or q % 6 == 5 else 4  # 2, 3, then 6k +- 1
     if m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))

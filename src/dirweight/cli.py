@@ -13,13 +13,12 @@ content only (when --stdout is set or for the query-style subcommands).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 
-from . import condition, kernel, weights
-from .arith import first_primes
+from . import arith, condition, kernel, weights
 
 SCHEMA_VERSION = "1.0"
 
@@ -61,13 +60,15 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merge(cfg: dict, args, keys) -> dict:
-    out = dict(cfg)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            out[key] = val
-    return out
+def _config(args, keys) -> dict:
+    """The --config file with the flags named in keys, --no-timestamp and
+    --stdout laid over it."""
+    cfg = _load_config(args.config)
+    cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
+    if args.no_timestamp:
+        cfg["timestamp"] = False
+    cfg["stdout_flag"] = args.stdout
+    return cfg
 
 
 def _family(cfg: dict) -> weights.WeightFamily:
@@ -119,10 +120,12 @@ def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
 
 
 def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
+    """The report around result; it embeds the resolved config, less the
+    runtime-only stdout_flag."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": cfg,
+        "config": {k: v for k, v in cfg.items() if k != "stdout_flag"},
         "result": result,
     }
     if cfg.get("timestamp", True):
@@ -130,11 +133,12 @@ def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
     return out
 
 
-def _emit(report, cfg: dict, default_prefix: str | None, csv_rows=None) -> None:
-    """Write a report: ``report`` is the envelope dict, or its JSON text as
-    a list of pieces; ``csv_rows`` (header first) become the CSV projection."""
+def _emit(report, cfg: dict, default_prefix: str | None, with_csv: bool = False) -> None:
+    """Write a report: ``report`` is the envelope dict, or an iterable of
+    (JSON text, CSV text) pairs whose parts join to the JSON report and to
+    its CSV projection, written next to the JSON file when ``with_csv``."""
     if isinstance(report, dict):
-        report = [json.dumps(report, sort_keys=True, indent=2)]
+        report = [(json.dumps(report, sort_keys=True, indent=2), "")]
     out_prefix = cfg.get("out")
     to_stdout = cfg.get("stdout_flag", False)
     if out_prefix is None and not to_stdout:
@@ -143,46 +147,33 @@ def _emit(report, cfg: dict, default_prefix: str | None, csv_rows=None) -> None:
         else:
             out_prefix = default_prefix
     if out_prefix:
-        json_path = f"{out_prefix}.json"
-        with open(json_path, "w") as fh:
-            fh.writelines(report)
-            fh.write("\n")
-        print(f"wrote {json_path}", file=sys.stderr)
-        if csv_rows is not None:
-            csv_path = f"{out_prefix}.csv"
-            with open(csv_path, "w", newline="") as fh:
-                csv.writer(fh).writerows(csv_rows)
-            print(f"wrote {csv_path}", file=sys.stderr)
+        report = list(report) if to_stdout else report  # the JSON is written twice
+        paths = [f"{out_prefix}.json", f"{out_prefix}.csv"][: 1 + with_csv]
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", newline=newline))
+                     for path, newline in zip(paths, (None, ""))]
+            for pieces in report:
+                for fh, text in zip(files, pieces):
+                    fh.write(text)
+            files[0].write("\n")
+        for path in paths:
+            print(f"wrote {path}", file=sys.stderr)
     if to_stdout:
-        sys.stdout.writelines(report)
+        sys.stdout.writelines(text for text, _ in report)
         sys.stdout.write("\n")
 
 
-def _condition_json(envelope: dict, report: condition.ConditionReport) -> list[str]:
-    """The check-condition report as JSON text pieces, byte-identical to
-    json.dumps(envelope with report.to_json_dict(), sort_keys=True, indent=2):
-    records are rendered from the report's columns, with every scalar token
-    from one compact (C encoder) json.dumps per column chunk."""
+def _condition_report(envelope: dict, report: condition.ConditionReport):
+    """The check-condition report as (JSON, CSV) text pairs (see _emit).  The
+    JSON is byte-identical to json.dumps(envelope with report.to_json_dict(),
+    sort_keys=True, indent=2): report.render writes the records array."""
     text = json.dumps(envelope, sort_keys=True, indent=2)
     # keys are sorted, so only result.tol and result.verdict follow the
     # records placeholder: its last occurrence is the one
     head, _, tail = text.rpartition('"records": []')
-    pad = head[head.rfind("\n") + 1 :]
-    row = (f'{pad}  {{\n{pad}    "margin": %s,\n{pad}    "method": %s,\n{pad}    "n": %s,\n'
-           f'{pad}    "value": %s,\n{pad}    "verdict": %s\n{pad}  }}')
-    pieces, sep = [head, '"records": [\n'], ""
-    for cols in report.json_columns():
-        n, value, method, verdict, margin = (
-            json.dumps(c, separators=("\n", ":"))[1:-1].split("\n") for c in cols)
-        pieces += [sep, ",\n".join([row % r for r in zip(margin, method, n, value, verdict)])]
-        sep = ",\n"
-    pieces += [f"\n{pad}]", tail]
-    return pieces
-
-
-def _clean_config(cfg: dict) -> dict:
-    """The resolved config embedded in reports (drops runtime-only bits)."""
-    return {k: v for k, v in cfg.items() if k != "stdout_flag"}
+    yield head + '"records": ', ""
+    yield from report.render(head[head.rfind("\n") + 1 :])
+    yield tail, ""
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +182,10 @@ def _clean_config(cfg: dict) -> dict:
 
 
 def cmd_check_condition(args) -> int:
-    cfg = _merge(_load_config(args.config), args,
-                 ["delta", "k", "n_max", "tol", "mode", "out"])
+    cfg = _config(args, ["delta", "k", "n_max", "tol", "mode", "out"])
     if args.methods is not None:
         cfg["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.no_timestamp:
-        cfg["timestamp"] = False
     cfg.setdefault("n_max", 1000)
-    cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
     delta = _delta(cfg)
@@ -213,19 +200,15 @@ def cmd_check_condition(args) -> int:
     report = condition.check_range(
         fam, delta, k, _config_int(cfg, "n_max"), methods=tuple(methods), tol=tol
     )
-    envelope = _report_envelope("check-condition", _clean_config(cfg),
-                                report.to_json_dict(with_records=False))
-    _emit(_condition_json(envelope, report), cfg, "condition_report", report.csv_rows())
+    envelope = _report_envelope("check-condition", cfg, report.to_json_dict(with_records=False))
+    _emit(_condition_report(envelope, report), cfg, "condition_report", with_csv=True)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _EXIT_BY_VERDICT[report.verdict]
 
 
 def cmd_classify(args) -> int:
-    cfg = _merge(_load_config(args.config), args, ["delta", "n_max", "tol", "out"])
-    if args.no_timestamp:
-        cfg["timestamp"] = False
+    cfg = _config(args, ["delta", "n_max", "tol", "out"])
     cfg.setdefault("n_max", 2000)
-    cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
     delta = _delta(cfg)
@@ -243,26 +226,21 @@ def cmd_classify(args) -> int:
     }
     routes = []
 
-    if fam.kind == "multiplicative":
+    if fam.kind in ("multiplicative", "additive"):
+        mult = fam.kind == "multiplicative"
         law_ok = weights.audit_structure(fam, pairs=100, limit=min(n_max, 10000))
-        growth = weights.check_multiplicative_growth(fam)
-        result["multiplicative_law_sampled"] = law_ok
+        check = weights.check_multiplicative_growth if mult else weights.check_additive_growth
+        growth = check(fam)
+        result[f"{fam.kind}_law_sampled"] = law_ok
         result["growth_check"] = growth.to_json_dict()
-        if law_ok and growth.passed:
-            routes.append("multiplicative product route")
-    elif fam.kind == "additive":
-        law_ok = weights.audit_structure(fam, pairs=100, limit=min(n_max, 10000))
-        growth = weights.check_additive_growth(fam)
-        result["additive_law_sampled"] = law_ok
-        result["growth_check"] = growth.to_json_dict()
-        if law_ok and growth.passed and growth.delta_nonpositive:
-            routes.append("additive per-term route")
+        if law_ok and growth.passed and (mult or growth.delta_nonpositive):
+            routes.append("multiplicative product route" if mult else "additive per-term route")
 
     base = fam.params.get("base")
     if isinstance(base, weights.WeightFamily) and base.kind == "multiplicative":
         increasing = all(
             float(base.value(p**j)) <= float(base.value(p ** (j + 1)))
-            for p in first_primes(10)
+            for p in arith.first_primes(10)
             for j in range(0, 5)
         )
         result["one_plus_base"] = {
@@ -293,21 +271,18 @@ def cmd_classify(args) -> int:
         pass
     result["applicable_routes"] = routes
 
-    envelope = _report_envelope("classify", _clean_config(cfg), result)
+    envelope = _report_envelope("classify", cfg, result)
     _emit(envelope, cfg, None)
     return 0
 
 
 def cmd_gram(args) -> int:
-    cfg = _merge(_load_config(args.config), args, ["delta", "tol", "kernel", "out"])
-    if args.no_timestamp:
-        cfg["timestamp"] = False
+    cfg = _config(args, ["delta", "tol", "kernel", "out"])
     if args.points:
         pts = [complex(chunk.strip()) for chunk in args.points.split(";")]
         cfg["grid"] = {"points": [[p.real, p.imag] for p in pts]}
     if args.n_points is not None:
         cfg.setdefault("grid", {})["n_points"] = args.n_points
-    cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
     grid_cfg = cfg.get("grid") or {}
@@ -332,7 +307,7 @@ def cmd_gram(args) -> int:
         tol=tol,
         n_points=_config_int(grid_cfg, "n_points", 8),
     )
-    envelope = _report_envelope("gram", _clean_config(cfg), check.to_json_dict())
+    envelope = _report_envelope("gram", cfg, check.to_json_dict())
     _emit(envelope, cfg, "gram_report")
     print(
         f"min eigenvalue {check.min_eigenvalue:.3e}, "
@@ -343,14 +318,11 @@ def cmd_gram(args) -> int:
 
 
 def cmd_eval_kernel(args) -> int:
-    cfg = _merge(_load_config(args.config), args, ["delta", "tol", "kernel", "out"])
-    if args.no_timestamp:
-        cfg["timestamp"] = False
+    cfg = _config(args, ["delta", "tol", "kernel", "out"])
     if args.s is not None:
         cfg["s"] = [complex(args.s).real, complex(args.s).imag]
     if args.u is not None:
         cfg["u"] = [complex(args.u).real, complex(args.u).imag]
-    cfg["stdout_flag"] = args.stdout
 
     fam = _family(cfg)
     if "s" not in cfg:
@@ -382,22 +354,19 @@ def cmd_eval_kernel(args) -> int:
         "certified": ev.certified,
         "n_terms": ev.n_terms,
     }
-    envelope = _report_envelope("eval-kernel", _clean_config(cfg), result)
+    envelope = _report_envelope("eval-kernel", cfg, result)
     _emit(envelope, cfg, None)
     return 0 if ev.certified else 3
 
 
 def cmd_von_mangoldt(args) -> int:
-    cfg = _merge(_load_config(args.config), args, ["alpha", "n", "n_max", "out"])
-    if args.no_timestamp:
-        cfg["timestamp"] = False
-    cfg["stdout_flag"] = args.stdout
+    cfg = _config(args, ["alpha", "n", "n_max", "out"])
     alpha = _config_int(cfg, "alpha", 1)
 
     if cfg.get("n") is not None:
         ns = [_config_int(cfg, "n")]
     else:
-        ns = list(range(2, _config_int(cfg, "n_max", 100) + 1))
+        ns = range(2, arith._check_sieve(_config_int(cfg, "n_max", 100), "n_max") + 1)
     values = [(n, condition.von_mangoldt_alpha(n, alpha)) for n in ns]
     result = {
         "alpha": alpha,
@@ -406,9 +375,10 @@ def cmd_von_mangoldt(args) -> int:
         "zero_count": sum(1 for _, v in values if v == 0.0),
         "min_value": min((v for _, v in values), default=0.0),
     }
-    envelope = _report_envelope("von-mangoldt", _clean_config(cfg), result)
-    csv_rows = [["n", "value"]] + [[n, v] for n, v in values]
-    _emit(envelope, cfg, None, csv_rows if cfg.get("out") else None)
+    envelope = _report_envelope("von-mangoldt", cfg, result)
+    rows = "".join(f"{n},{v!r}\r\n" for n, v in values)
+    _emit([(json.dumps(envelope, sort_keys=True, indent=2), "n,value\r\n" + rows)], cfg,
+          None, with_csv=True)
     return 0
 
 

@@ -21,13 +21,12 @@ never as a certified violation.
 
 from __future__ import annotations
 
-import csv
+import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -162,7 +161,7 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
     more than alpha distinct prime factors.  alpha = 1 is the classical
     von Mangoldt function.
     """
-    n = arith._check_positive(n)
+    n = arith._check_sieve(n, "n")  # trial division: 2^61 - 1 alone takes minutes
     if n < 2:
         raise ValueError("generalized von Mangoldt values start at n = 2")
     if not isinstance(alpha, int) or alpha < 1:
@@ -196,6 +195,7 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
 
 #: Verdicts by rising severity.
 VERDICTS = (NONNEG_EXACT, NONNEG_TOL, INCONCLUSIVE, NEGATIVE)
+METHODS = ("divisor_sum", "mult_product", "additive_Tt")
 
 #: Integers below 2^53 are exact in float64.  int64 products are exact modulo
 #: 2^64, so a float bound below 2^62 on |product| rules out overflow.
@@ -226,7 +226,8 @@ class ConditionReport:
 
     The rows are stored as columns: ``columns`` maps each of FIELDS to an
     array with one entry per (n, method) row; ``value`` is int64, float64,
-    or object for Python ints and Fractions.  ``records`` builds the rows
+    or object for Python ints and Fractions, and ``method`` and ``verdict``
+    are int8 codes into METHODS and VERDICTS.  ``records`` builds the rows
     as ConditionRecords on first access.
     """
 
@@ -244,18 +245,15 @@ class ConditionReport:
 
     @cached_property
     def records(self) -> tuple[ConditionRecord, ...]:
-        return tuple(map(ConditionRecord, *(c.tolist() for c in self.columns.values())))
+        n, value, method, verdict, margin = (c.tolist() for c in self.columns.values())
+        return tuple(map(ConditionRecord, n, value, map(METHODS.__getitem__, method),
+                         map(VERDICTS.__getitem__, verdict), margin))
 
     def counts(self) -> dict:
-        return dict(Counter(self.columns["verdict"].tolist()))
-
-    def json_columns(self, chunk: int = 1 << 14):
-        """Yield the rows in chunks, each as one JSON-ready list per field."""
-        for lo in range(0, len(self.columns["n"]), chunk):
-            cols = [c[lo : lo + chunk].tolist() for c in self.columns.values()]
-            if self.columns["value"].dtype == object:
-                cols[1] = [_scalar_json(v) for v in cols[1]]
-            yield cols
+        """Rows per verdict, in the order the verdicts first occur."""
+        codes, first, count = np.unique(self.columns["verdict"], return_index=True,
+                                        return_counts=True)
+        return {VERDICTS[codes[i]]: int(count[i]) for i in np.argsort(first)}
 
     def to_json_dict(self, with_records: bool = True) -> dict:
         return {
@@ -269,21 +267,39 @@ class ConditionReport:
             "verdict": self.verdict,
             "agreement_failures": self.agreement_failures,
             "counts": self.counts(),
-            "records": [
-                dict(zip(FIELDS, row))
-                for cols in (self.json_columns() if with_records else ())
-                for row in zip(*cols)
-            ],
+            "records": [{"n": r.n, "value": _scalar_json(r.value), "method": r.method,
+                         "verdict": r.verdict, "margin": r.margin}
+                        for r in (self.records if with_records else ())],
         }
 
-    def csv_rows(self):
-        """The CSV projection: a header, then one row per record."""
-        yield list(FIELDS)
-        for cols in self.json_columns():
-            yield from zip(*cols)
+    def render(self, pad: str = "", chunk: int = 1 << 14):
+        """Yield (JSON text, CSV text) pairs, one per chunk of rows between a
+        head and a tail.  The JSON parts join to the records array as
+        json.dumps(..., sort_keys=True, indent=2) writes it at indent ``pad``,
+        the CSV parts to the header and one excel-dialect (CRLF) row per
+        record: both from the same column tokens (see _tokens)."""
+        row, value_key = f'{pad}  {{\n{pad}    "margin": ', f',\n{pad}    "value": '
+        method_json = [f',\n{pad}    "method": "{m}",\n{pad}    "n": ' for m in METHODS]
+        verdict_json = [f',\n{pad}    "verdict": "{v}"\n{pad}  }}' for v in VERDICTS]
+        yield "[", ",".join(FIELDS) + "\r\n"
+        sep = "\n"
+        for lo in range(0, len(self.columns["n"]), chunk):
+            n, value, method, verdict, margin = (c[lo : lo + chunk] for c in self.columns.values())
+            n, (value, value_csv), (margin, margin_csv) = (
+                _tokens(n)[0], _tokens(value), _tokens(margin))
+            method, verdict = method.tolist(), verdict.tolist()
+            text = ",\n".join(map("".join, zip(
+                repeat(row), margin, map(method_json.__getitem__, method), n,
+                repeat(value_key), value, map(verdict_json.__getitem__, verdict))))
+            rows = map(",".join, zip(n, value_csv, map(METHODS.__getitem__, method),
+                                     map(VERDICTS.__getitem__, verdict), margin_csv))
+            yield sep + text, "\r\n".join(rows) + "\r\n"
+            sep = ",\n"
+        yield ("]" if sep == "\n" else f"\n{pad}]"), ""
 
     def write_csv(self, fh) -> None:
-        csv.writer(fh).writerows(self.csv_rows())
+        """The CSV projection: a header, then one row per record."""
+        fh.writelines(rows for _, rows in self.render())
 
 
 def _scalar_json(v):
@@ -292,6 +308,18 @@ def _scalar_json(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return float(v)
+
+
+def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
+    """The JSON and the CSV token of each entry of a column chunk: str() of
+    ints and repr() of floats in both, except NaN/Infinity (JSON) against
+    nan/inf (CSV), and "p/q" (JSON) against p/q (CSV) for a Fraction."""
+    scalars = [_scalar_json(v) for v in col.tolist()] if col.dtype == object else col.tolist()
+    if col.dtype.kind == "i":
+        return (tokens := list(map(str, scalars))), tokens
+    tokens = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n")  # C encoder
+    shared = col.dtype.kind == "f" and np.isfinite(col).all()
+    return tokens, tokens if shared else list(map(str, scalars))
 
 
 def _exact_table(w: WeightFamily, n_max: int):
@@ -437,7 +465,7 @@ def check_range(
     value = np.concatenate([np.array([v for _, v in head], dtype=body.dtype), body])
     margin = value.astype(np.float64)
     code = np.where(value < 0 if exact else margin < -tol, VERDICTS.index(NEGATIVE),
-                    VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL))
+                    VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL)).astype(np.int8)
     code[len(head):][np.repeat(bad, len(methods))] = VERDICTS.index(INCONCLUSIVE)
 
     return ConditionReport(
@@ -453,8 +481,10 @@ def check_range(
             "n": np.concatenate([np.ones(len(head), dtype=np.int64),
                                  np.repeat(np.arange(n_lo, n_max + 1), len(methods))]),
             "value": value,
-            "method": np.array([m for m, _ in head] + list(methods) * len(ref), dtype=object),
-            "verdict": np.array(VERDICTS, dtype=object)[code],
+            "method": np.concatenate([
+                np.array([METHODS.index(m) for m, _ in head], dtype=np.int8),
+                np.tile(np.array([METHODS.index(m) for m in methods], dtype=np.int8), len(ref))]),
+            "verdict": code,
             "margin": margin,
         },
         verdict=VERDICTS[int(code.max())],

@@ -33,6 +33,10 @@ AUDIT_CEILING = 10_000
 #: refinement runs to depth 40.
 GAMMA_QUADRATURE_ALPHAS = (1e-4, 44.0)
 
+#: Most panels one adaptive quadrature may examine (depth 40 allows 2^40);
+#: the gamma integrals over GAMMA_QUADRATURE_ALPHAS examine at most ~24,000.
+QUADRATURE_PANELS = 1 << 17
+
 
 def _parse_scalar(v):
     """Config scalars: strings and ints stay exact (Fraction/int), floats stay float."""
@@ -300,19 +304,22 @@ def _gl_panel(fvec, a: float, b: float) -> float:
     return half * float(np.dot(w, fvec(mid + half * x)))
 
 
-def _adaptive_gl(fvec, a: float, b: float, rel_tol: float, _depth: int = 0) -> float:
+def _adaptive_gl(fvec, a: float, b: float, rel_tol: float, depth: int = 0) -> float:
     """Adaptive Gauss-Legendre: split a panel until the two-half refinement
-    agrees with the single-panel value to rel_tol."""
-    whole = _gl_panel(fvec, a, b)
-    mid = 0.5 * (a + b)
-    left = _gl_panel(fvec, a, mid)
-    right = _gl_panel(fvec, mid, b)
-    refined = left + right
-    if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or _depth >= 40:
-        return refined
-    return _adaptive_gl(fvec, a, mid, rel_tol, _depth + 1) + _adaptive_gl(
-        fvec, mid, b, rel_tol, _depth + 1
-    )
+    agrees with the single-panel value to rel_tol, or its depth (``depth`` for
+    [a, b]) reaches 40.  Raises ValueError past QUADRATURE_PANELS panels."""
+    panels = iter(range(QUADRATURE_PANELS))
+
+    def refine(a, b, depth):
+        if next(panels, None) is None:
+            raise ValueError(f"adaptive quadrature needs over {QUADRATURE_PANELS} panels")
+        mid = 0.5 * (a + b)
+        whole, refined = _gl_panel(fvec, a, b), _gl_panel(fvec, a, mid) + _gl_panel(fvec, mid, b)
+        if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 40:
+            return refined
+        return refine(a, mid, depth + 1) + refine(mid, b, depth + 1)
+
+    return refine(a, b, depth)
 
 
 def _gamma_cutoff(alpha: float) -> float:

@@ -1,3 +1,5 @@
+import csv
+import functools
 import io
 import json
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dirweight
-from dirweight import cli, condition
+from dirweight import arith, cli, condition
 
 
 def write_config(tmp_path, name, payload):
@@ -368,6 +370,19 @@ def test_von_mangoldt_values(capsys):
     assert report["result"]["min_value"] >= 0.0
 
 
+@pytest.mark.parametrize("flag", ["--n", "--n-max"])
+def test_von_mangoldt_input_past_the_ceiling_exits_one(flag, capsys, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"factorize({n}) ran")
+
+    monkeypatch.setattr(arith, "factorize", no_trial_division)
+    assert run(["von-mangoldt", flag, str(2**61 - 1), "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: sieve length {2**61 - 1} exceeds ceiling {arith.MAX_SIEVE}"]
+    assert captured.out == ""
+
+
 # -- columnar check-condition reports -----------------------------------------
 
 DPOW = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}
@@ -398,20 +413,23 @@ def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path
     monkeypatch.setattr(condition, "check_range",
                         lambda *a, **kw: reports.append(check_range(*a, **kw)) or reports[-1])
     if chunk:  # rows split across many column chunks
-        json_columns = condition.ConditionReport.json_columns
-        monkeypatch.setattr(condition.ConditionReport, "json_columns",
-                            lambda self: json_columns(self, chunk))
+        monkeypatch.setattr(condition.ConditionReport, "render", functools.partialmethod(
+            condition.ConditionReport.render, chunk=chunk))
     out = tmp_path / "rep"
     assert run(["check-condition", *flags, "--config", write_config(tmp_path, "c.json", cfg),
                 "--out", str(out), "--no-timestamp"]) == code
     (report,) = reports
     text = (tmp_path / "rep.json").read_bytes().decode()
     assert token in text
+    # the references never read the renderer: json.dumps and csv.writer over the records
     envelope = json.loads(text)
-    envelope["result"] = report.to_json_dict()
+    envelope["result"] = {**report.to_json_dict(with_records=False), "records": [
+        {"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
+         "verdict": r.verdict, "margin": r.margin} for r in report.records]}
     assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()
-    report.write_csv(buf)
+    csv.writer(buf).writerows([condition.FIELDS, *(
+        (r.n, r.value, r.method, r.verdict, r.margin) for r in report.records)])
     assert (tmp_path / "rep.csv").read_bytes().decode() == buf.getvalue()
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -7,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirweight import arith, condition, weights
 
@@ -175,6 +178,15 @@ def test_von_mangoldt_validation():
         condition.von_mangoldt_alpha(1, 1)
     with pytest.raises(ValueError):
         condition.von_mangoldt_alpha(6, 0)
+
+
+def test_von_mangoldt_rejects_n_past_the_sieve_ceiling(monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError(f"factorize({n}) ran")
+
+    monkeypatch.setattr(arith, "factorize", no_trial_division)
+    with pytest.raises(arith.ResourceLimitError, match="exceeds ceiling"):
+        condition.von_mangoldt_alpha(2**61 - 1, 1)
 
 
 def von_mangoldt_all_tuples(n, alpha):
@@ -383,6 +395,76 @@ def test_report_json_and_csv(fam):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "n,value,method,verdict,margin"
     assert len(lines) == len(rep.records) + 1
+
+
+def _hand_report(n, value, method, verdict, margin) -> condition.ConditionReport:
+    columns = {"n": np.array(n, dtype=np.int64), "value": value,
+               "method": np.array(method, dtype=np.int8),
+               "verdict": np.array(verdict, dtype=np.int8),
+               "margin": np.array(margin, dtype=np.float64)}
+    return condition.ConditionReport(
+        family="hand", delta=0.0, k=1, n_lo=1, n_hi=max(n, default=1), mode="float",
+        tol=1e-10, methods=condition.METHODS, columns=columns,
+        verdict=condition.NEGATIVE, agreement_failures=0)
+
+
+def _assert_renders_like_the_reference(rep, chunk):
+    """report.render against json.dumps(..., sort_keys=True, indent=2) and
+    csv.writer over the records, which never read the renderer's tokens."""
+    pieces = list(rep.render("  ", chunk))
+    records = [{"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
+                "verdict": r.verdict, "margin": r.margin} for r in rep.records]
+    text = "".join(j for j, _ in pieces)
+    assert "{\n  \"records\": " + text + "\n}" == json.dumps(
+        {"records": records}, sort_keys=True, indent=2)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [condition.FIELDS, *((r.n, r.value, r.method, r.verdict, r.margin) for r in rep.records)])
+    assert "".join(c for _, c in pieces) == buf.getvalue()
+    out = io.StringIO()
+    rep.write_csv(out)
+    assert out.getvalue() == buf.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+def test_render_hand_built_columns(chunk):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
+    objects = [2**63, -(2**64) - 1, 2**200, 0.5, Fraction(-3, 7), math.nan, 7]
+    ints = [-(2**63), 2**63 - 1, 0, -1, 1, 10**18, 5]
+    codes = dict(method=[0, 1, 2, 0, 1, 2, 0], verdict=[3, 1, 2, 0, 3, 1, 0])
+    margin = [-math.inf, math.nan, 1e16, -0.0, 5e-324, math.inf, -1.5]
+    for value in (np.array(floats), np.array(objects, dtype=object), np.array(ints)):
+        rep = _hand_report(range(1, 8), value, margin=margin, **codes)
+        _assert_renders_like_the_reference(rep, chunk)
+        assert list(rep.counts().items()) == [(condition.NEGATIVE, 2), (condition.NONNEG_TOL, 2),
+                                              (condition.INCONCLUSIVE, 1),
+                                              (condition.NONNEG_EXACT, 2)]
+    _assert_renders_like_the_reference(
+        _hand_report([], np.array([], dtype=np.int64), [], [], []), chunk)
+
+
+_float64 = st.floats(allow_nan=True, allow_infinity=True)
+_scalars = st.one_of(st.integers(-(2**100), 2**100), st.fractions(), _float64)
+
+
+@st.composite
+def _report_columns(draw):
+    size = draw(st.integers(0, 40))
+    column = lambda elements: draw(st.lists(elements, min_size=size, max_size=size))
+    value = draw(st.sampled_from([
+        lambda: np.array(column(st.integers(-(2**63), 2**63 - 1)), dtype=np.int64),
+        lambda: np.array(column(_float64), dtype=np.float64),
+        lambda: np.array(column(_scalars), dtype=object),
+    ]))()
+    return _hand_report(column(st.integers(1, 2**62)), value,
+                        column(st.integers(0, len(condition.METHODS) - 1)),
+                        column(st.integers(0, len(condition.VERDICTS) - 1)), column(_float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep=_report_columns(), chunk=st.integers(1, 50))
+def test_render_random_columns_match_json_and_csv(rep, chunk):
+    _assert_renders_like_the_reference(rep, chunk)
 
 
 # -- exact lane ----------------------------------------------------------------

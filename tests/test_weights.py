@@ -301,6 +301,24 @@ def test_gamma_table_runs_the_quadrature_once(monkeypatch):
     assert weights._gamma_core.cache_info().misses == 1
 
 
+def test_adaptive_quadrature_stops_at_its_panel_budget():
+    class Runaway(Exception):
+        pass
+
+    calls = 0
+
+    def nan_integrand(u):  # no panel ever converges
+        nonlocal calls
+        calls += 1
+        if calls > 10**6:
+            raise Runaway
+        return np.full_like(u, np.nan)
+
+    with pytest.raises(ValueError, match="panels"):
+        weights._adaptive_gl(nan_integrand, 0.0, 1.0, 1e-12)
+    assert calls == 3 * weights.QUADRATURE_PANELS
+
+
 @pytest.mark.parametrize("alpha", [1e-4, 0.5, 1.0, 2.0, 3.0, 7.3, 44.0])
 def test_gamma_core_is_the_gamma_function(alpha):
     want = math.gamma(alpha) / 2.0**alpha
