@@ -5,6 +5,8 @@ unused.  Every Dirichlet convolution (d(n), d_beta, the divisor sums
 S(n)) goes through one kernel, ``_convolve``, which splits the pairs
 (j, q) with jq <= n at sqrt(n) (the Dirichlet hyperbola method): the
 O(n log n) multiply-adds run inside numpy in O(sqrt n) Python iterations.
+Its exact counterpart in Python ints and Fractions, ``exact_convolve``,
+serves exact series products and exact divisor sums past the int64 lane.
 Every arithmetic table comes from one engine, ``factor_tables`` (spf, mu,
 omega, Omega, gpf and prime-power parts, one numpy pass per block), and
 every multiplicative or additive one from ``prime_power_fill``.
@@ -147,6 +149,21 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     for q in range(1, n // lo + 1):
         hi = n // q
         c[lo * q : hi * q + 1 : q] += a[lo : hi + 1] * b[q]
+    return c
+
+
+def exact_convolve(a, b) -> list:
+    """_convolve in Python ints and Fractions, on 1-indexed sequences: terms
+    in ascending j, those with a zero factor skipped (an empty sum is 0)."""
+    n = min(len(a), len(b)) - 1
+    c = [0] * (n + 1)
+    for j in range(1, n + 1):
+        aj = a[j]
+        if aj:
+            for q in range(1, n // j + 1):
+                bq = b[q]
+                if bq:
+                    c[j * q] += aj * bq
     return c
 
 

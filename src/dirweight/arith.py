@@ -3,9 +3,9 @@ classical arithmetic functions (Mobius mu, omega, divisor count, greatest
 prime factor).
 
 All functions are pure and deterministic; factorization is plain trial
-division, sized for desk-scale inputs (n up to ~10^7).  Python integers
-never wrap, so results are exact; the 64-bit input bound below is a
-resource guard, not an overflow guard.
+division, bounded by MAX_TRIAL_DIVISOR.  Python integers never wrap, so
+results are exact; the 64-bit input bound below is a resource guard, not
+an overflow guard.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ MAX_INPUT = 2**64 - 1
 
 #: Largest table a sieve call may allocate.
 MAX_SIEVE = 50_000_000
+
+#: Largest trial divisor factorize tries: every n <= MAX_TRIAL_DIVISOR^2 factors.
+MAX_TRIAL_DIVISOR = 10**6
 
 
 class ResourceLimitError(ValueError):
@@ -72,10 +75,14 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Deterministic trial-division factorization of n >= 1."""
+    """Deterministic trial-division factorization of n >= 1; raises
+    ResourceLimitError when a cofactor above MAX_TRIAL_DIVISOR^2 is left."""
     n = _check_positive(n)
     m, q, factors = n, 2, []
     while q * q <= m:
+        if q > MAX_TRIAL_DIVISOR:
+            raise ResourceLimitError(
+                f"factorizing {n} leaves a cofactor {m} above {MAX_TRIAL_DIVISOR}^2")
         if m % q == 0:
             r = 0
             while m % q == 0:
@@ -164,10 +171,12 @@ def first_primes(count: int) -> list[int]:
         bound *= 4
 
 
-def factorizations_up_to(n_max: int):
+def factorizations_up_to(n_max: int, ft: _accel.FactorTables | None = None):
     """Yield (n, ((p, r), ...)) for n = 1..n_max, peeling the largest
-    prime-power part off n with the factor-table engine's columns."""
-    ft = _accel.factor_tables(_check_sieve(n_max, "n_max"))
+    prime-power part off n with the factor-table engine's columns: those of
+    ``ft`` when given (built up to at least n_max), else new ones."""
+    if ft is None:
+        ft = _accel.factor_tables(_check_sieve(n_max, "n_max"))
     gpf, ppart, big_omega = map(memoryview, (ft.gpf, ft.ppart, ft.big_omega))
     for n in range(1, n_max + 1):
         factors, m = (), n

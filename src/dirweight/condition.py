@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, repeat
 
 import numpy as np
@@ -83,17 +83,14 @@ def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
     return total
 
 
-def _mult_factors_from(w, delta, factors, exact):
-    out = []
-    for p, r in factors:
-        hi = w.value(p**r)
-        lo = w.value(p ** (r - 1))
-        if exact:
-            out.append(hi - lo)
-        else:
-            pd = 1.0 if delta == 0.0 else p ** (-delta)
-            out.append(pd ** (r - 1) * (pd * float(hi) - float(lo)))
-    return out
+def _prime_power_factor(w, delta, exact, p, r):
+    """p^(-delta (r-1)) (p^(-delta) w_{p^r} - w_{p^(r-1)}): the factor of
+    p^r in mult_product, and at delta = 0 the whole of S(p^r)."""
+    hi, lo = w.value(p**r), w.value(p ** (r - 1))
+    if exact:
+        return hi - lo
+    pd = 1.0 if delta == 0.0 else p ** (-delta)
+    return pd ** (r - 1) * (pd * float(hi) - float(lo))
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -103,7 +100,8 @@ def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
         raise ValueError(f"{w.name} is not multiplicative")
     delta = w.delta if delta is None else float(delta)
     n = arith._check_positive(n)
-    return _mult_factors_from(w, delta, arith.factorize(n).factors, _use_exact(w, delta))
+    exact = _use_exact(w, delta)
+    return [_prime_power_factor(w, delta, exact, p, r) for p, r in arith.factorize(n)]
 
 
 def mult_product(w: WeightFamily, delta: float, n: int):
@@ -113,25 +111,21 @@ def mult_product(w: WeightFamily, delta: float, n: int):
     return math.prod(mult_factors(w, delta, n), start=1 if exact else 1.0)
 
 
-def _additive_terms_from(w, delta, factors, exact):
+def _companion(delta, p, r):
+    """p^(-delta (r-1)) (p^(-delta) - 1): the factor of p^r in the term T_t
+    of every other prime of n."""
+    pd = 1.0 if delta == 0.0 else p ** (-delta)
+    return pd ** (r - 1) * (pd - 1.0)
+
+
+def _float_terms(factors, companions):
+    """T_t = factors[t] times the companion of every other prime, multiplied
+    in ascending prime order: the order fixes the bits."""
     terms = []
-    m = len(factors)
-    for t in range(m):
-        p_t, r_t = factors[t]
-        hi = w.value(p_t**r_t)
-        lo = w.value(p_t ** (r_t - 1))
-        if exact:
-            # at delta = 0 every companion factor p^(-delta) - 1 vanishes
-            term = (hi - lo) if m == 1 else 0
-        else:
-            pd = 1.0 if delta == 0.0 else p_t ** (-delta)
-            term = pd ** (r_t - 1) * (pd * float(hi) - float(lo))
-            for j in range(m):
-                if j == t:
-                    continue
-                p_j, r_j = factors[j]
-                qd = 1.0 if delta == 0.0 else p_j ** (-delta)
-                term *= qd ** (r_j - 1) * (qd - 1.0)
+    for t, term in enumerate(factors):
+        for j, c in enumerate(companions):
+            if j != t:
+                term *= c
         terms.append(term)
     return terms
 
@@ -146,9 +140,13 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     if n < 2:
         raise ValueError("additive decomposition needs n >= 2")
     exact = _use_exact(w, delta)
-    terms = _additive_terms_from(w, delta, arith.factorize(n).factors, exact)
-    total = sum(terms) if terms else (0 if exact else 0.0)
-    return total, tuple(terms)
+    factors = arith.factorize(n).factors
+    terms = [_prime_power_factor(w, delta, exact, p, r) for p, r in factors]
+    if exact:  # at delta = 0 every companion p^(-delta) - 1 vanishes
+        terms = terms if len(terms) == 1 else [0] * len(terms)
+    else:
+        terms = _float_terms(terms, [_companion(delta, p, r) for p, r in factors])
+    return sum(terms), tuple(terms)
 
 
 def von_mangoldt_alpha(n: int, alpha: int) -> float:
@@ -167,25 +165,16 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
     if not isinstance(alpha, int) or alpha < 1:
         raise ValueError("alpha must be a positive integer")
     factors = arith.factorize(n).factors
-    m = len(factors)
-    if m > alpha:
+    if len(factors) > alpha:
         return 0.0
     logs = [math.log(p) for p, _ in factors]
-    exps = [r for _, r in factors]
-    fact = math.factorial
     total = 0.0
-    # compositions of alpha into m parts, lexicographic like their m - 1 cuts
-    for cuts in combinations(range(1, alpha), m - 1):
+    # compositions of alpha into one part per prime, lexicographic like their cuts
+    for cuts in combinations(range(1, alpha), len(factors) - 1):
         comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
-        coef = fact(alpha)
-        for a in comp:
-            coef //= fact(a)
-        for r, a in zip(exps, comp):
-            coef *= r**a - (r - 1) ** a
-        mono = 1.0
-        for lg, a in zip(logs, comp):
-            mono *= lg**a
-        total += coef * mono
+        coef = math.factorial(alpha) // math.prod(map(math.factorial, comp))
+        coef *= math.prod(r**a - (r - 1) ** a for (_, r), a in zip(factors, comp))
+        total += coef * math.prod(lg**a for lg, a in zip(logs, comp))
     return total
 
 
@@ -310,6 +299,14 @@ def _scalar_json(v):
     return float(v)
 
 
+def _margin(v) -> float:
+    """float(v), or +-inf for an exact value past the float64 range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     """The JSON and the CSV token of each entry of a column chunk: str() of
     ints and repr() of floats in both, except NaN/Infinity (JSON) against
@@ -322,68 +319,45 @@ def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     return tokens, tokens if shared else list(map(str, scalars))
 
 
-def _exact_table(w: WeightFamily, n_max: int):
-    """The float table of w_0..w_n_max when it holds the exact integer
-    values: w is integer-valued and every |w_j| < 2^53.  Else None."""
-    if not w.integer_valued:
-        return None
-    table = w.values_table(n_max)
-    return table if np.abs(table).max() < _FLOAT_EXACT else None
-
-
-def _divisor_sums_range(w: WeightFamily, delta: float, k: int, n_max: int, exact: bool):
-    """Values of S(n) for every n <= n_max, via one sieve pass."""
-    mu = arith.mobius_sieve(n_max)
+def _divisor_sums(w: WeightFamily, delta: float, k: int, mu: np.ndarray, table, exact: bool):
+    """S(n) for every n < len(mu) by one Dirichlet convolution of ``table``:
+    in float64; exact in int64 when ``table`` holds the exact weights and
+    every partial sum stays below 2^53; else in Python ints and Fractions."""
     if not exact:
-        return _accel.divisor_sum_table(w.values_table(n_max), mu, delta, k)
-    table = _exact_table(w, n_max)
-    if table is not None and n_max * int(np.abs(table).max()) < _FLOAT_EXACT:
+        return _accel.divisor_sum_table(table, mu, delta, k)
+    if table is not None:
         # every partial sum is an integer below 2^53, hence exact in float64
         return _accel.divisor_sum_table(table, mu, 0.0, k).astype(np.int64)
-    mu_int = [int(x) for x in mu]
-    out: list = [0] * (n_max + 1)
-    for j in range(k, n_max + 1):
-        wj = w.value(j)
-        if wj == 0:
-            continue
-        for q in range(1, n_max // j + 1):
-            m = mu_int[q]
-            if m:
-                out[j * q] += wj * m
-    return np.array(out, dtype=object)
+    vals = [0] * k + [w.value(j) for j in range(k, len(mu))]
+    return np.array(_accel.exact_convolve(vals, mu.tolist()), dtype=object)
 
 
-def _factored_column(table: np.ndarray, n_max: int, method: str):
-    """mult_product or additive_Tt at delta = 0 for n <= n_max as int64,
-    reading w at p^r and p^(r-1) only; None when a product could overflow."""
-    w = table.astype(np.int64)
-    ft = _accel.factor_tables(n_max)
-    q, p, _ = ft.prime_powers()
-    f = np.zeros(n_max + 1, dtype=np.int64)
-    f[q] = w[q] - w[q // p]
-    if method == "additive_Tt":
+def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):
+    """mult_product or additive_Tt for every n <= n_max from the factors fq
+    of the prime powers: int64 differences of ``table`` (the exact weights),
+    else one _prime_power_factor call each, in Python objects or floats."""
+    if table is None:
+        fq = _accel.prime_power_values(ft, partial(_prime_power_factor, w, delta, exact),
+                                       object if exact else np.float64)
+    else:
+        wi = table.astype(np.int64)
+        q, p, _ = ft.prime_powers()
+        fq = np.zeros(len(wi), dtype=np.int64)
+        fq[q] = wi[q] - wi[q // p]
+    if method == "additive_Tt" and exact:
         # at delta = 0 every T_t vanishes unless n = p^r: then S(n) = w_n - w_(n/p)
-        return f
-    size = _accel.prime_power_fill(ft, np.abs(f).astype(np.float64), np.multiply)
-    return _accel.prime_power_fill(ft, f, np.multiply) if size.max() < _INT64_SAFE else None
-
-
-def _factored_range(w: WeightFamily, delta: float, n_max: int, exact: bool, method: str):
-    """mult_product or additive_Tt for every 2 <= n <= n_max in Python ints
-    and Fractions (exact) or floats: the product as one prime-power fill,
-    the additive terms per n."""
-    if method == "mult_product":
-        ft = _accel.factor_tables(n_max)
-        fq = _accel.prime_power_values(
-            ft, lambda p, r: _mult_factors_from(w, delta, ((p, r),), exact)[0],
-            object if exact else np.float64)
-        return _accel.prime_power_fill(ft, fq, np.multiply)
-    out: list = [None] * (n_max + 1)
-    for n, factors in arith.factorizations_up_to(n_max):
-        if n >= 2:
-            terms = _additive_terms_from(w, delta, factors, exact)
-            out[n] = sum(terms) if terms else (0 if exact else 0.0)
-    return np.array(out, dtype=object)
+        return fq
+    if method == "additive_Tt":  # per n, from each prime power's factor and companion
+        cq = _accel.prime_power_values(ft, partial(_companion, delta), np.float64).tolist()
+        fq, col = fq.tolist(), [0.0]
+        for _, factors in arith.factorizations_up_to(len(fq) - 1, ft):
+            qs = [p**r for p, r in factors]
+            col.append(sum(_float_terms([fq[q] for q in qs], [cq[q] for q in qs])))
+        return np.array(col)
+    if fq.dtype == np.int64 and _accel.prime_power_fill(
+            ft, np.abs(fq).astype(np.float64), np.multiply).max() >= _INT64_SAFE:
+        fq = fq.astype(object)  # a product could overflow int64: multiply Python ints
+    return _accel.prime_power_fill(ft, fq, np.multiply)
 
 
 def check_range(
@@ -394,19 +368,19 @@ def check_range(
     methods: tuple[str, ...] = ("divisor_sum",),
     tol: float = DEFAULT_TOL,
 ) -> ConditionReport:
-    """Evaluate the condition for every n in [max(k, 2), n_max] using the
-    requested methods, cross-checking their agreement.
+    """Evaluate the condition for every n in [k, n_max] using the requested
+    methods, cross-checking their agreement.  Per-n verdicts follow the
+    sign policy; the aggregate verdict is the worst per-n outcome
+    (negative > inconclusive > within-tol > exact).
 
-    With k = 1 the trivially satisfied n = 1 value (= w_1) is recorded as
-    well.  Per-n verdicts follow the sign policy; the aggregate verdict is
-    the worst per-n outcome (negative > inconclusive > within-tol > exact).
-
-    Every route is computed as a column over n, and the report stores its
-    rows as columns (see ConditionReport).  Exact runs of integer-valued
-    families take int64 numpy routes while their values stay below 2^53
-    (and n_max * max|w_j| < 2^53 for divisor_sum, |S(n)| < 2^62 for
-    mult_product); otherwise the routes run per n in Python ints or
-    Fractions.  Exact routes that disagree raise MethodDisagreement.
+    Every route is a column over n from one factor-table pass and one read
+    of the weight table; the report has one row per (n, method), n-major,
+    methods in the order given (see ConditionReport).  Exact runs of
+    integer-valued families whose values stay below 2^53 take int64 routes
+    (divisor_sum while n_max * max|w_j| < 2^53, mult_product while
+    |S(n)| < 2^62); the other exact routes run in Python ints and
+    Fractions, and a value past float64 gets the margin +-inf of its sign.
+    Exact routes that disagree raise MethodDisagreement.
     """
     delta, k = _resolve(w, delta, k)
     n_max = arith._check_sieve(n_max, "n_max")
@@ -432,16 +406,23 @@ def check_range(
         raise ValueError("additive_Tt agrees with the condition only for k = 2")
 
     exact = _use_exact(w, delta)
-    n_lo = max(k, 2)
-    cols = []  # S(n_lo..n_max) per method
+    table = None  # read first: an engine built inside values_table is freed before ft
+    if w.integer_valued if exact else "divisor_sum" in methods:
+        table = w.values_table(n_max)
+        # the exact weights when every |w_j| < 2^53 (a weight past float64 reads inf)
+        if exact and not (top := np.abs(table).max()) < _FLOAT_EXACT:
+            table = None
+    ft = _accel.factor_tables(n_max)
+    cols = []  # S(k..n_max) per method
     for m in methods:
         if m == "divisor_sum":
-            col = _divisor_sums_range(w, delta, k, n_max, exact)
+            # exact int64 sums also need every partial sum below 2^53
+            small = not exact or table is not None and n_max * int(top) < _FLOAT_EXACT
+            col = _divisor_sums(w, delta, k, ft.mu, table if small else None, exact)
         else:
-            table = _exact_table(w, n_max) if exact else None
-            col = None if table is None else _factored_column(table, n_max, m)
-            col = _factored_range(w, delta, n_max, exact, m) if col is None else col
-        cols.append(np.asarray(col[n_lo:], dtype=None if exact else np.float64))
+            col = _factored(w, delta, m, ft, table if exact else None, exact)
+        cols.append(col[k:])
+    del ft  # freed before the report columns are built
 
     ref = cols[0]
     bad = np.zeros(len(ref), dtype=bool)
@@ -452,38 +433,31 @@ def check_range(
     if exact and bad.any():
         i = int(np.argmax(bad))
         vals = {m: c.tolist()[i] for m, c in zip(methods, cols)}
-        raise MethodDisagreement(f"exact methods disagree at n={n_lo + i}: {vals} for {w.name}")
+        raise MethodDisagreement(f"exact methods disagree at n={k + i}: {vals} for {w.name}")
 
-    head = []  # the n = 1 rows of k = 1
-    if k == 1:
-        head = [("divisor_sum", w.value(1))]
-        if "mult_product" in methods:
-            head.append(("mult_product", 1 if exact else 1.0))
-    body = np.stack(cols, axis=1).reshape(-1)  # n-major, methods in order
-    if any(type(v) is not {"i": int, "f": float}.get(body.dtype.kind) for _, v in head):
-        body = body.astype(object)  # keep each value's own type: it sets the JSON token
-    value = np.concatenate([np.array([v for _, v in head], dtype=body.dtype), body])
-    margin = value.astype(np.float64)
+    value = np.stack(cols, axis=1).reshape(-1)  # n-major, methods in order
+    try:
+        margin = value.astype(np.float64)
+    except OverflowError:  # an exact value past float64
+        margin = np.array(list(map(_margin, value.tolist())))
     code = np.where(value < 0 if exact else margin < -tol, VERDICTS.index(NEGATIVE),
                     VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL)).astype(np.int8)
-    code[len(head):][np.repeat(bad, len(methods))] = VERDICTS.index(INCONCLUSIVE)
+    code[np.repeat(bad, len(methods))] = VERDICTS.index(INCONCLUSIVE)
 
     return ConditionReport(
         family=w.name,
         delta=delta,
         k=k,
-        n_lo=1 if k == 1 else n_lo,
+        n_lo=k,
         n_hi=n_max,
         mode="exact" if exact else "float",
         tol=tol,
         methods=methods,
         columns={
-            "n": np.concatenate([np.ones(len(head), dtype=np.int64),
-                                 np.repeat(np.arange(n_lo, n_max + 1), len(methods))]),
+            "n": np.repeat(np.arange(k, n_max + 1), len(methods)),
             "value": value,
-            "method": np.concatenate([
-                np.array([METHODS.index(m) for m, _ in head], dtype=np.int8),
-                np.tile(np.array([METHODS.index(m) for m in methods], dtype=np.int8), len(ref))]),
+            "method": np.tile(np.array([METHODS.index(m) for m in methods], dtype=np.int8),
+                              len(ref)),
             "verdict": code,
             "margin": margin,
         },

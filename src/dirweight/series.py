@@ -173,14 +173,7 @@ def convolve(
     if f.mode == FLOAT:
         c = _accel.dirichlet_convolve(f.as_float_array()[: n + 1], g.as_float_array()[: n + 1])
         return FormalDirichletSeries(tuple(c[1:]), FLOAT)
-    out = [0] * (n + 1)
-    a, b = f.coeffs, g.coeffs
-    for m in range(1, n + 1):
-        am = a[m - 1]
-        if am:
-            # ascending m gives the fixed summation order of the contract
-            for q in range(1, n // m + 1):
-                out[m * q] += am * b[q - 1]
+    out = _accel.exact_convolve((0, *f.coeffs[:n]), (0, *g.coeffs[:n]))
     return FormalDirichletSeries(tuple(out[1:]), EXACT)
 
 

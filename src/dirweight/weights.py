@@ -307,19 +307,21 @@ def _gl_panel(fvec, a: float, b: float) -> float:
 def _adaptive_gl(fvec, a: float, b: float, rel_tol: float, depth: int = 0) -> float:
     """Adaptive Gauss-Legendre: split a panel until the two-half refinement
     agrees with the single-panel value to rel_tol, or its depth (``depth`` for
-    [a, b]) reaches 40.  Raises ValueError past QUADRATURE_PANELS panels."""
+    [a, b]) reaches 40; each half is passed down as its child's single-panel
+    value.  Raises ValueError past QUADRATURE_PANELS panels."""
     panels = iter(range(QUADRATURE_PANELS))
 
-    def refine(a, b, depth):
+    def refine(a, b, whole, depth):
         if next(panels, None) is None:
             raise ValueError(f"adaptive quadrature needs over {QUADRATURE_PANELS} panels")
         mid = 0.5 * (a + b)
-        whole, refined = _gl_panel(fvec, a, b), _gl_panel(fvec, a, mid) + _gl_panel(fvec, mid, b)
+        left, right = _gl_panel(fvec, a, mid), _gl_panel(fvec, mid, b)
+        refined = left + right
         if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 40:
             return refined
-        return refine(a, mid, depth + 1) + refine(mid, b, depth + 1)
+        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
 
-    return refine(a, b, depth)
+    return refine(a, b, _gl_panel(fvec, a, b), depth)
 
 
 def _gamma_cutoff(alpha: float) -> float:

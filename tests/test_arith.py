@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from dirweight import arith
+from dirweight import _accel, arith, condition, weights
 
 
 # -- independent oracles ------------------------------------------------------
@@ -60,6 +60,27 @@ def test_factorize_random_reconstructs(seed=7):
             prod *= p**r
         assert prod == n
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 1999993 * 2000003])  # a prime; two primes near 2e6
+def test_trial_division_stops_at_its_bound(n):
+    ones = weights.named_family("ones")
+    for fn in (arith.factorize, arith.mobius, arith.divisors,
+               lambda n: condition.divisor_sum(ones, None, 1, n)):
+        with pytest.raises(arith.ResourceLimitError, match="cofactor"):
+            fn(n)
+
+
+@pytest.mark.parametrize("n,factors", [
+    (10**12, ((2, 12), (5, 12))),
+    (999983 * 1000003, ((999983, 1), (1000003, 1))),  # a factor past the trial bound
+    (999983**2, ((999983, 2),)),
+    (999999999989, ((999999999989, 1),)),  # the largest prime below 10^12
+    (2**40 * 1999993, ((2, 40), (1999993, 1))),  # past 10^12, prime cofactor below the bound^2
+])
+def test_factorize_up_to_the_square_of_its_trial_bound(n, factors):
+    assert arith.MAX_TRIAL_DIVISOR**2 == 10**12
+    assert arith.factorize(n).factors == factors
 
 
 def test_rejects_zero_and_negatives():
@@ -178,3 +199,6 @@ def test_first_primes():
 def test_factorizations_up_to_matches_factorize():
     for n, factors in arith.factorizations_up_to(500):
         assert factors == arith.factorize(n).factors
+    # the columns of larger tables serve as well
+    given = arith.factorizations_up_to(500, _accel.factor_tables(700))
+    assert list(given) == list(arith.factorizations_up_to(500))

@@ -433,6 +433,15 @@ def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path
     assert (tmp_path / "rep.csv").read_bytes().decode() == buf.getvalue()
 
 
+def test_float_run_writes_the_n1_value_as_a_float(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"family": DPOW, "n_max": 20})
+    assert run(["check-condition", "--float", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
+    text = capsys.readouterr().out
+    first = json.loads(text)["result"]["records"][0]
+    assert (first["n"], first["value"], type(first["value"])) == (1, 1.0, float)
+    assert '"value": 1,' not in text
+
+
 @pytest.mark.parametrize("family,k", [
     ({"kind": "named", "name": "omega"}, 3),
     ({"kind": "named", "name": "omega", "start_index": 3}, None),
@@ -449,14 +458,14 @@ def test_additive_route_off_k2_exits_one(family, k, tmp_path, capsys):
 
 
 def test_exact_disagreement_exits_three(omega_cfg, capsys, monkeypatch):
-    factored = condition._factored_column
+    factored = condition._factored
 
     def corrupted(*args):
         col = factored(*args)
         col[7] += 1
         return col
 
-    monkeypatch.setattr(condition, "_factored_column", corrupted)
+    monkeypatch.setattr(condition, "_factored", corrupted)
     assert run(["check-condition", "--exact", "--config", omega_cfg, "--stdout"]) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1].startswith("error: exact methods disagree at n=7")

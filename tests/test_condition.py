@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import operator
 import timeit
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirweight import arith, condition, weights
+from dirweight import _accel, arith, condition, weights
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +497,8 @@ def test_integer_values_table_is_exact(name, params):
 ])
 def test_vectorized_factored_routes_match_per_n(name, params, method):
     w = weights.named_family(name, **params)
-    col = condition._factored_column(w.values_table(5000), 5000, method)
+    col = condition._factored(w, 0.0, method, _accel.factor_tables(5000),
+                              w.values_table(5000), True)
     assert col.dtype == np.int64
     if method == "mult_product":
         want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
@@ -519,15 +521,45 @@ def test_product_route_is_the_per_n_product_bit_for_bit(name, params, delta):
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, 1, 3000, methods=("mult_product",))
     assert rep.mode == ("exact" if w.exact and delta == 0.0 else "float")
-    got = [r.value for r in rep.records[2:]]  # past the two n = 1 rows
+    got = [r.value for r in rep.records[1:]]  # past the one n = 1 row
     want = [condition.mult_product(w, delta, n) for n in range(2, 3001)]
     assert list(map(_hex, got)) == list(map(_hex, want))
 
 
+@pytest.mark.parametrize("w,delta", [
+    (weights.named_family("omega"), 0.3),
+    (weights.named_family("big_omega"), 0.5),
+    (weights.additive_from_prime_powers(lambda p, r: r * math.log(p) - 0.7, 1.0, 0.0,
+                                        (1.0, 1.0)), 0.0),
+])
+def test_additive_route_is_the_per_n_sum_bit_for_bit(w, delta):
+    def reference(n):  # T_t: its own factor, then the other primes' companions in order
+        factors, terms = arith.factorize(n).factors, []
+        for t, (p, r) in enumerate(factors):
+            pd = 1.0 if delta == 0.0 else p ** (-delta)
+            term = pd ** (r - 1) * (pd * float(w.value(p**r)) - float(w.value(p ** (r - 1))))
+            for j, (q, s) in enumerate(factors):
+                if j != t:
+                    qd = 1.0 if delta == 0.0 else q ** (-delta)
+                    term *= qd ** (s - 1) * (qd - 1.0)
+            terms.append(term)
+        return sum(terms)
+
+    rep = condition.check_range(w, delta, 2, 3000, methods=("additive_Tt",))
+    assert rep.mode == "float"
+    got = list(map(_hex, (r.value for r in rep.records)))
+    assert got == [_hex(condition.additive_Tt(w, delta, n)[0]) for n in range(2, 3001)]
+    assert got == [_hex(reference(n)) for n in range(2, 3001)]
+
+
 def test_vectorized_product_overflow_guard():
-    # (2^40 - 1)^2 at n = 6 does not fit the 2^62 bound: no int64 column
+    # (2^40 - 1)^2 at n = 6 does not fit the 2^62 bound: the same factors,
+    # multiplied as Python ints, without another weight read
     table = np.array([0, 1, 2**40, 2**40, 1, 1, 1], dtype=np.float64)
-    assert condition._factored_column(table, 6, "mult_product") is None
+    col = condition._factored(None, 0.0, "mult_product", _accel.factor_tables(6), table, True)
+    assert col.dtype == object
+    assert col[1:].tolist() == [1, 2**40 - 1, 2**40 - 1, 1 - 2**40, 0, (2**40 - 1) ** 2]
+    assert all(type(v) is int for v in col[1:])
 
 
 @pytest.mark.parametrize("name,params,methods", [
@@ -552,6 +584,23 @@ def test_exact_lane_matches_python_int_path(name, params, methods, monkeypatch):
     assert json.dumps(rep.to_json_dict()) == json.dumps(ref.to_json_dict())
 
 
+def test_exact_run_past_the_float_range_takes_the_python_int_routes():
+    # 2^1200 at n = 30 reads inf in the float table: the exact routes must
+    # not take it for an int64 table
+    w = weights.named_family("divisor_pow", alpha=400)
+    assert w.integer_valued
+    with pytest.warns(RuntimeWarning):
+        rep = condition.check_range(w, None, 1, 30, methods=("divisor_sum", "mult_product"))
+    assert rep.mode == "exact"
+    assert rep.columns["value"].dtype == object
+    assert [r.value for r in rep.records] == [
+        f(n) for n in range(1, 31) for f in (lambda n: condition.divisor_sum(w, 0.0, 1, n),
+                                             lambda n: condition.mult_product(w, 0.0, n))]
+    # a value past float64 gets the margin of its sign
+    assert rep.records[-1].value > 2**1024 and rep.records[-1].margin == math.inf
+    assert rep.verdict == condition.NONNEG_EXACT
+
+
 @pytest.mark.parametrize("big", [2**50, 2**60 + 1])
 def test_exact_lane_bound_falls_back_to_python_ints(big, monkeypatch):
     # n_max * max|w| >= 2^53: float64 partial sums could round
@@ -572,17 +621,89 @@ def test_exact_lane_bound_falls_back_to_python_ints(big, monkeypatch):
 
 
 def test_exact_disagreement_raises(fam, monkeypatch):
-    factored = condition._factored_column
+    factored = condition._factored
 
     def corrupted(*args):
         col = factored(*args)
         col[7] += 1
         return col
 
-    monkeypatch.setattr(condition, "_factored_column", corrupted)
+    monkeypatch.setattr(condition, "_factored", corrupted)
     with pytest.raises(condition.MethodDisagreement, match="n=7"):
         condition.check_range(fam["omega"], None, None, 50,
                               methods=("divisor_sum", "additive_Tt"))
+
+
+@pytest.mark.parametrize("name,params,methods,delta", [
+    ("omega", {}, ("divisor_sum", "additive_Tt"), None),
+    ("omega", {}, ("divisor_sum", "additive_Tt"), 0.5),  # the per-n float sums
+    ("divisor_pow", {"alpha": 1}, ("divisor_sum", "mult_product"), None),
+])
+def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
+                                                            monkeypatch):
+    # one pass for mu and the prime powers, one for the weight table
+    calls, factor_tables = [], _accel.factor_tables
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    w = weights.named_family(name, **params)
+    rep = condition.check_range(w, delta, None, 1000, methods=methods)
+    assert rep.mode == ("exact" if delta is None else "float")
+    assert calls and len(calls) <= 2 and set(calls) == {1000}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("methods", [
+    ("mult_product",), ("mult_product", "divisor_sum"), ("divisor_sum", "mult_product")])
+def test_n1_rows_are_the_requested_methods_in_order(exact, methods):
+    w = weights.named_family("divisor_pow", alpha=1)
+    w.exact = exact  # what --float does
+    rep = condition.check_range(w, None, 1, 30, methods=methods)
+    assert rep.mode == ("exact" if exact else "float")
+    assert [(r.n, r.method) for r in rep.records] == [
+        (n, m) for n in range(1, 31) for m in methods]
+    assert rep.counts() == {condition.NONNEG_EXACT if exact else condition.NONNEG_TOL:
+                            30 * len(methods)}
+
+
+def test_float_run_keeps_the_n1_value_a_float():
+    w = weights.named_family("divisor_pow", alpha=1)
+    w.exact = False  # what --float does; value(1) is still the int 1
+    rep = condition.check_range(w, None, 1, 30, methods=("divisor_sum", "mult_product"))
+    assert rep.columns["value"].dtype == np.float64
+    assert [(r.value, type(r.value)) for r in rep.records[:2]] == [(1.0, float)] * 2
+
+
+def _family_values(mult: bool, lane: str):
+    """Prime-power values of random exact families: small ints (the int64
+    lane), ints of 2^53 and more, or Fractions (the Python-object lane)."""
+    if lane == "fraction":
+        return st.builds(Fraction, st.integers(1 if mult else -60, 60), st.integers(2, 9))
+    if lane == "big":
+        big = st.integers(2**53, 2**60)
+        return big if mult else st.one_of(big, big.map(operator.neg))
+    return st.integers(1, 2**10) if mult else st.integers(-(2**10), 2**10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mult=st.booleans(), lane=st.sampled_from(["int64", "big", "fraction"]),
+       n_max=st.integers(2, 100), data=st.data())
+def test_check_range_is_the_per_n_routes_on_random_families(mult, lane, n_max, data):
+    vals = data.draw(st.lists(_family_values(mult, lane), min_size=1, max_size=8))
+    build = (weights.multiplicative_from_prime_powers if mult
+             else weights.additive_from_prime_powers)
+    w = build(lambda p, r: vals[(3 * p + r) % len(vals)], 1.0, 0.0, (1.0, 1.0),
+              exact=True, integer_valued=lane != "fraction")
+    k, route = (1, "mult_product") if mult else (2, "additive_Tt")
+    per_n = {
+        "divisor_sum": lambda n: condition.divisor_sum(w, 0.0, k, n),
+        "mult_product": lambda n: condition.mult_product(w, 0.0, n),
+        "additive_Tt": lambda n: condition.additive_Tt(w, 0.0, n)[0],
+    }
+    for methods in (("divisor_sum", route), (route, "divisor_sum")):
+        rep = condition.check_range(w, None, None, n_max, methods=methods)
+        assert rep.mode == "exact"
+        assert rep.columns["value"].dtype == (np.int64 if lane == "int64" else object)
+        assert [(r.n, r.method, r.value) for r in rep.records] == [
+            (n, m, per_n[m](n)) for n in range(k, n_max + 1) for m in methods]
 
 
 @pytest.mark.parametrize("name,delta,k,methods,tol", [

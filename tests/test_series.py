@@ -5,7 +5,7 @@ from random import Random
 import mpmath
 import pytest
 
-from dirweight import arith, series
+from dirweight import _accel, arith, series
 
 
 def brute_convolve(a, b):
@@ -47,6 +47,16 @@ def test_omega_series_expansion():
     )
     got = series.convolve(series.zeta_coeffs(n), prime_indicator)
     assert all(got.a(j) == arith.omega(j) for j in range(1, n + 1))
+
+
+def test_exact_convolve_is_the_literal_product():
+    rng = Random(7)
+    a = [0, *(rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+              for _ in range(80))]
+    b = [0, *(rng.randint(-2, 2) for _ in range(70))]  # the shorter one truncates
+    got = _accel.exact_convolve(a, b)
+    assert len(got) == len(b)
+    assert got[1:] == brute_convolve(a[1:], b[1:])
 
 
 def test_convolve_mode_mismatch():

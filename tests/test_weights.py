@@ -316,7 +316,35 @@ def test_adaptive_quadrature_stops_at_its_panel_budget():
 
     with pytest.raises(ValueError, match="panels"):
         weights._adaptive_gl(nan_integrand, 0.0, 1.0, 1e-12)
-    assert calls == 3 * weights.QUADRATURE_PANELS
+    assert calls == 1 + 2 * weights.QUADRATURE_PANELS  # [a, b], then two halves per panel
+
+
+def _reference_adaptive_gl(fvec, a, b, rel_tol, depth=0):
+    """The recursion that evaluated each split panel twice: once as a half
+    of its parent, once as its own single-panel value."""
+    mid = 0.5 * (a + b)
+    whole = weights._gl_panel(fvec, a, b)
+    refined = weights._gl_panel(fvec, a, mid) + weights._gl_panel(fvec, mid, b)
+    if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 40:
+        return refined
+    return (_reference_adaptive_gl(fvec, a, mid, rel_tol, depth + 1)
+            + _reference_adaptive_gl(fvec, mid, b, rel_tol, depth + 1))
+
+
+def test_adaptive_quadrature_evaluates_each_panel_once(monkeypatch):
+    panel, seen = weights._gl_panel, []
+    monkeypatch.setattr(weights, "_gl_panel",
+                        lambda fvec, a, b: seen.append((a, b)) or panel(fvec, a, b))
+    weights._gamma_core.__wrapped__(1e-4)
+    assert len(seen) == len(set(seen)) > 10**4
+
+
+def test_gamma_core_is_the_reference_recursion_bit_for_bit(monkeypatch):
+    lo, hi = weights.GAMMA_QUADRATURE_ALPHAS
+    alphas = [*np.geomspace(lo, hi, 96).tolist(), 0.5, 1.0, 2.0, 3.0]
+    got = [weights._gamma_core.__wrapped__(a).hex() for a in alphas]
+    monkeypatch.setattr(weights, "_adaptive_gl", _reference_adaptive_gl)
+    assert got == [weights._gamma_core.__wrapped__(a).hex() for a in alphas]
 
 
 @pytest.mark.parametrize("alpha", [1e-4, 0.5, 1.0, 2.0, 3.0, 7.3, 44.0])
