@@ -3,13 +3,17 @@
 All tables are 1-indexed: an array of length ``n + 1`` whose slot 0 is
 unused.  Every Dirichlet convolution (d(n), d_beta, the divisor sums
 S(n)) goes through one kernel, ``_convolve``, which splits the pairs
-(j, q) with jq <= n at sqrt(n) (the Dirichlet hyperbola method): the
-O(n log n) multiply-adds run inside numpy in O(sqrt n) Python iterations.
-Its exact counterpart in Python ints and Fractions, ``exact_convolve``,
-serves exact series products and exact divisor sums past the int64 lane.
+(j, q) with jq <= n at max(sqrt(n), 1000) (the Dirichlet hyperbola
+method): the O(n log n) multiply-adds run inside numpy in O(sqrt n + 1000)
+Python iterations.  Its exact counterpart in Python ints and Fractions,
+``exact_convolve``, serves exact series products and exact divisor sums
+past the int64 lane.
 Every arithmetic table comes from one engine, ``factor_tables`` (spf, mu,
 omega, Omega, gpf and prime-power parts, one numpy pass per block), and
-every multiplicative or additive one from ``prime_power_fill``.
+every multiplicative or additive one from ``prime_power_fill``.  A run
+makes one ``factor_tables`` pass and hands it to every table it builds
+(``WeightFamily.values_table(n, ft)``); the single-column readers below
+serve callers that need one column.
 """
 
 from __future__ import annotations
@@ -111,11 +115,6 @@ def mobius_table(n: int) -> np.ndarray:
     return factor_tables(n).mu
 
 
-def gpf_table(n: int) -> np.ndarray:
-    """Greatest prime factor of 2..n (0 at indices 0 and 1)."""
-    return factor_tables(n).gpf.astype(np.int64)
-
-
 def spf_table(n: int) -> np.ndarray:
     """Smallest prime factor of 2..n (0 at indices 0 and 1)."""
     return factor_tables(n).spf.astype(np.int64)
@@ -134,15 +133,18 @@ def big_omega_table(n: int) -> np.ndarray:
 def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     """c[m] = sum over j * q = m with j >= start of a[j] * b[q], as float64.
 
-    Dirichlet hyperbola split at r = isqrt(n): pairs with j <= r are added
-    one j at a time, the rest one q at a time, so every pair is visited
-    once in O(sqrt n) slice updates.  Neither input is copied or cast.
+    Dirichlet hyperbola split at r = min(n, max(isqrt(n), 1000)): pairs
+    with j <= r are added one j at a time, the rest one q at a time, so
+    every pair is visited once in O(sqrt n + 1000) slice updates.  Up to
+    n = 10^6 (the kernels' truncation cap) each c[m] sums its terms in one
+    order, j <= 1000 ascending and then q ascending, so a shorter table is
+    a prefix of a longer one bit for bit.  Neither input is copied or cast.
     """
     n = min(len(a), len(b)) - 1
     c = np.zeros(n + 1, dtype=np.float64)
     if n < 1:
         return c
-    r = math.isqrt(n)
+    r = min(n, max(math.isqrt(n), 1000))
     for j in range(max(start, 1), r + 1):
         c[j::j] += a[j] * b[1 : n // j + 1]
     lo = max(r + 1, start)

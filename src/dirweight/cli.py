@@ -228,7 +228,7 @@ def cmd_classify(args) -> int:
 
     if fam.kind in ("multiplicative", "additive"):
         mult = fam.kind == "multiplicative"
-        law_ok = weights.audit_structure(fam, pairs=100, limit=min(n_max, 10000))
+        law_ok = weights.audit_structure(fam, pairs=100, limit=max(3, min(n_max, 10000)))
         check = weights.check_multiplicative_growth if mult else weights.check_additive_growth
         growth = check(fam)
         result[f"{fam.kind}_law_sampled"] = law_ok
@@ -239,7 +239,7 @@ def cmd_classify(args) -> int:
     base = fam.params.get("base")
     if isinstance(base, weights.WeightFamily) and base.kind == "multiplicative":
         increasing = all(
-            float(base.value(p**j)) <= float(base.value(p ** (j + 1)))
+            float(base.prime_power(p, j)) <= float(base.prime_power(p, j + 1))
             for p in arith.first_primes(10)
             for j in range(0, 5)
         )

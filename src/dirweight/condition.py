@@ -16,7 +16,8 @@ computed in exact arithmetic (int64 columns where overflow is ruled out in
 advance, Python ints and Fractions otherwise) and verdicts are exact;
 otherwise floats are
 used and a value in (-tol, 0) is reported as nonnegative-within-tolerance,
-never as a certified violation.
+never as a certified violation, and a value that is not finite as
+inconclusive.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
 def _prime_power_factor(w, delta, exact, p, r):
     """p^(-delta (r-1)) (p^(-delta) w_{p^r} - w_{p^(r-1)}): the factor of
     p^r in mult_product, and at delta = 0 the whole of S(p^r)."""
-    hi, lo = w.value(p**r), w.value(p ** (r - 1))
+    hi, lo = w.prime_power(p, r), w.prime_power(p, r - 1)
     if exact:
         return hi - lo
     pd = 1.0 if delta == 0.0 else p ** (-delta)
@@ -319,17 +320,24 @@ def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     return tokens, tokens if shared else list(map(str, scalars))
 
 
-def _divisor_sums(w: WeightFamily, delta: float, k: int, mu: np.ndarray, table, exact: bool):
-    """S(n) for every n < len(mu) by one Dirichlet convolution of ``table``:
-    in float64; exact in int64 when ``table`` holds the exact weights and
-    every partial sum stays below 2^53; else in Python ints and Fractions."""
+def _divisor_sums(w: WeightFamily, delta: float, k: int, ft, table, exact: bool):
+    """S(n) for every n <= n_max by one Dirichlet convolution of ``table``
+    with ft.mu: in float64; exact in int64 when ``table`` holds the exact
+    weights and every partial sum stays below 2^53; else in Python ints and
+    Fractions, of the weights from one prime-power fill of w.prime_power
+    (multiplicative and additive families) or from value()."""
     if not exact:
-        return _accel.divisor_sum_table(table, mu, delta, k)
+        return _accel.divisor_sum_table(table, ft.mu, delta, k)
     if table is not None:
         # every partial sum is an integer below 2^53, hence exact in float64
-        return _accel.divisor_sum_table(table, mu, 0.0, k).astype(np.int64)
-    vals = [0] * k + [w.value(j) for j in range(k, len(mu))]
-    return np.array(_accel.exact_convolve(vals, mu.tolist()), dtype=object)
+        return _accel.divisor_sum_table(table, ft.mu, 0.0, k).astype(np.int64)
+    if w.kind in ("multiplicative", "additive"):  # value(j) would factorize every j
+        op = np.multiply if w.kind == "multiplicative" else np.add
+        fq = _accel.prime_power_values(ft, w.prime_power, object)
+        vals = [0] * k + _accel.prime_power_fill(ft, fq, op)[k:].tolist()
+    else:
+        vals = [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
+    return np.array(_accel.exact_convolve(vals, ft.mu.tolist()), dtype=object)
 
 
 def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):
@@ -406,19 +414,19 @@ def check_range(
         raise ValueError("additive_Tt agrees with the condition only for k = 2")
 
     exact = _use_exact(w, delta)
-    table = None  # read first: an engine built inside values_table is freed before ft
+    ft = _accel.factor_tables(n_max)
+    table = None
     if w.integer_valued if exact else "divisor_sum" in methods:
-        table = w.values_table(n_max)
+        table = w.values_table(n_max, ft)
         # the exact weights when every |w_j| < 2^53 (a weight past float64 reads inf)
         if exact and not (top := np.abs(table).max()) < _FLOAT_EXACT:
             table = None
-    ft = _accel.factor_tables(n_max)
     cols = []  # S(k..n_max) per method
     for m in methods:
         if m == "divisor_sum":
             # exact int64 sums also need every partial sum below 2^53
             small = not exact or table is not None and n_max * int(top) < _FLOAT_EXACT
-            col = _divisor_sums(w, delta, k, ft.mu, table if small else None, exact)
+            col = _divisor_sums(w, delta, k, ft, table if small else None, exact)
         else:
             col = _factored(w, delta, m, ft, table if exact else None, exact)
         cols.append(col[k:])
@@ -442,6 +450,8 @@ def check_range(
         margin = np.array(list(map(_margin, value.tolist())))
     code = np.where(value < 0 if exact else margin < -tol, VERDICTS.index(NEGATIVE),
                     VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL)).astype(np.int8)
+    if not exact:  # a NaN or inf value decides nothing
+        code[~np.isfinite(margin)] = VERDICTS.index(INCONCLUSIVE)
     code[np.repeat(bad, len(methods))] = VERDICTS.index(INCONCLUSIVE)
 
     return ConditionReport(

@@ -23,13 +23,14 @@ The three functions, ``default_grid`` and ``gram_psd`` share one
 truncation (``terms``), the coefficient table (``table``) and one entry
 with its tail (``entry``, which alone propagates the quotient's error).
 An eval-kernel value thus equals the Gram entry at the same point and
-per-entry target bit for bit when the table is prefix-consistent: weights
-and integer S(n) are; float S(n) (log_pow, delta != 0) are not, as the
-convolution's summation order depends on isqrt(n).
+per-entry target bit for bit: every table up to TRUNCATION_CAP is a prefix
+of a longer one, float S(n) included, as the convolution sums each
+coefficient in one order up to the cap (see ``_accel._convolve``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -102,28 +103,29 @@ class _Route:
 
     def table(self, n: int) -> np.ndarray:
         """Coefficients 0..n: the weights, or for the series route the
-        condition values S(n) from the mu sieve."""
+        condition values S(n), from one factor-table pass (mu and the
+        weight table's columns)."""
         w = self.family
         if self.kernel != "series":
             return w.values_table(n)
-        mu = arith.mobius_sieve(n)
-        return _accel.divisor_sum_table(w.values_table(n), mu, self.delta, w.start_index)
+        ft = _accel.factor_tables(n)
+        return _accel.divisor_sum_table(w.values_table(n, ft), ft.mu, self.delta, w.start_index)
 
     def entry(self, table: np.ndarray, z: complex, n: int) -> tuple[complex, float]:
         """(value, tail bound) at z = s + conj(u) from table[:n + 1].  A
-        quotient whose denominator does not clear its own tail bound is
-        (nan, inf): inconclusive."""
+        value that is not finite, and a quotient whose denominator does not
+        clear its own tail bound, get an infinite tail: inconclusive."""
         tail = power_tail_bound(self.c, self.tau, z.real, n)
         value = complex(_accel.power_sum(table[: n + 1], self.start, z + self.shift))
-        if self.kernel != "ratio":
-            return value, tail
-        tail_den = power_tail_bound(1.0, 0.0, z.real, n)
-        den = complex(_accel.power_sum(np.ones(n + 1), 1, z))
-        if not abs(den) > tail_den:
-            return complex(math.nan), math.inf
-        value /= den
-        err = (tail + abs(value) * tail_den) / (abs(den) - tail_den)
-        return value, math.inf if math.isinf(tail) else err
+        if self.kernel == "ratio":
+            tail_den = power_tail_bound(1.0, 0.0, z.real, n)
+            den = complex(_accel.power_sum(np.ones(n + 1), 1, z))
+            if not abs(den) > tail_den:
+                return complex(math.nan), math.inf
+            value /= den
+            if not math.isinf(tail):
+                tail = (tail + abs(value) * tail_den) / (abs(den) - tail_den)
+        return value, tail if cmath.isfinite(value) else math.inf
 
 
 def _route(w: WeightFamily, delta: float | None, kernel: str) -> _Route:
@@ -252,11 +254,13 @@ def default_grid(
     real parts admits a certified tail below tol / (10 n_points) within
     the truncation cap; the spacing base is therefore family- and
     route-dependent (documented, overridable by passing explicit points).
+    n_points must lie in [1, MAX_POINTS].
     """
+    if not 1 <= n_points <= MAX_POINTS:
+        raise ValueError(f"need between 1 and {MAX_POINTS} points, got n_points = {n_points}")
     route = _route(w, delta, kernel)
     x = _solve_cap_exponent(route.c, route.tail_target(tol / (10.0 * n_points)))
     g = max(route.abscissa, (route.tau + 1.0 + x) / 2.0) + 0.05
-    n_points = max(n_points, 1)
     n_real = n_points if n_points < 3 else n_points - 2
     offsets = np.logspace(-2, 0, n_real)
     points = [complex(g + off, 0.0) for off in offsets]

@@ -4,6 +4,9 @@ A family carries a positive weight w_n for every n at or past its start
 index, a structural tag (multiplicative / additive / explicit /
 measure_induced), DECLARED convergence abscissas sigma and delta, and a
 dominating growth bound w_j <= C j^tau used for rigorous truncation tails.
+Multiplicative and additive families also carry their values at prime
+powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
+routes and the growth audits read without factorizing p^r.
 
 The abscissas are declared, never inferred: the smooth-restricted infimum
 defining delta is not numerically decidable, so partial-sum diagnostics
@@ -87,7 +90,8 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).  ``integer_valued`` marks exact families of integers whose
+    (additive).  ``batch_fn(n, ft)`` builds ``values_table(n, ft)``.
+    ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
     """
@@ -160,15 +164,17 @@ class WeightFamily:
             self._cache[n] = hit
         return hit
 
-    def values_table(self, n: int) -> np.ndarray:
+    def values_table(self, n: int, ft: _accel.FactorTables | None = None) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
-        the defined range are zero.  Feeds the numeric kernels.  The table
-        is read-only because it may be the cached one: copy it to edit."""
+        the defined range are zero.  Feeds the numeric kernels.  A table
+        that reads arithmetic columns takes them from ``ft``, the caller's
+        ``_accel.factor_tables(n)``, or builds them when it is None.  The
+        table is read-only because it may be the cached one: copy it to edit."""
         cached = self._table_cache.get(n)
         if cached is not None:
             return cached
         if self._batch_fn is not None:
-            table = np.asarray(self._batch_fn(n), dtype=np.float64)
+            table = np.asarray(self._batch_fn(n, ft), dtype=np.float64)
         else:
             table = np.zeros(n + 1, dtype=np.float64)
             for m in range(self.defined_from, n + 1):
@@ -178,6 +184,12 @@ class WeightFamily:
         if len(self._table_cache) < 4:  # keep the few hot sizes only
             self._table_cache[n] = table
         return table
+
+    def prime_power(self, p: int, r: int):
+        """w_(p^r), equal to value(p**r); r = 0 gives w_1.  Families built
+        from prime-power values (``_prime_power_family``) replace this with
+        their f(p, r), which factorizes nothing."""
+        return self.value(p**r)
 
     def audit(self, limit: int = AUDIT_CEILING) -> None:
         """Raise if positivity or the growth bound fails at any n <= limit."""
@@ -203,34 +215,43 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
                         integer_valued) -> WeightFamily:
     """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
-    order.  Without a batch_fn the table calls f once per prime power <= n
-    and is one ``_accel.prime_power_fill``: in float64, or in Python ints
-    and Fractions converted with float() at the end, as value() would be."""
+    order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
+    Without a batch_fn the table calls f once per prime power <= n and is
+    one ``_accel.prime_power_fill``: in float64, or in Python ints and
+    Fractions converted with float() at the end, as value() would be."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
+    identity = op.identity if exact else float(op.identity)
 
-    def checked(p, r):
-        v = f(p, r)
+    def prime_power(p, r):
+        if r == 0:
+            return identity
+        try:
+            v = f(p, r)
+        except OverflowError as e:
+            raise ValueError(f"prime-power value f({p},{r}) of {name} is past the float range") from e
         if op is np.multiply and not v > 0:
             raise ValueError(f"prime-power value f({p},{r}) = {v} not positive")
-        return v
+        return py_op(identity, v)
 
     def value_fn(n):
-        out = op.identity if exact else float(op.identity)
+        out = identity
         for p, r in arith.factorize(n):
-            out = py_op(out, checked(p, r))
+            out = py_op(out, prime_power(p, r))
         return out
 
     dtype = np.float64 if integer_valued or not exact else object
 
-    def batch(n):
-        ft = _accel.factor_tables(n)
-        return _accel.prime_power_fill(ft, _accel.prime_power_values(ft, checked, dtype), op)
+    def batch(n, ft):
+        ft = _accel.factor_tables(n) if ft is None else ft
+        return _accel.prime_power_fill(ft, _accel.prime_power_values(ft, prime_power, dtype), op)
 
-    return WeightFamily(
+    fam = WeightFamily(
         name, kind, 1 if op is np.multiply else 2, sigma, delta, growth_bound,
         value_fn, batch_fn=batch_fn or batch, exact=exact, params=params,
         integer_valued=integer_valued,
     )
+    fam.prime_power = prime_power
+    return fam
 
 
 def multiplicative_from_prime_powers(
@@ -393,7 +414,7 @@ def measure_family(
         # w_n tracks (log n)^alpha and log n <= (2/e) sqrt(n)
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
-    def batch(n):
+    def batch(n, ft):
         # per-n scalar calls: numpy's log and power differ from math.log and
         # pow in the last bit for some n, and values_table must equal value()
         table = np.zeros(n + 1)
@@ -452,8 +473,7 @@ def _growth_scan(w: WeightFamily, primes, max_exp: int, j_start: int) -> list:
         p = int(p)
         bound = 1.0 if delta == 0.0 else p ** (-delta)
         for j in range(j_start, max_exp + 1):
-            lo = w.value(p ** (j - 1)) if j >= 1 else None
-            hi = w.value(p**j)
+            lo, hi = w.prime_power(p, j - 1), w.prime_power(p, j)
             if w.exact and delta == 0.0:
                 ratio = Fraction(lo) / Fraction(hi)
                 ok = ratio <= 1
@@ -505,7 +525,10 @@ def check_additive_growth(
 def audit_structure(
     w: WeightFamily, pairs: int = 200, limit: int = AUDIT_CEILING, seed: int = 0
 ) -> bool:
-    """Sample coprime pairs and verify the multiplicative/additive law."""
+    """Sample coprime pairs m, n in [2, limit] (limit >= 3) and verify the
+    multiplicative/additive law."""
+    if limit < 3:
+        raise ValueError(f"the structural audit needs limit >= 3, got {limit}")
     rng = Random(seed)
     checked = 0
     while checked < pairs:
@@ -542,11 +565,14 @@ def smooth_partial_sum(w: WeightFamily, s: float, n: int, cutoff: int) -> float:
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    p_n = arith.first_primes(n)[-1]
-    gpf = _accel.gpf_table(cutoff)
-    vals = w.values_table(cutoff)
+    n = arith._check_positive(n)
+    ft = _accel.factor_tables(cutoff)
+    primes = np.flatnonzero(ft.big_omega == 1)
+    # p_n, or the cutoff when p_n lies past it: both admit every j <= cutoff
+    p_n = primes[n - 1] if n <= len(primes) else cutoff
+    vals = w.values_table(cutoff, ft)
     idx = np.arange(cutoff + 1)
-    mask = (idx >= 2) & (gpf <= p_n) & (gpf > 0)
+    mask = (idx >= 2) & (ft.gpf <= p_n)
     j = idx[mask].astype(np.float64)
     return float(np.dot(vals[mask], j ** (-float(s))))
 
@@ -597,7 +623,7 @@ def _divisor_pow_family(alpha) -> WeightFamily:
     def f(p, r):
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
-    def batch(n):
+    def batch(n, ft):
         # kept as d(n)**af: the product of the per-prime powers rounds differently
         return _accel.divisor_count_table(n).astype(np.float64) ** af
 
@@ -644,7 +670,7 @@ def _log_pow_family(alpha) -> WeightFamily:
     if af <= 0:
         raise ValueError("log_pow needs alpha > 0")
 
-    def batch(n):
+    def batch(n, ft):
         out = np.zeros(n + 1)
         if n >= 2:
             out[2:] = np.log(np.arange(2, n + 1, dtype=np.float64)) ** af
@@ -671,8 +697,8 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
     start = base.defined_from
     c, tau = base.growth_bound
 
-    def batch(n):
-        table = 1.0 + base.values_table(n)
+    def batch(n, ft):
+        table = 1.0 + base.values_table(n, ft)
         table[:start] = 0.0
         return table
 
@@ -703,8 +729,9 @@ def _geometric_family(ratio) -> WeightFamily:
     # ratio * 2^(-s) < 1 drives the smooth-restricted sums
     delta = math.log2(rf)
 
-    def batch(n):
-        return rf ** _accel.big_omega_table(n).astype(np.float64)
+    def batch(n, ft):
+        ft = _accel.factor_tables(n) if ft is None else ft
+        return rf ** ft.big_omega.astype(np.float64)
 
     return multiplicative_from_prime_powers(
         lambda p, r: ratio**r,

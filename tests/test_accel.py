@@ -128,7 +128,7 @@ def test_divisor_count_table_matches_factorization():
 def test_sieve_tables_match_factorization(n):
     tables = {
         "mobius": _accel.mobius_table(n),
-        "gpf": _accel.gpf_table(n),
+        "gpf": _accel.factor_tables(n).gpf,
         "spf": _accel.spf_table(n),
         "omega": _accel.omega_table(n),
         "big_omega": _accel.big_omega_table(n),
@@ -175,9 +175,8 @@ def test_factor_tables_match_trial_division():
 
 
 def test_sieve_tables_keep_their_dtypes():
-    dtypes = {_accel.mobius_table: np.int8, _accel.gpf_table: np.int64,
-              _accel.spf_table: np.int64, _accel.omega_table: np.int64,
-              _accel.big_omega_table: np.int64}
+    dtypes = {_accel.mobius_table: np.int8, _accel.spf_table: np.int64,
+              _accel.omega_table: np.int64, _accel.big_omega_table: np.int64}
     for table, dtype in dtypes.items():
         assert table(100).dtype == dtype and table(100).shape == (101,)
 

@@ -2,7 +2,9 @@ import csv
 import functools
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -501,3 +503,74 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert "check-condition" in proc.stdout
+
+
+# -- values past the float range ----------------------------------------------
+
+# d(n)^400.5 overflows to inf at d(n) >= 6, and inf - inf gives NaN values of S(n)
+OVERFLOWING = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": "801/2"}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow and inf - inf
+def test_non_finite_condition_values_are_inconclusive(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING, "n_max": 50})
+    assert run(["check-condition", "--config", cfg, "--no-timestamp", "--stdout"]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    values = [r["value"] for r in result["records"]]
+    assert (sum(map(math.isnan, values)), sum(map(math.isinf, values))) == (4, 10)
+    assert result["counts"] == {"nonneg_within_tol": 36, "inconclusive": 14}
+    assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
+               for r in result["records"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_kernel_values_are_inconclusive(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING})
+    common = ["--config", cfg, "--no-timestamp", "--stdout"]
+    assert run(["eval-kernel", "--kernel", "weight", "--s", "300", *common]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["certified"], result["tail_bound"]) == (False, "inf")
+    assert math.isnan(result["value"][0])
+    for route in ("weight", "series"):
+        assert run(["gram", "--kernel", route, "--points", "300;301", *common]) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["check-condition", "--methods", "mult_product"]])
+def test_prime_power_past_the_float_range_exits_one(argv, tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING, "n_max": 50})
+    assert run([*argv, "--config", cfg, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: prime-power value f\(\d+,\d+\) of divisor_pow\(alpha=801/2\) "
+                        r"is past the float range", captured.err.splitlines()[-1])
+    assert captured.out == ""
+
+
+# -- smallest inputs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_classify_at_the_smallest_n_max_ends(n_max, tmp_path):
+    # in a subprocess with a timeout: a structural audit without a coprime pair never ends
+    cfg = write_config(tmp_path, "ones.json", {"family": {"kind": "named", "name": "ones"}})
+    src = str(Path(dirweight.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dirweight", "classify", "--config", cfg,
+                           "--n-max", str(n_max), "--no-timestamp", "--stdout"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["multiplicative_law_sampled"]
+    assert result["condition_sample"] == {"n_max": n_max, "verdict": "nonneg_exact",
+                                          "counts": {"nonneg_exact": n_max}}
+
+
+@pytest.mark.parametrize("n_points", [0, -3, 65])
+def test_gram_rejects_n_points_outside_its_range(n_points, tmp_path, capsys):
+    cfg = write_config(tmp_path, "ones.json", {"family": {"kind": "named", "name": "ones"}})
+    assert run(["gram", "--config", cfg, "--n-points", str(n_points), "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        f"error: need between 1 and 64 points, got n_points = {n_points}")
+    assert captured.out == ""

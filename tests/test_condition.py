@@ -638,16 +638,28 @@ def test_exact_disagreement_raises(fam, monkeypatch):
     ("omega", {}, ("divisor_sum", "additive_Tt"), None),
     ("omega", {}, ("divisor_sum", "additive_Tt"), 0.5),  # the per-n float sums
     ("divisor_pow", {"alpha": 1}, ("divisor_sum", "mult_product"), None),
+    ("big_omega", {}, ("additive_Tt",), None),
+    ("big_omega", {}, ("additive_Tt", "divisor_sum"), 0.5),
+    ("divisor_pow", {"alpha": 1}, ("mult_product",), 0.5),
+    ("divisor_pow", {"alpha": 1}, ("divisor_sum", "mult_product"), 0.5),
+    ("d_beta", {"beta": "3/2"}, ("mult_product", "divisor_sum"), 0.3),
+    ("divisor_pow", {"alpha": 40}, ("divisor_sum", "mult_product"), None),  # Python ints
+    ("geometric", {"ratio": "1/2"}, ("divisor_sum", "mult_product"), 0.0),  # Fractions
+    ("geometric", {"ratio": "1/2"}, ("divisor_sum",), -1.0),  # the closed-form float table
+    ("one_plus", {"base": weights.named_family("omega")}, ("divisor_sum",), None),
 ])
 def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
                                                             monkeypatch):
-    # one pass for mu and the prime powers, one for the weight table
-    calls, factor_tables = [], _accel.factor_tables
+    # one pass serves mu, the prime powers and the weight table, and no route
+    # factorizes: prime-power values come from the family's prime_power
+    calls, factor_tables, factorize = [], _accel.factor_tables, arith.factorize
     monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(("factorize", n)) or
+                        factorize(n))
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
-    assert rep.mode == ("exact" if delta is None else "float")
-    assert calls and len(calls) <= 2 and set(calls) == {1000}
+    assert rep.mode == ("float" if delta else "exact")
+    assert calls == [1000]
 
 
 @pytest.mark.parametrize("exact", [True, False])

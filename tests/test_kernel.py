@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirweight import arith, kernel, series, weights
+from dirweight import _accel, arith, kernel, series, weights
 
 
 @pytest.fixture(scope="module")
@@ -256,11 +256,8 @@ EVALUATORS = {
 }
 
 
-# series only on integer coefficients: float S(n) tables are not prefix-consistent
 @pytest.mark.parametrize("route,name", [
-    *((r, n) for r in ("weight", "ratio") for n in ("ones", "d", "omega", "log1")),
-    *(("series", n) for n in ("ones", "d", "omega")),
-])
+    (r, n) for r in ("weight", "ratio", "series") for n in ("ones", "d", "omega", "log1")])
 def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
     fam, pts, tol = fams[name], [2.1, 2.4 + 0.3j, 2.8 - 0.5j], 1e-8
     check = kernel.gram_psd(fam, points=pts, kernel=route, tol=tol)
@@ -275,6 +272,28 @@ def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
             n_terms.add(ev.n_terms)
     # entries sum different prefixes of the one Gram table
     assert len(n_terms) > 1 and max(n_terms) == check.n_terms_max
+
+
+@pytest.mark.parametrize("name,params,delta", [
+    ("log_pow", {"alpha": 1}, None), ("divisor_pow", {"alpha": 1}, 0.3), ("omega", {}, 0.25)])
+def test_float_series_tables_are_prefix_consistent(name, params, delta):
+    route = kernel._route(weights.named_family(name, **params), delta, "series")
+    full = route.table(2 * 10**5)
+    for m in (1, 2, 64, 999, 1000, 1001, 4097, 65537, 10**5, 2 * 10**5 - 1):
+        assert route.table(m).tobytes() == full[: m + 1].tobytes(), m
+
+
+@pytest.mark.parametrize("name,params", [
+    ("omega", {}), ("divisor_pow", {"alpha": 1}), ("d_beta", {"beta": "3/2"}),
+    ("geometric", {"ratio": "1/2"}), ("log_pow", {"alpha": 1})])
+def test_series_table_builds_the_factor_tables_once(name, params, monkeypatch):
+    calls, factor_tables = [], _accel.factor_tables
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    for fam in (weights.named_family(name, **params),
+                weights.named_family("one_plus", base=weights.named_family(name, **params))):
+        calls.clear()
+        kernel._route(fam, None, "series").table(5000)
+        assert calls == [5000]
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])

@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from dirweight import arith, series, weights
+from dirweight import _accel, arith, series, weights
 
 
 # -- named families -----------------------------------------------------------
@@ -130,6 +130,13 @@ def test_structural_law_on_random_coprime_pairs(name, params):
     assert weights.audit_structure(fam, pairs=200, limit=10**4)
 
 
+def test_structure_audit_needs_a_coprime_pair():
+    ones = weights.named_family("ones")
+    assert weights.audit_structure(ones, pairs=10, limit=3)  # 2 and 3
+    with pytest.raises(ValueError, match="needs limit >= 3, got 1"):
+        weights.audit_structure(ones, limit=1)
+
+
 def test_audit_positivity_and_growth_bound():
     for name, params in [("ones", {}), ("omega", {}), ("big_omega", {}),
                           ("divisor_pow", {"alpha": 2}), ("d_beta", {"beta": 3}),
@@ -198,6 +205,33 @@ def test_prime_power_table_rejects_a_non_positive_value():
         fam.values_table(100)
     with pytest.raises(ValueError, match=r"f\(7,1\) = 0 not positive"):
         fam.value(14)
+
+
+_PRIME_POWER_FAMILIES = [
+    ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 1}),
+    ("divisor_pow", {"alpha": 3}), ("divisor_pow", {"alpha": "1/2"}), ("d_beta", {"beta": 2}),
+    ("d_beta", {"beta": "3/2"}), ("geometric", {"ratio": "1/2"}), ("geometric", {"ratio": 3}),
+    ("geometric", {"ratio": 0.7}),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name,params", _PRIME_POWER_FAMILIES)
+def test_prime_power_is_the_value_at_p_to_the_r_bit_for_bit(name, params, exact):
+    fam = weights.named_family(name, **params)
+    if not exact:
+        fam.exact = False  # what --float does
+    for p in arith.primes_up_to(200).tolist():
+        for r in range(9):
+            got, want = fam.prime_power(p, r), fam.value(p**r)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (p, r)
+
+
+def test_prime_power_past_the_float_range_is_a_value_error():
+    fam = weights.named_family("divisor_pow", alpha="801/2")
+    for read in (lambda: fam.prime_power(2, 5), lambda: fam.value(96)):
+        with pytest.raises(ValueError, match=r"f\(2,5\) of divisor_pow\(alpha=801/2\) is past"):
+            read()
 
 
 # -- measure-induced weights --------------------------------------------------
@@ -403,6 +437,16 @@ def test_additive_growth_positive_delta_flagged():
     assert rep.delta_nonpositive is False
 
 
+@pytest.mark.parametrize("name,params", _PRIME_POWER_FAMILIES)
+def test_growth_checks_read_prime_powers_without_factorizing(name, params, monkeypatch):
+    calls, factorize = [], arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    fam = weights.named_family(name, **params)
+    mult = fam.kind == "multiplicative"
+    check = weights.check_multiplicative_growth if mult else weights.check_additive_growth
+    assert check(fam).checks == 25 * (6 if mult else 5) and calls == []
+
+
 def test_growth_check_kind_mismatch():
     with pytest.raises(ValueError):
         weights.check_additive_growth(weights.named_family("ones"))
@@ -432,6 +476,24 @@ def test_smooth_sum_ones_dominated_by_zeta():
     ones = weights.named_family("ones")
     total = weights.smooth_partial_sum(ones, 2.0, 5, 10**4)
     assert 0 < total <= series.ZETA_TABLE[2] - 1.0
+
+
+@pytest.mark.parametrize("name,params", [("omega", {}), ("divisor_pow", {"alpha": 1}),
+                                         ("geometric", {"ratio": "1/2"}), ("log_pow", {})])
+def test_smooth_partial_sum_builds_the_factor_tables_once(name, params, monkeypatch):
+    calls, factor_tables = [], _accel.factor_tables
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    plus = weights.named_family("one_plus", base=weights.named_family(name, **params))
+    weights.smooth_partial_sum(plus, 1.5, 3, 4096)
+    assert calls == [4096]
+
+
+def test_smooth_partial_sum_is_the_literal_sum():
+    w = weights.named_family("omega")
+    for n, cutoff in [(1, 64), (3, 300), (30, 100)]:  # p_30 = 113 lies past the cutoff 100
+        p_n = arith.first_primes(n)[-1]
+        want = sum(w.value(j) * j**-1.5 for j in range(2, cutoff + 1) if arith.gpf(j) <= p_n)
+        assert weights.smooth_partial_sum(w, 1.5, n, cutoff) == pytest.approx(want, rel=1e-12)
 
 
 def test_smooth_sum_cutoff_validation():
