@@ -18,6 +18,8 @@ import sys
 from contextlib import ExitStack
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import arith, condition, kernel, weights
 
 SCHEMA_VERSION = "1.0"
@@ -475,7 +477,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a value that is not finite is inconclusive
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -320,24 +320,32 @@ def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     return tokens, tokens if shared else list(map(str, scalars))
 
 
+def _exact_values(w: WeightFamily, k: int, ft) -> list:
+    """w_j for j <= n_max as Python ints and Fractions, zero below k: one
+    prime-power fill of w.prime_power (multiplicative and additive
+    families), 1 + the base's values (one_plus), else value().  value(j)
+    of a prime-power family would factorize every j."""
+    base = w.params.get("base")
+    if isinstance(base, WeightFamily):
+        return [0] * k + [1 + v for v in _exact_values(base, k, ft)[k:]]
+    if w.kind in ("multiplicative", "additive"):
+        op = np.multiply if w.kind == "multiplicative" else np.add
+        fq = _accel.prime_power_values(ft, w.prime_power, object)
+        return [0] * k + _accel.prime_power_fill(ft, fq, op)[k:].tolist()
+    return [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
+
+
 def _divisor_sums(w: WeightFamily, delta: float, k: int, ft, table, exact: bool):
     """S(n) for every n <= n_max by one Dirichlet convolution of ``table``
     with ft.mu: in float64; exact in int64 when ``table`` holds the exact
     weights and every partial sum stays below 2^53; else in Python ints and
-    Fractions, of the weights from one prime-power fill of w.prime_power
-    (multiplicative and additive families) or from value()."""
+    Fractions, of _exact_values."""
     if not exact:
         return _accel.divisor_sum_table(table, ft.mu, delta, k)
     if table is not None:
         # every partial sum is an integer below 2^53, hence exact in float64
         return _accel.divisor_sum_table(table, ft.mu, 0.0, k).astype(np.int64)
-    if w.kind in ("multiplicative", "additive"):  # value(j) would factorize every j
-        op = np.multiply if w.kind == "multiplicative" else np.add
-        fq = _accel.prime_power_values(ft, w.prime_power, object)
-        vals = [0] * k + _accel.prime_power_fill(ft, fq, op)[k:].tolist()
-    else:
-        vals = [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
-    return np.array(_accel.exact_convolve(vals, ft.mu.tolist()), dtype=object)
+    return np.array(_accel.exact_convolve(_exact_values(w, k, ft), ft.mu.tolist()), dtype=object)
 
 
 def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):

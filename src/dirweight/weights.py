@@ -15,7 +15,6 @@ here only corroborate a declaration (see ``smooth_partial_sum``).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,17 +27,6 @@ from . import _accel, arith
 
 #: Default ceiling for positivity/growth/structure audits.
 AUDIT_CEILING = 10_000
-
-#: The alphas the gamma quadrature serves.  Below 1e-4 its t = u^alpha
-#: branch misses the 1e-12 target (5e-5 relative error at alpha = 1e-5).
-#: Past 44 the cutoff 8 alpha reaches u where e^(-2u) is a subnormal float;
-#: the lost bits keep panels from meeting the relative test, and the
-#: refinement runs to depth 40.
-GAMMA_QUADRATURE_ALPHAS = (1e-4, 44.0)
-
-#: Most panels one adaptive quadrature may examine (depth 40 allows 2^40);
-#: the gamma integrals over GAMMA_QUADRATURE_ALPHAS examine at most ~24,000.
-QUADRATURE_PANELS = 1 << 17
 
 
 def _parse_scalar(v):
@@ -314,88 +302,28 @@ class MeasureSpec:
         return any(sig == 0 for sig, _ in self.atoms)
 
 
-@functools.lru_cache(maxsize=None)
-def _gl_nodes(order: int = 24):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def _gl_panel(fvec, a: float, b: float) -> float:
-    x, w = _gl_nodes()
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.dot(w, fvec(mid + half * x)))
-
-
-def _adaptive_gl(fvec, a: float, b: float, rel_tol: float, depth: int = 0) -> float:
-    """Adaptive Gauss-Legendre: split a panel until the two-half refinement
-    agrees with the single-panel value to rel_tol, or its depth (``depth`` for
-    [a, b]) reaches 40; each half is passed down as its child's single-panel
-    value.  Raises ValueError past QUADRATURE_PANELS panels."""
-    panels = iter(range(QUADRATURE_PANELS))
-
-    def refine(a, b, whole, depth):
-        if next(panels, None) is None:
-            raise ValueError(f"adaptive quadrature needs over {QUADRATURE_PANELS} panels")
-        mid = 0.5 * (a + b)
-        left, right = _gl_panel(fvec, a, mid), _gl_panel(fvec, mid, b)
-        refined = left + right
-        if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 40:
-            return refined
-        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
-
-    return refine(a, b, _gl_panel(fvec, a, b), depth)
-
-
-def _gamma_cutoff(alpha: float) -> float:
-    # truncated mass below 1e-14 of the full integral Gamma(alpha)/2^alpha
-    total = math.gamma(alpha) / 2.0**alpha
-    a = max(40.0, 8.0 * alpha)
-    while math.exp(-a) > 1e-14 * total:
-        a += 10.0
-    return a
-
-
-@functools.lru_cache(maxsize=None)
-def _gamma_core(alpha: float) -> float:
-    """The n-independent integral of e^(-2u) u^(alpha-1) over [0, cutoff],
-    by adaptive Gauss-Legendre (relative target 1e-12); Gamma(alpha)/2^alpha
-    in closed form."""
-    lo, hi = GAMMA_QUADRATURE_ALPHAS
-    if not lo <= alpha <= hi:
-        raise ValueError(f"the gamma-density quadrature needs {lo:g} <= alpha <= {hi:g}, "
-                         f"got {alpha}")
-    cutoff = _gamma_cutoff(alpha)
-    if alpha >= 1.0:
-        integrand = lambda u: np.exp(-2.0 * u) * u ** (alpha - 1.0)
-        return _adaptive_gl(integrand, 0.0, cutoff, 1e-12)
-    # t = u^alpha removes the endpoint singularity
-    integrand = lambda t: np.exp(-2.0 * t ** (1.0 / alpha)) / alpha
-    return _adaptive_gl(integrand, 0.0, cutoff**alpha, 1e-12)
-
-
 def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
     """Weight induced by a measure: w_n = 1 / integral of n^(-2 sigma).
 
-    Discrete specs sum exactly.  For the gamma density the substitution
-    u = sigma * log n leaves 2^alpha / (Gamma(alpha) (log n)^alpha) times an
-    integral that does not depend on n; ``_gamma_core`` computes it once
-    per alpha.
+    Discrete specs sum exactly.  For the gamma density Euler's integral
+    gives 2^alpha/Gamma(alpha) int sigma^(alpha-1) e^(-2 sigma log n) dsigma
+    = (log n)^(-alpha), so w_n = (log n)^alpha in closed form.  A weight
+    that is not a finite positive float raises ValueError.
     """
     n = arith._check_positive(n)
     if n < max(n0, 2):
         raise ValueError(f"measure-induced weight needs n >= max(n0, 2), got {n}")
     if spec.kind == "discrete":
         inv = sum(mass * n ** (-2.0 * sig) for sig, mass in spec.atoms)
-        if not (inv > 0 and math.isfinite(inv)):
-            raise ValueError(f"measure integral at n={n} is {inv}; no weight defined")
-        return 1.0 / inv
-    alpha = spec.alpha
-    core = _gamma_core(alpha)
-    ln = math.log(n)
-    pref = 2.0**alpha / (math.gamma(alpha) * ln**alpha)
-    inv = pref * core
-    if not (inv > 0 and math.isfinite(inv)):
-        raise ValueError(f"measure integral at n={n} is {inv}; no weight defined")
-    return 1.0 / inv
+        w = 1.0 / inv if inv > 0 else math.inf
+    else:
+        try:
+            w = math.log(n) ** spec.alpha
+        except OverflowError:
+            w = math.inf
+    if not 0 < w < math.inf:
+        raise ValueError(f"measure-induced weight at n={n} is {w}; no weight defined")
+    return w
 
 
 def measure_family(
@@ -410,8 +338,7 @@ def measure_family(
         bound = (1.0 / m_min, 2.0 * s_min)
     else:
         a = spec.alpha
-        _gamma_core(a)  # fails at build time if the quadrature cannot serve alpha
-        # w_n tracks (log n)^alpha and log n <= (2/e) sqrt(n)
+        # w_n = (log n)^alpha and log n <= (2/e) sqrt(n)
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
     def batch(n, ft):

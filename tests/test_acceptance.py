@@ -128,7 +128,7 @@ def test_criterion_07_quadrature_identity():
                 ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
-    _report(7, ok, f"gamma-density quadrature reproduces log powers to 1e-6 "
+    _report(7, ok, f"gamma-density measure weights reproduce log powers to 1e-6 "
                    f"({elapsed:.2f} s)")
 
 

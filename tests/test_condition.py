@@ -647,6 +647,8 @@ def test_exact_disagreement_raises(fam, monkeypatch):
     ("geometric", {"ratio": "1/2"}, ("divisor_sum", "mult_product"), 0.0),  # Fractions
     ("geometric", {"ratio": "1/2"}, ("divisor_sum",), -1.0),  # the closed-form float table
     ("one_plus", {"base": weights.named_family("omega")}, ("divisor_sum",), None),
+    # Fractions: 1 + the base's prime-power fill
+    ("one_plus", {"base": weights.named_family("geometric", ratio="1/2")}, ("divisor_sum",), None),
 ])
 def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
                                                             monkeypatch):
@@ -660,6 +662,20 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")
     assert calls == [1000]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_directly_built_multiplicative_family_reads_value_at_prime_powers(exact):
+    # WeightFamily's own prime_power: value(p**r), with no prime-power function
+    w = weights.WeightFamily("d", "multiplicative", 1, 1.0, 0.0, (2.0, 0.5),
+                             arith.divisor_count, exact=exact)
+    pairs = [(2, 0), (2, 3), (7, 2)]
+    assert [w.prime_power(p, r) for p, r in pairs] == [w.value(p**r) for p, r in pairs] == [1, 4, 3]
+    rep = condition.check_range(w, None, 1, 300, methods=("divisor_sum", "mult_product"))
+    assert rep.mode == ("exact" if exact else "float")
+    assert [r.value for r in rep.records] == [
+        v for n in range(1, 301)
+        for v in (condition.divisor_sum(w, None, 1, n), condition.mult_product(w, None, n))]
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -260,7 +261,6 @@ def test_gamma_density_reproduces_log_powers(alpha):
 
 
 def test_gamma_density_fractional_alpha():
-    # singular-endpoint branch of the quadrature
     spec = weights.MeasureSpec("gamma_density", alpha=0.5)
     got = weights.measure_induced(spec, 2, 10)
     assert got == pytest.approx(math.log(10) ** 0.5, rel=1e-8)
@@ -283,15 +283,43 @@ def test_measure_spec_validation():
     assert not weights.MeasureSpec("discrete", atoms=((0.5, 1.0),)).has_zero_support
 
 
-@pytest.mark.parametrize("alpha", [1e-320, 1e-5, 44.5, 48.0, 120.0, 400.0])
-def test_gamma_family_outside_the_quadrature_range_is_rejected(alpha):
-    # 48 and 120 refined without end, 1e-5 missed the target by 5e-5, and
-    # Gamma(alpha) overflowed at 1e-320 and 400
-    spec = weights.MeasureSpec("gamma_density", alpha=alpha)
-    with pytest.raises(ValueError, match="quadrature needs"):
-        weights.measure_family(spec)
-    with pytest.raises(ValueError, match="quadrature needs"):
-        weights.measure_induced(spec, 2, 10)
+@pytest.mark.parametrize("alpha", [1e-320, 1e-5, 44.5, 48.0, 120.0])
+def test_gamma_family_is_the_closed_form_across_its_domain(alpha):
+    fam = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
+    table = fam.values_table(1000)
+    for n in (2, 3, 10, 364, 1000):
+        assert fam.value(n) == table[n] == math.log(n) ** alpha
+
+
+@pytest.mark.parametrize("spec,n", [
+    (weights.MeasureSpec("gamma_density", alpha=400.0), 364),  # (log n)^400 overflows first here
+    (weights.MeasureSpec("discrete", atoms=((155.0, 1.0),)), 10),  # 1 / 10^-310 overflows
+], ids=["gamma_density-400.0", "discrete-155.0"])
+def test_measure_weight_past_the_float_range_is_a_value_error(spec, n):
+    fam = weights.measure_family(spec)
+    assert 0 < fam.value(n - 1) < math.inf
+    with pytest.raises(ValueError, match=f"^measure-induced weight at n={n} is inf; no weight"):
+        fam.value(n)
+    with pytest.raises(ValueError, match=f"at n={n} is inf"):
+        fam.values_table(n)
+
+
+def _gamma_weight_oracle(alpha, n):
+    """1 / (2^alpha/Gamma(alpha) int_0^oo sigma^(alpha-1) n^(-2 sigma) dsigma)
+    by mpmath.quad at 30 digits.  On [0, 1] the singular part sigma^(alpha-1)
+    integrates to 1/alpha, and the quadrature takes the bounded rest."""
+    with mpmath.workdps(30):
+        a, c = mpmath.mpf(alpha), 2 * mpmath.log(n)
+        head = mpmath.quad(lambda s: s ** (a - 1) * mpmath.expm1(-c * s), [0, 1])
+        tail = mpmath.quad(lambda s: s ** (a - 1) * mpmath.exp(-c * s), [1, mpmath.inf])
+        return float(mpmath.gamma(a) / (2**a * (1 / a + head + tail)))
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 0.5, 1.0, 2.0, 3.0, 12.0, 60.0])
+def test_gamma_weights_are_the_measure_integral(alpha):
+    fam = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
+    for n in (2, 3, 10, 10**3, 10**6):
+        assert fam.value(n) == pytest.approx(_gamma_weight_oracle(alpha, n), rel=1e-13, abs=0)
 
 
 def test_measure_induced_needs_n_past_start():
@@ -318,78 +346,9 @@ def test_measure_table_is_the_scalar_weights_bit_for_bit(spec):
     assert all(table[m] == fam.value(m) for m in range(2, n + 1))
 
 
-def test_gamma_table_runs_the_quadrature_once(monkeypatch):
-    adaptive, top_level = weights._adaptive_gl, []
-
-    def counting(fvec, a, b, rel_tol, _depth=0):
-        if _depth == 0:
-            top_level.append((a, b))
-        return adaptive(fvec, a, b, rel_tol, _depth)
-
-    monkeypatch.setattr(weights, "_adaptive_gl", counting)
-    weights._gamma_core.cache_clear()
-    fam = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=2.0))
-    fam.values_table(10**4)
-    fam.value(17)
-    assert len(top_level) == 1
-    assert weights._gamma_core.cache_info().misses == 1
-
-
-def test_adaptive_quadrature_stops_at_its_panel_budget():
-    class Runaway(Exception):
-        pass
-
-    calls = 0
-
-    def nan_integrand(u):  # no panel ever converges
-        nonlocal calls
-        calls += 1
-        if calls > 10**6:
-            raise Runaway
-        return np.full_like(u, np.nan)
-
-    with pytest.raises(ValueError, match="panels"):
-        weights._adaptive_gl(nan_integrand, 0.0, 1.0, 1e-12)
-    assert calls == 1 + 2 * weights.QUADRATURE_PANELS  # [a, b], then two halves per panel
-
-
-def _reference_adaptive_gl(fvec, a, b, rel_tol, depth=0):
-    """The recursion that evaluated each split panel twice: once as a half
-    of its parent, once as its own single-panel value."""
-    mid = 0.5 * (a + b)
-    whole = weights._gl_panel(fvec, a, b)
-    refined = weights._gl_panel(fvec, a, mid) + weights._gl_panel(fvec, mid, b)
-    if abs(refined - whole) <= rel_tol * max(abs(refined), 1e-300) or depth >= 40:
-        return refined
-    return (_reference_adaptive_gl(fvec, a, mid, rel_tol, depth + 1)
-            + _reference_adaptive_gl(fvec, mid, b, rel_tol, depth + 1))
-
-
-def test_adaptive_quadrature_evaluates_each_panel_once(monkeypatch):
-    panel, seen = weights._gl_panel, []
-    monkeypatch.setattr(weights, "_gl_panel",
-                        lambda fvec, a, b: seen.append((a, b)) or panel(fvec, a, b))
-    weights._gamma_core.__wrapped__(1e-4)
-    assert len(seen) == len(set(seen)) > 10**4
-
-
-def test_gamma_core_is_the_reference_recursion_bit_for_bit(monkeypatch):
-    lo, hi = weights.GAMMA_QUADRATURE_ALPHAS
-    alphas = [*np.geomspace(lo, hi, 96).tolist(), 0.5, 1.0, 2.0, 3.0]
-    got = [weights._gamma_core.__wrapped__(a).hex() for a in alphas]
-    monkeypatch.setattr(weights, "_adaptive_gl", _reference_adaptive_gl)
-    assert got == [weights._gamma_core.__wrapped__(a).hex() for a in alphas]
-
-
-@pytest.mark.parametrize("alpha", [1e-4, 0.5, 1.0, 2.0, 3.0, 7.3, 44.0])
-def test_gamma_core_is_the_gamma_function(alpha):
-    want = math.gamma(alpha) / 2.0**alpha
-    assert weights._gamma_core(alpha) == pytest.approx(want, rel=1e-12, abs=0)
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_gamma_table_matches_log_pow_closed_form(alpha):
-    # the quadrature cross-checks log_pow's w_n = (log n)^alpha
+    # scalar math.log and pow (gamma) against numpy's log and power (log_pow)
     n = 10**4
     gamma = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
     closed = weights.named_family("log_pow", alpha=alpha)
