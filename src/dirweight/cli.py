@@ -241,7 +241,7 @@ def cmd_classify(args) -> int:
     base = fam.params.get("base")
     if isinstance(base, weights.WeightFamily) and base.kind == "multiplicative":
         increasing = all(
-            float(base.prime_power(p, j)) <= float(base.prime_power(p, j + 1))
+            base.prime_power(p, j) <= base.prime_power(p, j + 1)
             for p in arith.first_primes(10)
             for j in range(0, 5)
         )

@@ -32,7 +32,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from . import _accel, arith
-from .weights import WeightFamily, _int
+from .weights import WeightFamily, _int, _to_float
 
 NONNEG_EXACT = "nonneg_exact"
 NONNEG_TOL = "nonneg_within_tol"
@@ -80,7 +80,7 @@ def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
             total += w.value(j) * m
         else:
             coef = 1.0 if delta == 0.0 else j ** (-delta)
-            total += float(w.value(j)) * m * coef
+            total += _to_float(w.value(j)) * m * coef
     return total
 
 
@@ -91,7 +91,7 @@ def _prime_power_factor(w, delta, exact, p, r):
     if exact:
         return hi - lo
     pd = 1.0 if delta == 0.0 else p ** (-delta)
-    return pd ** (r - 1) * (pd * float(hi) - float(lo))
+    return pd ** (r - 1) * (pd * _to_float(hi) - _to_float(lo))
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -300,14 +300,6 @@ def _scalar_json(v):
     return float(v)
 
 
-def _margin(v) -> float:
-    """float(v), or +-inf for an exact value past the float64 range."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     """The JSON and the CSV token of each entry of a column chunk: str() of
     ints and repr() of floats in both, except NaN/Infinity (JSON) against
@@ -455,7 +447,7 @@ def check_range(
     try:
         margin = value.astype(np.float64)
     except OverflowError:  # an exact value past float64
-        margin = np.array(list(map(_margin, value.tolist())))
+        margin = np.array(list(map(_to_float, value.tolist())))
     code = np.where(value < 0 if exact else margin < -tol, VERDICTS.index(NEGATIVE),
                     VERDICTS.index(NONNEG_EXACT if exact else NONNEG_TOL)).astype(np.int8)
     if not exact:  # a NaN or inf value decides nothing

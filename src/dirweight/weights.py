@@ -8,6 +8,12 @@ Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
 routes and the growth audits read without factorizing p^r.
 
+Each family has one definition of w_n, evaluated two ways: ``value(n)``
+(int/Fraction for exact families, else float) and ``values_table(n)``,
+the float column the kernels and the float condition routes read.  Entry
+m of the column is ``_to_float(value(m))`` bit for bit (the exceptions are
+in ``values_table``).  Nothing is cached: each call evaluates afresh.
+
 The abscissas are declared, never inferred: the smooth-restricted infimum
 defining delta is not numerically decidable, so partial-sum diagnostics
 here only corroborate a declaration (see ``smooth_partial_sum``).
@@ -68,6 +74,28 @@ def _optional_float(v):
     return None if v is None else _float(v)
 
 
+def _finite(params: dict, key: str, default):
+    """A named family's parameter params[key] (default when absent), as
+    parsed (see _parse_scalar) and as a float, which must be finite."""
+    v = params.get(key, default)
+    try:
+        x, xf = _parse_scalar(v), _float(v)
+        if not math.isfinite(xf):
+            raise ValueError(f"expected a finite number, got {v!r}")
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from e
+    return x, xf
+
+
+def _to_float(v) -> float:
+    """float(v), or +-inf for an exact value past the float64 range: the
+    one conversion of an exact weight or condition value to a float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
@@ -78,7 +106,8 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).  ``batch_fn(n, ft)`` builds ``values_table(n, ft)``.
+    (additive).  ``batch_fn(n, ft)`` builds ``values_table(n, ft)`` from
+    the same definition as ``value_fn``.
     ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
@@ -118,8 +147,6 @@ class WeightFamily:
         self.params = dict(params or {})
         self._value_fn = value_fn
         self._batch_fn = batch_fn
-        self._cache: dict[int, object] = {}
-        self._table_cache: dict[int, np.ndarray] = {}
 
     def __repr__(self):
         return f"WeightFamily({self.name!r}, kind={self.kind}, k={self.start_index})"
@@ -146,31 +173,26 @@ class WeightFamily:
             raise ValueError(
                 f"weight {self.name} undefined at n={n} (starts at {self.defined_from})"
             )
-        hit = self._cache.get(n)
-        if hit is None:
-            hit = self._value_fn(n)
-            self._cache[n] = hit
-        return hit
+        return self._value_fn(n)
 
     def values_table(self, n: int, ft: _accel.FactorTables | None = None) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
-        the defined range are zero.  Feeds the numeric kernels.  A table
-        that reads arithmetic columns takes them from ``ft``, the caller's
-        ``_accel.factor_tables(n)``, or builds them when it is None.  The
-        table is read-only because it may be the cached one: copy it to edit."""
-        cached = self._table_cache.get(n)
-        if cached is not None:
-            return cached
+        the defined range are zero.  Feeds the numeric kernels.  Entry m is
+        ``_to_float(value(m))`` bit for bit: the table and value() evaluate
+        one definition (the prime-power fill, the measure expression, or
+        value() per n).  Two exceptions: an integer-valued table multiplies
+        floats, so it is exact only below 2^53 (see integer_valued), and
+        one_plus over a Fraction-valued base is 1.0 + the base's float,
+        rounded twice.  A table that reads arithmetic columns takes them
+        from ``ft``, the caller's ``_accel.factor_tables(n)``, or builds
+        them when it is None."""
         if self._batch_fn is not None:
             table = np.asarray(self._batch_fn(n, ft), dtype=np.float64)
         else:
             table = np.zeros(n + 1, dtype=np.float64)
             for m in range(self.defined_from, n + 1):
-                table[m] = float(self.value(m))
+                table[m] = _to_float(self.value(m))
         table[: self.defined_from] = 0.0
-        table.setflags(write=False)
-        if len(self._table_cache) < 4:  # keep the few hot sizes only
-            self._table_cache[n] = table
         return table
 
     def prime_power(self, p: int, r: int):
@@ -205,8 +227,9 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
     Without a batch_fn the table calls f once per prime power <= n and is
-    one ``_accel.prime_power_fill``: in float64, or in Python ints and
-    Fractions converted with float() at the end, as value() would be."""
+    one ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or
+    in Python ints and Fractions converted with _to_float at the end, as
+    value() would be."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
     identity = op.identity if exact else float(op.identity)
 
@@ -231,7 +254,9 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
 
     def batch(n, ft):
         ft = _accel.factor_tables(n) if ft is None else ft
-        return _accel.prime_power_fill(ft, _accel.prime_power_values(ft, prime_power, dtype), op)
+        fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
+        w = _accel.prime_power_fill(ft, _accel.prime_power_values(ft, fp, dtype), op)
+        return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
     fam = WeightFamily(
         name, kind, 1 if op is np.multiply else 2, sigma, delta, growth_bound,
@@ -302,28 +327,40 @@ class MeasureSpec:
         return any(sig == 0 for sig, _ in self.atoms)
 
 
+def _measure_weights(spec: MeasureSpec, m: np.ndarray) -> np.ndarray:
+    """w_n = 1 / integral of n^(-2 sigma) dmu(sigma) at every n of the
+    float64 array m, by one numpy expression: the atoms summed, or for the
+    gamma density (log n)^alpha.  Each entry of numpy's log and power
+    depends on that entry alone, so a table and a one-element array get
+    the same bits.  A weight that is not a finite positive float raises
+    ValueError."""
+    with np.errstate(all="ignore"):  # overflow and 1/0 give inf, rejected below
+        if spec.kind == "discrete":
+            w = 1.0 / sum(mass * m ** (-2.0 * sig) for sig, mass in spec.atoms)
+        else:
+            w = np.log(m) ** spec.alpha
+    bad = ~((w > 0) & (w < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"measure-induced weight at n={int(m[i])} is {float(w[i])}; "
+                         "no weight defined")
+    return w
+
+
 def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
     """Weight induced by a measure: w_n = 1 / integral of n^(-2 sigma).
 
-    Discrete specs sum exactly.  For the gamma density Euler's integral
-    gives 2^alpha/Gamma(alpha) int sigma^(alpha-1) e^(-2 sigma log n) dsigma
-    = (log n)^(-alpha), so w_n = (log n)^alpha in closed form.  A weight
-    that is not a finite positive float raises ValueError.
+    Discrete specs sum over the atoms.  For the gamma density Euler's
+    integral gives 2^alpha/Gamma(alpha) int sigma^(alpha-1) e^(-2 sigma log n)
+    dsigma = (log n)^(-alpha), so w_n = (log n)^alpha in closed form.  The
+    value is _measure_weights at the one-element array [n], the entry of
+    the family's table at n bit for bit.  A weight that is not a finite
+    positive float raises ValueError.
     """
     n = arith._check_positive(n)
     if n < max(n0, 2):
         raise ValueError(f"measure-induced weight needs n >= max(n0, 2), got {n}")
-    if spec.kind == "discrete":
-        inv = sum(mass * n ** (-2.0 * sig) for sig, mass in spec.atoms)
-        w = 1.0 / inv if inv > 0 else math.inf
-    else:
-        try:
-            w = math.log(n) ** spec.alpha
-        except OverflowError:
-            w = math.inf
-    if not 0 < w < math.inf:
-        raise ValueError(f"measure-induced weight at n={n} is {w}; no weight defined")
-    return w
+    return float(_measure_weights(spec, np.array([n], dtype=np.float64))[0])
 
 
 def measure_family(
@@ -342,10 +379,8 @@ def measure_family(
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
     def batch(n, ft):
-        # per-n scalar calls: numpy's log and power differ from math.log and
-        # pow in the last bit for some n, and values_table must equal value()
         table = np.zeros(n + 1)
-        table[start:] = [measure_induced(spec, n0, m) for m in range(start, n + 1)]
+        table[start:] = _measure_weights(spec, np.arange(start, n + 1, dtype=np.float64))
         return table
 
     return WeightFamily(
@@ -404,10 +439,10 @@ def _growth_scan(w: WeightFamily, primes, max_exp: int, j_start: int) -> list:
             if w.exact and delta == 0.0:
                 ratio = Fraction(lo) / Fraction(hi)
                 ok = ratio <= 1
-                margin = float(1 - ratio)
-                rows.append((p, j, float(ratio), 1.0, margin, ok))
+                margin = _to_float(1 - ratio)
+                rows.append((p, j, _to_float(ratio), 1.0, margin, ok))
             else:
-                ratio = float(lo) / float(hi)
+                ratio = _to_float(lo) / _to_float(hi)
                 margin = bound - ratio
                 rows.append((p, j, ratio, bound, margin, margin >= 0.0))
     return rows
@@ -542,34 +577,26 @@ def _big_omega_family() -> WeightFamily:
     )
 
 
-def _divisor_pow_family(alpha) -> WeightFamily:
-    alpha = _parse_scalar(alpha)
+def _divisor_pow_family(alpha, af: float) -> WeightFamily:
     exact = isinstance(alpha, int) and alpha >= 0
-    af = float(alpha)
 
     def f(p, r):
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
-    def batch(n, ft):
-        # kept as d(n)**af: the product of the per-prime powers rounds differently
-        return _accel.divisor_count_table(n).astype(np.float64) ** af
-
     # d(n) <= 2 sqrt(n)
     return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0, growth_bound=(2.0**af, af / 2.0),
-        name=f"divisor_pow(alpha={alpha})", batch_fn=None if exact else batch, exact=exact,
+        name=f"divisor_pow(alpha={alpha})", exact=exact,
         params={"alpha": alpha}, integer_valued=exact,
     )
 
 
-def _d_beta_family(beta) -> WeightFamily:
+def _d_beta_family(beta, bf: float) -> WeightFamily:
     """Coefficients of the beta-th power of the zeta series, via the
     prime-power values binomial(beta + r - 1, r).  For non-integer beta the
     generalized binomial is used; equivalence with the series power then
     rests on the standard Euler-product expansion (float values)."""
-    beta = _parse_scalar(beta)
     exact = isinstance(beta, int) and beta >= 1
-    bf = float(beta)
 
     if exact:
         f = lambda p, r: math.comb(beta + r - 1, r)
@@ -591,33 +618,9 @@ def _d_beta_family(beta) -> WeightFamily:
     )
 
 
-def _log_pow_family(alpha) -> WeightFamily:
-    alpha = _parse_scalar(alpha)
-    af = float(alpha)
-    if af <= 0:
-        raise ValueError("log_pow needs alpha > 0")
-
-    def batch(n, ft):
-        out = np.zeros(n + 1)
-        if n >= 2:
-            out[2:] = np.log(np.arange(2, n + 1, dtype=np.float64)) ** af
-        return out
-
-    fam = WeightFamily(
-        f"log_pow(alpha={alpha})",
-        "measure_induced",
-        2,
-        1.0,
-        0.0,
-        # log(n) <= (2/e) sqrt(n)
-        (1.0 * (2.0 / math.e) ** af if af >= 1 else 1.0, af / 2.0),
-        lambda n: math.log(n) ** af,
-        batch_fn=batch,
-        exact=False,
-        params={"alpha": alpha,
-                "measure": MeasureSpec("gamma_density", alpha=af)},
-    )
-    return fam
+def _log_pow_family(alpha, af: float) -> WeightFamily:
+    """w_n = (log n)^alpha: the gamma-density measure family at alpha."""
+    return measure_family(MeasureSpec("gamma_density", alpha=af), name=f"log_pow(alpha={alpha})")
 
 
 def _one_plus_family(base: WeightFamily) -> WeightFamily:
@@ -636,7 +639,7 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
         1.0,
         0.0,
         (1.0 + c, max(tau, 0.0)),
-        lambda n: 1 + base.value(n) if base.exact else 1.0 + float(base.value(n)),
+        lambda n: 1 + base.value(n) if base.exact else 1.0 + _to_float(base.value(n)),
         batch_fn=batch,
         exact=base.exact,
         params={"base": base},
@@ -644,21 +647,22 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
     )
 
 
-def _geometric_family(ratio) -> WeightFamily:
+def _geometric_family(ratio, rf: float) -> WeightFamily:
     """Multiplicative family w_n = ratio^Omega(n) (prime-power value
     ratio^j).  With ratio < 1 this violates the multiplicative ratio
-    condition at j = 1, making it the stock negative control."""
-    ratio = _parse_scalar(ratio)
-    if not ratio > 0:
-        raise ValueError("geometric ratio must be positive")
+    condition at j = 1, making it the stock negative control.  An exact
+    ratio's table reads _to_float(ratio^j) at j = Omega(n); a float
+    ratio's is the prime-power fill."""
+    if not rf > 0:
+        raise ValueError(f"ratio: geometric ratio must be a positive float, got {rf!r}")
     exact = _is_exact(ratio)
-    rf = float(ratio)
     # ratio * 2^(-s) < 1 drives the smooth-restricted sums
     delta = math.log2(rf)
 
     def batch(n, ft):
         ft = _accel.factor_tables(n) if ft is None else ft
-        return rf ** ft.big_omega.astype(np.float64)
+        powers = [_to_float(ratio**j) for j in range(int(ft.big_omega.max()) + 1)]
+        return np.array(powers)[ft.big_omega]
 
     return multiplicative_from_prime_powers(
         lambda p, r: ratio**r,
@@ -666,7 +670,7 @@ def _geometric_family(ratio) -> WeightFamily:
         delta=delta,
         growth_bound=(1.0, max(0.0, delta)),
         name=f"geometric(ratio={ratio})",
-        batch_fn=batch,
+        batch_fn=batch if exact else None,
         exact=exact,
         params={"ratio": ratio},
     )
@@ -676,10 +680,10 @@ _NAMED_BUILDERS = {
     "ones": (lambda params: _ones_family(), set()),
     "omega": (lambda params: _omega_family(), set()),
     "big_omega": (lambda params: _big_omega_family(), set()),
-    "divisor_pow": (lambda params: _divisor_pow_family(params.get("alpha", 1)), {"alpha"}),
-    "log_pow": (lambda params: _log_pow_family(params.get("alpha", 1)), {"alpha"}),
-    "d_beta": (lambda params: _d_beta_family(params.get("beta", 2)), {"beta"}),
-    "geometric": (lambda params: _geometric_family(params.get("ratio", "1/2")), {"ratio"}),
+    "divisor_pow": (lambda params: _divisor_pow_family(*_finite(params, "alpha", 1)), {"alpha"}),
+    "log_pow": (lambda params: _log_pow_family(*_finite(params, "alpha", 1)), {"alpha"}),
+    "d_beta": (lambda params: _d_beta_family(*_finite(params, "beta", 2)), {"beta"}),
+    "geometric": (lambda params: _geometric_family(*_finite(params, "ratio", "1/2")), {"ratio"}),
 }
 
 

@@ -527,8 +527,11 @@ def test_python_dash_m_runs_the_cli():
 
 # -- values past the float range ----------------------------------------------
 
-# d(n)^400.5 overflows to inf at d(n) >= 6, and inf - inf gives NaN values of S(n)
-OVERFLOWING = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": "801/2"}}
+# every f(p, r) = (r + 1)^350.5 with r <= 5 is finite, but the products at
+# d(n) >= 8 overflow to inf, and inf - inf gives NaN values of S(n)
+OVERFLOWING = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": "701/2"}}
+# f(2, 5) = 6^400.5 is past the float range
+PAST_FLOAT = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": "801/2"}}
 
 
 def test_non_finite_condition_values_are_inconclusive(tmp_path, capsys):
@@ -539,12 +542,12 @@ def test_non_finite_condition_values_are_inconclusive(tmp_path, capsys):
                 "--out", out]) == 3
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "checking condition for divisor_pow(alpha=801/2) up to n = 50",
+        "checking condition for divisor_pow(alpha=701/2) up to n = 50",
         f"wrote {out}.json", f"wrote {out}.csv", "verdict: inconclusive"]
     result = json.loads(captured.out)["result"]
     values = [r["value"] for r in result["records"]]
-    assert (sum(map(math.isnan, values)), sum(map(math.isinf, values))) == (4, 10)
-    assert result["counts"] == {"nonneg_within_tol": 36, "inconclusive": 14}
+    assert (sum(map(math.isnan, values)), sum(map(math.isinf, values))) == (1, 5)
+    assert result["counts"] == {"nonneg_within_tol": 44, "inconclusive": 6}
     assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
                for r in result["records"])
 
@@ -562,13 +565,85 @@ def test_non_finite_kernel_values_are_inconclusive(tmp_path, capsys):
         assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
 
 
-@pytest.mark.parametrize("argv", [["classify"], ["check-condition", "--methods", "mult_product"]])
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["check-condition", "--methods", "mult_product"],
+    ["check-condition", "--methods", "divisor_sum"], ["eval-kernel", "--s", "300"],
+    ["gram", "--points", "300;301"]])
 def test_prime_power_past_the_float_range_exits_one(argv, tmp_path, capsys):
-    cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING, "n_max": 50})
+    cfg = write_config(tmp_path, "d.json", {"family": PAST_FLOAT, "n_max": 50})
     assert run([*argv, "--config", cfg, "--stdout"]) == 1
     captured = capsys.readouterr()
-    assert re.fullmatch(r"error: prime-power value f\(\d+,\d+\) of divisor_pow\(alpha=801/2\) "
-                        r"is past the float range", captured.err.splitlines()[-1])
+    # eval-kernel reports a family that cannot evaluate as a config error
+    assert re.fullmatch(r"(config )?error: prime-power value f\(2,5\) of "
+                        r"divisor_pow\(alpha=801/2\) is past the float range",
+                        captured.err.splitlines()[-1])
+    assert captured.out == ""
+
+
+# f(2, 5) = 6^400 > 2^1024: exact runs keep it, float runs read inf
+EXACT_PAST_FLOAT = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 400}}
+# w_n = 10^400 n past n = 1: S(n) = 10^400 (phi(n) - mu(n)) + mu(n) > 0
+EXPLICIT_PAST_FLOAT = {"kind": "explicit", "values": ["1", *(f"{j}e400" for j in range(2, 41))],
+                       "start_index": 1, "sigma": 1.0, "delta": 0.0, "growth_bound": [1e300, 0.0]}
+
+
+@pytest.mark.parametrize("family,argv,code,verdict", [
+    (EXACT_PAST_FLOAT, ["check-condition"], 0, "nonneg_exact"),
+    (EXACT_PAST_FLOAT, ["check-condition", "--methods", "divisor_sum,mult_product"], 0,
+     "nonneg_exact"),
+    (EXACT_PAST_FLOAT, ["check-condition", "--float"], 3, "inconclusive"),
+    (EXACT_PAST_FLOAT, ["classify"], 0, None),
+    (EXACT_PAST_FLOAT, ["gram", "--kernel", "weight", "--points", "300"], 3, "inconclusive"),
+    (EXPLICIT_PAST_FLOAT, ["check-condition"], 0, "nonneg_exact"),
+    (EXPLICIT_PAST_FLOAT, ["check-condition", "--float"], 3, "inconclusive"),
+    (EXPLICIT_PAST_FLOAT, ["classify"], 0, None),
+], ids=["exact", "exact-factored", "float", "classify", "gram", "explicit-exact",
+        "explicit-float", "explicit-classify"])
+def test_exact_weights_past_the_float_range_read_inf(family, argv, code, verdict, tmp_path,
+                                                     capsys):
+    cfg = write_config(tmp_path, "d.json", {"family": family, "n_max": 40})
+    assert run([*argv, "--config", cfg, "--no-timestamp", "--stdout"]) == code
+    result = json.loads(capsys.readouterr().out)["result"]
+    if argv[0] == "classify":
+        sample = result["condition_sample"]
+        assert sample["verdict"] == "nonneg_exact" and "direct condition route" in result[
+            "applicable_routes"]
+        return
+    assert result["verdict"] == verdict
+    if argv[0] == "gram":
+        assert math.isnan(result["min_eigenvalue"])
+        return
+    margins = [r["margin"] for r in result["records"]]
+    assert math.inf in margins and -math.inf not in margins
+    if verdict == "nonneg_exact":  # the Python-int routes: +inf margins, exact values
+        assert all(r["verdict"] == "nonneg_exact" for r in result["records"])
+        assert any(isinstance(r["value"], int) and r["value"] > 2**1024
+                   for r in result["records"])
+    else:
+        assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
+                   for r in result["records"])
+
+
+@pytest.mark.parametrize("name,key,value,message", [
+    ("divisor_pow", "alpha", "1e400", "number too large for a float: '1e400'"),
+    ("divisor_pow", "alpha", math.nan, "expected a finite number, got nan"),
+    ("divisor_pow", "alpha", math.inf, "expected a finite number, got inf"),
+    ("d_beta", "beta", math.nan, "expected a finite number, got nan"),
+    ("d_beta", "beta", "1e400", "number too large for a float: '1e400'"),
+    ("geometric", "ratio", math.nan, "expected a finite number, got nan"),
+    ("geometric", "ratio", -math.inf, "expected a finite number, got -inf"),
+    ("geometric", "ratio", "1e-400", "geometric ratio must be a positive float, got 0.0"),
+    ("log_pow", "alpha", "1e400", "number too large for a float: '1e400'"),
+    ("log_pow", "alpha", math.inf, "expected a finite number, got inf"),
+])
+def test_named_family_parameters_are_finite_floats(name, key, value, message, tmp_path,
+                                                   capsys):
+    # JSON NaN and Infinity once ran (exit 3) or failed with a traceback
+    family = {"kind": "named", "name": name, "parameters": {key: value}}
+    cfg = write_config(tmp_path, "p.json", {"family": family, "n_max": 20})
+    assert run(["check-condition", "--config", cfg, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"config error: {key}: {message}"]
     assert captured.out == ""
 
 

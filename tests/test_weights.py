@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import mpmath
@@ -154,15 +155,53 @@ def test_values_table_matches_value():
             assert table[n] == pytest.approx(float(fam.value(n)), rel=1e-12)
 
 
-def test_values_table_cache_cannot_be_corrupted():
-    fam = weights.named_family("omega")
-    table = fam.values_table(10)
-    with pytest.raises(ValueError):
-        table[5] = 99
-    assert fam.values_table(10)[5] == 1.0
-    # batch-built families derived from a base still get a fresh array
-    plus = weights.named_family("one_plus", base=fam)
-    assert list(plus.values_table(10)[1:]) == [1.0 + fam.value(n) for n in range(1, 11)]
+def _explicit_family():
+    # Fraction-valued, one value per n <= 10^4: its table is value() per n
+    return weights.family_from_config({
+        "kind": "explicit", "values": [f"{m}/{m % 7 + 1}" for m in range(1, 10**4 + 1)],
+        "start_index": 1, "sigma": 1.0, "delta": 0.0, "growth_bound": [1e4, 0.0]})
+
+
+_NAMED = [
+    ("ones", {}), ("omega", {}), ("big_omega", {}),
+    *(("divisor_pow", {"alpha": a}) for a in (1, 2, "1/2", "3/2")),
+    *(("d_beta", {"beta": b}) for b in ("3/2", 3)),
+    *(("log_pow", {"alpha": a}) for a in ("1/3", "1/2", 1, 2, 3)),
+    *(("geometric", {"ratio": r}) for r in ("1/2", "2/3", 3, 0.3)),
+]
+_ONE_DEFINITION = {
+    **{f"{name}({','.join(map(str, params.values()))})": partial(weights.named_family, name,
+                                                                  **params)
+       for name, params in _NAMED},
+    "gamma": lambda: weights.measure_family(weights.MeasureSpec("gamma_density", alpha=0.7)),
+    "discrete": lambda: weights.measure_family(
+        weights.MeasureSpec("discrete", atoms=((0.0, 0.5), (0.5, 0.25), (1.5, 0.25)))),
+    "explicit": _explicit_family,
+    "one_plus(omega)": lambda: weights.named_family("one_plus", base=weights.named_family("omega")),
+    "one_plus(divisor_pow(1/2))": lambda: weights.named_family(
+        "one_plus", base=weights.named_family("divisor_pow", alpha="1/2")),
+}
+
+
+@pytest.mark.parametrize("key", list(_ONE_DEFINITION))
+def test_values_table_is_the_value_column_bit_for_bit(key):
+    # the table and value() evaluate one definition: the kernels and the
+    # float condition routes read the same weights as the per-n routes
+    fam, n = _ONE_DEFINITION[key](), 10**4
+    want = np.zeros(n + 1)
+    want[fam.defined_from :] = [weights._to_float(fam.value(m))
+                                for m in range(fam.defined_from, n + 1)]
+    assert fam.values_table(n).tobytes() == want.tobytes()
+
+
+def test_one_plus_over_a_fraction_base_rounds_twice():
+    # the exception to the test above: the table is 1.0 + the base's float,
+    # which differs from float(1 + w_n) at 168 of these n
+    base = weights.named_family("geometric", ratio="2/3")
+    fam, n = weights.named_family("one_plus", base=base), 1000
+    table = fam.values_table(n)
+    assert table[1:].tobytes() == (1.0 + base.values_table(n)[1:]).tobytes()
+    assert sum(table[m] != float(fam.value(m)) for m in range(1, n + 1)) == 168
 
 
 def _fraction_family():
@@ -183,7 +222,7 @@ def test_prime_power_table_is_the_per_n_value_bit_for_bit(fam):
     f = fam._value_fn
     fam._value_fn = lambda m: calls.append(m) or f(m)
     table = fam.values_table(n)
-    assert calls == [] and fam._cache == {}  # built from f(p, r), not from value()
+    assert calls == []  # built from f(p, r), not from value()
     want = np.array([0.0] + [float(fam.value(m)) for m in range(1, n + 1)])
     assert table.tobytes() == want.tobytes()
 
@@ -288,7 +327,8 @@ def test_gamma_family_is_the_closed_form_across_its_domain(alpha):
     fam = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
     table = fam.values_table(1000)
     for n in (2, 3, 10, 364, 1000):
-        assert fam.value(n) == table[n] == math.log(n) ** alpha
+        closed = float((np.log(np.array([n], dtype=np.float64)) ** alpha)[0])
+        assert fam.value(n) == table[n] == closed
 
 
 @pytest.mark.parametrize("spec,n", [
@@ -339,8 +379,6 @@ def test_measure_table_is_the_scalar_weights_bit_for_bit(spec):
     n = 10**4
     fam = weights.measure_family(spec)
     table = fam.values_table(n)
-    assert not table.flags.writeable
-    assert fam._cache == {}  # the table build skips the per-n value cache
     want = np.array([0.0, 0.0] + [weights.measure_induced(spec, 2, m) for m in range(2, n + 1)])
     assert table.tobytes() == want.tobytes()
     assert all(table[m] == fam.value(m) for m in range(2, n + 1))
@@ -348,12 +386,13 @@ def test_measure_table_is_the_scalar_weights_bit_for_bit(spec):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_gamma_table_matches_log_pow_closed_form(alpha):
-    # scalar math.log and pow (gamma) against numpy's log and power (log_pow)
+    # log_pow is the gamma-density family: one definition, one growth bound
     n = 10**4
     gamma = weights.measure_family(weights.MeasureSpec("gamma_density", alpha=alpha))
     closed = weights.named_family("log_pow", alpha=alpha)
-    np.testing.assert_allclose(gamma.values_table(n)[2:], closed.values_table(n)[2:],
-                               rtol=1e-12, atol=0)
+    assert gamma.values_table(n).tobytes() == closed.values_table(n).tobytes()
+    for attr in ("growth_bound", "sigma", "delta", "kind", "start_index"):
+        assert getattr(gamma, attr) == getattr(closed, attr), attr
 
 
 # -- growth checks ------------------------------------------------------------
