@@ -13,7 +13,8 @@ omega, Omega, gpf and prime-power parts, one numpy pass per block), and
 every multiplicative or additive one from ``prime_power_fill``.  A run
 makes one ``factor_tables`` pass and hands it to every table it builds
 (``WeightFamily.values_table(n, ft)``); the single-column readers below
-serve callers that need one column.
+serve callers that need one column.  Every kernel partial sum goes
+through one blocked engine, ``power_sum``.
 """
 
 from __future__ import annotations
@@ -94,14 +95,18 @@ def prime_power_fill(ft: FactorTables, fq: np.ndarray, op) -> np.ndarray:
     """w[1] = the identity of op (np.multiply or np.add), and
     w[m] = op(w[m / P^r], fq[P^r]) with P^r = ppart[m], in fq's dtype.
 
-    Peeling the largest prime applies the prime powers of m in ascending
-    prime order, as a per-m loop over its factorization does, so float
-    and Python-object results equal that loop's bit for bit."""
-    w = np.zeros(len(ft.ppart), dtype=fq.dtype)
+    Consumes fq: w is filled in place over it and returned.  That is
+    sound because every prime power q gets w[q] = op(identity, fq[q]) =
+    fq[q], and a block reads fq only below itself or at m = q, before
+    it writes.  Peeling the largest prime applies the prime powers of m
+    in ascending prime order, as a per-m loop over its factorization
+    does, so float and Python-object results equal that loop's bit for
+    bit."""
+    w = fq
     w[1:2] = op.identity
     for lo, hi in _blocks(len(w) - 1):
         q = ft.ppart[lo:hi]
-        w[lo:hi] = op(w[np.arange(lo, hi, dtype=np.int32) // q], fq[q])
+        w[lo:hi] = op(w[np.arange(lo, hi, dtype=np.int32) // q], w[q])
     return w
 
 
@@ -194,14 +199,49 @@ def divisor_sum_table(
     return _convolve(vals, mu, int(k))
 
 
-def power_sum(vals: np.ndarray, start: int, z: complex) -> complex:
-    """Partial sum over j >= start of vals[j] * j^(-z)."""
+#: power_sum walks j in blocks [kB, (k + 1) B) at absolute multiples of B
+POWER_BLOCK = 1 << 14
+
+
+def power_sum(vals: np.ndarray, start: int, points, pairs, zeta: bool = False):
+    """For each pair (a, b, n): the sum over start <= j <= n of
+    vals[j] j^(-s_a) conj(j^(-s_b)), that is vals[j] j^(-z) at
+    z = s_a + conj(s_b), with s = points, as a complex128 array.  With
+    ``zeta`` it returns (sums, zetas), zetas[i] the same sum over
+    1 <= j <= n without vals.
+
+    j runs in blocks at absolute multiples of POWER_BLOCK.  A block makes
+    one log column and one column j^(-s) per point that a live pair uses
+    (a real exp when Im s = 0), and one BLAS dot (np.vdot) per live pair
+    over its slice; block partials add in ascending order.  So an entry's
+    value depends on (vals, start, s_a, s_b, n) alone, not on the pairs
+    that share the pass, and the columns take about m B 32 bytes for m
+    points.  Non-finite values propagate without a RuntimeWarning."""
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     start = max(int(start), 1)
-    n = len(vals) - 1
-    if start > n:
-        return 0j
-    zre, zim = float(z.real), float(z.imag)
-    logs = np.log(np.arange(start, n + 1, dtype=np.float64))
-    terms = vals[start:] * np.exp(-(zre + 1j * zim) * logs)
-    return complex(terms.sum())
+    points = [complex(p) for p in points]
+    pairs = [(int(a), int(b), min(int(n), len(vals) - 1)) for a, b, n in pairs]
+    sums = np.zeros(len(pairs), dtype=np.complex128)
+    zetas = np.zeros(len(pairs), dtype=np.complex128)
+    top = max((n for *_, n in pairs), default=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, top + 1, POWER_BLOCK):
+            first, hi = max(lo, 1), min(lo + POWER_BLOCK, top + 1)
+            begin = max(start, first) - first  # the slice of vals[first:hi] a sum reads
+            live = [(i, a, b, n + 1 - first) for i, (a, b, n) in enumerate(pairs)
+                    if n >= first and (zeta or n >= begin + first)]
+            if not live:
+                continue
+            logs = np.log(np.arange(first, hi, dtype=np.float64))
+            cols, weighted = {}, {}
+            for p in {p for _, a, b, _ in live for p in (a, b)}:
+                s = points[p]
+                cols[p] = np.exp(-s.real * logs) if s.imag == 0 else np.exp(-s * logs)
+            for i, a, b, end in live:
+                if end > begin:
+                    if a not in weighted:
+                        weighted[a] = vals[first:hi] * cols[a]
+                    sums[i] += np.vdot(cols[b][begin:end], weighted[a][begin:end])
+                if zeta:
+                    zetas[i] += np.vdot(cols[b][:end], cols[a][:end])
+    return (sums, zetas) if zeta else sums

@@ -20,12 +20,20 @@ budget, because the statement being tested concerns the exact kernel.
 
 The three functions, ``default_grid`` and ``gram_psd`` share one
 ``_Route``: its tail bound (c, tau) and point abscissa, each entry's
-truncation (``terms``), the coefficient table (``table``) and one entry
-with its tail (``entry``, which alone propagates the quotient's error).
-An eval-kernel value thus equals the Gram entry at the same point and
-per-entry target bit for bit: every table up to TRUNCATION_CAP is a prefix
-of a longer one, float S(n) included, as the convolution sums each
-coefficient in one order up to the cap (see ``_accel._convolve``).
+truncation (``terms``), the coefficient table (``table``) and the entries
+with their tails (``entries``, which alone propagates the quotient's
+error).  ``entries`` makes one ``_accel.power_sum`` call for every pair
+(a, b, n) of a run: the engine walks j in blocks of B = 2^14 at absolute
+multiples of B, builds one column j^(-s) per point and block (a real exp
+when Im s = 0), and sums each entry as one BLAS dot per block, so the
+columns of m points take about m B 32 bytes.  The ratio route folds
+j^(-delta) into its table and reads its zeta denominators from the same
+columns.  An eval-kernel value thus equals the Gram entry at the same
+point and per-entry target bit for bit: an entry's block partials do not
+depend on the entries that share the pass, and every table up to
+TRUNCATION_CAP is a prefix of a longer one, float S(n) included, as the
+convolution sums each coefficient in one order up to the cap (see
+``_accel._convolve``).
 """
 
 from __future__ import annotations
@@ -78,7 +86,7 @@ def beta_abscissa(w: WeightFamily, delta: float | None = None) -> float:
 class _Route:
     """One kernel route for a family at a resolved delta: the tail bound
     |coefficient_j| <= c j^tau, the abscissa every point must clear, and
-    the start index and shift of the power sums."""
+    the start index of the power sums."""
 
     kernel: str
     family: WeightFamily
@@ -87,7 +95,6 @@ class _Route:
     tau: float
     abscissa: float
     start: int
-    shift: float
 
     def tail_target(self, target: float) -> float:
         return target / _RATIO_MARGIN if self.kernel == "ratio" else target
@@ -102,43 +109,57 @@ class _Route:
         return n
 
     def table(self, n: int) -> np.ndarray:
-        """Coefficients 0..n: the weights, or for the series route the
-        condition values S(n), from one factor-table pass (mu and the
-        weight table's columns)."""
+        """Coefficients 0..n of the power sums: the weights, folded with
+        j^(-delta) on the ratio route; for the series route the condition
+        values S(n), from one factor-table pass of which only mu outlives
+        the weight table."""
         w = self.family
-        if self.kernel != "series":
-            return w.values_table(n)
-        ft = _accel.factor_tables(n)
-        return _accel.divisor_sum_table(w.values_table(n, ft), ft.mu, self.delta, w.start_index)
+        if self.kernel == "series":
+            ft = _accel.factor_tables(n)
+            vals, mu = w.values_table(n, ft), ft.mu
+            del ft
+            return _accel.divisor_sum_table(vals, mu, self.delta, w.start_index)
+        table = w.values_table(n)
+        if self.kernel == "ratio" and self.delta != 0.0:
+            table[1:] *= np.arange(1, n + 1, dtype=np.float64) ** -self.delta
+        return table
 
-    def entry(self, table: np.ndarray, z: complex, n: int) -> tuple[complex, float]:
-        """(value, tail bound) at z = s + conj(u) from table[:n + 1].  A
-        value that is not finite, and a quotient whose denominator does not
-        clear its own tail bound, get an infinite tail: inconclusive."""
-        tail = power_tail_bound(self.c, self.tau, z.real, n)
-        value = complex(_accel.power_sum(table[: n + 1], self.start, z + self.shift))
-        if self.kernel == "ratio":
-            tail_den = power_tail_bound(1.0, 0.0, z.real, n)
-            den = complex(_accel.power_sum(np.ones(n + 1), 1, z))
-            if not abs(den) > tail_den:
-                return complex(math.nan), math.inf
-            value /= den
-            if not math.isinf(tail):
-                tail = (tail + abs(value) * tail_den) / (abs(den) - tail_den)
-        return value, tail if cmath.isfinite(value) else math.inf
+    def entries(self, table: np.ndarray, points, pairs) -> list[tuple[complex, float]]:
+        """(value, tail bound) of each pair (a, b, n): the entry at
+        z = s_a + conj(s_b) from table[:n + 1], all from one power_sum
+        pass.  A value that is not finite, and a quotient whose denominator
+        does not clear its own tail bound, get an infinite tail:
+        inconclusive."""
+        ratio = self.kernel == "ratio"
+        sums = _accel.power_sum(table, self.start, points, pairs, zeta=ratio)
+        values, dens = (x.tolist() for x in sums) if ratio else (sums.tolist(), None)
+        out = []
+        for k, (a, b, n) in enumerate(pairs):
+            value, sigma_t = values[k], points[a].real + points[b].real
+            tail = power_tail_bound(self.c, self.tau, sigma_t, n)
+            if ratio:
+                den, tail_den = dens[k], power_tail_bound(1.0, 0.0, sigma_t, n)
+                if not abs(den) > tail_den:
+                    out.append((complex(math.nan), math.inf))
+                    continue
+                value /= den
+                if not math.isinf(tail):
+                    tail = (tail + abs(value) * tail_den) / (abs(den) - tail_den)
+            out.append((value, tail if cmath.isfinite(value) else math.inf))
+        return out
 
 
 def _route(w: WeightFamily, delta: float | None, kernel: str) -> _Route:
     delta = w.delta if delta is None else float(delta)
     c, tau = w.growth_bound
     if kernel == "weight":
-        return _Route(kernel, w, delta, c, tau, w.sigma / 2.0, max(w.start_index, 2), 0.0)
+        return _Route(kernel, w, delta, c, tau, w.sigma / 2.0, max(w.start_index, 2))
     beta = beta_abscissa(w, delta)
     if kernel == "ratio":
-        return _Route(kernel, w, delta, c, tau - delta, beta, w.start_index, delta)
+        return _Route(kernel, w, delta, c, tau - delta, beta, w.start_index)
     if kernel == "series":
         # |S(n)| <= d(n) max_j j^(-delta) w_j and d(n) <= 2 sqrt(n)
-        return _Route(kernel, w, delta, 2.0 * c, max(tau - delta, 0.0) + 0.5, beta, 1, 0.0)
+        return _Route(kernel, w, delta, 2.0 * c, max(tau - delta, 0.0) + 0.5, beta, 1)
     raise ValueError(f"unknown kernel route {kernel!r}; pick from {ROUTES}")
 
 
@@ -159,7 +180,7 @@ def _evaluate(route: _Route, s: complex, u: complex, tol: float) -> EvaluatedVal
     elif not z.real > w.sigma:
         raise ValueError(f"Re(s)+Re(u) = {z.real} is not past the abscissa {w.sigma} of {w.name}")
     n = route.terms(z.real, tol)
-    value, tail = route.entry(route.table(n), z, n)
+    [(value, tail)] = route.entries(route.table(n), [s, u], [(0, 1, n)])
     return EvaluatedValue(value, tail, n)
 
 
@@ -321,17 +342,16 @@ def gram_psd(
 
     m = len(points)
     target = tol / (10.0 * m)
-    zs = {(i, j): points[i] + points[j].conjugate() for i in range(m) for j in range(i, m)}
-    plan = {ij: (z, route.terms(z.real, target)) for ij, z in zs.items()}
+    pairs = [(i, j, route.terms((points[i] + points[j].conjugate()).real, target))
+             for i in range(m) for j in range(i, m)]
     # one shared coefficient table at the largest truncation any entry needs
-    n_max = max(64, *(n for _, n in plan.values()))
+    n_max = max(64, *(n for *_, n in pairs))
     table = route.table(n_max)
 
     matrix = np.zeros((m, m), dtype=np.complex128)
     worst_tail = 0.0
     certified = True
-    for (i, j), (z, n) in plan.items():
-        value, tail = route.entry(table, z, n)
+    for (i, j, _), (value, tail) in zip(pairs, route.entries(table, points, pairs)):
         if i == j:  # z = s + conj(s) is real: the imaginary part is a signed zero
             matrix[i, i] = value.real
         else:
@@ -340,10 +360,11 @@ def gram_psd(
             certified = False
         worst_tail = max(worst_tail, tail)
 
-    eigs = np.linalg.eigvalsh(matrix)
-    min_eig = float(eigs[0])
+    # a matrix that is not finite has no eigenvalues to speak of
+    finite = bool(np.isfinite(matrix).all())
+    min_eig = float(np.linalg.eigvalsh(matrix)[0]) if finite else math.nan
     budget = m * worst_tail
-    if not certified:
+    if not (certified and finite):
         verdict = INCONCLUSIVE
     elif min_eig < -(tol + budget):
         verdict = INDEFINITE

@@ -61,7 +61,7 @@ def power_tail_bound(c: float, tau: float, sigma: float, n: int) -> float:
     if c == 0:
         return 0.0
     gap = sigma - tau - 1.0
-    if gap <= 0:
+    if gap <= 0 or c == math.inf:  # inf * an underflowed n^(-gap) would be NaN
         return math.inf
     return c * n ** (-gap) / gap
 
@@ -195,6 +195,7 @@ def evaluate(
     if c < 0:
         raise ValueError("growth constant C must be >= 0")
     s = complex(s)
-    value = complex(_accel.power_sum(f.as_float_array(), 1, s))
+    # j^(-s) conj(j^0) = j^(-s): the engine's pair (s, 0)
+    value = complex(_accel.power_sum(f.as_float_array(), 1, [s, 0.0], [(0, 1, f.n)])[0])
     tail = power_tail_bound(c, tau, s.real, f.n)
     return EvaluatedValue(value, tail, f.n)

@@ -533,10 +533,8 @@ def smooth_partial_sum(w: WeightFamily, s: float, n: int, cutoff: int) -> float:
     # p_n, or the cutoff when p_n lies past it: both admit every j <= cutoff
     p_n = primes[n - 1] if n <= len(primes) else cutoff
     vals = w.values_table(cutoff, ft)
-    idx = np.arange(cutoff + 1)
-    mask = (idx >= 2) & (ft.gpf <= p_n)
-    j = idx[mask].astype(np.float64)
-    return float(np.dot(vals[mask], j ** (-float(s))))
+    vals[ft.gpf > p_n] = 0.0
+    return float(_accel.power_sum(vals, 2, [float(s), 0.0], [(0, 1, cutoff)])[0].real)
 
 
 def smooth_growth_diagnostic(
@@ -577,6 +575,11 @@ def _big_omega_family() -> WeightFamily:
     )
 
 
+def _pow2(x: float) -> float:
+    """2^x, +inf past the float range (an uncertified growth bound)."""
+    return 2.0**x if x < 1024 else math.inf
+
+
 def _divisor_pow_family(alpha, af: float) -> WeightFamily:
     exact = isinstance(alpha, int) and alpha >= 0
 
@@ -585,7 +588,7 @@ def _divisor_pow_family(alpha, af: float) -> WeightFamily:
 
     # d(n) <= 2 sqrt(n)
     return multiplicative_from_prime_powers(
-        f, sigma=1.0, delta=0.0, growth_bound=(2.0**af, af / 2.0),
+        f, sigma=1.0, delta=0.0, growth_bound=(_pow2(af), af / 2.0),
         name=f"divisor_pow(alpha={alpha})", exact=exact,
         params={"alpha": alpha}, integer_valued=exact,
     )
@@ -612,7 +615,7 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
     # d_beta(n) <= d(n)^(ceil(beta)-1) <= (2 sqrt n)^(ceil(beta)-1)
     return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0,
-        growth_bound=(2.0 ** (m - 1), (m - 1) / 2.0),
+        growth_bound=(_pow2(m - 1), (m - 1) / 2.0),
         name=f"d_beta(beta={beta})", exact=exact,
         params={"beta": beta}, integer_valued=exact,
     )

@@ -157,7 +157,57 @@ def test_power_sum_brute_force():
     vals = np.array([0.0, 1.0, 2.0, 0.5, 0.0, 3.0])
     z = 1.25 + 0.5j
     want = sum(vals[j] * j ** (-z) for j in range(2, 6))
-    assert abs(_accel.power_sum(vals, 2, z) - want) < 1e-14
+    # j^(-z) is the engine's pair (z, 0): j^(-z) conj(j^0)
+    assert abs(_accel.power_sum(vals, 2, [z, 0.0], [(0, 1, 5)])[0] - want) < 1e-14
+
+
+B = _accel.POWER_BLOCK
+ENGINE_POINTS = [1.3, 1.1 + 0.7j, 2.0 - 1.5j]
+
+
+def _literal_sum(vals, start, sa, sb, n):
+    """math.fsum of vals[j] j^(-s_a) conj(j^(-s_b)) over start <= j <= n,
+    each power from numpy's complex power, and the sum of |terms|."""
+    j = np.arange(start, n + 1, dtype=np.complex128)
+    terms = vals[start : n + 1] * np.power(j, -sa) * np.conj(np.power(j, -sb))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)), math.fsum(np.abs(terms))
+
+
+@pytest.mark.parametrize("start", [1, 2, 5])
+def test_power_sum_matches_literal_sums_across_block_edges(start):
+    vals = np.random.default_rng(start).uniform(-1.0, 2.0, 3 * B + 6)
+    vals[0] = 1e300  # slot 0 is never read
+    pairs = [(a, b, n) for a in range(3) for b in range(3) for n in (B - 1, B, B + 1, 3 * B + 5)]
+    sums, zetas = _accel.power_sum(vals, start, ENGINE_POINTS, pairs, zeta=True)
+    ones = np.ones_like(vals)
+    for (a, b, n), got, zeta in zip(pairs, sums, zetas):
+        sa, sb = ENGINE_POINTS[a], ENGINE_POINTS[b]
+        want, scale = _literal_sum(vals, start, sa, sb, n)
+        assert abs(got - want) <= 1e-12 * scale, (a, b, n)
+        want, scale = _literal_sum(ones, 1, sa, sb, n)
+        assert abs(zeta - want) <= 1e-12 * scale, (a, b, n)
+        if a == b:  # s == u: a real sum up to rounding
+            assert abs(got.imag) <= 1e-12 * scale
+        # an entry does not depend on the pairs that share its pass
+        alone = _accel.power_sum(vals, start, ENGINE_POINTS, [(a, b, n)])
+        assert alone[0].tobytes() == got.tobytes(), (a, b, n)
+
+
+def test_power_sum_passes_non_finite_values_without_warnings():
+    # 800: j^(-800) underflows to 0 at j >= 3, and inf * 0 is NaN
+    vals = np.array([0.0, 1.0, np.inf, np.nan, 2.0])
+    points, pairs = [800.0, 1.0 + 1.0j], [(0, 0, 4), (1, 1, 4), (0, 1, 4), (1, 0, 1)]
+    sums, zetas = _accel.power_sum(vals, 1, points, pairs, zeta=True)
+    assert not np.isfinite(sums[:3]).any() and sums[3] == 1.0
+    assert np.isfinite(zetas).all()
+
+
+def test_prime_power_fill_fills_over_fq():
+    ft = _accel.factor_tables(5000)
+    fq = _accel.prime_power_values(ft, lambda p, r: float(r + 1), np.float64)
+    w = _accel.prime_power_fill(ft, fq, np.multiply)
+    assert w is fq  # consumed: d(n) = the product of r + 1 over p^r || n
+    assert w.tolist() == [0.0, *map(float, _accel.divisor_count_table(5000)[1:])]
 
 
 def test_factor_tables_match_trial_division():

@@ -565,6 +565,24 @@ def test_non_finite_kernel_values_are_inconclusive(tmp_path, capsys):
         assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
 
 
+# growth constants 2^2000 and 2^1999 are past the float range: +inf, so no
+# kernel tail is certified, while the exact condition check is unaffected
+@pytest.mark.parametrize("family", [
+    {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 2000}},
+    {"kind": "named", "name": "d_beta", "parameters": {"beta": 2000}}],
+    ids=["divisor_pow", "d_beta"])
+def test_growth_constant_past_the_float_range_is_infinite(family, tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {"family": family, "n_max": 100})
+    common = ["--config", cfg, "--no-timestamp", "--stdout"]
+    assert run(["check-condition", *common]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "nonneg_exact"
+    assert run(["classify", *common]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["growth_bound"][0] == math.inf
+    assert run(["eval-kernel", "--kernel", "weight", "--s", "600", *common]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["certified"], result["tail_bound"]) == (False, "inf")
+
+
 @pytest.mark.parametrize("argv", [
     ["classify"], ["check-condition", "--methods", "mult_product"],
     ["check-condition", "--methods", "divisor_sum"], ["eval-kernel", "--s", "300"],
@@ -622,6 +640,14 @@ def test_exact_weights_past_the_float_range_read_inf(family, argv, code, verdict
     else:
         assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
                    for r in result["records"])
+
+
+def test_gram_on_the_default_grid_with_inf_weights_is_inconclusive(tmp_path, capsys):
+    # d(n)^400 is inf past d(n) = 6: the matrix is not finite, so no eigen step
+    cfg = write_config(tmp_path, "d.json", {"family": EXACT_PAST_FLOAT, "kernel": "series"})
+    assert run(["gram", "--config", cfg, "--no-timestamp", "--stdout"]) == 3
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
 
 
 @pytest.mark.parametrize("name,key,value,message", [

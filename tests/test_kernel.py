@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -256,10 +257,18 @@ EVALUATORS = {
 }
 
 
+# omega_wide's entries end in many power_sum blocks: up to 2.9*10^5 terms
+# (weight), 9.9*10^5 (ratio) and the 10^6 cap (series)
+WIDE_POINTS = [1.6, 1.8 + 0.3j, 2.2 - 0.5j]
+
+
 @pytest.mark.parametrize("route,name", [
-    (r, n) for r in ("weight", "ratio", "series") for n in ("ones", "d", "omega", "log1")])
+    (r, n) for r in ("weight", "ratio", "series")
+    for n in ("ones", "d", "omega", "log1", "omega_wide")])
 def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
-    fam, pts, tol = fams[name], [2.1, 2.4 + 0.3j, 2.8 - 0.5j], 1e-8
+    fam, pts, tol = fams[name.removesuffix("_wide")], [2.1, 2.4 + 0.3j, 2.8 - 0.5j], 1e-8
+    if name.endswith("_wide"):
+        pts = WIDE_POINTS
     check = kernel.gram_psd(fam, points=pts, kernel=route, tol=tol)
     n_terms = set()
     for i in range(len(pts)):
@@ -272,6 +281,36 @@ def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
             n_terms.add(ev.n_terms)
     # entries sum different prefixes of the one Gram table
     assert len(n_terms) > 1 and max(n_terms) == check.n_terms_max
+    if name.endswith("_wide"):  # and end in at least 3 distinct blocks
+        assert len({n // _accel.POWER_BLOCK for n in n_terms}) >= 3
+
+
+def test_series_route_memory_is_bounded_by_the_block():
+    # the 10^6-term table (8 MB) and its build, then one entry: the factor
+    # tables other than mu die before the convolution, and the power sums
+    # hold a few columns of POWER_BLOCK terms, not arrays of 10^6
+    route = kernel._route(weights.named_family("omega"), None, "series")
+    tracemalloc.start()
+    try:
+        table = route.table(kernel.TRUNCATION_CAP)
+        [(value, tail)] = route.entries(table, [1.6 + 0.3j, 1.6 - 0.2j],
+                                        [(0, 1, kernel.TRUNCATION_CAP)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(tail) and abs(value) > 0
+    assert peak < 30e6, peak
+
+
+def test_gram_with_non_finite_entries_is_inconclusive(fams):
+    # at the parent, np.linalg.eigvalsh raised "Eigenvalues did not converge"
+    big = weights.named_family("divisor_pow", alpha=400)  # d(n)^400 is inf past d(n) = 6
+    for route in kernel.ROUTES:
+        # the tables overflow and convolve inf with 0, as the CLI lets them
+        with np.errstate(over="ignore", invalid="ignore"):
+            check = kernel.gram_psd(big, kernel=route, n_points=3)
+        assert not np.isfinite(check.matrix).all()
+        assert check.verdict == kernel.INCONCLUSIVE and math.isnan(check.min_eigenvalue)
 
 
 @pytest.mark.parametrize("name,params,delta", [
