@@ -8,16 +8,16 @@ k, the quantity of interest is
 ``divisor_sum`` evaluates it literally; ``mult_product`` uses the factored
 closed form available for multiplicative families; ``additive_Tt`` uses
 the per-prime decomposition available for additive families, whose
-individual terms are the sharper per-term certificates.  ``check_range``
-runs any subset of the three over a range and cross-checks agreement.
+individual terms are the sharper per-term certificates.  ``s_columns``
+computes S(0..n) by any of the three and alone picks the arithmetic lane:
+``check_range`` cross-checks its columns, the series kernel sums one.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
 advance, Python ints and Fractions otherwise) and verdicts are exact;
-otherwise floats are
-used and a value in (-tol, 0) is reported as nonnegative-within-tolerance,
-never as a certified violation, and a value that is not finite as
-inconclusive.
+otherwise floats are used and a value in (-tol, 0) is reported as
+nonnegative-within-tolerance, never as a certified violation, and a value
+that is not finite as inconclusive.
 """
 
 from __future__ import annotations
@@ -42,12 +42,14 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_TOL = 1e-10
 
 
-def _use_exact(w: WeightFamily, delta: float) -> bool:
-    return w.exact and delta == 0.0
+def _mode(w: WeightFamily, delta) -> tuple[float, bool]:
+    """(delta or the family's delta, whether S is exact: rational w at delta 0)."""
+    delta = w.delta if delta is None else float(delta)
+    return delta, w.exact and delta == 0.0
 
 
 def _resolve(w: WeightFamily, delta, k):
-    delta = w.delta if delta is None else float(delta)
+    delta, exact = _mode(w, delta)
     if k is None:
         # never inferred from context: the family's declared start governs
         # (1 for multiplicative, 2 for additive, as declared otherwise)
@@ -59,16 +61,15 @@ def _resolve(w: WeightFamily, delta, k):
         raise ValueError(
             f"{w.name} is undefined on divisors below {w.defined_from}; k={k} too small"
         )
-    return delta, k
+    return delta, exact, k
 
 
 def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
     """S(n) by direct summation over the divisors of n."""
-    delta, k = _resolve(w, delta, k)
+    delta, exact, k = _resolve(w, delta, k)
     n = arith._check_positive(n)
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    exact = _use_exact(w, delta)
     total = 0 if exact else 0.0
     for j in arith.divisors(n):
         if j < k:
@@ -99,16 +100,15 @@ def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
     whose product is S(n) for a multiplicative family with k = 1."""
     if w.kind != "multiplicative":
         raise ValueError(f"{w.name} is not multiplicative")
-    delta = w.delta if delta is None else float(delta)
+    delta, exact = _mode(w, delta)
     n = arith._check_positive(n)
-    exact = _use_exact(w, delta)
     return [_prime_power_factor(w, delta, exact, p, r) for p, r in arith.factorize(n)]
 
 
 def mult_product(w: WeightFamily, delta: float, n: int):
     """Factored form of S(n) over the prime factorization; equals
     divisor_sum with k = 1 for multiplicative families."""
-    exact = _use_exact(w, w.delta if delta is None else float(delta))
+    delta, exact = _mode(w, delta)
     return math.prod(mult_factors(w, delta, n), start=1 if exact else 1.0)
 
 
@@ -136,11 +136,10 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     (k = 2, with the w_1 = 0 extension).  Returns (total, terms)."""
     if w.kind != "additive":
         raise ValueError(f"{w.name} is not additive")
-    delta = w.delta if delta is None else float(delta)
+    delta, exact = _mode(w, delta)
     n = arith._check_positive(n)
     if n < 2:
         raise ValueError("additive decomposition needs n >= 2")
-    exact = _use_exact(w, delta)
     factors = arith.factorize(n).factors
     terms = [_prime_power_factor(w, delta, exact, p, r) for p, r in factors]
     if exact:  # at delta = 0 every companion p^(-delta) - 1 vanishes
@@ -158,7 +157,7 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
     in the log p_i with positive integer coefficients, so the returned
     value is nonnegative by construction and exactly zero whenever n has
     more than alpha distinct prime factors.  alpha = 1 is the classical
-    von Mangoldt function.
+    von Mangoldt function.  A value past the float range raises ValueError.
     """
     n = arith._check_sieve(n, "n")  # trial division: 2^61 - 1 alone takes minutes
     if n < 2:
@@ -170,12 +169,17 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
         return 0.0
     logs = [math.log(p) for p, _ in factors]
     total = 0.0
-    # compositions of alpha into one part per prime, lexicographic like their cuts
-    for cuts in combinations(range(1, alpha), len(factors) - 1):
-        comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
-        coef = math.factorial(alpha) // math.prod(map(math.factorial, comp))
-        coef *= math.prod(r**a - (r - 1) ** a for (_, r), a in zip(factors, comp))
-        total += coef * math.prod(lg**a for lg, a in zip(logs, comp))
+    try:  # lg**a and int * float raise OverflowError past the float range
+        # compositions of alpha into one part per prime, lexicographic like their cuts
+        for cuts in combinations(range(1, alpha), len(factors) - 1):
+            comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
+            coef = math.factorial(alpha) // math.prod(map(math.factorial, comp))
+            coef *= math.prod(r**a - (r - 1) ** a for (_, r), a in zip(factors, comp))
+            total += coef * math.prod(lg**a for lg, a in zip(logs, comp))
+            if math.isinf(total):
+                raise OverflowError
+    except OverflowError:
+        raise ValueError(f"von Mangoldt value at n={n}, alpha={alpha} overflows float64") from None
     return total
 
 
@@ -327,19 +331,6 @@ def _exact_values(w: WeightFamily, k: int, ft) -> list:
     return [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
 
 
-def _divisor_sums(w: WeightFamily, delta: float, k: int, ft, table, exact: bool):
-    """S(n) for every n <= n_max by one Dirichlet convolution of ``table``
-    with ft.mu: in float64; exact in int64 when ``table`` holds the exact
-    weights and every partial sum stays below 2^53; else in Python ints and
-    Fractions, of _exact_values."""
-    if not exact:
-        return _accel.divisor_sum_table(table, ft.mu, delta, k)
-    if table is not None:
-        # every partial sum is an integer below 2^53, hence exact in float64
-        return _accel.divisor_sum_table(table, ft.mu, 0.0, k).astype(np.int64)
-    return np.array(_accel.exact_convolve(_exact_values(w, k, ft), ft.mu.tolist()), dtype=object)
-
-
 def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):
     """mult_product or additive_Tt for every n <= n_max from the factors fq
     of the prime powers: int64 differences of ``table`` (the exact weights),
@@ -368,6 +359,43 @@ def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool
     return _accel.prime_power_fill(ft, fq, np.multiply)
 
 
+def s_columns(w: WeightFamily, delta: float, k: int, n: int,
+              methods: tuple[str, ...] = ("divisor_sum",), exact: bool = False) -> list:
+    """S(0..n) by each of ``methods``, in order, from one factor-table pass
+    and one read of the weight table; zero below k (mult_product is S at
+    k = 1 only, additive_Tt at k = 2 only).
+
+    Lanes: float64 unless ``exact`` (rational weights at delta = 0).  Exact
+    columns of integer-valued families with every |w_j| < 2^53 are int64:
+    divisor_sum while n * max|w_j| < 2^53 (every partial sum is then exact
+    in float64), mult_product while |S(n)| < 2^62.  Other exact columns are
+    Python ints and Fractions.  The factored routes run first: only mu of
+    the factor tables outlives them into the divisor-sum convolution.
+    """
+    if exact and not _mode(w, delta)[1]:
+        raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
+    ft = _accel.factor_tables(n)
+    table = None
+    if w.integer_valued if exact else "divisor_sum" in methods:
+        table = w.values_table(n, ft)
+        # the exact weights when every |w_j| < 2^53 (a weight past float64 reads inf)
+        if exact and not (top := np.abs(table).max()) < _FLOAT_EXACT:
+            table = None
+    cols = {m: _factored(w, delta, m, ft, table if exact else None, exact)
+            for m in methods if m != "divisor_sum"}
+    if "divisor_sum" in methods:
+        # Python ints and Fractions unless every exact partial sum is below 2^53
+        objects = exact and (table is None or n * int(top) >= _FLOAT_EXACT)
+        vals, mu = (_exact_values(w, k, ft), ft.mu.tolist()) if objects else (table, ft.mu)
+        del ft  # the convolution reads only the weights and mu
+        if objects:
+            cols["divisor_sum"] = np.array(_accel.exact_convolve(vals, mu), dtype=object)
+        else:  # float64 sums; exact ones are integers below 2^53, cast to int64
+            col = _accel.divisor_sum_table(vals, mu, delta, k)
+            cols["divisor_sum"] = col.astype(np.int64) if exact else col
+    return [cols[m] for m in methods]
+
+
 def check_range(
     w: WeightFamily,
     delta: float | None,
@@ -381,16 +409,12 @@ def check_range(
     sign policy; the aggregate verdict is the worst per-n outcome
     (negative > inconclusive > within-tol > exact).
 
-    Every route is a column over n from one factor-table pass and one read
-    of the weight table; the report has one row per (n, method), n-major,
-    methods in the order given (see ConditionReport).  Exact runs of
-    integer-valued families whose values stay below 2^53 take int64 routes
-    (divisor_sum while n_max * max|w_j| < 2^53, mult_product while
-    |S(n)| < 2^62); the other exact routes run in Python ints and
-    Fractions, and a value past float64 gets the margin +-inf of its sign.
-    Exact routes that disagree raise MethodDisagreement.
+    The columns come from s_columns, in the family's mode; the report has
+    one row per (n, method), n-major, methods in the order given (see
+    ConditionReport).  An exact value past float64 gets the margin +-inf
+    of its sign.  Exact routes that disagree raise MethodDisagreement.
     """
-    delta, k = _resolve(w, delta, k)
+    delta, exact, k = _resolve(w, delta, k)
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     if n_max < k:
@@ -398,40 +422,18 @@ def check_range(
     if isinstance(methods, (set, frozenset)):
         methods = sorted(methods)  # keep record order deterministic
     methods = tuple(methods)
-    if not methods:
-        raise ValueError("at least one method is required")
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"need one or more distinct methods, got {list(methods)}")
+    kinds = {"divisor_sum": w.kind, "mult_product": "multiplicative", "additive_Tt": "additive"}
     for m in methods:
-        if m == "divisor_sum":
-            continue
-        if m == "mult_product" and w.kind == "multiplicative":
-            continue
-        if m == "additive_Tt" and w.kind == "additive":
-            continue
-        raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}")
+        if kinds.get(m) != w.kind:
+            raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}")
     if "mult_product" in methods and k != 1:
         raise ValueError("mult_product agrees with the condition only for k = 1")
     if "additive_Tt" in methods and k != 2:
         raise ValueError("additive_Tt agrees with the condition only for k = 2")
 
-    exact = _use_exact(w, delta)
-    ft = _accel.factor_tables(n_max)
-    table = None
-    if w.integer_valued if exact else "divisor_sum" in methods:
-        table = w.values_table(n_max, ft)
-        # the exact weights when every |w_j| < 2^53 (a weight past float64 reads inf)
-        if exact and not (top := np.abs(table).max()) < _FLOAT_EXACT:
-            table = None
-    cols = []  # S(k..n_max) per method
-    for m in methods:
-        if m == "divisor_sum":
-            # exact int64 sums also need every partial sum below 2^53
-            small = not exact or table is not None and n_max * int(top) < _FLOAT_EXACT
-            col = _divisor_sums(w, delta, k, ft, table if small else None, exact)
-        else:
-            col = _factored(w, delta, m, ft, table if exact else None, exact)
-        cols.append(col[k:])
-    del ft  # freed before the report columns are built
-
+    cols = [col[k:] for col in s_columns(w, delta, k, n_max, methods, exact)]
     ref = cols[0]
     bad = np.zeros(len(ref), dtype=bool)
     with np.errstate(all="ignore"):  # inf - inf compares as agreeing, as in Python

@@ -20,13 +20,14 @@ budget, because the statement being tested concerns the exact kernel.
 
 The three functions, ``default_grid`` and ``gram_psd`` share one
 ``_Route``: its tail bound (c, tau) and point abscissa, each entry's
-truncation (``terms``), the coefficient table (``table``) and the entries
-with their tails (``entries``, which alone propagates the quotient's
-error).  ``entries`` makes one ``_accel.power_sum`` call for every pair
-(a, b, n) of a run: the engine walks j in blocks of B = 2^14 at absolute
-multiples of B, builds one column j^(-s) per point and block (a real exp
-when Im s = 0), and sums each entry as one BLAS dot per block, so the
-columns of m points take about m B 32 bytes.  The ratio route folds
+truncation (``terms``), the coefficient table (``table``; series S(n) is
+a ``condition.s_columns`` column) and the entries with their tails
+(``entries``, which alone propagates the quotient's error).  ``entries``
+makes one ``_accel.power_sum`` call for every pair (a, b, n) of a run:
+the engine walks j in blocks of B = 2^14 at absolute multiples of B,
+builds one column j^(-s) per point and block (a real exp when Im s = 0),
+and sums each entry as one BLAS dot per block, so the columns of m
+points take about m B 32 bytes.  The ratio route folds
 j^(-delta) into its table and reads its zeta denominators from the same
 columns.  An eval-kernel value thus equals the Gram entry at the same
 point and per-entry target bit for bit: an entry's block partials do not
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel, arith
+from . import _accel, arith, condition
 from .series import EvaluatedValue, power_tail_bound, terms_for_tail
 from .weights import WeightFamily
 
@@ -65,12 +66,14 @@ _RATIO_MARGIN = 8.0
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
-    """A point s with Re(s) > min_re, validated at construction."""
+    """A finite point s with Re(s) > min_re, validated at construction."""
 
     s: complex
     min_re: float
 
     def __post_init__(self):
+        if not cmath.isfinite(self.s):
+            raise ValueError(f"point {self.s} is not finite")
         if not self.s.real > self.min_re:
             raise ValueError(f"point {self.s} outside the half-plane Re > {self.min_re}")
 
@@ -78,7 +81,7 @@ class HalfPlanePoint:
 def beta_abscissa(w: WeightFamily, delta: float | None = None) -> float:
     """Half-plane parameter for the normalized kernel routes:
     0.5 * max(sigma - delta, 1)."""
-    delta = w.delta if delta is None else float(delta)
+    delta = condition._mode(w, delta)[0]
     return 0.5 * max(w.sigma - delta, 1.0)
 
 
@@ -111,14 +114,10 @@ class _Route:
     def table(self, n: int) -> np.ndarray:
         """Coefficients 0..n of the power sums: the weights, folded with
         j^(-delta) on the ratio route; for the series route the condition
-        values S(n), from one factor-table pass of which only mu outlives
-        the weight table."""
+        values S(n), condition.s_columns's float divisor_sum column."""
         w = self.family
         if self.kernel == "series":
-            ft = _accel.factor_tables(n)
-            vals, mu = w.values_table(n, ft), ft.mu
-            del ft
-            return _accel.divisor_sum_table(vals, mu, self.delta, w.start_index)
+            return condition.s_columns(w, self.delta, w.start_index, n)[0]
         table = w.values_table(n)
         if self.kernel == "ratio" and self.delta != 0.0:
             table[1:] *= np.arange(1, n + 1, dtype=np.float64) ** -self.delta
@@ -150,7 +149,7 @@ class _Route:
 
 
 def _route(w: WeightFamily, delta: float | None, kernel: str) -> _Route:
-    delta = w.delta if delta is None else float(delta)
+    delta = condition._mode(w, delta)[0]
     c, tau = w.growth_bound
     if kernel == "weight":
         return _Route(kernel, w, delta, c, tau, w.sigma / 2.0, max(w.start_index, 2))
@@ -174,10 +173,9 @@ def _evaluate(route: _Route, s: complex, u: complex, tol: float) -> EvaluatedVal
     s, u = complex(s), complex(u)
     z = s + u.conjugate()
     w = route.family
-    if route.kernel != "weight":
-        HalfPlanePoint(s, route.abscissa)
-        HalfPlanePoint(u, route.abscissa)
-    elif not z.real > w.sigma:
+    for p in (s, u):  # the weight route bounds only Re(s) + Re(u)
+        HalfPlanePoint(p, -math.inf if route.kernel == "weight" else route.abscissa)
+    if route.kernel == "weight" and not z.real > w.sigma:
         raise ValueError(f"Re(s)+Re(u) = {z.real} is not past the abscissa {w.sigma} of {w.name}")
     n = route.terms(z.real, tol)
     [(value, tail)] = route.entries(route.table(n), [s, u], [(0, 1, n)])

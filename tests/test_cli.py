@@ -405,6 +405,46 @@ def test_von_mangoldt_input_past_the_ceiling_exits_one(flag, capsys, monkeypatch
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,n", [
+    (["--n", "30030", "--alpha", "3000"], 30030),  # (log 13)^2995 overflows
+    (["--n", "9", "--alpha", "950"], 9),  # finite factors, an infinite product
+    (["--n-max", "10", "--alpha", "3000"], 4),  # 2^3000 - 1 does not convert to float
+    (["--n-max", "9", "--alpha", "950"], 8),
+])
+def test_von_mangoldt_past_the_float_range_exits_one(argv, n, capsys):
+    assert run(["von-mangoldt", *argv, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: von Mangoldt value at n={n}, alpha={argv[-1]} overflows float64"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-kernel", "--kernel", "weight", "--s", "1e400"],
+    ["eval-kernel", "--kernel", "ratio", "--s", "1e400"],
+    ["eval-kernel", "--kernel", "series", "--s", "1e400"],
+    ["eval-kernel", "--kernel", "series", "--s", "2", "--u", "2+1e400j"],
+    ["gram", "--points", "1e400;2"],
+    ["gram", "--kernel", "weight", "--points", "2;nan"]])
+def test_non_finite_kernel_points_exit_one(argv, tmp_path, capsys):
+    # at the parent: value 0 "certified", an OverflowError, or NaN/Infinity tokens
+    cfg = write_config(tmp_path, "o.json", {"family": {"kind": "named", "name": "omega"}})
+    assert run([*argv, "--config", cfg, "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"(config )?error: point \((inf|nan|2)\+(0|inf)j\) is not finite",
+                        captured.err.splitlines()[-1])
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_duplicate_methods_exit_one(omega_cfg, capsys):
+    assert run(["check-condition", "--config", omega_cfg, "--stdout",
+                "--methods", "divisor_sum,divisor_sum"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "error: need one or more distinct methods, got ['divisor_sum', 'divisor_sum']")
+    assert captured.out == ""
+
+
 # -- columnar check-condition reports -----------------------------------------
 
 DPOW = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}

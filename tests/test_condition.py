@@ -181,6 +181,16 @@ def test_von_mangoldt_validation():
         condition.von_mangoldt_alpha(6, 0)
 
 
+@pytest.mark.parametrize("n,alpha", [
+    (30030, 3000),  # (log 13)^2995 raises OverflowError
+    (4, 3000),  # the coefficient 2^3000 - 1 does not convert to float
+    (9, 950),  # every factor is finite, (2^950 - 1) (log 3)^950 is inf
+])
+def test_von_mangoldt_past_the_float_range_raises(n, alpha):
+    with pytest.raises(ValueError, match=f"at n={n}, alpha={alpha} overflows float64"):
+        condition.von_mangoldt_alpha(n, alpha)
+
+
 def test_von_mangoldt_rejects_n_past_the_sieve_ceiling(monkeypatch):
     def no_trial_division(n):
         raise AssertionError(f"factorize({n}) ran")
@@ -345,6 +355,20 @@ def test_check_range_method_validation(fam):
     shifted = weights.family_from_config({"kind": "named", "name": "omega", "start_index": 3})
     with pytest.raises(ValueError, match="k = 2"):
         condition.check_range(shifted, None, None, 50, methods=("divisor_sum", "additive_Tt"))
+
+
+@pytest.mark.parametrize("methods", [(), ("divisor_sum", "divisor_sum"),
+                                     ("divisor_sum", "additive_Tt", "additive_Tt")])
+def test_check_range_needs_distinct_methods(fam, methods):
+    # a repeated method wrote every n twice
+    with pytest.raises(ValueError, match="need one or more distinct methods"):
+        condition.check_range(fam["omega"], None, None, 5, methods=methods)
+
+
+def test_s_columns_exact_needs_the_exact_mode(fam):
+    for w, delta in ((fam["omega"], 0.5), (weights.named_family("log_pow", alpha=1), None)):
+        with pytest.raises(ValueError, match="needs rational weights and delta = 0"):
+            condition.s_columns(w, delta, 2, 10, exact=True)
 
 
 def test_per_term_nonnegativity_additive(fam):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirweight import _accel, arith, kernel, series, weights
+from dirweight import _accel, arith, condition, kernel, series, weights
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,21 @@ def test_float_series_tables_are_prefix_consistent(name, params, delta):
     full = route.table(2 * 10**5)
     for m in (1, 2, 64, 999, 1000, 1001, 4097, 65537, 10**5, 2 * 10**5 - 1):
         assert route.table(m).tobytes() == full[: m + 1].tobytes(), m
+
+
+@pytest.mark.parametrize("name,params,delta", [
+    ("log_pow", {"alpha": 1}, 0.3), ("d_beta", {"beta": "3/2"}, 0.5),
+    ("omega", {}, None), ("divisor_pow", {"alpha": 1}, None)])
+def test_series_table_is_the_check_range_divisor_sum_column(name, params, delta):
+    # one S(n) column: float runs bit for bit, the exact int64 lane by value
+    w = weights.named_family(name, **params)
+    rep = condition.check_range(w, delta, None, 5000)
+    got, want = kernel._route(w, delta, "series").table(5000)[rep.k:], rep.columns["value"]
+    assert rep.mode == ("float" if delta else "exact")
+    if rep.mode == "float":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert want.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("name,params", [
