@@ -419,6 +419,15 @@ def test_von_mangoldt_past_the_float_range_exits_one(argv, n, capsys):
     assert captured.out == ""
 
 
+def test_von_mangoldt_past_the_composition_ceiling_exits_one(capsys):
+    assert run(["von-mangoldt", "--n", "30030", "--alpha", "40", "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: von Mangoldt value at n=30030, alpha=40 sums 575757 compositions, "
+        f"past the ceiling {condition.MAX_COMPOSITIONS}"]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["eval-kernel", "--kernel", "weight", "--s", "1e400"],
     ["eval-kernel", "--kernel", "ratio", "--s", "1e400"],

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import operator
+import struct
 import timeit
 from fractions import Fraction
 from itertools import product
@@ -234,6 +235,18 @@ def test_von_mangoldt_enumerates_compositions_only():
     # Xeon VM, enumerating the compositions 2 ms
     best = min(timeit.repeat(lambda: condition.von_mangoldt_alpha(30030, 12), number=1, repeat=3))
     assert best < 0.1
+
+
+def test_von_mangoldt_caps_the_composition_count():
+    # n = 30030 at alpha 40 has C(39, 5) = 575757 compositions, 2.6 s of sums
+    def refuse():
+        start = timeit.default_timer()
+        with pytest.raises(arith.ResourceLimitError,
+                           match=r"^von Mangoldt value at n=30030, alpha=40 sums 575757 "):
+            condition.von_mangoldt_alpha(30030, 40)
+        return timeit.default_timer() - start
+
+    assert min(refuse() for _ in range(2)) < 1.0
 
 
 # -- check_range --------------------------------------------------------------
@@ -490,6 +503,53 @@ def _report_columns(draw):
 @given(rep=_report_columns(), chunk=st.integers(1, 50))
 def test_render_random_columns_match_json_and_csv(rep, chunk):
     _assert_renders_like_the_reference(rep, chunk)
+
+
+def _nan(payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000 | payload))[0]
+
+
+_FLOAT_POOL = [0.0, -0.0, _nan(0), _nan(1), math.inf, -math.inf, 5e-324, 1e16]
+_INT_POOL = [0, -1, 2**53, 2**53 + 1, 2**63 - 1]  # 2^53 + 1 rounds to 2^53 as a float
+_OBJECT_POOL = [2**53 + 1, 2**64, Fraction(2**64), Fraction(1, 3), Fraction(2, 6), -0.0,
+                _nan(1)]
+
+
+@st.composite
+def _repeated_report_columns(draw):
+    """_report_columns drawn from small pools, so most chunks repeat entries."""
+    size = draw(st.integers(0, 60))
+    column = lambda pool: draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    value = draw(st.sampled_from([
+        lambda: np.array(column(_INT_POOL), dtype=np.int64),
+        lambda: np.array(column(_FLOAT_POOL), dtype=np.float64),
+        lambda: np.array(column(_OBJECT_POOL), dtype=object),
+    ]))()
+    return _hand_report(column([1, 2, 3, 2**53, 2**53 + 1]), value,
+                        column(range(len(condition.METHODS))),
+                        column(range(len(condition.VERDICTS))), column(_FLOAT_POOL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep=_repeated_report_columns(), chunk=st.sampled_from([1, 3, 50]))
+def test_render_repeated_columns_match_json_and_csv(rep, chunk):
+    _assert_renders_like_the_reference(rep, chunk)
+
+
+def test_render_tokenizes_each_distinct_entry_once(fam, monkeypatch):
+    rep = condition.check_range(fam["omega"], None, None, 2000, ("divisor_sum", "additive_Tt"))
+    seen = []
+    tokens = condition._tokens
+    monkeypatch.setattr(condition, "_tokens", lambda col: seen.append(len(col)) or tokens(col))
+    chunk = 1000
+    list(rep.render("", chunk))
+    distinct = [len(np.unique(c.view(np.int64) if c.dtype.kind == "f" else c))
+                for lo in range(0, len(rep.columns["n"]), chunk)
+                for c in (rep.columns[f][lo : lo + chunk] for f in ("n", "value", "margin"))]
+    assert rep.columns["value"].dtype == np.int64 and len(distinct) == 12
+    assert seen == distinct
+    # each n once for its two rows, value and margin 0 or 1: not one entry per row
+    assert sum(distinct) < 2100 < 3 * len(rep.columns["n"])
 
 
 # -- exact lane ----------------------------------------------------------------
