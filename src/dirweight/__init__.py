@@ -31,8 +31,6 @@ from .weights import (
     MeasureSpec,
     WeightFamily,
     additive_from_prime_powers,
-    check_additive_growth,
-    check_multiplicative_growth,
     family_from_config,
     measure_induced,
     multiplicative_from_prime_powers,
@@ -45,6 +43,7 @@ from .condition import (
     check_range,
     divisor_sum,
     mult_product,
+    prime_power_check,
     von_mangoldt_alpha,
 )
 from .kernel import (
@@ -84,8 +83,6 @@ __all__ = [
     "multiplicative_from_prime_powers",
     "additive_from_prime_powers",
     "measure_induced",
-    "check_multiplicative_growth",
-    "check_additive_growth",
     "smooth_partial_sum",
     "ConditionReport",
     "divisor_sum",
@@ -93,6 +90,7 @@ __all__ = [
     "additive_Tt",
     "von_mangoldt_alpha",
     "check_range",
+    "prime_power_check",
     "GramCheck",
     "HalfPlanePoint",
     "weight_kernel",

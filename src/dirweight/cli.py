@@ -230,24 +230,19 @@ def cmd_classify(args) -> int:
 
     if fam.kind in ("multiplicative", "additive"):
         mult = fam.kind == "multiplicative"
-        law_ok = weights.audit_structure(fam, pairs=100, limit=max(3, min(n_max, 10000)))
-        check = weights.check_multiplicative_growth if mult else weights.check_additive_growth
-        growth = check(fam)
-        result[f"{fam.kind}_law_sampled"] = law_ok
-        result["growth_check"] = growth.to_json_dict()
-        if law_ok and growth.passed and (mult or growth.delta_nonpositive):
+        growth = result["growth_check"] = condition.prime_power_check(fam, delta, n_max, tol)
+        # check_range runs each factored route at one start index only
+        if growth["passed"] and fam.start_index == (1 if mult else 2) and (
+                mult or growth["delta_nonpositive"]):
             routes.append("multiplicative product route" if mult else "additive per-term route")
 
     base = fam.params.get("base")
     if isinstance(base, weights.WeightFamily) and base.kind == "multiplicative":
-        increasing = all(
-            base.prime_power(p, j) <= base.prime_power(p, j + 1)
-            for p in arith.first_primes(10)
-            for j in range(0, 5)
-        )
+        # at delta = 0 the factor of p^r is w_(p^r) - w_(p^(r-1))
+        increasing = condition.prime_power_check(base, 0.0, n_max)["passed"]
         result["one_plus_base"] = {
             "name": base.name,
-            "prime_power_values_increasing_sampled": increasing,
+            "prime_power_values_increasing": increasing,
         }
         if increasing:
             routes.append("one-plus composition route")
@@ -259,6 +254,7 @@ def cmd_classify(args) -> int:
     report = condition.check_range(fam, delta, None, sample["n_max"], tol=tol)
     result["condition_sample"] = {
         **sample,
+        "delta": report.delta,
         "verdict": report.verdict,
         "counts": report.counts(),
     }
@@ -422,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dirweight",
         description="Weighted Dirichlet series toolkit: condition checks, "
-                    "growth audits, kernel evaluation, Gram diagnostics.",
+                    "prime-power checks, kernel evaluation, Gram diagnostics.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -439,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(mode=None, func=cmd_check_condition)
 
     p = sub.add_parser("classify",
-                       help="audit structure/growth and report applicable routes")
+                       help="check the prime-power signs and report applicable routes")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.set_defaults(func=cmd_classify)

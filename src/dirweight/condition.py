@@ -11,6 +11,8 @@ the per-prime decomposition available for additive families, whose
 individual terms are the sharper per-term certificates.  ``s_columns``
 computes S(0..n) by any of the three and alone picks the arithmetic lane:
 ``check_range`` cross-checks its columns, the series kernel sums one.
+``prime_power_check`` reads the signs of S at the prime powers alone,
+which decide the condition for multiplicative and additive families.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -351,13 +353,19 @@ def _exact_values(w: WeightFamily, k: int, ft) -> list:
     return [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
 
 
+def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, ft) -> np.ndarray:
+    """_prime_power_factor at every prime power <= n, zero elsewhere: one call
+    each, in Python ints and Fractions when exact, else float64."""
+    return _accel.prime_power_values(ft, partial(_prime_power_factor, w, delta, exact),
+                                     object if exact else np.float64)
+
+
 def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):
     """mult_product or additive_Tt for every n <= n_max from the factors fq
     of the prime powers: int64 differences of ``table`` (the exact weights),
-    else one _prime_power_factor call each, in Python objects or floats."""
+    else _prime_power_factors, in Python objects or floats."""
     if table is None:
-        fq = _accel.prime_power_values(ft, partial(_prime_power_factor, w, delta, exact),
-                                       object if exact else np.float64)
+        fq = _prime_power_factors(w, delta, exact, ft)
     else:
         wi = table.astype(np.int64)
         q, p, _ = ft.prime_powers()
@@ -496,3 +504,46 @@ def check_range(
         verdict=VERDICTS[int(code.max())],
         agreement_failures=int(bad.sum()),
     )
+
+
+def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
+                      tol: float = DEFAULT_TOL) -> dict:
+    """The sign of S(p^r) at every prime power p^r <= n_max, from the factor
+    p^(-delta (r-1)) (p^(-delta) w_(p^r) - w_(p^(r-1))) (_prime_power_factors),
+    under check_range's sign policy: an exact factor fails below 0, a float
+    one below -tol or when it is not finite.
+
+    Multiplicative w, k = 1 (Stetler): S is multiplicative and S(p^r) is the
+    factor, so S(n) >= 0 on [1, n_max] iff every factor with r >= 1 passes,
+    and the first negative n is the first failing p^r.  Additive w, k = 2,
+    delta <= 0: S(n) is the sum of T_t, whose factors at r = 1 are
+    p^(-delta) w_p > 0 and whose companions are >= 0, and S(p^r) is the
+    factor, so S >= 0 on [2, n_max] iff every factor with r >= 2 passes (the
+    corollary's w_(p^(j-1)) / w_(p^j) <= p^(-delta), j >= 2).  Other kinds
+    raise ValueError.  first_violation is [p, r, margin] of the least
+    failing p^r, margin the factor as a float.
+    """
+    if w.kind not in ("multiplicative", "additive"):
+        raise ValueError(f"{w.name} is {w.kind}: no prime-power check")
+    delta, exact = _mode(w, delta)
+    n_max = arith._check_sieve(n_max, "n_max")
+    arith._check_tol(tol)
+    mult = w.kind == "multiplicative"
+    ft = _accel.factor_tables(n_max)
+    q, p, r = ft.prime_powers()
+    keep = r >= (1 if mult else 2)
+    q, p, r = q[keep], p[keep], r[keep]
+    fq = _prime_power_factors(w, delta, exact, ft)[q]
+    margin = np.array(list(map(_to_float, fq.tolist())), dtype=np.float64)
+    bad = np.flatnonzero(fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol))
+    i = bad[0] if len(bad) else None
+    return {
+        "rule": "multiplicative r>=1" if mult else "additive r>=2",
+        "delta": delta,
+        "range": [2, n_max],
+        "checks": len(q),
+        "passed": len(bad) == 0,
+        "violations": len(bad),
+        "first_violation": None if i is None else [int(p[i]), int(r[i]), float(margin[i])],
+        "delta_nonpositive": None if mult else delta <= 0.0,
+    }

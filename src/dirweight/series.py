@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _accel
 from .arith import ResourceLimitError, _check_positive, mobius_sieve
+from .weights import _is_exact, _parse_scalar
 
 EXACT = "exact"
 FLOAT = "float"
@@ -30,10 +30,6 @@ ZETA_TABLE = {
 }
 
 MAX_SERIES_LEN = 2_000_000
-
-
-def _is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ class FormalDirichletSeries:
         if len(self.coeffs) < 1:
             raise ValueError("series needs at least one coefficient")
         if self.mode == EXACT:
-            bad = next((c for c in self.coeffs if not _is_exact_scalar(c)), None)
+            bad = next((c for c in self.coeffs if not _is_exact(c)), None)
             if bad is not None:
                 raise ValueError(f"non-exact coefficient {bad!r} in exact mode")
 
@@ -127,15 +123,10 @@ class FormalDirichletSeries:
     def from_json_dict(cls, d: dict) -> "FormalDirichletSeries":
         mode = d["mode"]
         if mode == EXACT:
-            coeffs = tuple(_parse_exact(c) for c in d["coeffs"])
+            coeffs = tuple(_parse_scalar(c) for c in d["coeffs"])
         else:
             coeffs = tuple(float(c) for c in d["coeffs"])
         return cls(coeffs, mode)
-
-
-def _parse_exact(text):
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f
 
 
 def from_coeffs(coeffs, mode: str = EXACT) -> FormalDirichletSeries:

@@ -6,7 +6,7 @@ measure_induced), DECLARED convergence abscissas sigma and delta, and a
 dominating growth bound w_j <= C j^tau used for rigorous truncation tails.
 Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
-routes and the growth audits read without factorizing p^r.
+routes and ``condition.prime_power_check`` read without factorizing p^r.
 
 Each family has one definition of w_n, evaluated two ways: ``value(n)``
 (int/Fraction for exact families, else float) and ``values_table(n)``,
@@ -25,13 +25,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 import numpy as np
 
 from . import _accel, arith
 
-#: Default ceiling for positivity/growth/structure audits.
+#: Default ceiling of WeightFamily.audit (positivity and the growth bound).
 AUDIT_CEILING = 10_000
 
 
@@ -395,123 +394,6 @@ def measure_family(
         exact=False,
         params={"measure": spec, "n0": n0},
     )
-
-
-# ---------------------------------------------------------------------------
-# growth condition checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Outcome of the prime-power ratio audit w_{p^(j-1)} / w_{p^j} <= p^(-delta)."""
-
-    family: str
-    rule: str
-    delta: float
-    checks: int
-    passed: bool
-    first_violation: tuple | None
-    violations: tuple = ()
-    delta_nonpositive: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "rule": self.rule,
-            "delta": self.delta,
-            "checks": self.checks,
-            "passed": self.passed,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-            "violations": [list(v) for v in self.violations],
-            "delta_nonpositive": self.delta_nonpositive,
-        }
-
-
-def _growth_scan(w: WeightFamily, primes, max_exp: int, j_start: int) -> list:
-    rows = []
-    delta = w.delta
-    for p in primes:
-        p = int(p)
-        bound = 1.0 if delta == 0.0 else p ** (-delta)
-        for j in range(j_start, max_exp + 1):
-            lo, hi = w.prime_power(p, j - 1), w.prime_power(p, j)
-            if w.exact and delta == 0.0:
-                ratio = Fraction(lo) / Fraction(hi)
-                ok = ratio <= 1
-                margin = _to_float(1 - ratio)
-                rows.append((p, j, _to_float(ratio), 1.0, margin, ok))
-            else:
-                ratio = _to_float(lo) / _to_float(hi)
-                margin = bound - ratio
-                rows.append((p, j, ratio, bound, margin, margin >= 0.0))
-    return rows
-
-
-def check_multiplicative_growth(
-    w: WeightFamily, primes=None, max_exp: int = 6
-) -> GrowthReport:
-    """Ratio condition for multiplicative families, all exponents j >= 1."""
-    if w.kind != "multiplicative":
-        raise ValueError(f"{w.name} is not multiplicative")
-    if primes is None:
-        primes = arith.first_primes(25)
-    rows = _growth_scan(w, primes, max_exp, j_start=1)
-    bad = [r[:5] for r in rows if not r[5]]
-    return GrowthReport(
-        w.name, "multiplicative j>=1", w.delta, len(rows),
-        not bad, bad[0] if bad else None, tuple(bad),
-    )
-
-
-def check_additive_growth(
-    w: WeightFamily, primes=None, max_exp: int = 6
-) -> GrowthReport:
-    """Ratio condition for additive families.  Exponents start at j = 2
-    (the j = 1 ratio would involve the w_1 = 0 extension); also records
-    whether the declared delta is <= 0, the other hypothesis of the
-    additive route."""
-    if w.kind != "additive":
-        raise ValueError(f"{w.name} is not additive")
-    if primes is None:
-        primes = arith.first_primes(25)
-    rows = _growth_scan(w, primes, max_exp, j_start=2)
-    bad = [r[:5] for r in rows if not r[5]]
-    return GrowthReport(
-        w.name, "additive j>=2", w.delta, len(rows),
-        not bad, bad[0] if bad else None, tuple(bad),
-        delta_nonpositive=(w.delta <= 0.0),
-    )
-
-
-def audit_structure(
-    w: WeightFamily, pairs: int = 200, limit: int = AUDIT_CEILING, seed: int = 0
-) -> bool:
-    """Sample coprime pairs m, n in [2, limit] (limit >= 3) and verify the
-    multiplicative/additive law."""
-    if limit < 3:
-        raise ValueError(f"the structural audit needs limit >= 3, got {limit}")
-    rng = Random(seed)
-    checked = 0
-    while checked < pairs:
-        m = rng.randint(2, limit)
-        n = rng.randint(2, limit)
-        if math.gcd(m, n) != 1:
-            continue
-        checked += 1
-        lhs = w.value(m * n)
-        if w.kind == "multiplicative":
-            rhs = w.value(m) * w.value(n)
-        elif w.kind == "additive":
-            rhs = w.value(m) + w.value(n)
-        else:
-            raise ValueError(f"{w.name} has no structural law to audit")
-        if w.exact:
-            if lhs != rhs:
-                return False
-        elif abs(lhs - rhs) > 1e-9 * max(1.0, abs(rhs)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

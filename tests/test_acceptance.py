@@ -89,8 +89,8 @@ def test_criterion_05_per_term_nonnegativity(fams):
     ok = True
     for name in ("omega", "big_omega"):
         fam = fams[name]
-        growth = weights.check_additive_growth(fam)
-        ok = ok and growth.passed and growth.delta_nonpositive
+        growth = condition.prime_power_check(fam, None, 10**4)
+        ok = ok and growth["passed"] and growth["delta_nonpositive"]
         for n in range(2, 10**4 + 1):
             _, terms = condition.additive_Tt(fam, 0.0, n)
             if not all(t >= 0 for t in terms):
@@ -182,7 +182,7 @@ def test_criterion_11_negative_control(tmp_path):
         "kind": "named", "name": "geometric",
         "parameters": {"ratio": "1/2"}, "delta": 0.0,
     })
-    growth = weights.check_multiplicative_growth(geom)
+    growth = condition.prime_power_check(geom, None, 100)
     rep = condition.check_range(geom, None, 1, 100)
     bad = [r for r in rep.records if r.verdict == condition.NEGATIVE]
 
@@ -195,8 +195,8 @@ def test_criterion_11_negative_control(tmp_path):
     code = cli.main(["check-condition", "--config", str(cfg),
                      "--out", str(tmp_path / "neg")])
     ok = (
-        not growth.passed
-        and growth.first_violation[1] == 1  # ratio test fails at j = 1
+        not growth["passed"]
+        and growth["first_violation"][:2] == [2, 1]  # S(2) = w_2 - w_1 < 0
         and rep.mode == "exact"
         and bad
         and min(r.n for r in bad) <= 100

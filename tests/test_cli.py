@@ -300,6 +300,34 @@ def test_classify_omega(omega_cfg, capsys):
     assert report["result"]["growth_check"]["passed"]
 
 
+def test_classify_runs_at_the_delta_override(tmp_path, capsys):
+    # d(p) p^(-1/2) - 1 < 0 from p = 5 on: the check and the sample both fail there
+    cfg = write_config(tmp_path, "d.json", {
+        "family": {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}})
+    assert run(["classify", "--config", cfg, "--delta", "0.5", "--no-timestamp", "--stdout"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    growth, sample = result["growth_check"], result["condition_sample"]
+    assert (growth["delta"], growth["passed"], growth["first_violation"][:2]) == (0.5, False, [5, 1])
+    assert (sample["delta"], sample["verdict"]) == (0.5, "negative_certified")
+    assert result["delta"] == 0.0 and result["applicable_routes"] == []
+
+
+@pytest.mark.parametrize("family,method", [
+    ({"kind": "named", "name": "omega", "start_index": 3}, "additive_Tt"),
+    ({"kind": "named", "name": "geometric", "start_index": 2}, "mult_product")],
+    ids=["omega", "geometric"])
+def test_classify_lists_factored_routes_only_at_their_start_index(family, method, tmp_path,
+                                                                  capsys):
+    cfg = write_config(tmp_path, "f.json", {"family": family, "n_max": 200})
+    assert run(["classify", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["growth_check"]["passed"]
+    assert not {"multiplicative product route", "additive per-term route"} & set(
+        result["applicable_routes"])
+    assert run(["check-condition", "--config", cfg, "--methods", method, "--stdout"]) == 1
+    assert "agrees with the condition only for k =" in capsys.readouterr().err
+
+
 def test_classify_writes_to_stdout_without_out_or_stdout(omega_cfg, capsys):
     assert run(["classify", "--config", omega_cfg, "--no-timestamp"]) == 0
     captured = capsys.readouterr()
@@ -727,7 +755,7 @@ def test_named_family_parameters_are_finite_floats(name, key, value, message, tm
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_classify_at_the_smallest_n_max_ends(n_max, tmp_path):
-    # in a subprocess with a timeout: a structural audit without a coprime pair never ends
+    # in a subprocess with a timeout: a run at these n_max must end
     cfg = write_config(tmp_path, "ones.json", {"family": {"kind": "named", "name": "ones"}})
     src = str(Path(dirweight.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -736,8 +764,7 @@ def test_classify_at_the_smallest_n_max_ends(n_max, tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
-    assert result["multiplicative_law_sampled"]
-    assert result["condition_sample"] == {"n_max": n_max, "verdict": "nonneg_exact",
+    assert result["condition_sample"] == {"n_max": n_max, "delta": 0.0, "verdict": "nonneg_exact",
                                           "counts": {"nonneg_exact": n_max}}
 
 

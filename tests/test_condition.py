@@ -118,7 +118,7 @@ def test_mult_factors_positive_when_growth_holds(fam):
     # whenever the ratio condition passes, each factor is nonnegative
     for name in ("ones", "d", "d2"):
         w = fam[name]
-        assert weights.check_multiplicative_growth(w).passed
+        assert condition.prime_power_check(w, 0.0, 5000)["passed"]
         for n in range(2, 5000):
             for f in condition.mult_factors(w, 0.0, n):
                 assert f >= 0
@@ -390,6 +390,28 @@ def test_per_term_nonnegativity_additive(fam):
         for n in range(2, 2000):
             _, terms = condition.additive_Tt(w, 0.0, n)
             assert all(t >= 0 for t in terms)
+
+
+@pytest.mark.parametrize("delta", [None, 0.0, 0.5, -0.3], ids=["declared", "0", "0.5", "-0.3"])
+@pytest.mark.parametrize("name,params", [
+    ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 1}),
+    ("divisor_pow", {"alpha": "1/2"}), ("d_beta", {"beta": 2}), ("d_beta", {"beta": "3/2"}),
+    ("geometric", {"ratio": "1/2"}), ("geometric", {"ratio": 3}), ("geometric", {"ratio": 0.7}),
+])
+def test_prime_power_check_decides_the_condition(name, params, delta):
+    # multiplicative (Stetler): S >= 0 on [1, N] iff S(p^r) >= 0 at every p^r <= N, and the
+    # first negative n is a prime power; additive at delta <= 0: iff at every p^r, r >= 2
+    w = weights.named_family(name, **params)
+    check = condition.prime_power_check(w, delta, 2000)
+    if w.kind == "additive" and not check["delta_nonpositive"]:
+        return
+    rep = condition.check_range(w, delta, None, 2000)
+    assert check["passed"] == (rep.verdict in (condition.NONNEG_EXACT, condition.NONNEG_TOL))
+    negative = rep.columns["n"][rep.columns["verdict"] == condition.VERDICTS.index(
+        condition.NEGATIVE)]
+    if w.kind == "multiplicative" and not check["passed"]:
+        p, r, _ = check["first_violation"]
+        assert p**r == negative[0]
 
 
 def test_check_range_measure_family_float_lane():

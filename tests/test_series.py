@@ -192,6 +192,12 @@ def test_float_roundtrip_through_json():
     assert back.coeffs == f.coeffs
 
 
+@pytest.mark.parametrize("coeffs", [["1/0"], ["x"], [True]])
+def test_exact_json_rejects_malformed_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        series.FormalDirichletSeries.from_json_dict({"mode": series.EXACT, "coeffs": coeffs})
+
+
 def test_exact_mode_rejects_floats():
     with pytest.raises(ValueError):
         series.from_coeffs([1.5], series.EXACT)

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirweight import _accel, arith, series, weights
+from dirweight import _accel, arith, condition, series, weights
 
 
 # -- named families -----------------------------------------------------------
@@ -129,14 +130,13 @@ def test_unknown_named_parameters_rejected():
 ])
 def test_structural_law_on_random_coprime_pairs(name, params):
     fam = weights.named_family(name, **params)
-    assert weights.audit_structure(fam, pairs=200, limit=10**4)
-
-
-def test_structure_audit_needs_a_coprime_pair():
-    ones = weights.named_family("ones")
-    assert weights.audit_structure(ones, pairs=10, limit=3)  # 2 and 3
-    with pytest.raises(ValueError, match="needs limit >= 3, got 1"):
-        weights.audit_structure(ones, limit=1)
+    law = operator.mul if fam.kind == "multiplicative" else operator.add
+    rng, checked = Random(0), 0
+    while checked < 200:
+        m, n = rng.randint(2, 10**4), rng.randint(2, 10**4)
+        if math.gcd(m, n) == 1:
+            assert fam.value(m * n) == law(fam.value(m), fam.value(n)), (m, n)
+            checked += 1
 
 
 def test_audit_positivity_and_growth_bound():
@@ -399,57 +399,60 @@ def test_gamma_table_matches_log_pow_closed_form(alpha):
 
 
 def test_multiplicative_growth_divisor_count_passes():
-    rep = weights.check_multiplicative_growth(weights.named_family("divisor_pow", alpha=1))
-    assert rep.passed and rep.first_violation is None
+    rep = condition.prime_power_check(weights.named_family("divisor_pow", alpha=1), None, 2000)
+    assert rep["passed"] and rep["first_violation"] is None
 
 
 def test_multiplicative_growth_ones_equality_passes():
-    rep = weights.check_multiplicative_growth(weights.named_family("ones"))
-    assert rep.passed
+    rep = condition.prime_power_check(weights.named_family("ones"), None, 2000)
+    assert rep["passed"]
 
 
 def test_multiplicative_growth_small_prime_weight_fails_at_j1():
     g = weights.named_family("geometric", ratio="1/2")
-    g.delta = 0.0  # declare delta 0: w_1 / w_p = 2 > 1
-    rep = weights.check_multiplicative_growth(g)
-    assert not rep.passed
-    p, j, ratio, bound, margin = rep.first_violation
-    assert j == 1 and ratio == 2.0 and bound == 1.0 and margin < 0
+    g.delta = 0.0  # declare delta 0: S(p) = w_p - w_1 = -1/2
+    rep = condition.prime_power_check(g, None, 2000)
+    assert not rep["passed"]
+    assert rep["first_violation"] == [2, 1, -0.5]
 
 
 def test_additive_growth_omega_passes():
-    rep = weights.check_additive_growth(weights.named_family("omega"))
-    assert rep.passed and rep.delta_nonpositive
+    rep = condition.prime_power_check(weights.named_family("omega"), None, 2000)
+    assert rep["passed"] and rep["delta_nonpositive"]
 
 
 def test_additive_growth_big_omega_passes():
-    rep = weights.check_additive_growth(weights.named_family("big_omega"))
-    assert rep.passed  # ratios (j-1)/j <= 1
+    rep = condition.prime_power_check(weights.named_family("big_omega"), None, 2000)
+    assert rep["passed"]  # S(p^r) = r - (r - 1) = 1
 
 
 def test_additive_growth_positive_delta_flagged():
     fam = weights.additive_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.1, growth_bound=(1.1, 0.5), exact=True
     )
-    rep = weights.check_additive_growth(fam)
-    assert rep.delta_nonpositive is False
+    rep = condition.prime_power_check(fam, None, 2000)
+    assert rep["delta_nonpositive"] is False
 
 
 @pytest.mark.parametrize("name,params", _PRIME_POWER_FAMILIES)
 def test_growth_checks_read_prime_powers_without_factorizing(name, params, monkeypatch):
+    fam = weights.named_family(name, **params)
+    # prime powers p^r <= 2000 with r >= 1 (multiplicative) or r >= 2 (additive)
+    rmin = 1 if fam.kind == "multiplicative" else 2
+    expected = sum(1 for q in range(2, 2001)
+                   if len(f := arith.factorize(q).factors) == 1 and f[0][1] >= rmin)
     calls, factorize = [], arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
-    fam = weights.named_family(name, **params)
-    mult = fam.kind == "multiplicative"
-    check = weights.check_multiplicative_growth if mult else weights.check_additive_growth
-    assert check(fam).checks == 25 * (6 if mult else 5) and calls == []
+    assert condition.prime_power_check(fam, None, 2000)["checks"] == expected and calls == []
 
 
 def test_growth_check_kind_mismatch():
-    with pytest.raises(ValueError):
-        weights.check_additive_growth(weights.named_family("ones"))
-    with pytest.raises(ValueError):
-        weights.check_multiplicative_growth(weights.named_family("omega"))
+    for fam in (weights.named_family("log_pow", alpha=1),
+                weights.named_family("one_plus", base=weights.named_family("ones")),
+                weights.family_from_config({"kind": "explicit", "values": [1, 2], "start_index": 2,
+                                            "sigma": 1.0, "delta": 0.0, "growth_bound": [2, 0]})):
+        with pytest.raises(ValueError, match="no prime-power check"):
+            condition.prime_power_check(fam, None, 100)
 
 
 # -- smooth partial sums ------------------------------------------------------
