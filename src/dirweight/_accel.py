@@ -13,7 +13,9 @@ omega, Omega, gpf and prime-power parts, one numpy pass per block), and
 every multiplicative or additive one from ``prime_power_fill``.  A run
 makes one ``factor_tables`` pass and hands it to every table it builds
 (``WeightFamily.values_table(n, ft)``); the single-column readers below
-serve callers that need one column.  Every kernel partial sum goes
+serve callers that need one column.  The primes come from a segmented
+sieve, ``primes_up_to``, which needs no factor tables, and every list of
+prime powers from ``prime_powers``.  Every kernel partial sum goes
 through one blocked engine, ``power_sum``.
 """
 
@@ -36,11 +38,6 @@ class FactorTables(NamedTuple):
     big_omega: np.ndarray
     gpf: np.ndarray
     ppart: np.ndarray
-
-    def prime_powers(self):
-        """(q, p, r) for every prime power q = p^r <= n, ascending in q."""
-        q = np.flatnonzero(self.gpf == self.spf)[2:]  # slots 0 and 1 hold 0 == 0
-        return q, self.spf[q], self.big_omega[q]
 
 
 def _blocks(n: int):
@@ -79,21 +76,81 @@ def factor_tables(n: int) -> FactorTables:
     return FactorTables(spf, mu, omega, big_omega, gpf, ppart)
 
 
-def prime_power_values(ft: FactorTables, f, dtype) -> np.ndarray:
-    """fq[p^r] = f(p, r) at every prime power p^r <= n, zero elsewhere.
-    f is called once per prime power, on Python ints, in chunks that keep
-    the Python objects few."""
-    fq = np.zeros(len(ft.ppart), dtype=dtype)
-    q, p, r = ft.prime_powers()
-    for i in range(0, len(q), 1 << 12):
+#: primes_up_to sieves 2..n in segments of this many integers
+SEGMENT = 1 << 18
+
+
+def primes_up_to(n: int) -> np.ndarray:
+    """The primes <= n, ascending (int64): a segmented sieve of Eratosthenes
+    (Crandall and Pomerance, *Prime Numbers*, 3.2).  The base primes up to
+    sqrt(n) come from the same sieve; each segment [lo, lo + SEGMENT) past
+    them crosses off the multiples of every base prime p from
+    max(p^2, the first multiple >= lo), in O(sqrt n + SEGMENT) memory
+    besides the primes themselves."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    root = math.isqrt(n)
+    base = primes_up_to(root)
+    parts, seg = [base], np.empty(SEGMENT, dtype=bool)
+    for lo in range(root + 1, n + 1, SEGMENT):
+        hi = min(lo + SEGMENT, n + 1)
+        block = seg[: hi - lo]
+        block[:] = True
+        for p in base.tolist():
+            if p * p >= hi:
+                break
+            block[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        parts.append(np.flatnonzero(block) + lo)
+    return np.concatenate(parts)
+
+
+def prime_powers(n: int):
+    """(q, p, r): every prime power q = p^r <= n with its prime and
+    exponent, ascending in q (int64), from primes_up_to(n)."""
+    primes = primes_up_to(n)
+    qs, ps, rs = [primes], [primes], [np.ones(len(primes), dtype=np.int64)]
+    p = q = primes[: np.searchsorted(primes, math.isqrt(n), side="right")]
+    while len(q):
+        q = q * p
+        keep = q <= n
+        p, q = p[keep], q[keep]
+        qs.append(q)
+        ps.append(p)
+        rs.append(np.full(len(q), len(rs) + 1, dtype=np.int64))
+    q = np.concatenate(qs)
+    order = np.argsort(q)
+    return q[order], np.concatenate(ps)[order], np.concatenate(rs)[order]
+
+
+def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype, by_exponent: bool = False):
+    """f(p, r) at each pair (p[i], r[i]), as a dtype array.  f is called once
+    per pair, in order, on Python ints, in chunks that keep the Python
+    objects few; with ``by_exponent`` (f depends on r alone) once per
+    exponent 1..max r, at p = 2, and the values are gathered by r."""
+    if by_exponent:
+        top = int(r.max(initial=0))
+        return np.fromiter(map(f, [2] * top, range(1, top + 1)), dtype, top)[r - 1]
+    out = np.empty(len(p), dtype=dtype)
+    for i in range(0, len(p), 1 << 12):
         part = slice(i, i + (1 << 12))
-        fq[q[part]] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype, len(q[part]))
+        out[part] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype,
+                                len(out[part]))
+    return out
+
+
+def prime_power_values(n: int, f, dtype, by_exponent: bool = False) -> np.ndarray:
+    """fq[p^r] = f(p, r) at every prime power p^r <= n, zero elsewhere: one
+    map_prime_powers over prime_powers(n)."""
+    fq = np.zeros(n + 1, dtype=dtype)
+    q, p, r = prime_powers(n)
+    fq[q] = map_prime_powers(p, r, f, dtype, by_exponent)
     return fq
 
 
-def prime_power_fill(ft: FactorTables, fq: np.ndarray, op) -> np.ndarray:
+def prime_power_fill(ppart: np.ndarray, fq: np.ndarray, op) -> np.ndarray:
     """w[1] = the identity of op (np.multiply or np.add), and
-    w[m] = op(w[m / P^r], fq[P^r]) with P^r = ppart[m], in fq's dtype.
+    w[m] = op(w[m / P^r], fq[P^r]) with P^r = ppart[m] (the factor tables'
+    column), in fq's dtype.
 
     Consumes fq: w is filled in place over it and returned.  That is
     sound because every prime power q gets w[q] = op(identity, fq[q]) =
@@ -105,14 +162,9 @@ def prime_power_fill(ft: FactorTables, fq: np.ndarray, op) -> np.ndarray:
     w = fq
     w[1:2] = op.identity
     for lo, hi in _blocks(len(w) - 1):
-        q = ft.ppart[lo:hi]
+        q = ppart[lo:hi]
         w[lo:hi] = op(w[np.arange(lo, hi, dtype=np.int32) // q], w[q])
     return w
-
-
-def primes_up_to(n: int) -> np.ndarray:
-    """The primes <= n, ascending (int64): the m with Omega(m) = 1."""
-    return np.flatnonzero(factor_tables(n).big_omega == 1)
 
 
 def mobius_table(n: int) -> np.ndarray:
@@ -144,6 +196,12 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     n = 10^6 (the kernels' truncation cap) each c[m] sums its terms in one
     order, j <= 1000 ascending and then q ascending, so a shorter table is
     a prefix of a longer one bit for bit.  Neither input is copied or cast.
+
+    When b is integer-typed (mu) and a[lo:] is finite, the q loop skips
+    b[q] = 0 and adds or subtracts a's slice in place for b[q] = +-1, with
+    no temporary: the bits are those of the product, as x (+-1) = +-x
+    exactly and c never holds -0.0 (it starts at +0.0).  A non-finite
+    weight keeps the multiply, so inf * 0 still gives NaN.
     """
     n = min(len(a), len(b)) - 1
     c = np.zeros(n + 1, dtype=np.float64)
@@ -153,9 +211,16 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     for j in range(max(start, 1), r + 1):
         c[j::j] += a[j] * b[1 : n // j + 1]
     lo = max(r + 1, start)
+    unit = b.dtype.kind in "iu" and bool(np.isfinite(a[lo:]).all())
     for q in range(1, n // lo + 1):
         hi = n // q
-        c[lo * q : hi * q + 1 : q] += a[lo : hi + 1] * b[q]
+        out, bq = c[lo * q : hi * q + 1 : q], b[q]
+        if not unit or bq not in (0, 1, -1):
+            out += a[lo : hi + 1] * bq
+        elif bq == 1:
+            out += a[lo : hi + 1]
+        elif bq == -1:
+            out -= a[lo : hi + 1]
     return c
 
 

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import arith, condition, kernel, weights
+from . import condition, kernel, weights
 
 SCHEMA_VERSION = "1.0"
 
@@ -261,10 +261,9 @@ def cmd_classify(args) -> int:
     if report.verdict in (condition.NONNEG_EXACT, condition.NONNEG_TOL):
         routes.append("direct condition route")
 
-    try:
-        result["smooth_sum_diagnostic"] = weights.smooth_growth_diagnostic(
-            fam, max(fam.delta, 0.0) + 0.5, 3
-        )
+    try:  # at the delta the condition sample ran at
+        smooth = weights.smooth_growth_diagnostic(fam, max(report.delta, 0.0) + 0.5, 3)
+        result["smooth_sum_diagnostic"] = {"delta": report.delta, **smooth}
     except ValueError:
         pass
     result["applicable_routes"] = routes
@@ -362,10 +361,11 @@ def cmd_von_mangoldt(args) -> int:
     alpha = _config_int(cfg, "alpha", 1)
 
     if cfg.get("n") is not None:
-        ns = [_config_int(cfg, "n")]
+        n = _config_int(cfg, "n")
+        values = [(n, condition.von_mangoldt_alpha(n, alpha))]
     else:
-        ns = range(2, arith._check_sieve(_config_int(cfg, "n_max", 100), "n_max") + 1)
-    values = [(n, condition.von_mangoldt_alpha(n, alpha)) for n in ns]
+        n_max = _config_int(cfg, "n_max", 100)
+        values = list(zip(range(2, n_max + 1), condition.von_mangoldt_range(n_max, alpha)))
     result = {
         "alpha": alpha,
         "values": [{"n": n, "value": v} for n, v in values],

@@ -10,9 +10,12 @@ closed form available for multiplicative families; ``additive_Tt`` uses
 the per-prime decomposition available for additive families, whose
 individual terms are the sharper per-term certificates.  ``s_columns``
 computes S(0..n) by any of the three and alone picks the arithmetic lane:
-``check_range`` cross-checks its columns, the series kernel sums one.
-``prime_power_check`` reads the signs of S at the prime powers alone,
-which decide the condition for multiplicative and additive families.
+``check_range`` cross-checks its columns.  ``series_column`` gives the
+series kernel one float64 column: the exact factored one, built from the
+prime powers of the segmented sieve, wherever it equals the divisor sums
+bit for bit.  ``prime_power_check`` reads the signs of S at the prime
+powers alone, which decide the condition for multiplicative and additive
+families.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -44,6 +48,8 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_TOL = 1e-10
 #: Terms von_mangoldt_alpha sums at most: 0.2-0.3 s at 4.5-6.5 us each (2-vCPU Xeon VM).
 MAX_COMPOSITIONS = 5 * 10**4
+#: Terms von_mangoldt_range sums at most over its whole range: 4.5-6.5 s.
+MAX_RUN_COMPOSITIONS = 10**6
 
 
 def _mode(w: WeightFamily, delta) -> tuple[float, bool]:
@@ -190,6 +196,23 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
     except OverflowError:
         raise ValueError(f"von Mangoldt value at n={n}, alpha={alpha} overflows float64") from None
     return total
+
+
+def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
+    """von_mangoldt_alpha(n, alpha) for n = 2..n_max.  The value at n sums
+    C(alpha - 1, omega(n) - 1) compositions (none past alpha distinct
+    primes); a range whose total is past MAX_RUN_COMPOSITIONS raises
+    ResourceLimitError before any value is computed."""
+    n_max = arith._check_sieve(n_max, "n_max")
+    if not isinstance(alpha, int) or alpha < 1:
+        raise ValueError("alpha must be a positive integer")
+    counts = np.bincount(_accel.omega_table(n_max)[2:])
+    total = sum(int(c) * math.comb(alpha - 1, w - 1) for w, c in enumerate(counts) if w)
+    if total > MAX_RUN_COMPOSITIONS:
+        raise arith.ResourceLimitError(
+            f"von Mangoldt values for n <= {n_max}, alpha={alpha} sum {total} compositions, "
+            f"past the run ceiling {MAX_RUN_COMPOSITIONS}")
+    return [von_mangoldt_alpha(n, alpha) for n in range(2, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -346,82 +369,157 @@ def _exact_values(w: WeightFamily, k: int, ft) -> list:
     base = w.params.get("base")
     if isinstance(base, WeightFamily):
         return [0] * k + [1 + v for v in _exact_values(base, k, ft)[k:]]
+    n = len(ft.mu) - 1
     if w.kind in ("multiplicative", "additive"):
         op = np.multiply if w.kind == "multiplicative" else np.add
-        fq = _accel.prime_power_values(ft, w.prime_power, object)
-        return [0] * k + _accel.prime_power_fill(ft, fq, op)[k:].tolist()
-    return [0] * k + [w.value(j) for j in range(k, len(ft.mu))]
+        fq = _accel.prime_power_values(n, w.prime_power, object, w._exponent_only)
+        return [0] * k + _accel.prime_power_fill(ft.ppart, fq, op)[k:].tolist()
+    return [0] * k + [w.value(j) for j in range(k, n + 1)]
 
 
-def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, ft) -> np.ndarray:
-    """_prime_power_factor at every prime power <= n, zero elsewhere: one call
-    each, in Python ints and Fractions when exact, else float64."""
-    return _accel.prime_power_values(ft, partial(_prime_power_factor, w, delta, exact),
-                                     object if exact else np.float64)
+def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
+    """(q, p, r, fq, size): the prime powers q = p^r <= n, ascending, and
+    _prime_power_factor at each, once per prime power (once per exponent
+    at delta = 0 for a family whose f depends on r alone).
+
+    Float64 unless exact (size is then None).  Exact factors are
+    w_(p^r) - w_(p^(r-1)) from one prime_power call per prime power,
+    int64 for an integer-valued family whose factors fit, else Python ints
+    and Fractions; size is |w_(p^r)| + |w_(p^(r-1))| as floats."""
+    q, p, r = _accel.prime_powers(n)
+    by_exponent = w._exponent_only and delta == 0.0
+    if not exact:
+        f = partial(_prime_power_factor, w, delta, False)
+        return q, p, r, _accel.map_prime_powers(p, r, f, np.float64, by_exponent), None
+    hi = _accel.map_prime_powers(p, r, w.prime_power, object, by_exponent)
+    lo = np.full(len(q), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
+    lo[r > 1] = hi[np.searchsorted(q, (q // p)[r > 1])]
+    fq, size = hi - lo, abs(hi) + abs(lo)
+    try:
+        size = size.astype(np.float64)
+    except OverflowError:  # a size past the float range
+        size = np.array(list(map(_to_float, size.tolist())))
+    with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
+        fq = fq.astype(np.int64) if w.integer_valued else fq
+    return q, p, r, fq, size
 
 
-def _factored(w: WeightFamily, delta: float, method: str, ft, table, exact: bool):
+def _exact_factored(w: WeightFamily, method: str, n: int, ppart):
+    """(q, fq, bound) of mult_product or additive_Tt at delta = 0: the
+    exact factors of _prime_power_factors, and a float bound on every
+    |w_j| and every partial sum of every divisor sum S(m), j, m <= n.
+    While bound < 2^53 the float weight table and divisor_sum column are
+    exact, and while bound < 2^62 no int64 product of factors overflows.
+
+    Multiplicative: the sum of |w_j mu(m/j)| over j | m is the product
+    of the sizes |w_(p^r)| + |w_(p^(r-1))| over p^r || m, so bound is
+    the largest such product: one float64 fill over ppart, exact below
+    2^53, and rounding never takes a product at or past 2^53 below it.
+    Additive: |w_j| is at most omega(j) <= log2 n times the largest size,
+    and S(m) has at most d(m) <= 2 sqrt(m) terms."""
+    q, _, _, fq, size = _prime_power_factors(w, 0.0, True, n)
+    if method == "additive_Tt":
+        return q, fq, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
+    sizes = np.zeros(n + 1)
+    sizes[q] = size
+    with np.errstate(over="ignore"):  # inf is past every bound
+        return q, fq, _accel.prime_power_fill(ppart, sizes, np.multiply).max()
+
+
+def _fill(q, fq, method: str, n: int, ppart, dtype) -> np.ndarray:
+    """S(0..n) in dtype from the factors fq at the prime powers q: at
+    delta = 0 every T_t vanishes unless n = p^r, so additive_Tt is fq
+    itself, and mult_product is one prime_power_fill of fq."""
+    col = np.zeros(n + 1, dtype=dtype)
+    col[q] = fq
+    return col if method == "additive_Tt" else _accel.prime_power_fill(ppart, col, np.multiply)
+
+
+def _factored(w: WeightFamily, delta: float, method: str, n: int, ft, exact: bool):
     """mult_product or additive_Tt for every n <= n_max from the factors fq
-    of the prime powers: int64 differences of ``table`` (the exact weights),
-    else _prime_power_factors, in Python objects or floats."""
-    if table is None:
-        fq = _prime_power_factors(w, delta, exact, ft)
+    of the prime powers: exact ones (_exact_factored) in int64 or Python
+    objects, else float64 _prime_power_factors.  Exact additive_Tt reads
+    no factor tables (ft may be None)."""
+    ppart = None if ft is None else ft.ppart
+    if exact:
+        q, fq, bound = _exact_factored(w, method, n, ppart)
+        # a product of int64 factors could overflow: multiply Python ints
+        dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
     else:
-        wi = table.astype(np.int64)
-        q, p, _ = ft.prime_powers()
-        fq = np.zeros(len(wi), dtype=np.int64)
-        fq[q] = wi[q] - wi[q // p]
-    if method == "additive_Tt" and exact:
-        # at delta = 0 every T_t vanishes unless n = p^r: then S(n) = w_n - w_(n/p)
-        return fq
-    if method == "additive_Tt":  # per n, from each prime power's factor and companion
-        cq = _accel.prime_power_values(ft, partial(_companion, delta), np.float64).tolist()
-        fq, col = fq.tolist(), [0.0]
-        for _, factors in arith.factorizations_up_to(len(fq) - 1, ft):
-            qs = [p**r for p, r in factors]
-            col.append(sum(_float_terms([fq[q] for q in qs], [cq[q] for q in qs])))
-        return np.array(col)
-    if fq.dtype == np.int64 and _accel.prime_power_fill(
-            ft, np.abs(fq).astype(np.float64), np.multiply).max() >= _INT64_SAFE:
-        fq = fq.astype(object)  # a product could overflow int64: multiply Python ints
-    return _accel.prime_power_fill(ft, fq, np.multiply)
+        q, _, _, fq, _ = _prime_power_factors(w, delta, exact, n)
+        dtype = np.float64
+    col = _fill(q, fq, method, n, ppart, dtype)
+    if exact or method == "mult_product":
+        return col
+    # float additive_Tt: per n, from each prime power's factor and companion
+    fq, col = col.tolist(), [0.0]
+    cq = _accel.prime_power_values(n, partial(_companion, delta), np.float64).tolist()
+    for _, factors in arith.factorizations_up_to(n, ft):
+        qs = [p**r for p, r in factors]
+        col.append(sum(_float_terms([fq[q] for q in qs], [cq[q] for q in qs])))
+    return np.array(col)
 
 
 def s_columns(w: WeightFamily, delta: float, k: int, n: int,
               methods: tuple[str, ...] = ("divisor_sum",), exact: bool = False) -> list:
-    """S(0..n) by each of ``methods``, in order, from one factor-table pass
-    and one read of the weight table; zero below k (mult_product is S at
-    k = 1 only, additive_Tt at k = 2 only).
+    """S(0..n) by each of ``methods``, in order, from at most one
+    factor-table pass and one read of the weight table; zero below k
+    (mult_product is S at k = 1 only, additive_Tt at k = 2 only).
 
     Lanes: float64 unless ``exact`` (rational weights at delta = 0).  Exact
-    columns of integer-valued families with every |w_j| < 2^53 are int64:
-    divisor_sum while n * max|w_j| < 2^53 (every partial sum is then exact
-    in float64), mult_product while |S(n)| < 2^62.  Other exact columns are
-    Python ints and Fractions.  The factored routes run first: only mu of
-    the factor tables outlives them into the divisor-sum convolution.
+    factored columns come from the prime-power factors (_exact_factored),
+    int64 for integer-valued families while they fit and a product stays
+    below 2^62; additive_Tt alone builds no factor tables.  Exact
+    divisor_sum columns of integer-valued families are int64 while
+    n * max|w_j| < 2^53 (every partial sum is then exact in float64).
+    Other exact columns are Python ints and Fractions.  The weight table
+    is read after the factored routes, and only mu of the factor tables
+    outlives them into the divisor-sum convolution.
     """
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
-    ft = _accel.factor_tables(n)
-    table = None
-    if w.integer_valued if exact else "divisor_sum" in methods:
-        table = w.values_table(n, ft)
-        # the exact weights when every |w_j| < 2^53 (a weight past float64 reads inf)
-        if exact and not (top := np.abs(table).max()) < _FLOAT_EXACT:
-            table = None
-    cols = {m: _factored(w, delta, m, ft, table if exact else None, exact)
-            for m in methods if m != "divisor_sum"}
+    ft = None if exact and set(methods) == {"additive_Tt"} else _accel.factor_tables(n)
+    cols = {m: _factored(w, delta, m, n, ft, exact) for m in methods if m != "divisor_sum"}
     if "divisor_sum" in methods:
+        table = w.values_table(n, ft) if w.integer_valued or not exact else None
         # Python ints and Fractions unless every exact partial sum is below 2^53
-        objects = exact and (table is None or n * int(top) >= _FLOAT_EXACT)
+        # (a weight past float64 reads inf)
+        objects = exact and (table is None or not (top := np.abs(table).max()) < _FLOAT_EXACT
+                             or n * int(top) >= _FLOAT_EXACT)
         vals, mu = (_exact_values(w, k, ft), ft.mu.tolist()) if objects else (table, ft.mu)
-        del ft  # the convolution reads only the weights and mu
+        del ft, table  # the convolution reads only the weights and mu
         if objects:
             cols["divisor_sum"] = np.array(_accel.exact_convolve(vals, mu), dtype=object)
         else:  # float64 sums; exact ones are integers below 2^53, cast to int64
             col = _accel.divisor_sum_table(vals, mu, delta, k)
             cols["divisor_sum"] = col.astype(np.int64) if exact else col
     return [cols[m] for m in methods]
+
+
+def series_column(w: WeightFamily, delta: float, n: int) -> np.ndarray:
+    """S(0..n) at the family's start index in float64: the series kernel's
+    coefficients.
+
+    In the exact lane (an integer-valued multiplicative family with k = 1,
+    or additive with k = 2, at delta = 0) this is the factored column,
+    filled in float64 from the prime-power factors with no weight table
+    and, for additive_Tt, no factor tables, whenever _exact_factored's
+    bound is below 2^53: s_columns's float divisor_sum column is then exact
+    too, so the two are equal bit for bit.  Otherwise it is that column
+    (past the bound, a multiplicative family builds the factor tables twice).
+    """
+    k = w.start_index
+    method = {("multiplicative", 1): "mult_product",
+              ("additive", 2): "additive_Tt"}.get((w.kind, k))
+    if method and w.integer_valued and _mode(w, delta)[1]:
+        # of the factor tables the fill reads ppart alone
+        ppart = _accel.factor_tables(n).ppart if method == "mult_product" else None
+        q, fq, bound = _exact_factored(w, method, n, ppart)
+        if bound < _FLOAT_EXACT:
+            col = _fill(q, fq, method, n, ppart, np.float64)
+            col += 0.0  # a product 0 * (negative) is -0.0; the divisor sum's 0 is +0.0
+            return col
+    return s_columns(w, delta, k, n)[0]
 
 
 def check_range(
@@ -529,11 +627,9 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     mult = w.kind == "multiplicative"
-    ft = _accel.factor_tables(n_max)
-    q, p, r = ft.prime_powers()
+    _, p, r, fq, _ = _prime_power_factors(w, delta, exact, n_max)
     keep = r >= (1 if mult else 2)
-    q, p, r = q[keep], p[keep], r[keep]
-    fq = _prime_power_factors(w, delta, exact, ft)[q]
+    p, r, fq = p[keep], r[keep], fq[keep]
     margin = np.array(list(map(_to_float, fq.tolist())), dtype=np.float64)
     bad = np.flatnonzero(fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol))
     i = bad[0] if len(bad) else None
@@ -541,7 +637,7 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
         "rule": "multiplicative r>=1" if mult else "additive r>=2",
         "delta": delta,
         "range": [2, n_max],
-        "checks": len(q),
+        "checks": len(fq),
         "passed": len(bad) == 0,
         "violations": len(bad),
         "first_violation": None if i is None else [int(p[i]), int(r[i]), float(margin[i])],

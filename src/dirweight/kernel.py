@@ -21,7 +21,7 @@ budget, because the statement being tested concerns the exact kernel.
 The three functions, ``default_grid`` and ``gram_psd`` share one
 ``_Route``: its tail bound (c, tau) and point abscissa, each entry's
 truncation (``terms``), the coefficient table (``table``; series S(n) is
-a ``condition.s_columns`` column) and the entries with their tails
+``condition.series_column``) and the entries with their tails
 (``entries``, which alone propagates the quotient's error).  ``entries``
 makes one ``_accel.power_sum`` call for every pair (a, b, n) of a run:
 the engine walks j in blocks of B = 2^14 at absolute multiples of B,
@@ -34,7 +34,8 @@ point and per-entry target bit for bit: an entry's block partials do not
 depend on the entries that share the pass, and every table up to
 TRUNCATION_CAP is a prefix of a longer one, float S(n) included, as the
 convolution sums each coefficient in one order up to the cap (see
-``_accel._convolve``).
+``_accel._convolve``); where the exact lane's factored column is taken,
+the divisor sums are exact and equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -114,10 +115,11 @@ class _Route:
     def table(self, n: int) -> np.ndarray:
         """Coefficients 0..n of the power sums: the weights, folded with
         j^(-delta) on the ratio route; for the series route the condition
-        values S(n), condition.s_columns's float divisor_sum column."""
+        values S(n), condition.series_column (the exact factored column
+        where it applies, else the float divisor_sum column)."""
         w = self.family
         if self.kernel == "series":
-            return condition.s_columns(w, self.delta, w.start_index, n)[0]
+            return condition.series_column(w, self.delta, n)
         table = w.values_table(n)
         if self.kernel == "ratio" and self.delta != 0.0:
             table[1:] *= np.arange(1, n + 1, dtype=np.float64) ** -self.delta

@@ -7,6 +7,9 @@ dominating growth bound w_j <= C j^tau used for rigorous truncation tails.
 Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
 routes and ``condition.prime_power_check`` read without factorizing p^r.
+The named ones (``ones``, ``omega``, ``big_omega``, ``divisor_pow``,
+``d_beta``, ``geometric``) have an f(p, r) that depends on r alone, so
+their prime-power columns call f once per exponent.
 
 Each family has one definition of w_n, evaluated two ways: ``value(n)``
 (int/Fraction for exact families, else float) and ``values_table(n)``,
@@ -110,6 +113,9 @@ class WeightFamily:
     ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
+    ``_exponent_only`` marks a named prime-power family whose f(p, r)
+    depends on r alone: its prime-power columns call f once per exponent
+    (``_accel.map_prime_powers``).  It is not a constructor option.
     """
 
     def __init__(
@@ -146,6 +152,7 @@ class WeightFamily:
         self.params = dict(params or {})
         self._value_fn = value_fn
         self._batch_fn = batch_fn
+        self._exponent_only = False
 
     def __repr__(self):
         return f"WeightFamily({self.name!r}, kind={self.kind}, k={self.start_index})"
@@ -225,9 +232,10 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
-    Without a batch_fn the table calls f once per prime power <= n and is
-    one ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or
-    in Python ints and Fractions converted with _to_float at the end, as
+    Without a batch_fn the table calls f once per prime power <= n (once
+    per exponent for a named family, see _of_exponent) and is one
+    ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or in
+    Python ints and Fractions converted with _to_float at the end, as
     value() would be."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
     identity = op.identity if exact else float(op.identity)
@@ -252,9 +260,11 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     dtype = np.float64 if integer_valued or not exact else object
 
     def batch(n, ft):
-        ft = _accel.factor_tables(n) if ft is None else ft
+        # the fill reads ppart alone: new factor tables keep no other column
+        ppart = (_accel.factor_tables(n) if ft is None else ft).ppart
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
-        w = _accel.prime_power_fill(ft, _accel.prime_power_values(ft, fp, dtype), op)
+        fq = _accel.prime_power_values(n, fp, dtype, fam._exponent_only)
+        w = _accel.prime_power_fill(ppart, fq, op)
         return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
     fam = WeightFamily(
@@ -435,26 +445,33 @@ def smooth_growth_diagnostic(
 # ---------------------------------------------------------------------------
 
 
+def _of_exponent(fam: WeightFamily) -> WeightFamily:
+    """fam, whose f(p, r) depends on r alone: its prime-power columns call f
+    once per exponent, at p = 2."""
+    fam._exponent_only = True
+    return fam
+
+
 def _ones_family() -> WeightFamily:
-    return multiplicative_from_prime_powers(
+    return _of_exponent(multiplicative_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
         name="ones", exact=True, integer_valued=True,
-    )
+    ))
 
 
 def _omega_family() -> WeightFamily:
     # omega(n) <= log2(n) and log2(n)/sqrt(n) peaks at 2/(e ln 2) ~ 1.062
-    return additive_from_prime_powers(
+    return _of_exponent(additive_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
         name="omega", exact=True, integer_valued=True,
-    )
+    ))
 
 
 def _big_omega_family() -> WeightFamily:
-    return additive_from_prime_powers(
+    return _of_exponent(additive_from_prime_powers(
         lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
         name="big_omega", exact=True, integer_valued=True,
-    )
+    ))
 
 
 def _pow2(x: float) -> float:
@@ -469,11 +486,11 @@ def _divisor_pow_family(alpha, af: float) -> WeightFamily:
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
     # d(n) <= 2 sqrt(n)
-    return multiplicative_from_prime_powers(
+    return _of_exponent(multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0, growth_bound=(_pow2(af), af / 2.0),
         name=f"divisor_pow(alpha={alpha})", exact=exact,
         params={"alpha": alpha}, integer_valued=exact,
-    )
+    ))
 
 
 def _d_beta_family(beta, bf: float) -> WeightFamily:
@@ -495,12 +512,12 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
 
     m = max(1, math.ceil(bf))
     # d_beta(n) <= d(n)^(ceil(beta)-1) <= (2 sqrt n)^(ceil(beta)-1)
-    return multiplicative_from_prime_powers(
+    return _of_exponent(multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0,
         growth_bound=(_pow2(m - 1), (m - 1) / 2.0),
         name=f"d_beta(beta={beta})", exact=exact,
         params={"beta": beta}, integer_valued=exact,
-    )
+    ))
 
 
 def _log_pow_family(alpha, af: float) -> WeightFamily:
@@ -541,7 +558,8 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     if not rf > 0:
         raise ValueError(f"ratio: geometric ratio must be a positive float, got {rf!r}")
     exact = _is_exact(ratio)
-    # ratio * 2^(-s) < 1 drives the smooth-restricted sums
+    # ratio * 2^(-s) < 1 drives the smooth-restricted sums only for ratio >= 1;
+    # for ratio < 1 the large primes bind and delta_w = 0, not log2(ratio)
     delta = math.log2(rf)
 
     def batch(n, ft):
@@ -549,7 +567,7 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
         powers = [_to_float(ratio**j) for j in range(int(ft.big_omega.max()) + 1)]
         return np.array(powers)[ft.big_omega]
 
-    return multiplicative_from_prime_powers(
+    return _of_exponent(multiplicative_from_prime_powers(
         lambda p, r: ratio**r,
         sigma=max(1.0, delta),
         delta=delta,
@@ -558,7 +576,7 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
         batch_fn=batch if exact else None,
         exact=exact,
         params={"ratio": ratio},
-    )
+    ))
 
 
 _NAMED_BUILDERS = {

@@ -203,9 +203,8 @@ def test_power_sum_passes_non_finite_values_without_warnings():
 
 
 def test_prime_power_fill_fills_over_fq():
-    ft = _accel.factor_tables(5000)
-    fq = _accel.prime_power_values(ft, lambda p, r: float(r + 1), np.float64)
-    w = _accel.prime_power_fill(ft, fq, np.multiply)
+    fq = _accel.prime_power_values(5000, lambda p, r: float(r + 1), np.float64)
+    w = _accel.prime_power_fill(_accel.factor_tables(5000).ppart, fq, np.multiply)
     assert w is fq  # consumed: d(n) = the product of r + 1 over p^r || n
     assert w.tolist() == [0.0, *map(float, _accel.divisor_count_table(5000)[1:])]
 
@@ -232,8 +231,7 @@ def test_sieve_tables_keep_their_dtypes():
 
 
 def test_prime_power_fill_applies_prime_powers_in_ascending_order():
-    ft = _accel.factor_tables(1000)
-    q, p, r = ft.prime_powers()
+    q, p, r = _accel.prime_powers(1000)
     assert q.tolist() == [m for m in range(2, 1001) if len(arith.factorize(m).factors) == 1]
 
     class Word(str):
@@ -242,8 +240,60 @@ def test_prime_power_fill_applies_prime_powers_in_ascending_order():
         def __radd__(self, other):
             return Word(f"{'' if other == 0 else other}{self}")
 
-    fq = _accel.prime_power_values(ft, lambda p, r: Word(f"{p}^{r};"), object)
-    w = _accel.prime_power_fill(ft, fq, np.add)
+    fq = _accel.prime_power_values(1000, lambda p, r: Word(f"{p}^{r};"), object)
+    w = _accel.prime_power_fill(_accel.factor_tables(1000).ppart, fq, np.add)
     assert w[1] == 0 and w[2 * 9 * 7] == "2^1;3^2;7^1;"
     for m in range(2, 1001):
         assert w[m] == "".join(f"{p}^{r};" for p, r in arith.factorize(m).factors)
+
+
+def _plain_primes(n):
+    """The primes <= n from an unsegmented sieve of Eratosthenes."""
+    flags = bytearray([1]) * (n + 1)
+    flags[: min(2, n + 1)] = bytes(min(2, n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [m for m in range(n + 1) if flags[m]]
+
+
+S = _accel.SEGMENT
+# the first n whose segments past the base primes up to isqrt(n) fill exactly one
+EDGE = next(n for n in range(S, 2 * S) if n - math.isqrt(n) == S)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 10, 49, 97**2, 97**2 + 1, S - 1, S, S + 1,
+                               EDGE - 1, EDGE, EDGE + 1, EDGE + S, EDGE + S + 1])
+def test_primes_and_prime_powers_match_a_plain_sieve(n):
+    primes = _plain_primes(n)
+    got = _accel.primes_up_to(n)
+    assert got.dtype == np.int64 and got.tolist() == primes
+    q, p, r = _accel.prime_powers(n)
+    assert [c.dtype for c in (q, p, r)] == [np.int64] * 3
+    want = sorted((x**e, x, e) for x in primes for e in range(1, n.bit_length()) if x**e <= n)
+    assert list(zip(q.tolist(), p.tolist(), r.tolist())) == want
+
+
+def test_map_prime_powers_by_exponent_calls_f_once_per_exponent():
+    q, p, r = _accel.prime_powers(1000)
+    calls = []
+    by_r = _accel.map_prime_powers(p, r, lambda p, r: calls.append((p, r)) or 10 * r, np.int64,
+                                   by_exponent=True)
+    assert calls == [(2, r) for r in range(1, 10)]
+    assert by_r.tolist() == _accel.map_prime_powers(p, r, lambda p, r: 10 * r, np.int64).tolist()
+
+
+@pytest.mark.parametrize("start", [1, 2])
+def test_convolve_unit_multipliers_keep_the_product_bits(start):
+    # integer mu takes the in-place +-1 and skip-0 path of the q loop, float mu the multiply
+    n = 20000
+    a = np.random.default_rng(start).uniform(-1.0, 1.0, n + 1)
+    mu = _accel.mobius_table(n)
+    assert _accel._convolve(a, mu, start).tobytes() == _accel._convolve(
+        a, mu.astype(np.float64), start).tobytes()
+    # a weight past j = 1000 that is not finite keeps the multiply: inf * mu(4) = NaN at 20000
+    a[5000], a[7000] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        got = _accel._convolve(a, mu, start)
+        assert got.tobytes() == _accel._convolve(a, mu.astype(np.float64), start).tobytes()
+    assert np.isnan(got[20000]) and np.isnan(got[14000]) and got[15000] == -np.inf

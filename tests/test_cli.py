@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,16 @@ def test_classify_runs_at_the_delta_override(tmp_path, capsys):
     assert result["delta"] == 0.0 and result["applicable_routes"] == []
 
 
+def test_classify_smooth_sums_run_at_the_delta_override(tmp_path, capsys):
+    cfg = write_config(tmp_path, "d.json", {
+        "family": {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}})
+    assert run(["classify", "--config", cfg, "--delta", "0.3", "--no-timestamp", "--stdout"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    smooth = result["smooth_sum_diagnostic"]
+    assert (smooth["delta"], smooth["s"]) == (0.3, 0.8) == (
+        result["condition_sample"]["delta"], 0.8)
+
+
 @pytest.mark.parametrize("family,method", [
     ({"kind": "named", "name": "omega", "start_index": 3}, "additive_Tt"),
     ({"kind": "named", "name": "geometric", "start_index": 2}, "mult_product")],
@@ -444,6 +455,18 @@ def test_von_mangoldt_past_the_float_range_exits_one(argv, n, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"error: von Mangoldt value at n={n}, alpha={argv[-1]} overflows float64"]
+    assert captured.out == ""
+
+
+def test_von_mangoldt_past_the_run_ceiling_exits_one(capsys):
+    # 8167696 compositions took about 44 s to sum: refused before the first value
+    t0 = time.perf_counter()
+    assert run(["von-mangoldt", "--alpha", "25", "--n-max", "20000", "--stdout"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: von Mangoldt values for n <= 20000, alpha=25 sum 8167696 compositions, "
+        f"past the run ceiling {condition.MAX_RUN_COMPOSITIONS}"]
     assert captured.out == ""
 
 

@@ -603,8 +603,7 @@ def test_integer_values_table_is_exact(name, params):
 ])
 def test_vectorized_factored_routes_match_per_n(name, params, method):
     w = weights.named_family(name, **params)
-    col = condition._factored(w, 0.0, method, _accel.factor_tables(5000),
-                              w.values_table(5000), True)
+    col = condition._factored(w, 0.0, method, 5000, _accel.factor_tables(5000), True)
     assert col.dtype == np.int64
     if method == "mult_product":
         want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
@@ -659,10 +658,12 @@ def test_additive_route_is_the_per_n_sum_bit_for_bit(w, delta):
 
 
 def test_vectorized_product_overflow_guard():
-    # (2^40 - 1)^2 at n = 6 does not fit the 2^62 bound: the same factors,
-    # multiplied as Python ints, without another weight read
-    table = np.array([0, 1, 2**40, 2**40, 1, 1, 1], dtype=np.float64)
-    col = condition._factored(None, 0.0, "mult_product", _accel.factor_tables(6), table, True)
+    # the bound (2^40 + 1)^2 on S(6) = (2^40 - 1)^2 is past 2^62: the same
+    # int64 factors, multiplied as Python ints
+    f = {(2, 1): 2**40, (2, 2): 1, (3, 1): 2**40, (5, 1): 1}
+    w = weights.multiplicative_from_prime_powers(lambda p, r: f[p, r], 1.0, 0.0, (1.0, 1.0),
+                                                 exact=True, integer_valued=True)
+    col = condition._factored(w, 0.0, "mult_product", 6, _accel.factor_tables(6), True)
     assert col.dtype == object
     assert col[1:].tolist() == [1, 2**40 - 1, 2**40 - 1, 1 - 2**40, 0, (2**40 - 1) ** 2]
     assert all(type(v) is int for v in col[1:])
@@ -758,8 +759,9 @@ def test_exact_disagreement_raises(fam, monkeypatch):
 ])
 def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
                                                             monkeypatch):
-    # one pass serves mu, the prime powers and the weight table, and no route
-    # factorizes: prime-power values come from the family's prime_power
+    # one pass serves mu, the fill and the weight table, and no route
+    # factorizes: prime-power values come from the family's prime_power; exact
+    # additive_Tt alone reads the prime powers only
     calls, factor_tables, factorize = [], _accel.factor_tables, arith.factorize
     monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(("factorize", n)) or
@@ -767,7 +769,7 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")
-    assert calls == [1000]
+    assert calls == ([] if methods == ("additive_Tt",) and not delta else [1000])
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -286,9 +286,10 @@ def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
 
 
 def test_series_route_memory_is_bounded_by_the_block():
-    # the 10^6-term table (8 MB) and its build, then one entry: the factor
-    # tables other than mu die before the convolution, and the power sums
-    # hold a few columns of POWER_BLOCK terms, not arrays of 10^6
+    # the 10^6-term table (8 MB) and its build, then one entry: the exact
+    # additive column is built from the prime powers alone (no factor tables,
+    # weight table or convolution), and the power sums hold a few columns of
+    # POWER_BLOCK terms, not arrays of 10^6
     route = kernel._route(weights.named_family("omega"), None, "series")
     tracemalloc.start()
     try:
@@ -299,7 +300,7 @@ def test_series_route_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert math.isfinite(tail) and abs(value) > 0
-    assert peak < 30e6, peak
+    assert peak < 12e6, peak
 
 
 def test_gram_with_non_finite_entries_is_inconclusive(fams):
@@ -337,17 +338,62 @@ def test_series_table_is_the_check_range_divisor_sum_column(name, params, delta)
         assert want.dtype == np.int64 and got.tolist() == want.tolist()
 
 
+_SEGMENT_EDGE = next(n for n in range(_accel.SEGMENT, 2 * _accel.SEGMENT)
+                     if n - math.isqrt(n) == _accel.SEGMENT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 10**4, _SEGMENT_EDGE - 1, _SEGMENT_EDGE + 1])
+def test_exact_series_table_is_the_divisor_sum_column_bit_for_bit(n, monkeypatch):
+    # integer-valued families at delta = 0 take the factored column, built with no
+    # weight table and no convolution; the float divisor sums are exact there
+    families = [weights.named_family(name, **params) for name, params in [
+        ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 1}),
+        ("divisor_pow", {"alpha": 3}), ("d_beta", {"beta": 2}), ("d_beta", {"beta": 3})]]
+    want = [condition.s_columns(w, 0.0, w.start_index, n)[0] for w in families]
+
+    def no_divisor_sums(*args):
+        raise AssertionError("the exact lane read the weight table or convolved")
+
+    monkeypatch.setattr(_accel, "divisor_sum_table", no_divisor_sums)
+    monkeypatch.setattr(weights.WeightFamily, "values_table", no_divisor_sums)
+    for w, col in zip(families, want):
+        got = kernel._route(w, 0.0, "series").table(n)
+        assert got.dtype == np.float64 and got.tobytes() == col.tobytes(), w.name
+
+
+@pytest.mark.parametrize("w", [
+    weights.named_family("divisor_pow", alpha=40),  # d(j)^40 from 2^40 on
+    weights.additive_from_prime_powers(lambda p, r: 2**60 + r, 1.0, 0.0, (2.0**62, 0.0),
+                                       exact=True, integer_valued=True)], ids=["mult", "add"])
+def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w):
+    # the float divisor sums round here: the factored column is not taken
+    want = condition.s_columns(w, 0.0, w.start_index, 3000)[0]
+    assert kernel._route(w, 0.0, "series").table(3000).tobytes() == want.tobytes()
+
+
+def test_exact_series_table_keeps_the_divisor_sums_positive_zero():
+    # S(2) = 0 and S(9) = f(3, 2) - f(3, 1) = -2: the float product S(18) is -0.0, the
+    # divisor sum +0.0
+    w = weights.multiplicative_from_prime_powers(
+        lambda p, r: 1 if p == 2 or r > 1 else 3, 1.0, 0.0, (3.0, 1.0), exact=True,
+        integer_valued=True)
+    got = kernel._route(w, 0.0, "series").table(100)
+    assert got[18] == 0.0 and math.copysign(1.0, got[18]) == 1.0
+    assert got.tobytes() == condition.s_columns(w, 0.0, 1, 100)[0].tobytes()
+
+
 @pytest.mark.parametrize("name,params", [
     ("omega", {}), ("divisor_pow", {"alpha": 1}), ("d_beta", {"beta": "3/2"}),
     ("geometric", {"ratio": "1/2"}), ("log_pow", {"alpha": 1})])
 def test_series_table_builds_the_factor_tables_once(name, params, monkeypatch):
+    # the exact additive column (omega) reads the prime powers only
     calls, factor_tables = [], _accel.factor_tables
     monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
     for fam in (weights.named_family(name, **params),
                 weights.named_family("one_plus", base=weights.named_family(name, **params))):
         calls.clear()
         kernel._route(fam, None, "series").table(5000)
-        assert calls == [5000]
+        assert calls == ([] if fam.kind == "additive" else [5000])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
