@@ -82,11 +82,9 @@ SEGMENT = 1 << 18
 
 def primes_up_to(n: int) -> np.ndarray:
     """The primes <= n, ascending (int64): a segmented sieve of Eratosthenes
-    (Crandall and Pomerance, *Prime Numbers*, 3.2).  The base primes up to
-    sqrt(n) come from the same sieve; each segment [lo, lo + SEGMENT) past
-    them crosses off the multiples of every base prime p from
-    max(p^2, the first multiple >= lo), in O(sqrt n + SEGMENT) memory
-    besides the primes themselves."""
+    (Crandall and Pomerance, *Prime Numbers*, 3.2).  Each segment past the
+    base primes up to sqrt(n), which come from the same sieve, crosses off
+    their multiples from max(p^2, lo): O(sqrt n + SEGMENT) memory."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     root = math.isqrt(n)
@@ -123,10 +121,9 @@ def prime_powers(n: int):
 
 
 def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype, by_exponent: bool = False):
-    """f(p, r) at each pair (p[i], r[i]), as a dtype array.  f is called once
-    per pair, in order, on Python ints, in chunks that keep the Python
-    objects few; with ``by_exponent`` (f depends on r alone) once per
-    exponent 1..max r, at p = 2, and the values are gathered by r."""
+    """f(p, r) at each pair (p[i], r[i]) as a dtype array, called on Python
+    ints once per pair, in order and in chunks; with ``by_exponent`` (f
+    depends on r alone) once per exponent 1..max r at p = 2, gathered by r."""
     if by_exponent:
         top = int(r.max(initial=0))
         return np.fromiter(map(f, [2] * top, range(1, top + 1)), dtype, top)[r - 1]
@@ -196,12 +193,10 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     n = 10^6 (the kernels' truncation cap) each c[m] sums its terms in one
     order, j <= 1000 ascending and then q ascending, so a shorter table is
     a prefix of a longer one bit for bit.  Neither input is copied or cast.
-
-    When b is integer-typed (mu) and a[lo:] is finite, the q loop skips
-    b[q] = 0 and adds or subtracts a's slice in place for b[q] = +-1, with
-    no temporary: the bits are those of the product, as x (+-1) = +-x
-    exactly and c never holds -0.0 (it starts at +0.0).  A non-finite
-    weight keeps the multiply, so inf * 0 still gives NaN.
+    For integer b (mu) and finite a[lo:], the q loop skips b[q] = 0 and adds
+    or subtracts a's slice in place for b[q] = +-1: the product's bits, as
+    x (+-1) = +-x and c, from +0.0, never holds -0.0.  Else it multiplies,
+    so inf * 0 still gives NaN.
     """
     n = min(len(a), len(b)) - 1
     c = np.zeros(n + 1, dtype=np.float64)

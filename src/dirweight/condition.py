@@ -10,12 +10,11 @@ closed form available for multiplicative families; ``additive_Tt`` uses
 the per-prime decomposition available for additive families, whose
 individual terms are the sharper per-term certificates.  ``s_columns``
 computes S(0..n) by any of the three and alone picks the arithmetic lane:
-``check_range`` cross-checks its columns.  ``series_column`` gives the
-series kernel one float64 column: the exact factored one, built from the
-prime powers of the segmented sieve, wherever it equals the divisor sums
-bit for bit.  ``prime_power_check`` reads the signs of S at the prime
-powers alone, which decide the condition for multiplicative and additive
-families.
+``check_range`` cross-checks its columns.  ``series_column`` is the
+series kernel's: the exact factored column wherever the divisor sums
+equal it bit for bit.  ``prime_power_check`` reads the signs of S at the
+prime powers alone, which decide the condition for multiplicative and
+additive families.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -206,8 +205,9 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
     n_max = arith._check_sieve(n_max, "n_max")
     if not isinstance(alpha, int) or alpha < 1:
         raise ValueError("alpha must be a positive integer")
-    counts = np.bincount(_accel.omega_table(n_max)[2:])
-    total = sum(int(c) * math.comb(alpha - 1, w - 1) for w, c in enumerate(counts) if w)
+    omega = _accel.factor_tables(n_max).omega[2:]  # int8: no wider copy of the column
+    total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
+                for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
     if total > MAX_RUN_COMPOSITIONS:
         raise arith.ResourceLimitError(
             f"von Mangoldt values for n <= {n_max}, alpha={alpha} sum {total} compositions, "
@@ -379,13 +379,11 @@ def _exact_values(w: WeightFamily, k: int, ft) -> list:
 
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
     """(q, p, r, fq, size): the prime powers q = p^r <= n, ascending, and
-    _prime_power_factor at each, once per prime power (once per exponent
-    at delta = 0 for a family whose f depends on r alone).
-
-    Float64 unless exact (size is then None).  Exact factors are
-    w_(p^r) - w_(p^(r-1)) from one prime_power call per prime power,
-    int64 for an integer-valued family whose factors fit, else Python ints
-    and Fractions; size is |w_(p^r)| + |w_(p^(r-1))| as floats."""
+    _prime_power_factor at each, called once per prime power (per exponent
+    at delta = 0 for a named family), in float64; or, when exact, the
+    differences of one prime_power call per prime power, int64 for an
+    integer-valued family while they fit, with the sizes
+    |w_(p^r)| + |w_(p^(r-1))| as floats (else None)."""
     q, p, r = _accel.prime_powers(n)
     by_exponent = w._exponent_only and delta == 0.0
     if not exact:
@@ -405,18 +403,14 @@ def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
 
 
 def _exact_factored(w: WeightFamily, method: str, n: int, ppart):
-    """(q, fq, bound) of mult_product or additive_Tt at delta = 0: the
-    exact factors of _prime_power_factors, and a float bound on every
-    |w_j| and every partial sum of every divisor sum S(m), j, m <= n.
-    While bound < 2^53 the float weight table and divisor_sum column are
-    exact, and while bound < 2^62 no int64 product of factors overflows.
-
-    Multiplicative: the sum of |w_j mu(m/j)| over j | m is the product
-    of the sizes |w_(p^r)| + |w_(p^(r-1))| over p^r || m, so bound is
-    the largest such product: one float64 fill over ppart, exact below
-    2^53, and rounding never takes a product at or past 2^53 below it.
-    Additive: |w_j| is at most omega(j) <= log2 n times the largest size,
-    and S(m) has at most d(m) <= 2 sqrt(m) terms."""
+    """(q, fq, bound): the exact factors at delta = 0 (_prime_power_factors)
+    and a bound on every |w_j| and every partial sum of every divisor sum
+    S(m), j, m <= n.  Multiplicative: the largest product of the sizes over
+    p^r || m, which is the sum of |w_j mu(m/j)| over j | m (one float64
+    fill: exact below 2^53, and no product past it rounds below it).
+    Additive: |w_j| <= omega(j) max size <= log2(n) max size, summed over
+    d(m) <= 2 sqrt(m) terms.  Below 2^53 the float weight table and divisor
+    sums are exact; below 2^62 no int64 product of factors overflows."""
     q, _, _, fq, size = _prime_power_factors(w, 0.0, True, n)
     if method == "additive_Tt":
         return q, fq, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
@@ -466,15 +460,14 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
     factor-table pass and one read of the weight table; zero below k
     (mult_product is S at k = 1 only, additive_Tt at k = 2 only).
 
-    Lanes: float64 unless ``exact`` (rational weights at delta = 0).  Exact
-    factored columns come from the prime-power factors (_exact_factored),
-    int64 for integer-valued families while they fit and a product stays
-    below 2^62; additive_Tt alone builds no factor tables.  Exact
-    divisor_sum columns of integer-valued families are int64 while
+    Lanes: float64 unless ``exact`` (rational weights at delta = 0).
+    Exact columns of integer-valued families are int64: the factored ones
+    (_exact_factored; additive_Tt alone builds no factor tables) while
+    their factors fit and a product stays below 2^62, divisor_sum while
     n * max|w_j| < 2^53 (every partial sum is then exact in float64).
     Other exact columns are Python ints and Fractions.  The weight table
-    is read after the factored routes, and only mu of the factor tables
-    outlives them into the divisor-sum convolution.
+    is read after the factored routes; only mu of the factor tables
+    outlives them into the convolution.
     """
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
@@ -497,17 +490,12 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
 
 
 def series_column(w: WeightFamily, delta: float, n: int) -> np.ndarray:
-    """S(0..n) at the family's start index in float64: the series kernel's
-    coefficients.
-
-    In the exact lane (an integer-valued multiplicative family with k = 1,
-    or additive with k = 2, at delta = 0) this is the factored column,
-    filled in float64 from the prime-power factors with no weight table
-    and, for additive_Tt, no factor tables, whenever _exact_factored's
-    bound is below 2^53: s_columns's float divisor_sum column is then exact
-    too, so the two are equal bit for bit.  Otherwise it is that column
-    (past the bound, a multiplicative family builds the factor tables twice).
-    """
+    """S(0..n) in float64 at the family's start index: the series kernel's
+    coefficients.  In the exact lane (integer-valued at delta = 0,
+    multiplicative with k = 1 or additive with k = 2) and below 2^53 of
+    _exact_factored's bound, the factored column, which the float divisor
+    sums then equal bit for bit; else s_columns's divisor_sum column (a
+    multiplicative family past the bound builds the factor tables twice)."""
     k = w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))

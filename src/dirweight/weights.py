@@ -233,7 +233,7 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
     Without a batch_fn the table calls f once per prime power <= n (once
-    per exponent for a named family, see _of_exponent) and is one
+    per exponent for a named family, see named_family) and is one
     ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or in
     Python ints and Fractions converted with _to_float at the end, as
     value() would be."""
@@ -445,33 +445,26 @@ def smooth_growth_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _of_exponent(fam: WeightFamily) -> WeightFamily:
-    """fam, whose f(p, r) depends on r alone: its prime-power columns call f
-    once per exponent, at p = 2."""
-    fam._exponent_only = True
-    return fam
-
-
 def _ones_family() -> WeightFamily:
-    return _of_exponent(multiplicative_from_prime_powers(
+    return multiplicative_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
         name="ones", exact=True, integer_valued=True,
-    ))
+    )
 
 
 def _omega_family() -> WeightFamily:
     # omega(n) <= log2(n) and log2(n)/sqrt(n) peaks at 2/(e ln 2) ~ 1.062
-    return _of_exponent(additive_from_prime_powers(
+    return additive_from_prime_powers(
         lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
         name="omega", exact=True, integer_valued=True,
-    ))
+    )
 
 
 def _big_omega_family() -> WeightFamily:
-    return _of_exponent(additive_from_prime_powers(
+    return additive_from_prime_powers(
         lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
         name="big_omega", exact=True, integer_valued=True,
-    ))
+    )
 
 
 def _pow2(x: float) -> float:
@@ -486,11 +479,11 @@ def _divisor_pow_family(alpha, af: float) -> WeightFamily:
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
     # d(n) <= 2 sqrt(n)
-    return _of_exponent(multiplicative_from_prime_powers(
+    return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0, growth_bound=(_pow2(af), af / 2.0),
         name=f"divisor_pow(alpha={alpha})", exact=exact,
         params={"alpha": alpha}, integer_valued=exact,
-    ))
+    )
 
 
 def _d_beta_family(beta, bf: float) -> WeightFamily:
@@ -512,12 +505,12 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
 
     m = max(1, math.ceil(bf))
     # d_beta(n) <= d(n)^(ceil(beta)-1) <= (2 sqrt n)^(ceil(beta)-1)
-    return _of_exponent(multiplicative_from_prime_powers(
+    return multiplicative_from_prime_powers(
         f, sigma=1.0, delta=0.0,
         growth_bound=(_pow2(m - 1), (m - 1) / 2.0),
         name=f"d_beta(beta={beta})", exact=exact,
         params={"beta": beta}, integer_valued=exact,
-    ))
+    )
 
 
 def _log_pow_family(alpha, af: float) -> WeightFamily:
@@ -567,7 +560,7 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
         powers = [_to_float(ratio**j) for j in range(int(ft.big_omega.max()) + 1)]
         return np.array(powers)[ft.big_omega]
 
-    return _of_exponent(multiplicative_from_prime_powers(
+    return multiplicative_from_prime_powers(
         lambda p, r: ratio**r,
         sigma=max(1.0, delta),
         delta=delta,
@@ -576,7 +569,7 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
         batch_fn=batch if exact else None,
         exact=exact,
         params={"ratio": ratio},
-    ))
+    )
 
 
 _NAMED_BUILDERS = {
@@ -608,7 +601,10 @@ def named_family(name: str, **params) -> WeightFamily:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown {name} parameters: {sorted(unknown)}")
-    return builder(params)
+    fam = builder(params)
+    # the f(p, r) of every named prime-power family depends on r alone
+    fam._exponent_only = fam.kind in ("multiplicative", "additive")
+    return fam
 
 
 # ---------------------------------------------------------------------------
