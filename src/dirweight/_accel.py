@@ -120,13 +120,10 @@ def prime_powers(n: int):
     return q[order], np.concatenate(ps)[order], np.concatenate(rs)[order]
 
 
-def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype, by_exponent: bool = False):
+def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype):
     """f(p, r) at each pair (p[i], r[i]) as a dtype array, called on Python
-    ints once per pair, in order and in chunks; with ``by_exponent`` (f
-    depends on r alone) once per exponent 1..max r at p = 2, gathered by r."""
-    if by_exponent:
-        top = int(r.max(initial=0))
-        return np.fromiter(map(f, [2] * top, range(1, top + 1)), dtype, top)[r - 1]
+    ints once per pair, in order and in chunks that keep the Python objects
+    few."""
     out = np.empty(len(p), dtype=dtype)
     for i in range(0, len(p), 1 << 12):
         part = slice(i, i + (1 << 12))
@@ -135,12 +132,12 @@ def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype, by_exponent: bool =
     return out
 
 
-def prime_power_values(n: int, f, dtype, by_exponent: bool = False) -> np.ndarray:
+def prime_power_values(n: int, f, dtype) -> np.ndarray:
     """fq[p^r] = f(p, r) at every prime power p^r <= n, zero elsewhere: one
     map_prime_powers over prime_powers(n)."""
     fq = np.zeros(n + 1, dtype=dtype)
     q, p, r = prime_powers(n)
-    fq[q] = map_prime_powers(p, r, f, dtype, by_exponent)
+    fq[q] = map_prime_powers(p, r, f, dtype)
     return fq
 
 
@@ -193,10 +190,6 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     n = 10^6 (the kernels' truncation cap) each c[m] sums its terms in one
     order, j <= 1000 ascending and then q ascending, so a shorter table is
     a prefix of a longer one bit for bit.  Neither input is copied or cast.
-    For integer b (mu) and finite a[lo:], the q loop skips b[q] = 0 and adds
-    or subtracts a's slice in place for b[q] = +-1: the product's bits, as
-    x (+-1) = +-x and c, from +0.0, never holds -0.0.  Else it multiplies,
-    so inf * 0 still gives NaN.
     """
     n = min(len(a), len(b)) - 1
     c = np.zeros(n + 1, dtype=np.float64)
@@ -206,16 +199,9 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     for j in range(max(start, 1), r + 1):
         c[j::j] += a[j] * b[1 : n // j + 1]
     lo = max(r + 1, start)
-    unit = b.dtype.kind in "iu" and bool(np.isfinite(a[lo:]).all())
     for q in range(1, n // lo + 1):
         hi = n // q
-        out, bq = c[lo * q : hi * q + 1 : q], b[q]
-        if not unit or bq not in (0, 1, -1):
-            out += a[lo : hi + 1] * bq
-        elif bq == 1:
-            out += a[lo : hi + 1]
-        elif bq == -1:
-            out -= a[lo : hi + 1]
+        c[lo * q : hi * q + 1 : q] += a[lo : hi + 1] * b[q]
     return c
 
 

@@ -201,17 +201,26 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
     """von_mangoldt_alpha(n, alpha) for n = 2..n_max.  The value at n sums
     C(alpha - 1, omega(n) - 1) compositions (none past alpha distinct
     primes); a range whose total is past MAX_RUN_COMPOSITIONS raises
-    ResourceLimitError before any value is computed."""
+    ResourceLimitError before any value is computed.  Each prime counts
+    C(alpha - 1, 0) = 1 and pi(x) > x / ln x for x >= 17 (Rosser and
+    Schoenfeld 1962), so a range past the ceiling on that count alone is
+    refused before its factor tables are built."""
     n_max = arith._check_sieve(n_max, "n_max")
     if not isinstance(alpha, int) or alpha < 1:
         raise ValueError("alpha must be a positive integer")
+
+    def refused(total):
+        return arith.ResourceLimitError(
+            f"von Mangoldt values for n <= {n_max}, alpha={alpha} sum {total} compositions, "
+            f"past the run ceiling {MAX_RUN_COMPOSITIONS}")
+
+    if n_max >= 17 and (least := math.floor(n_max / math.log(n_max))) > MAX_RUN_COMPOSITIONS:
+        raise refused(f"more than {least}")
     omega = _accel.factor_tables(n_max).omega[2:]  # int8: no wider copy of the column
     total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
                 for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
     if total > MAX_RUN_COMPOSITIONS:
-        raise arith.ResourceLimitError(
-            f"von Mangoldt values for n <= {n_max}, alpha={alpha} sum {total} compositions, "
-            f"past the run ceiling {MAX_RUN_COMPOSITIONS}")
+        raise refused(total)
     return [von_mangoldt_alpha(n, alpha) for n in range(2, n_max + 1)]
 
 
@@ -372,24 +381,22 @@ def _exact_values(w: WeightFamily, k: int, ft) -> list:
     n = len(ft.mu) - 1
     if w.kind in ("multiplicative", "additive"):
         op = np.multiply if w.kind == "multiplicative" else np.add
-        fq = _accel.prime_power_values(n, w.prime_power, object, w._exponent_only)
+        fq = _accel.prime_power_values(n, w.prime_power, object)
         return [0] * k + _accel.prime_power_fill(ft.ppart, fq, op)[k:].tolist()
     return [0] * k + [w.value(j) for j in range(k, n + 1)]
 
 
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
     """(q, p, r, fq, size): the prime powers q = p^r <= n, ascending, and
-    _prime_power_factor at each, called once per prime power (per exponent
-    at delta = 0 for a named family), in float64; or, when exact, the
-    differences of one prime_power call per prime power, int64 for an
-    integer-valued family while they fit, with the sizes
-    |w_(p^r)| + |w_(p^(r-1))| as floats (else None)."""
+    _prime_power_factor at each, called once per prime power, in float64;
+    or, when exact, the differences of one prime_power call per prime
+    power, int64 for an integer-valued family while they fit, with the
+    sizes |w_(p^r)| + |w_(p^(r-1))| as floats (else None)."""
     q, p, r = _accel.prime_powers(n)
-    by_exponent = w._exponent_only and delta == 0.0
     if not exact:
         f = partial(_prime_power_factor, w, delta, False)
-        return q, p, r, _accel.map_prime_powers(p, r, f, np.float64, by_exponent), None
-    hi = _accel.map_prime_powers(p, r, w.prime_power, object, by_exponent)
+        return q, p, r, _accel.map_prime_powers(p, r, f, np.float64), None
+    hi = _accel.map_prime_powers(p, r, w.prime_power, object)
     lo = np.full(len(q), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
     lo[r > 1] = hi[np.searchsorted(q, (q // p)[r > 1])]
     fq, size = hi - lo, abs(hi) + abs(lo)
@@ -494,12 +501,17 @@ def series_column(w: WeightFamily, delta: float, n: int) -> np.ndarray:
     coefficients.  In the exact lane (integer-valued at delta = 0,
     multiplicative with k = 1 or additive with k = 2) and below 2^53 of
     _exact_factored's bound, the factored column, which the float divisor
-    sums then equal bit for bit; else s_columns's divisor_sum column (a
-    multiplicative family past the bound builds the factor tables twice)."""
+    sums then equal bit for bit; else s_columns's divisor_sum column.  The
+    bound is at least the size |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n,
+    so a family past 2^53 there skips _exact_factored and its factor-table
+    pass (a family past the bound only off the powers of 2 still makes
+    both)."""
     k = w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
-    if method and w.integer_valued and _mode(w, delta)[1]:
+    if method and w.integer_valued and _mode(w, delta)[1] and all(
+            abs(w.prime_power(2, r)) + abs(w.prime_power(2, r - 1)) < _FLOAT_EXACT
+            for r in range(1, n.bit_length())):
         # of the factor tables the fill reads ppart alone
         ppart = _accel.factor_tables(n).ppart if method == "mult_product" else None
         q, fq, bound = _exact_factored(w, method, n, ppart)

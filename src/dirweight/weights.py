@@ -7,9 +7,6 @@ dominating growth bound w_j <= C j^tau used for rigorous truncation tails.
 Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
 routes and ``condition.prime_power_check`` read without factorizing p^r.
-The named ones (``ones``, ``omega``, ``big_omega``, ``divisor_pow``,
-``d_beta``, ``geometric``) have an f(p, r) that depends on r alone, so
-their prime-power columns call f once per exponent.
 
 Each family has one definition of w_n, evaluated two ways: ``value(n)``
 (int/Fraction for exact families, else float) and ``values_table(n)``,
@@ -113,9 +110,6 @@ class WeightFamily:
     ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
-    ``_exponent_only`` marks a named prime-power family whose f(p, r)
-    depends on r alone: its prime-power columns call f once per exponent
-    (``_accel.map_prime_powers``).  It is not a constructor option.
     """
 
     def __init__(
@@ -152,7 +146,6 @@ class WeightFamily:
         self.params = dict(params or {})
         self._value_fn = value_fn
         self._batch_fn = batch_fn
-        self._exponent_only = False
 
     def __repr__(self):
         return f"WeightFamily({self.name!r}, kind={self.kind}, k={self.start_index})"
@@ -232,10 +225,9 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
-    Without a batch_fn the table calls f once per prime power <= n (once
-    per exponent for a named family, see named_family) and is one
-    ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or in
-    Python ints and Fractions converted with _to_float at the end, as
+    Without a batch_fn the table calls f once per prime power <= n and is
+    one ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or
+    in Python ints and Fractions converted with _to_float at the end, as
     value() would be."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
     identity = op.identity if exact else float(op.identity)
@@ -263,7 +255,7 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
         # the fill reads ppart alone: new factor tables keep no other column
         ppart = (_accel.factor_tables(n) if ft is None else ft).ppart
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
-        fq = _accel.prime_power_values(n, fp, dtype, fam._exponent_only)
+        fq = _accel.prime_power_values(n, fp, dtype)
         w = _accel.prime_power_fill(ppart, fq, op)
         return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
@@ -601,10 +593,7 @@ def named_family(name: str, **params) -> WeightFamily:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown {name} parameters: {sorted(unknown)}")
-    fam = builder(params)
-    # the f(p, r) of every named prime-power family depends on r alone
-    fam._exponent_only = fam.kind in ("multiplicative", "additive")
-    return fam
+    return builder(params)
 
 
 # ---------------------------------------------------------------------------

@@ -272,28 +272,3 @@ def test_primes_and_prime_powers_match_a_plain_sieve(n):
     assert [c.dtype for c in (q, p, r)] == [np.int64] * 3
     want = sorted((x**e, x, e) for x in primes for e in range(1, n.bit_length()) if x**e <= n)
     assert list(zip(q.tolist(), p.tolist(), r.tolist())) == want
-
-
-def test_map_prime_powers_by_exponent_calls_f_once_per_exponent():
-    q, p, r = _accel.prime_powers(1000)
-    calls = []
-    by_r = _accel.map_prime_powers(p, r, lambda p, r: calls.append((p, r)) or 10 * r, np.int64,
-                                   by_exponent=True)
-    assert calls == [(2, r) for r in range(1, 10)]
-    assert by_r.tolist() == _accel.map_prime_powers(p, r, lambda p, r: 10 * r, np.int64).tolist()
-
-
-@pytest.mark.parametrize("start", [1, 2])
-def test_convolve_unit_multipliers_keep_the_product_bits(start):
-    # integer mu takes the in-place +-1 and skip-0 path of the q loop, float mu the multiply
-    n = 20000
-    a = np.random.default_rng(start).uniform(-1.0, 1.0, n + 1)
-    mu = _accel.mobius_table(n)
-    assert _accel._convolve(a, mu, start).tobytes() == _accel._convolve(
-        a, mu.astype(np.float64), start).tobytes()
-    # a weight past j = 1000 that is not finite keeps the multiply: inf * mu(4) = NaN at 20000
-    a[5000], a[7000] = np.inf, np.nan
-    with np.errstate(invalid="ignore"):
-        got = _accel._convolve(a, mu, start)
-        assert got.tobytes() == _accel._convolve(a, mu.astype(np.float64), start).tobytes()
-    assert np.isnan(got[20000]) and np.isnan(got[14000]) and got[15000] == -np.inf

@@ -182,6 +182,14 @@ def test_von_mangoldt_validation():
         condition.von_mangoldt_alpha(6, 0)
 
 
+def test_von_mangoldt_range_past_the_prime_count_builds_no_factor_tables(monkeypatch):
+    # 2e7 / ln(2e7) primes alone are past the run ceiling
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: pytest.fail("factor tables"))
+    with pytest.raises(arith.ResourceLimitError, match=r"n <= 20000000, alpha=1 sum more "
+                       r"than 1189680 compositions, past the run ceiling 1000000$"):
+        condition.von_mangoldt_range(20_000_000, 1)
+
+
 @pytest.mark.parametrize("n,alpha", [
     (30030, 3000),  # (log 13)^2995 raises OverflowError
     (4, 3000),  # the coefficient 2^3000 - 1 does not convert to float

@@ -365,10 +365,15 @@ def test_exact_series_table_is_the_divisor_sum_column_bit_for_bit(n, monkeypatch
     weights.named_family("divisor_pow", alpha=40),  # d(j)^40 from 2^40 on
     weights.additive_from_prime_powers(lambda p, r: 2**60 + r, 1.0, 0.0, (2.0**62, 0.0),
                                        exact=True, integer_valued=True)], ids=["mult", "add"])
-def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w):
+def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w, monkeypatch):
     # the float divisor sums round here: the factored column is not taken
     want = condition.s_columns(w, 0.0, w.start_index, 3000)[0]
+    # both are past 2^53 at a power of 2: no exact factors and one factor-table pass
+    calls, factor_tables = [], _accel.factor_tables
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    monkeypatch.setattr(condition, "_exact_factored", lambda *a: pytest.fail("exact factors"))
     assert kernel._route(w, 0.0, "series").table(3000).tobytes() == want.tobytes()
+    assert calls == [3000]
 
 
 def test_exact_series_table_keeps_the_divisor_sums_positive_zero():
