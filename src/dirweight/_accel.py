@@ -8,15 +8,14 @@ method): the O(n log n) multiply-adds run inside numpy in O(sqrt n + 1000)
 Python iterations.  Its exact counterpart in Python ints and Fractions,
 ``exact_convolve``, serves exact series products and exact divisor sums
 past the int64 lane.
-Every arithmetic table comes from one engine, ``factor_tables`` (spf, mu,
-omega, Omega, gpf and prime-power parts, one numpy pass per block), and
-every multiplicative or additive one from ``prime_power_fill``.  A run
-makes one ``factor_tables`` pass and hands it to every table it builds
-(``WeightFamily.values_table(n, ft)``); the single-column readers below
-serve callers that need one column.  The primes come from a segmented
-sieve, ``primes_up_to``, which needs no factor tables, and every list of
-prime powers from ``prime_powers``.  Every kernel partial sum goes
-through one blocked engine, ``power_sum``.
+Every arithmetic column comes from one engine, ``factor_tables`` (spf, mu,
+omega, Omega, gpf and prime-power parts, one numpy pass per block); a run
+that reads one makes one pass and hands it down (``values_table(n, ft)``),
+and the single-column readers below serve callers that need one column.
+Every multiplicative or additive table needs none of them: it is one
+``prime_power_fill`` over the prime powers of ``prime_powers``, whose
+primes come from a segmented sieve, ``primes_up_to``.  Every kernel
+partial sum goes through one blocked engine, ``power_sum``.
 """
 
 from __future__ import annotations
@@ -132,32 +131,33 @@ def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype):
     return out
 
 
-def prime_power_values(n: int, f, dtype) -> np.ndarray:
-    """fq[p^r] = f(p, r) at every prime power p^r <= n, zero elsewhere: one
-    map_prime_powers over prime_powers(n)."""
-    fq = np.zeros(n + 1, dtype=dtype)
-    q, p, r = prime_powers(n)
-    fq[q] = map_prime_powers(p, r, f, dtype)
-    return fq
+def prime_power_fill(n: int, q: np.ndarray, p: np.ndarray, fq: np.ndarray, op) -> np.ndarray:
+    """w[0] = 0, w[1] = the identity of op (np.multiply or np.add) and
+    w[m] = op(...op(op(identity, f(p_1^r_1)), f(p_2^r_2))..., f(p_k^r_k))
+    for m = p_1^r_1 ... p_k^r_k, p_1 < ... < p_k, in fq's dtype, from
+    fq[i] = f(q[i]) at the prime powers q = p^r <= n of prime_powers(n).
 
-
-def prime_power_fill(ppart: np.ndarray, fq: np.ndarray, op) -> np.ndarray:
-    """w[1] = the identity of op (np.multiply or np.add), and
-    w[m] = op(w[m / P^r], fq[P^r]) with P^r = ppart[m] (the factor tables'
-    column), in fq's dtype.
-
-    Consumes fq: w is filled in place over it and returned.  That is
-    sound because every prime power q gets w[q] = op(identity, fq[q]) =
-    fq[q], and a block reads fq only below itself or at m = q, before
-    it writes.  Peeling the largest prime applies the prime powers of m
-    in ascending prime order, as a per-m loop over its factorization
-    does, so float and Python-object results equal that loop's bit for
-    bit."""
-    w = fq
-    w[1:2] = op.identity
-    for lo, hi in _blocks(len(w) - 1):
-        q = ppart[lo:hi]
-        w[lo:hi] = op(w[np.arange(lo, hi, dtype=np.int32) // q], w[q])
+    A prime p <= sqrt(n) applies f(p^r), r ascending, to the multiples of
+    p^r that p^(r+1) does not divide (two strided views); the primes
+    P > sqrt(n) come last, applied to P k for each k < P at once.  So the
+    prime powers of m apply in ascending prime order, as a per-m loop over
+    its factorization does, and float and Python-object results equal
+    that loop's bit for bit."""
+    w = np.full(n + 1, op.identity, dtype=fq.dtype)
+    w[:1] = 0
+    order = np.argsort(p, kind="stable")  # (p, r) ascending
+    q, p, fq = q[order], p[order], fq[order]
+    small = np.searchsorted(p, math.isqrt(n), side="right")
+    for i, (pq, pp) in enumerate(zip(q[:small].tolist(), p[:small].tolist())):
+        f = fq[i : i + 1]  # a slice: numpy would convert a lone value to a scalar of its own
+        rows = n // pq // pp  # rows of pp consecutive multiples of pq; pq pp divides the last
+        for view in (w[: rows * pp * pq].reshape(rows, pp * pq)[:, pq::pq],
+                     w[(rows * pp + 1) * pq :: pq]):
+            op(view, f, out=view)
+    big, fbig = p[small:], fq[small:]
+    for k in range(1, n // (math.isqrt(n) + 1) + 1):
+        idx = big[: np.searchsorted(big, n // k, side="right")] * k
+        w[idx] = op(w[idx], fbig[: len(idx)])
     return w
 
 
@@ -196,10 +196,14 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:
     if n < 1:
         return c
     r = min(n, max(math.isqrt(n), 1000))
-    for j in range(max(start, 1), r + 1):
+    if start <= 1:  # c[m] = 0.0 + a[1] b[m] in place: no temporary the length of c
+        np.add(0.0, np.multiply(a[1], b[1 : n + 1], out=c[1:]), out=c[1:])
+    for j in range(max(start, 2), r + 1):
         c[j::j] += a[j] * b[1 : n // j + 1]
     lo = max(r + 1, start)
-    for q in range(1, n // lo + 1):
+    for m in range(lo, n + 1, 1 << 16):  # q = 1 in chunks, for the same reason
+        c[m : m + (1 << 16)] += a[m : m + (1 << 16)] * b[1]
+    for q in range(2, n // lo + 1):
         hi = n // q
         c[lo * q : hi * q + 1 : q] += a[lo : hi + 1] * b[q]
     return c

@@ -204,7 +204,7 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
     ResourceLimitError before any value is computed.  Each prime counts
     C(alpha - 1, 0) = 1 and pi(x) > x / ln x for x >= 17 (Rosser and
     Schoenfeld 1962), so a range past the ceiling on that count alone is
-    refused before its factor tables are built."""
+    refused before omega is counted."""
     n_max = arith._check_sieve(n_max, "n_max")
     if not isinstance(alpha, int) or alpha < 1:
         raise ValueError("alpha must be a positive integer")
@@ -216,7 +216,8 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
 
     if n_max >= 17 and (least := math.floor(n_max / math.log(n_max))) > MAX_RUN_COMPOSITIONS:
         raise refused(f"more than {least}")
-    omega = _accel.factor_tables(n_max).omega[2:]  # int8: no wider copy of the column
+    q, p, _ = _accel.prime_powers(n_max)  # omega: 1 per prime power p^r || n, in int8
+    omega = _accel.prime_power_fill(n_max, q, p, np.ones(len(q), dtype=np.int8), np.add)[2:]
     total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
                 for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
     if total > MAX_RUN_COMPOSITIONS:
@@ -370,19 +371,19 @@ def _join(*pieces) -> str:
     return "".join(np.stack(columns, axis=1).ravel().tolist())
 
 
-def _exact_values(w: WeightFamily, k: int, ft) -> list:
-    """w_j for j <= n_max as Python ints and Fractions, zero below k: one
+def _exact_values(w: WeightFamily, k: int, n: int) -> list:
+    """w_j for j <= n as Python ints and Fractions, zero below k: one
     prime-power fill of w.prime_power (multiplicative and additive
     families), 1 + the base's values (one_plus), else value().  value(j)
     of a prime-power family would factorize every j."""
     base = w.params.get("base")
     if isinstance(base, WeightFamily):
-        return [0] * k + [1 + v for v in _exact_values(base, k, ft)[k:]]
-    n = len(ft.mu) - 1
+        return [0] * k + [1 + v for v in _exact_values(base, k, n)[k:]]
     if w.kind in ("multiplicative", "additive"):
         op = np.multiply if w.kind == "multiplicative" else np.add
-        fq = _accel.prime_power_values(n, w.prime_power, object)
-        return [0] * k + _accel.prime_power_fill(ft.ppart, fq, op)[k:].tolist()
+        q, p, r = _accel.prime_powers(n)
+        fq = _accel.map_prime_powers(p, r, w.prime_power, object)
+        return [0] * k + _accel.prime_power_fill(n, q, p, fq, op)[k:].tolist()
     return [0] * k + [w.value(j) for j in range(k, n + 1)]
 
 
@@ -409,8 +410,8 @@ def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
     return q, p, r, fq, size
 
 
-def _exact_factored(w: WeightFamily, method: str, n: int, ppart):
-    """(q, fq, bound): the exact factors at delta = 0 (_prime_power_factors)
+def _exact_factored(w: WeightFamily, method: str, n: int):
+    """(q, p, fq, bound): the exact factors at delta = 0 (_prime_power_factors)
     and a bound on every |w_j| and every partial sum of every divisor sum
     S(m), j, m <= n.  Multiplicative: the largest product of the sizes over
     p^r || m, which is the sum of |w_j mu(m/j)| over j | m (one float64
@@ -418,43 +419,42 @@ def _exact_factored(w: WeightFamily, method: str, n: int, ppart):
     Additive: |w_j| <= omega(j) max size <= log2(n) max size, summed over
     d(m) <= 2 sqrt(m) terms.  Below 2^53 the float weight table and divisor
     sums are exact; below 2^62 no int64 product of factors overflows."""
-    q, _, _, fq, size = _prime_power_factors(w, 0.0, True, n)
+    q, p, _, fq, size = _prime_power_factors(w, 0.0, True, n)
     if method == "additive_Tt":
-        return q, fq, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
-    sizes = np.zeros(n + 1)
-    sizes[q] = size
+        return q, p, fq, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
     with np.errstate(over="ignore"):  # inf is past every bound
-        return q, fq, _accel.prime_power_fill(ppart, sizes, np.multiply).max()
+        return q, p, fq, _accel.prime_power_fill(n, q, p, size, np.multiply).max()
 
 
-def _fill(q, fq, method: str, n: int, ppart, dtype) -> np.ndarray:
-    """S(0..n) in dtype from the factors fq at the prime powers q: at
+def _fill(q, p, fq, method: str, n: int, dtype) -> np.ndarray:
+    """S(0..n) in dtype from the factors fq at the prime powers q = p^r: at
     delta = 0 every T_t vanishes unless n = p^r, so additive_Tt is fq
     itself, and mult_product is one prime_power_fill of fq."""
+    if method == "mult_product":
+        return _accel.prime_power_fill(n, q, p, fq.astype(dtype, copy=False), np.multiply)
     col = np.zeros(n + 1, dtype=dtype)
     col[q] = fq
-    return col if method == "additive_Tt" else _accel.prime_power_fill(ppart, col, np.multiply)
+    return col
 
 
 def _factored(w: WeightFamily, delta: float, method: str, n: int, ft, exact: bool):
     """mult_product or additive_Tt for every n <= n_max from the factors fq
     of the prime powers: exact ones (_exact_factored) in int64 or Python
-    objects, else float64 _prime_power_factors.  Exact additive_Tt reads
-    no factor tables (ft may be None)."""
-    ppart = None if ft is None else ft.ppart
+    objects, else float64 _prime_power_factors.  Only the float
+    additive_Tt reads the factor tables ft (else ft may be None)."""
     if exact:
-        q, fq, bound = _exact_factored(w, method, n, ppart)
+        q, p, fq, bound = _exact_factored(w, method, n)
         # a product of int64 factors could overflow: multiply Python ints
         dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
     else:
-        q, _, _, fq, _ = _prime_power_factors(w, delta, exact, n)
+        q, p, r, fq, _ = _prime_power_factors(w, delta, exact, n)
         dtype = np.float64
-    col = _fill(q, fq, method, n, ppart, dtype)
+    col = _fill(q, p, fq, method, n, dtype)
     if exact or method == "mult_product":
         return col
     # float additive_Tt: per n, from each prime power's factor and companion
-    fq, col = col.tolist(), [0.0]
-    cq = _accel.prime_power_values(n, partial(_companion, delta), np.float64).tolist()
+    cq = _accel.map_prime_powers(p, r, partial(_companion, delta), np.float64)
+    fq, cq, col = col.tolist(), _fill(q, p, cq, method, n, dtype).tolist(), [0.0]
     for _, factors in arith.factorizations_up_to(n, ft):
         qs = [p**r for p, r in factors]
         col.append(sum(_float_terms([fq[q] for q in qs], [cq[q] for q in qs])))
@@ -469,16 +469,17 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
 
     Lanes: float64 unless ``exact`` (rational weights at delta = 0).
     Exact columns of integer-valued families are int64: the factored ones
-    (_exact_factored; additive_Tt alone builds no factor tables) while
-    their factors fit and a product stays below 2^62, divisor_sum while
-    n * max|w_j| < 2^53 (every partial sum is then exact in float64).
+    (_exact_factored, which reads no factor tables) while their factors
+    fit and a product stays below 2^62, divisor_sum while n * max|w_j| <
+    2^53 (every partial sum is then exact in float64).
     Other exact columns are Python ints and Fractions.  The weight table
     is read after the factored routes; only mu of the factor tables
     outlives them into the convolution.
     """
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
-    ft = None if exact and set(methods) == {"additive_Tt"} else _accel.factor_tables(n)
+    tables = "divisor_sum" in methods or not exact and "additive_Tt" in methods
+    ft = _accel.factor_tables(n) if tables else None  # mu, the weights, float additive_Tt
     cols = {m: _factored(w, delta, m, n, ft, exact) for m in methods if m != "divisor_sum"}
     if "divisor_sum" in methods:
         table = w.values_table(n, ft) if w.integer_valued or not exact else None
@@ -486,7 +487,7 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
         # (a weight past float64 reads inf)
         objects = exact and (table is None or not (top := np.abs(table).max()) < _FLOAT_EXACT
                              or n * int(top) >= _FLOAT_EXACT)
-        vals, mu = (_exact_values(w, k, ft), ft.mu.tolist()) if objects else (table, ft.mu)
+        vals, mu = (_exact_values(w, k, n), ft.mu.tolist()) if objects else (table, ft.mu)
         del ft, table  # the convolution reads only the weights and mu
         if objects:
             cols["divisor_sum"] = np.array(_accel.exact_convolve(vals, mu), dtype=object)
@@ -503,20 +504,17 @@ def series_column(w: WeightFamily, delta: float, n: int) -> np.ndarray:
     _exact_factored's bound, the factored column, which the float divisor
     sums then equal bit for bit; else s_columns's divisor_sum column.  The
     bound is at least the size |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n,
-    so a family past 2^53 there skips _exact_factored and its factor-table
-    pass (a family past the bound only off the powers of 2 still makes
-    both)."""
+    so a family past 2^53 there skips _exact_factored (one past the bound
+    only off the powers of 2 computes its exact factors, then the sums)."""
     k = w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
     if method and w.integer_valued and _mode(w, delta)[1] and all(
             abs(w.prime_power(2, r)) + abs(w.prime_power(2, r - 1)) < _FLOAT_EXACT
             for r in range(1, n.bit_length())):
-        # of the factor tables the fill reads ppart alone
-        ppart = _accel.factor_tables(n).ppart if method == "mult_product" else None
-        q, fq, bound = _exact_factored(w, method, n, ppart)
+        q, p, fq, bound = _exact_factored(w, method, n)
         if bound < _FLOAT_EXACT:
-            col = _fill(q, fq, method, n, ppart, np.float64)
+            col = _fill(q, p, fq, method, n, np.float64)
             col += 0.0  # a product 0 * (negative) is -0.0; the divisor sum's 0 is +0.0
             return col
     return s_columns(w, delta, k, n)[0]

@@ -159,8 +159,11 @@ def _route(w: WeightFamily, delta: float | None, kernel: str) -> _Route:
     if kernel == "ratio":
         return _Route(kernel, w, delta, c, tau - delta, beta, w.start_index)
     if kernel == "series":
-        # |S(n)| <= d(n) max_j j^(-delta) w_j and d(n) <= 2 sqrt(n)
-        return _Route(kernel, w, delta, 2.0 * c, max(tau - delta, 0.0) + 0.5, beta, 1)
+        # |S(n)| <= d(n) max_j j^(-delta) w_j and d(n) <= 2 sqrt(n); an additive S at
+        # delta = 0 lives on the prime powers, |S(p^r)| <= |w_(p^r)| + |w_(p^(r-1))| <= 2c p^(r tau)
+        on_prime_powers = w.kind == "additive" and w.start_index == 2 and delta == 0.0 and tau >= 0
+        tau = tau if on_prime_powers else max(tau - delta, 0.0) + 0.5
+        return _Route(kernel, w, delta, 2.0 * c, tau, beta, 1)
     raise ValueError(f"unknown kernel route {kernel!r}; pick from {ROUTES}")
 
 
@@ -213,7 +216,8 @@ def condition_kernel_series(
 ) -> EvaluatedValue:
     """Normalized kernel via its coefficient expansion: partial sum of
     S(n) n^(-s - conj(u)) with S computed by the condition sieve.  The
-    tail bound dominates |S(n)| by the divisor-count bound."""
+    tail bound dominates |S(n)| by the divisor-count bound, or, for an
+    additive family at delta = 0, by its prime-power bound (see _route)."""
     return _evaluate(_route(w, delta, "series"), s, u, tol)
 
 

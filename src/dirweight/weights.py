@@ -252,11 +252,9 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
     dtype = np.float64 if integer_valued or not exact else object
 
     def batch(n, ft):
-        # the fill reads ppart alone: new factor tables keep no other column
-        ppart = (_accel.factor_tables(n) if ft is None else ft).ppart
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
-        fq = _accel.prime_power_values(n, fp, dtype)
-        w = _accel.prime_power_fill(ppart, fq, op)
+        q, p, r = _accel.prime_powers(n)
+        w = _accel.prime_power_fill(n, q, p, _accel.map_prime_powers(p, r, fp, dtype), op)
         return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
     fam = WeightFamily(

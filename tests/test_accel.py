@@ -1,6 +1,10 @@
 """The numpy kernels against literal sums written out term by term."""
 
+import functools
 import math
+import operator
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,11 +206,59 @@ def test_power_sum_passes_non_finite_values_without_warnings():
     assert np.isfinite(zetas).all()
 
 
-def test_prime_power_fill_fills_over_fq():
-    fq = _accel.prime_power_values(5000, lambda p, r: float(r + 1), np.float64)
-    w = _accel.prime_power_fill(_accel.factor_tables(5000).ppart, fq, np.multiply)
-    assert w is fq  # consumed: d(n) = the product of r + 1 over p^r || n
+def test_prime_power_fill_is_the_divisor_count():
+    q, p, r = _accel.prime_powers(5000)
+    w = _accel.prime_power_fill(5000, q, p, (r + 1).astype(np.float64), np.multiply)
+    assert w.dtype == np.float64  # d(n) = the product of r + 1 over p^r || n
     assert w.tolist() == [0.0, *map(float, _accel.divisor_count_table(5000)[1:])]
+
+
+@pytest.mark.parametrize("n", [53**2 - 1, 53**2, 53**2 + 1])  # 53 past, at, below sqrt(n)
+@pytest.mark.parametrize("f,one", [
+    (lambda p, r: float(r + 1) ** 0.5, 1.0),  # divisor_pow(1/2)
+    (lambda p, r: Fraction(r + 2, p + r), 1),
+], ids=["float", "fraction"])
+def test_prime_power_fill_is_the_literal_per_n_product_and_sum(n, f, one):
+    q, p, r = _accel.prime_powers(n)
+    fq = _accel.map_prime_powers(p, r, f, np.float64 if isinstance(one, float) else object)
+    for op, identity in ((operator.mul, one), (operator.add, one - one)):
+        want = [one - one] + [functools.reduce(op, [f(*pr) for pr in arith.factorize(m)],
+                                                identity) for m in range(1, n + 1)]
+        got = _accel.prime_power_fill(n, q, p, fq, np.multiply if op is operator.mul else np.add)
+        assert got.dtype == fq.dtype and len(got) == n + 1
+        assert [(type(v), v) for v in got.tolist()] == [(type(v), v) for v in want]
+
+
+def test_convolve_memory_is_the_output_and_half_of_it():
+    # no temporary the length of the output at j = 1 or q = 1: 7.6 MiB + 3.8 MiB (j = 2)
+    n = 10**6
+    a, mu = np.linspace(-1.0, 1.0, n + 1), _accel.mobius_table(n)
+    tracemalloc.start()
+    try:
+        _accel._convolve(a, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+
+
+def test_convolve_first_terms_keep_the_bits_of_a_sum_from_zero():
+    # a[1] b[m] = -0.0 where b[m] = +0.0, and the sum from 0.0 makes it +0.0; past the
+    # split, q = 1 adds a[m] b[1] = -a[m]
+    n = 3000
+    a = np.array([0.0, -1.0, -0.0, *np.linspace(-1.0, 1.0, n - 2)])
+    b = np.array([0.0, -1.0, *([0.0, 1.0, -1.0, -0.0] * n)[: n - 1]])
+    want = []
+    for m in range(n + 1):  # j <= 1000 ascending, then q ascending: the kernel's order
+        divisors = [j for j in range(1, m + 1) if m % j == 0]
+        order = [j for j in divisors if j <= 1000] + [j for j in reversed(divisors) if j > 1000]
+        total = 0.0
+        for j in order:
+            total += a[j] * b[m // j]
+        want.append(total)
+    # m = 2: the j = 1 term is -1.0 * 0.0 = -0.0, the j = 2 term -0.0 * -1.0 = +0.0
+    assert [math.copysign(1.0, t) for t in (a[1] * b[2], a[2] * b[1], want[2])] == [-1, 1, 1]
+    assert _accel._convolve(a, b).tobytes() == np.array(want).tobytes()
 
 
 def test_factor_tables_match_trial_division():
@@ -240,8 +292,8 @@ def test_prime_power_fill_applies_prime_powers_in_ascending_order():
         def __radd__(self, other):
             return Word(f"{'' if other == 0 else other}{self}")
 
-    fq = _accel.prime_power_values(1000, lambda p, r: Word(f"{p}^{r};"), object)
-    w = _accel.prime_power_fill(_accel.factor_tables(1000).ppart, fq, np.add)
+    fq = _accel.map_prime_powers(p, r, lambda p, r: Word(f"{p}^{r};"), object)
+    w = _accel.prime_power_fill(1000, q, p, fq, np.add)
     assert w[1] == 0 and w[2 * 9 * 7] == "2^1;3^2;7^1;"
     for m in range(2, 1001):
         assert w[m] == "".join(f"{p}^{r};" for p, r in arith.factorize(m).factors)

@@ -190,6 +190,18 @@ def test_von_mangoldt_range_past_the_prime_count_builds_no_factor_tables(monkeyp
         condition.von_mangoldt_range(20_000_000, 1)
 
 
+@pytest.mark.parametrize("n_max", [30, 211, 2310, 2 * 10**4])
+@pytest.mark.parametrize("alpha", [1500, 3000])
+def test_von_mangoldt_range_counts_omega_without_factor_tables(n_max, alpha, monkeypatch):
+    # the composition total from the factor tables' omega column
+    omega = _accel.factor_tables(n_max).omega[2:].tolist()
+    total = sum(math.comb(alpha - 1, w - 1) for w in omega)
+    assert total > condition.MAX_RUN_COMPOSITIONS
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: pytest.fail("factor tables"))
+    with pytest.raises(arith.ResourceLimitError, match=f" sum {total} compositions,"):
+        condition.von_mangoldt_range(n_max, alpha)
+
+
 @pytest.mark.parametrize("n,alpha", [
     (30030, 3000),  # (log 13)^2995 raises OverflowError
     (4, 3000),  # the coefficient 2^3000 - 1 does not convert to float
@@ -777,7 +789,9 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")
-    assert calls == ([] if methods == ("additive_Tt",) and not delta else [1000])
+    # mu and the weight table (divisor_sum) and the per-n float additive_Tt read them
+    tables = "divisor_sum" in methods or delta and "additive_Tt" in methods
+    assert calls == ([1000] if tables else [])
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -391,14 +391,57 @@ def test_exact_series_table_keeps_the_divisor_sums_positive_zero():
     ("omega", {}), ("divisor_pow", {"alpha": 1}), ("d_beta", {"beta": "3/2"}),
     ("geometric", {"ratio": "1/2"}), ("log_pow", {"alpha": 1})])
 def test_series_table_builds_the_factor_tables_once(name, params, monkeypatch):
-    # the exact additive column (omega) reads the prime powers only
+    # the exact prime-power columns (omega, divisor_pow(1)) read the prime powers only
     calls, factor_tables = [], _accel.factor_tables
     monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
     for fam in (weights.named_family(name, **params),
                 weights.named_family("one_plus", base=weights.named_family(name, **params))):
         calls.clear()
         kernel._route(fam, None, "series").table(5000)
-        assert calls == ([] if fam.kind == "additive" else [5000])
+        assert calls == ([] if fam.integer_valued and fam.kind != "explicit" else [5000])
+
+
+def test_series_table_past_the_exact_bound_off_the_powers_of_2_builds_the_factor_tables_once(
+        monkeypatch):
+    # (r + 1)^8 + r^8 < 2^53 at every 2^r, but the bound's product of sizes 257^7 at
+    # 2 3 5 7 11 13 17 = 510510 is past it: the exact factors, then the divisor sums
+    calls, factor_tables = [], _accel.factor_tables
+    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    w = weights.named_family("divisor_pow", alpha=8)
+    kernel._route(w, None, "series").table(600_000)
+    assert calls == [600_000]
+
+
+@pytest.mark.parametrize("name", ["omega", "big_omega"])
+def test_additive_series_coefficients_meet_the_prime_power_tail(name):
+    # S(p^r) = w_(p^r) - w_(p^(r-1)) and S = 0 elsewhere: |S(n)| <= 2c n^tau
+    w = weights.named_family(name)
+    route = kernel._route(w, None, "series")
+    assert (route.c, route.tau) == (2.0 * w.growth_bound[0], w.growth_bound[1])
+    table = route.table(10**5)
+    n = np.arange(1, 10**5 + 1, dtype=np.float64)
+    assert (np.abs(table[1:]) <= route.c * n**route.tau).all()
+
+
+def test_omega_series_meets_its_tolerance_below_the_cap():
+    # the benchmark's abscissa: the prime-power tail needs 59,123 terms, not the cap
+    w = weights.named_family("omega")
+    s, u, tol = 1.6 + 0.3j, 1.6 - 0.2j, 1e-8
+    ev = kernel.condition_kernel_series(w, None, s, u, tol)
+    assert ev.n_terms < kernel.TRUNCATION_CAP and ev.tail_bound <= tol
+    z = s + u.conjugate()
+    with mpmath.workdps(30):
+        want = complex(mpmath.primezeta(mpmath.mpc(z.real, z.imag)))
+    assert abs(ev.value - want) <= ev.tail_bound
+
+
+def test_additive_series_off_delta_zero_keeps_the_divisor_count_tail():
+    # delta != 0, and every other kind at delta = 0: d(n) <= 2 sqrt(n)
+    for name, params, delta in (("omega", {}, -0.3), ("divisor_pow", {"alpha": 1}, 0.0)):
+        w = weights.named_family(name, **params)
+        c, tau = w.growth_bound
+        route = kernel._route(w, delta, "series")
+        assert (route.c, route.tau) == (2.0 * c, tau - delta + 0.5)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
