@@ -9,6 +9,7 @@ numeric kernel evaluation with Gram positivity witnesses.
 from .arith import (
     Factorization,
     ResourceLimitError,
+    big_omega,
     divisor_count,
     divisors,
     factorize,
@@ -68,6 +69,7 @@ __all__ = [
     "divisor_count",
     "gpf",
     "omega",
+    "big_omega",
     "FormalDirichletSeries",
     "EvaluatedValue",
     "from_coeffs",

@@ -8,72 +8,19 @@ method): the O(n log n) multiply-adds run inside numpy in O(sqrt n + 1000)
 Python iterations.  Its exact counterpart in Python ints and Fractions,
 ``exact_convolve``, serves exact series products and exact divisor sums
 past the int64 lane.
-Every arithmetic column comes from one engine, ``factor_tables`` (spf, mu,
-omega, Omega, gpf and prime-power parts, one numpy pass per block); a run
-that reads one makes one pass and hands it down (``values_table(n, ft)``),
-and the single-column readers below serve callers that need one column.
-Every multiplicative or additive table needs none of them: it is one
-``prime_power_fill`` over the prime powers of ``prime_powers``, whose
-primes come from a segmented sieve, ``primes_up_to``.  Every kernel
+Every arithmetic table comes from one engine, ``prime_power_fill``, over
+the prime powers of ``prime_powers``, whose primes come from a segmented
+sieve, ``primes_up_to``: the multiplicative and additive weight tables,
+the S columns of the factored routes, mu, omega and Omega.  Only the
+smallest prime factor is a short sieve of its own.  Every kernel
 partial sum goes through one blocked engine, ``power_sum``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
-
-
-class FactorTables(NamedTuple):
-    """Arithmetic columns of 0..n (slot 0 zero); ``ppart[m]`` is P^r, the
-    largest power of P = gpf(m) dividing m (ppart[1] = 1).  mu, omega and
-    big_omega are int8, the rest int32."""
-
-    spf: np.ndarray
-    mu: np.ndarray
-    omega: np.ndarray
-    big_omega: np.ndarray
-    gpf: np.ndarray
-    ppart: np.ndarray
-
-
-def _blocks(n: int):
-    """[lo, hi) covering 2..n with hi <= 2 lo: every m // spf(m) of a
-    block lies in an earlier one."""
-    lo = 2
-    while lo <= n:
-        hi = min(2 * lo, lo + (1 << 16), n + 1)
-        yield lo, hi
-        lo = hi
-
-
-def factor_tables(n: int) -> FactorTables:
-    """spf from the sieve of Eratosthenes up to sqrt(n), every other column
-    at m from its value at m / spf(m), block by block: a linear sieve in the
-    manner of Gries and Misra, one numpy pass per block."""
-    # columns before any temporary is freed: malloc maps each and returns it whole
-    spf, gpf, ppart = (np.zeros(n + 1, dtype=np.int32) for _ in range(3))
-    mu, omega, big_omega = (np.zeros(n + 1, dtype=np.int8) for _ in range(3))
-    mu[1:2] = ppart[1:2] = 1
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:  # p is prime: a smaller prime would have marked it
-            view = spf[p * p :: p]
-            view[view == 0] = p
-    for lo, hi in _blocks(n):
-        idx = np.arange(lo, hi, dtype=np.int32)
-        p = spf[lo:hi]
-        np.copyto(p, idx, where=p == 0)  # primes: no smaller prime marked them
-        m = idx // p
-        new = spf[m] != p  # p does not divide m
-        mu[lo:hi] = np.where(new, -mu[m], 0)
-        omega[lo:hi] = omega[m] + new
-        big_omega[lo:hi] = big_omega[m] + 1
-        g = gpf[lo:hi] = np.maximum(gpf[m], p)
-        ppart[lo:hi] = np.where(g == p, ppart[m] * p, ppart[m])
-    return FactorTables(spf, mu, omega, big_omega, gpf, ppart)
-
 
 #: primes_up_to sieves 2..n in segments of this many integers
 SEGMENT = 1 << 18
@@ -132,53 +79,79 @@ def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype):
 
 
 def prime_power_fill(n: int, q: np.ndarray, p: np.ndarray, fq: np.ndarray, op) -> np.ndarray:
-    """w[0] = 0, w[1] = the identity of op (np.multiply or np.add) and
+    """w[0] = 0, w[1] = the identity of op and
     w[m] = op(...op(op(identity, f(p_1^r_1)), f(p_2^r_2))..., f(p_k^r_k))
     for m = p_1^r_1 ... p_k^r_k, p_1 < ... < p_k, in fq's dtype, from
-    fq[i] = f(q[i]) at the prime powers q = p^r <= n of prime_powers(n).
+    fq[i] = f(q[i]) at the prime powers q = p^r <= n, ascending as
+    prime_powers(n) lists them.  op is a ufunc with an identity (np.multiply,
+    np.add, np.logical_and) or a function op(x, y, out=None) with an
+    ``identity`` attribute; trailing axes of fq are trailing axes of w, and
+    op acts on them whole.
 
     A prime p <= sqrt(n) applies f(p^r), r ascending, to the multiples of
-    p^r that p^(r+1) does not divide (two strided views); the primes
-    P > sqrt(n) come last, applied to P k for each k < P at once.  So the
-    prime powers of m apply in ascending prime order, as a per-m loop over
-    its factorization does, and float and Python-object results equal
-    that loop's bit for bit."""
-    w = np.full(n + 1, op.identity, dtype=fq.dtype)
+    p^r that p^(r+1) does not divide (two strided views); only these
+    O(sqrt n) prime powers are reordered, by p.  The primes P > sqrt(n),
+    already ascending in the list, come last, applied to P k for each
+    k < P at once.  So the prime powers of m apply in ascending prime
+    order, as a per-m loop over its factorization does, and float and
+    Python-object results equal that loop's bit for bit."""
+    w = np.full((n + 1, *fq.shape[1:]), op.identity, dtype=fq.dtype)
     w[:1] = 0
-    order = np.argsort(p, kind="stable")  # (p, r) ascending
-    q, p, fq = q[order], p[order], fq[order]
-    small = np.searchsorted(p, math.isqrt(n), side="right")
-    for i, (pq, pp) in enumerate(zip(q[:small].tolist(), p[:small].tolist())):
-        f = fq[i : i + 1]  # a slice: numpy would convert a lone value to a scalar of its own
+    root = math.isqrt(n)
+    small = np.flatnonzero(p <= root)
+    small = small[np.argsort(p[small], kind="stable")]  # (p, r) ascending
+    fsmall = fq[small]
+    for i, (pq, pp) in enumerate(zip(q[small].tolist(), p[small].tolist())):
+        f = fsmall[i : i + 1]  # a slice: numpy would convert a lone value to a scalar of its own
         rows = n // pq // pp  # rows of pp consecutive multiples of pq; pq pp divides the last
-        for view in (w[: rows * pp * pq].reshape(rows, pp * pq)[:, pq::pq],
+        for view in (w[: rows * pp * pq].reshape(rows, pp * pq, *w.shape[1:])[:, pq::pq],
                      w[(rows * pp + 1) * pq :: pq]):
             op(view, f, out=view)
-    big, fbig = p[small:], fq[small:]
-    for k in range(1, n // (math.isqrt(n) + 1) + 1):
+    big = p > root
+    big, fbig = p[big], fq[big]
+    for k in range(1, n // (root + 1) + 1):
         idx = big[: np.searchsorted(big, n // k, side="right")] * k
         w[idx] = op(w[idx], fbig[: len(idx)])
     return w
 
 
+def prime_power_column(n: int, f, op) -> np.ndarray:
+    """prime_power_fill(n, ...) of f(p, r), a numpy expression evaluated
+    once on the arrays p and r of prime_powers(n)."""
+    q, p, r = prime_powers(n)
+    return prime_power_fill(n, q, p, f(p, r), op)
+
+
+# The single-column readers: each is one prime-power column or, for spf, a
+# short sieve.  Only mu has a caller in the package; the benchmark traces
+# all of them as sieve layers.
+
+
 def mobius_table(n: int) -> np.ndarray:
-    """Mobius function values mu(1..n) as int8, 1-indexed."""
-    return factor_tables(n).mu
+    """Mobius function values mu(1..n) as int8, 1-indexed: -1 at each prime,
+    0 at each higher prime power, multiplied."""
+    return prime_power_column(n, lambda p, r: -(r == 1).astype(np.int8), np.multiply)
 
 
 def spf_table(n: int) -> np.ndarray:
-    """Smallest prime factor of 2..n (0 at indices 0 and 1)."""
-    return factor_tables(n).spf.astype(np.int64)
+    """Smallest prime factor of 2..n (0 at indices 0 and 1) as int64: each
+    prime p <= sqrt(n), descending, writes p from p^2 on, so the least
+    prime factor of a composite writes last and a prime keeps itself."""
+    spf = np.arange(n + 1, dtype=np.int64)
+    spf[1:2] = 0
+    for p in primes_up_to(math.isqrt(n))[::-1].tolist():
+        spf[p * p :: p] = p
+    return spf
 
 
 def omega_table(n: int) -> np.ndarray:
-    """Number of distinct prime factors of 0..n."""
-    return factor_tables(n).omega.astype(np.int64)
+    """Number of distinct prime factors of 0..n as int64: 1 per prime power, added."""
+    return prime_power_column(n, lambda p, r: np.ones(len(r), np.int8), np.add).astype(np.int64)
 
 
 def big_omega_table(n: int) -> np.ndarray:
-    """Number of prime factors with multiplicity of 0..n."""
-    return factor_tables(n).big_omega.astype(np.int64)
+    """Number of prime factors with multiplicity of 0..n as int64: r per p^r, added."""
+    return prime_power_column(n, lambda p, r: r.astype(np.int8), np.add).astype(np.int64)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, start: int = 1) -> np.ndarray:

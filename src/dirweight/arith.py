@@ -171,17 +171,8 @@ def first_primes(count: int) -> list[int]:
         bound *= 4
 
 
-def factorizations_up_to(n_max: int, ft: _accel.FactorTables | None = None):
-    """Yield (n, ((p, r), ...)) for n = 1..n_max, peeling the largest
-    prime-power part off n with the factor-table engine's columns: those of
-    ``ft`` when given (built up to at least n_max), else new ones."""
-    if ft is None:
-        ft = _accel.factor_tables(_check_sieve(n_max, "n_max"))
-    gpf, ppart, big_omega = map(memoryview, (ft.gpf, ft.ppart, ft.big_omega))
+def factorizations_up_to(n_max: int):
+    """Yield (n, factorize(n).factors) for n = 1..n_max."""
+    n_max = _check_sieve(n_max, "n_max")
     for n in range(1, n_max + 1):
-        factors, m = (), n
-        while m > 1:
-            q = ppart[m]
-            factors = ((gpf[m], big_omega[q]),) + factors
-            m //= q
-        yield n, factors
+        yield n, factorize(n).factors

@@ -100,8 +100,11 @@ def _prime_power_factor(w, delta, exact, p, r):
     hi, lo = w.prime_power(p, r), w.prime_power(p, r - 1)
     if exact:
         return hi - lo
-    pd = 1.0 if delta == 0.0 else p ** (-delta)
-    return pd ** (r - 1) * (pd * _to_float(hi) - _to_float(lo))
+    try:
+        pd = 1.0 if delta == 0.0 else p ** (-delta)
+        return pd ** (r - 1) * (pd * _to_float(hi) - _to_float(lo))
+    except OverflowError:  # a power past the float range: inf, which decides nothing
+        return math.inf
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -123,21 +126,12 @@ def mult_product(w: WeightFamily, delta: float, n: int):
 
 def _companion(delta, p, r):
     """p^(-delta (r-1)) (p^(-delta) - 1): the factor of p^r in the term T_t
-    of every other prime of n."""
-    pd = 1.0 if delta == 0.0 else p ** (-delta)
-    return pd ** (r - 1) * (pd - 1.0)
-
-
-def _float_terms(factors, companions):
-    """T_t = factors[t] times the companion of every other prime, multiplied
-    in ascending prime order: the order fixes the bits."""
-    terms = []
-    for t, term in enumerate(factors):
-        for j, c in enumerate(companions):
-            if j != t:
-                term *= c
-        terms.append(term)
-    return terms
+    of every other prime of n; inf past the float range."""
+    try:
+        pd = 1.0 if delta == 0.0 else p ** (-delta)
+        return pd ** (r - 1) * (pd - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def additive_Tt(w: WeightFamily, delta: float, n: int):
@@ -153,8 +147,10 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     terms = [_prime_power_factor(w, delta, exact, p, r) for p, r in factors]
     if exact:  # at delta = 0 every companion p^(-delta) - 1 vanishes
         terms = terms if len(terms) == 1 else [0] * len(terms)
-    else:
-        terms = _float_terms(terms, [_companion(delta, p, r) for p, r in factors])
+    else:  # T_t: its factor times the companion of every other prime, in ascending order
+        comp = [_companion(delta, p, r) for p, r in factors]
+        terms = [math.prod((c for j, c in enumerate(comp) if j != t), start=f)
+                 for t, f in enumerate(terms)]
     return sum(terms), tuple(terms)
 
 
@@ -216,8 +212,8 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
 
     if n_max >= 17 and (least := math.floor(n_max / math.log(n_max))) > MAX_RUN_COMPOSITIONS:
         raise refused(f"more than {least}")
-    q, p, _ = _accel.prime_powers(n_max)  # omega: 1 per prime power p^r || n, in int8
-    omega = _accel.prime_power_fill(n_max, q, p, np.ones(len(q), dtype=np.int8), np.add)[2:]
+    # omega: 1 per prime power p^r || n, in int8
+    omega = _accel.prime_power_column(n_max, lambda p, r: np.ones(len(r), np.int8), np.add)[2:]
     total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
                 for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
     if total > MAX_RUN_COMPOSITIONS:
@@ -437,62 +433,71 @@ def _fill(q, p, fq, method: str, n: int, dtype) -> np.ndarray:
     return col
 
 
-def _factored(w: WeightFamily, delta: float, method: str, n: int, ft, exact: bool):
+def _dual(x, y, out=None):
+    """(P, A) (c, f) = (P c, A c + f P) on the last axis: the product of
+    dual numbers c + eps f, eps^2 = 0.  Over the p^r || n in ascending
+    order, from (1, 0), A is the sum over t of f_t times every other c."""
+    a = x[..., 1] * y[..., 0] + y[..., 1] * x[..., 0]
+    out = np.empty_like(x) if out is None else out
+    np.multiply(x[..., 0], y[..., 0], out=out[..., 0])
+    out[..., 1] = a
+    return out
+
+
+_dual.identity = (1.0, 0.0)
+
+
+def _factored(w: WeightFamily, delta: float, method: str, n: int, exact: bool):
     """mult_product or additive_Tt for every n <= n_max from the factors fq
     of the prime powers: exact ones (_exact_factored) in int64 or Python
-    objects, else float64 _prime_power_factors.  Only the float
-    additive_Tt reads the factor tables ft (else ft may be None)."""
+    objects, else float64 _prime_power_factors.  The float additive_Tt is
+    one fill of the pairs (companion, factor) under _dual: the same terms
+    as the per-n additive_Tt, rounded in another order.  A factor or
+    companion past the float range is inf, and its rows are not finite."""
     if exact:
         q, p, fq, bound = _exact_factored(w, method, n)
         # a product of int64 factors could overflow: multiply Python ints
         dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
-    else:
-        q, p, r, fq, _ = _prime_power_factors(w, delta, exact, n)
-        dtype = np.float64
-    col = _fill(q, p, fq, method, n, dtype)
-    if exact or method == "mult_product":
-        return col
-    # float additive_Tt: per n, from each prime power's factor and companion
-    cq = _accel.map_prime_powers(p, r, partial(_companion, delta), np.float64)
-    fq, cq, col = col.tolist(), _fill(q, p, cq, method, n, dtype).tolist(), [0.0]
-    for _, factors in arith.factorizations_up_to(n, ft):
-        qs = [p**r for p, r in factors]
-        col.append(sum(_float_terms([fq[q] for q in qs], [cq[q] for q in qs])))
-    return np.array(col)
+        return _fill(q, p, fq, method, n, dtype)
+    q, p, r, fq, _ = _prime_power_factors(w, delta, False, n)
+    with np.errstate(all="ignore"):  # inf times 0 is nan: an inconclusive row, not a warning
+        if method == "mult_product":
+            return _fill(q, p, fq, method, n, np.float64)
+        cq = _accel.map_prime_powers(p, r, partial(_companion, delta), np.float64)
+        # + 0.0: a product 0 * (negative) is -0.0, the per-n sum's 0 is +0.0
+        return _accel.prime_power_fill(n, q, p, np.stack([cq, fq], axis=1), _dual)[:, 1] + 0.0
 
 
 def s_columns(w: WeightFamily, delta: float, k: int, n: int,
               methods: tuple[str, ...] = ("divisor_sum",), exact: bool = False) -> list:
-    """S(0..n) by each of ``methods``, in order, from at most one
-    factor-table pass and one read of the weight table; zero below k
-    (mult_product is S at k = 1 only, additive_Tt at k = 2 only).
+    """S(0..n) by each of ``methods``, in order, from at most one mu table
+    and one read of the weight table; zero below k (mult_product is S at
+    k = 1 only, additive_Tt at k = 2 only).
 
     Lanes: float64 unless ``exact`` (rational weights at delta = 0).
     Exact columns of integer-valued families are int64: the factored ones
-    (_exact_factored, which reads no factor tables) while their factors
-    fit and a product stays below 2^62, divisor_sum while n * max|w_j| <
-    2^53 (every partial sum is then exact in float64).
-    Other exact columns are Python ints and Fractions.  The weight table
-    is read after the factored routes; only mu of the factor tables
-    outlives them into the convolution.
+    (_exact_factored) while their factors fit and a product stays below
+    2^62, divisor_sum while n * max|w_j| < 2^53 (every partial sum is then
+    exact in float64).  Other exact columns are Python ints and Fractions.
+    The weight table and mu are built after the factored routes, for
+    divisor_sum alone.
     """
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
-    tables = "divisor_sum" in methods or not exact and "additive_Tt" in methods
-    ft = _accel.factor_tables(n) if tables else None  # mu, the weights, float additive_Tt
-    cols = {m: _factored(w, delta, m, n, ft, exact) for m in methods if m != "divisor_sum"}
+    cols = {m: _factored(w, delta, m, n, exact) for m in methods if m != "divisor_sum"}
     if "divisor_sum" in methods:
-        table = w.values_table(n, ft) if w.integer_valued or not exact else None
+        table = w.values_table(n) if w.integer_valued or not exact else None
         # Python ints and Fractions unless every exact partial sum is below 2^53
         # (a weight past float64 reads inf)
         objects = exact and (table is None or not (top := np.abs(table).max()) < _FLOAT_EXACT
                              or n * int(top) >= _FLOAT_EXACT)
-        vals, mu = (_exact_values(w, k, n), ft.mu.tolist()) if objects else (table, ft.mu)
-        del ft, table  # the convolution reads only the weights and mu
+        mu = _accel.mobius_table(n)
         if objects:
-            cols["divisor_sum"] = np.array(_accel.exact_convolve(vals, mu), dtype=object)
+            del table  # the exact sums read Python values
+            cols["divisor_sum"] = np.array(
+                _accel.exact_convolve(_exact_values(w, k, n), mu.tolist()), dtype=object)
         else:  # float64 sums; exact ones are integers below 2^53, cast to int64
-            col = _accel.divisor_sum_table(vals, mu, delta, k)
+            col = _accel.divisor_sum_table(table, mu, delta, k)
             cols["divisor_sum"] = col.astype(np.int64) if exact else col
     return [cols[m] for m in methods]
 

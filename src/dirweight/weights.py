@@ -105,8 +105,8 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).  ``batch_fn(n, ft)`` builds ``values_table(n, ft)`` from
-    the same definition as ``value_fn``.
+    (additive).  ``batch_fn(n)`` builds ``values_table(n)`` from the same
+    definition as ``value_fn``.
     ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
@@ -174,7 +174,7 @@ class WeightFamily:
             )
         return self._value_fn(n)
 
-    def values_table(self, n: int, ft: _accel.FactorTables | None = None) -> np.ndarray:
+    def values_table(self, n: int) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
         the defined range are zero.  Feeds the numeric kernels.  Entry m is
         ``_to_float(value(m))`` bit for bit: the table and value() evaluate
@@ -182,11 +182,9 @@ class WeightFamily:
         value() per n).  Two exceptions: an integer-valued table multiplies
         floats, so it is exact only below 2^53 (see integer_valued), and
         one_plus over a Fraction-valued base is 1.0 + the base's float,
-        rounded twice.  A table that reads arithmetic columns takes them
-        from ``ft``, the caller's ``_accel.factor_tables(n)``, or builds
-        them when it is None."""
+        rounded twice."""
         if self._batch_fn is not None:
-            table = np.asarray(self._batch_fn(n, ft), dtype=np.float64)
+            table = np.asarray(self._batch_fn(n), dtype=np.float64)
         else:
             table = np.zeros(n + 1, dtype=np.float64)
             for m in range(self.defined_from, n + 1):
@@ -251,7 +249,7 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
 
     dtype = np.float64 if integer_valued or not exact else object
 
-    def batch(n, ft):
+    def batch(n):
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
         q, p, r = _accel.prime_powers(n)
         w = _accel.prime_power_fill(n, q, p, _accel.map_prime_powers(p, r, fp, dtype), op)
@@ -377,7 +375,7 @@ def measure_family(
         # w_n = (log n)^alpha and log n <= (2/e) sqrt(n)
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
-    def batch(n, ft):
+    def batch(n):
         table = np.zeros(n + 1)
         table[start:] = _measure_weights(spec, np.arange(start, n + 1, dtype=np.float64))
         return table
@@ -407,15 +405,16 @@ def smooth_partial_sum(w: WeightFamily, s: float, n: int, cutoff: int) -> float:
     A diagnostic for the declared smooth-restricted abscissa delta: the
     doubling-cutoff behaviour is reported by callers, never asserted.
     """
+    cutoff = arith._check_sieve(cutoff, "cutoff")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     n = arith._check_positive(n)
-    ft = _accel.factor_tables(cutoff)
-    primes = np.flatnonzero(ft.big_omega == 1)
+    q, p, r = _accel.prime_powers(cutoff)
+    primes = p[r == 1]
     # p_n, or the cutoff when p_n lies past it: both admit every j <= cutoff
     p_n = primes[n - 1] if n <= len(primes) else cutoff
-    vals = w.values_table(cutoff, ft)
-    vals[ft.gpf > p_n] = 0.0
+    vals = w.values_table(cutoff)
+    vals[~_accel.prime_power_fill(cutoff, q, p, p <= p_n, np.logical_and)] = 0.0
     return float(_accel.power_sum(vals, 2, [float(s), 0.0], [(0, 1, cutoff)])[0].real)
 
 
@@ -512,8 +511,8 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
     start = base.defined_from
     c, tau = base.growth_bound
 
-    def batch(n, ft):
-        table = 1.0 + base.values_table(n, ft)
+    def batch(n):
+        table = 1.0 + base.values_table(n)
         table[:start] = 0.0
         return table
 
@@ -545,10 +544,10 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     # for ratio < 1 the large primes bind and delta_w = 0, not log2(ratio)
     delta = math.log2(rf)
 
-    def batch(n, ft):
-        ft = _accel.factor_tables(n) if ft is None else ft
-        powers = [_to_float(ratio**j) for j in range(int(ft.big_omega.max()) + 1)]
-        return np.array(powers)[ft.big_omega]
+    def batch(n):
+        big_omega = _accel.prime_power_column(n, lambda p, r: r.astype(np.int8), np.add)
+        powers = [_to_float(ratio**j) for j in range(int(big_omega.max()) + 1)]
+        return np.array(powers)[big_omega]
 
     return multiplicative_from_prime_powers(
         lambda p, r: ratio**r,

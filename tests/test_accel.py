@@ -132,7 +132,6 @@ def test_divisor_count_table_matches_factorization():
 def test_sieve_tables_match_factorization(n):
     tables = {
         "mobius": _accel.mobius_table(n),
-        "gpf": _accel.factor_tables(n).gpf,
         "spf": _accel.spf_table(n),
         "omega": _accel.omega_table(n),
         "big_omega": _accel.big_omega_table(n),
@@ -141,7 +140,6 @@ def test_sieve_tables_match_factorization(n):
         f = arith.factorize(m)
         primes = [p for p, _ in f]
         assert tables["mobius"][m] == arith.mobius(m)
-        assert tables["gpf"][m] == max(primes)
         assert tables["spf"][m] == min(primes)
         assert tables["omega"][m] == len(f)
         assert tables["big_omega"][m] == sum(r for _, r in f)
@@ -211,6 +209,12 @@ def test_prime_power_fill_is_the_divisor_count():
     w = _accel.prime_power_fill(5000, q, p, (r + 1).astype(np.float64), np.multiply)
     assert w.dtype == np.float64  # d(n) = the product of r + 1 over p^r || n
     assert w.tolist() == [0.0, *map(float, _accel.divisor_count_table(5000)[1:])]
+    # a trailing axis: each column fills as a fill of its own
+    fr = r.astype(np.float64)
+    pairs = _accel.prime_power_fill(5000, q, p, np.stack([fr + 1.0, fr], axis=1), np.multiply)
+    assert pairs.shape == (5001, 2)
+    assert pairs[:, 0].tobytes() == w.tobytes()
+    assert pairs[:, 1].tobytes() == _accel.prime_power_fill(5000, q, p, fr, np.multiply).tobytes()
 
 
 @pytest.mark.parametrize("n", [53**2 - 1, 53**2, 53**2 + 1])  # 53 past, at, below sqrt(n)
@@ -227,6 +231,21 @@ def test_prime_power_fill_is_the_literal_per_n_product_and_sum(n, f, one):
         got = _accel.prime_power_fill(n, q, p, fq, np.multiply if op is operator.mul else np.add)
         assert got.dtype == fq.dtype and len(got) == n + 1
         assert [(type(v), v) for v in got.tolist()] == [(type(v), v) for v in want]
+
+
+def test_prime_power_fill_memory_is_the_output_and_prime_count_columns():
+    # only the prime powers with p <= sqrt(n) are reordered: the primes past it are
+    # copied once with their values, 0.6 MiB each at 78,498 primes
+    n = 10**6
+    q, p, r = _accel.prime_powers(n)
+    fq = (r + 1).astype(np.float64)
+    tracemalloc.start()
+    try:
+        w = _accel.prime_power_fill(n, q, p, fq, np.multiply)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes + 3.5 * 2**20, peak - w.nbytes
 
 
 def test_convolve_memory_is_the_output_and_half_of_it():
@@ -261,18 +280,19 @@ def test_convolve_first_terms_keep_the_bits_of_a_sum_from_zero():
     assert _accel._convolve(a, b).tobytes() == np.array(want).tobytes()
 
 
-def test_factor_tables_match_trial_division():
-    # every m <= 3000, and m within 50 of the block edges 2^16 and 2^17
-    n = 2**17 + 50
-    ft = _accel.factor_tables(n)
-    assert [c.dtype for c in ft] == [np.int32, np.int8, np.int8, np.int8, np.int32, np.int32]
-    assert all(len(c) == n + 1 for c in ft)
-    assert [int(c[1]) for c in ft] == [0, 1, 0, 0, 0, 1]
-    for m in [*range(2, 3001), *range(2**16 - 50, 2**16 + 51), *range(2**17 - 50, n + 1)]:
+def test_sieve_readers_match_trial_division():
+    # every m <= 3000, and every m within 50 of the prime sieve's segment edge
+    n = _accel.SEGMENT + 50
+    cols = (_accel.mobius_table(n), _accel.spf_table(n), _accel.omega_table(n),
+            _accel.big_omega_table(n))
+    assert [c.dtype for c in cols] == [np.int8, np.int64, np.int64, np.int64]
+    assert all(len(c) == n + 1 for c in cols)
+    assert [(int(c[0]), int(c[1])) for c in cols] == [(0, 1), (0, 0), (0, 0), (0, 0)]
+    mu, spf, omega, big_omega = cols
+    for m in [*range(2, 3001), *range(_accel.SEGMENT - 50, n + 1)]:
         f = arith.factorize(m).factors
-        p_max, r_max = f[-1]
-        assert (ft.spf[m], ft.mu[m], ft.omega[m], ft.big_omega[m], ft.gpf[m], ft.ppart[m]) == (
-            f[0][0], arith.mobius(m), len(f), sum(r for _, r in f), p_max, p_max**r_max), m
+        assert (mu[m], spf[m], omega[m], big_omega[m]) == (
+            arith.mobius(m), f[0][0], len(f), sum(r for _, r in f)), m
 
 
 def test_sieve_tables_keep_their_dtypes():

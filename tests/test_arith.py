@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from dirweight import _accel, arith, condition, weights
+from dirweight import arith, condition, weights
 
 
 # -- independent oracles ------------------------------------------------------
@@ -197,8 +197,7 @@ def test_first_primes():
 
 
 def test_factorizations_up_to_matches_factorize():
-    for n, factors in arith.factorizations_up_to(500):
+    got = list(arith.factorizations_up_to(500))
+    assert [n for n, _ in got] == list(range(1, 501))
+    for n, factors in got:
         assert factors == arith.factorize(n).factors
-    # the columns of larger tables serve as well
-    given = arith.factorizations_up_to(500, _accel.factor_tables(700))
-    assert list(given) == list(arith.factorizations_up_to(500))

@@ -313,6 +313,27 @@ def test_classify_runs_at_the_delta_override(tmp_path, capsys):
     assert result["delta"] == 0.0 and result["applicable_routes"] == []
 
 
+@pytest.mark.parametrize("methods", ["divisor_sum", "additive_Tt", "divisor_sum,additive_Tt"])
+def test_check_condition_past_the_float_range_is_inconclusive(tmp_path, capsys, methods):
+    # p^2000 overflows: every route's rows past it are not finite
+    cfg = write_config(tmp_path, "omega.json", {"family": {"kind": "named", "name": "omega"}})
+    assert run(["check-condition", "--config", cfg, "--delta", "-2000", "--n-max", "100",
+                "--methods", methods, "--out", str(tmp_path / "rep")]) == 3
+    assert capsys.readouterr().err.endswith("verdict: inconclusive\n")
+
+
+def test_classify_past_the_float_range_counts_the_factors_not_finite(tmp_path, capsys):
+    cfg = write_config(tmp_path, "omega.json", {"family": {"kind": "named", "name": "omega"}})
+    assert run(["classify", "--config", cfg, "--delta", "-2000", "--no-timestamp",
+                "--stdout"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    growth = result["growth_check"]
+    assert (growth["passed"], growth["violations"], growth["checks"]) == (False, 30, 30)
+    assert growth["first_violation"] == [2, 2, math.inf]
+    assert result["condition_sample"]["verdict"] == "inconclusive"
+    assert result["applicable_routes"] == []
+
+
 def test_classify_smooth_sums_run_at_the_delta_override(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {
         "family": {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}})

@@ -183,8 +183,8 @@ def test_von_mangoldt_validation():
 
 
 def test_von_mangoldt_range_past_the_prime_count_builds_no_factor_tables(monkeypatch):
-    # 2e7 / ln(2e7) primes alone are past the run ceiling
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: pytest.fail("factor tables"))
+    # 2e7 / ln(2e7) primes alone are past the run ceiling: no sieve runs
+    monkeypatch.setattr(_accel, "primes_up_to", lambda n: pytest.fail("a prime sieve"))
     with pytest.raises(arith.ResourceLimitError, match=r"n <= 20000000, alpha=1 sum more "
                        r"than 1189680 compositions, past the run ceiling 1000000$"):
         condition.von_mangoldt_range(20_000_000, 1)
@@ -192,12 +192,10 @@ def test_von_mangoldt_range_past_the_prime_count_builds_no_factor_tables(monkeyp
 
 @pytest.mark.parametrize("n_max", [30, 211, 2310, 2 * 10**4])
 @pytest.mark.parametrize("alpha", [1500, 3000])
-def test_von_mangoldt_range_counts_omega_without_factor_tables(n_max, alpha, monkeypatch):
-    # the composition total from the factor tables' omega column
-    omega = _accel.factor_tables(n_max).omega[2:].tolist()
-    total = sum(math.comb(alpha - 1, w - 1) for w in omega)
+def test_von_mangoldt_range_counts_omega_without_factor_tables(n_max, alpha):
+    # the composition total from omega by trial division
+    total = sum(math.comb(alpha - 1, arith.omega(n) - 1) for n in range(2, n_max + 1))
     assert total > condition.MAX_RUN_COMPOSITIONS
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: pytest.fail("factor tables"))
     with pytest.raises(arith.ResourceLimitError, match=f" sum {total} compositions,"):
         condition.von_mangoldt_range(n_max, alpha)
 
@@ -361,7 +359,7 @@ def test_check_range_enforces_the_sieve_ceiling(name, params, method, monkeypatc
         raise AssertionError("a table was built past the sieve ceiling")
 
     monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
-    monkeypatch.setattr(condition._accel, "factor_tables", no_tables)
+    monkeypatch.setattr(condition._accel, "primes_up_to", no_tables)
     monkeypatch.setattr(condition._accel, "mobius_table", no_tables)
     w = weights.named_family(name, **params)
     with pytest.raises(arith.ResourceLimitError, match="exceeds ceiling 1000"):
@@ -623,7 +621,7 @@ def test_integer_values_table_is_exact(name, params):
 ])
 def test_vectorized_factored_routes_match_per_n(name, params, method):
     w = weights.named_family(name, **params)
-    col = condition._factored(w, 0.0, method, 5000, _accel.factor_tables(5000), True)
+    col = condition._factored(w, 0.0, method, 5000, True)
     assert col.dtype == np.int64
     if method == "mult_product":
         want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
@@ -670,11 +668,39 @@ def test_additive_route_is_the_per_n_sum_bit_for_bit(w, delta):
             terms.append(term)
         return sum(terms)
 
+    per_n = [condition.additive_Tt(w, delta, n) for n in range(2, 3001)]
+    assert [_hex(total) for total, _ in per_n] == [_hex(reference(n)) for n in range(2, 3001)]
+    # the range column rounds the same factors and companions in another order:
+    # each path rounds a term at most 2 omega(n) times, so it is within
+    # gamma_(2 omega) sum |T_t| of the exact sum, and the paths within twice that
     rep = condition.check_range(w, delta, 2, 3000, methods=("additive_Tt",))
     assert rep.mode == "float"
-    got = list(map(_hex, (r.value for r in rep.records)))
-    assert got == [_hex(condition.additive_Tt(w, delta, n)[0]) for n in range(2, 3001)]
-    assert got == [_hex(reference(n)) for n in range(2, 3001)]
+    for n, record, (total, terms) in zip(range(2, 3001), rep.records, per_n):
+        k = 2 * arith.omega(n)
+        gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+        assert abs(record.value - total) <= 2 * gamma * sum(map(abs, terms)), n
+        assert math.copysign(1.0, record.value) == 1.0 or record.value < 0, n
+
+
+@pytest.mark.parametrize("name,params,delta,n_max,method", [
+    ("omega", {}, -200.0, 100, "additive_Tt"),  # the companion p^200 - 1 from p = 37 on
+    ("divisor_pow", {"alpha": 1}, -100.0, 4000, "mult_product"),  # p^100 from p = 1201 on
+])
+def test_factored_routes_past_the_float_range_are_inconclusive(name, params, delta, n_max,
+                                                               method):
+    # an overflowing power is inf: the rows are inconclusive where the divisor sums'
+    # are, without a RuntimeWarning (an error here) from the factored routes
+    w = weights.named_family(name, **params)
+    with np.errstate(all="ignore"):  # the divisor sums' powers overflow as the CLI runs them
+        want = condition.check_range(w, delta, None, n_max)
+        both = condition.check_range(w, delta, None, n_max, methods=("divisor_sum", method))
+    rep = condition.check_range(w, delta, None, n_max, methods=(method,))
+    assert rep.verdict == want.verdict == both.verdict == condition.INCONCLUSIVE
+    finite = np.isfinite(rep.columns["margin"])
+    assert (finite == np.isfinite(want.columns["margin"])).all() and not finite.all()
+    assert both.agreement_failures == 0
+    check = condition.prime_power_check(w, delta, n_max)
+    assert not check["passed"] and check["first_violation"][2] == math.inf
 
 
 def test_vectorized_product_overflow_guard():
@@ -683,7 +709,7 @@ def test_vectorized_product_overflow_guard():
     f = {(2, 1): 2**40, (2, 2): 1, (3, 1): 2**40, (5, 1): 1}
     w = weights.multiplicative_from_prime_powers(lambda p, r: f[p, r], 1.0, 0.0, (1.0, 1.0),
                                                  exact=True, integer_valued=True)
-    col = condition._factored(w, 0.0, "mult_product", 6, _accel.factor_tables(6), True)
+    col = condition._factored(w, 0.0, "mult_product", 6, True)
     assert col.dtype == object
     assert col[1:].tolist() == [1, 2**40 - 1, 2**40 - 1, 1 - 2**40, 0, (2**40 - 1) ** 2]
     assert all(type(v) is int for v in col[1:])
@@ -779,19 +805,16 @@ def test_exact_disagreement_raises(fam, monkeypatch):
 ])
 def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
                                                             monkeypatch):
-    # one pass serves mu, the fill and the weight table, and no route
-    # factorizes: prime-power values come from the family's prime_power; exact
-    # additive_Tt alone reads the prime powers only
-    calls, factor_tables, factorize = [], _accel.factor_tables, arith.factorize
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    # mu is built once, for divisor_sum alone, and no route factorizes:
+    # prime-power values come from the family's prime_power
+    calls, mobius_table, factorize = [], _accel.mobius_table, arith.factorize
+    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(("factorize", n)) or
                         factorize(n))
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")
-    # mu and the weight table (divisor_sum) and the per-n float additive_Tt read them
-    tables = "divisor_sum" in methods or delta and "additive_Tt" in methods
-    assert calls == ([1000] if tables else [])
+    assert calls == ([1000] if "divisor_sum" in methods else [])
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -368,9 +368,9 @@ def test_exact_series_table_is_the_divisor_sum_column_bit_for_bit(n, monkeypatch
 def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w, monkeypatch):
     # the float divisor sums round here: the factored column is not taken
     want = condition.s_columns(w, 0.0, w.start_index, 3000)[0]
-    # both are past 2^53 at a power of 2: no exact factors and one factor-table pass
-    calls, factor_tables = [], _accel.factor_tables
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    # both are past 2^53 at a power of 2: no exact factors and one mu table
+    calls, mobius_table = [], _accel.mobius_table
+    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
     monkeypatch.setattr(condition, "_exact_factored", lambda *a: pytest.fail("exact factors"))
     assert kernel._route(w, 0.0, "series").table(3000).tobytes() == want.tobytes()
     assert calls == [3000]
@@ -391,9 +391,10 @@ def test_exact_series_table_keeps_the_divisor_sums_positive_zero():
     ("omega", {}), ("divisor_pow", {"alpha": 1}), ("d_beta", {"beta": "3/2"}),
     ("geometric", {"ratio": "1/2"}), ("log_pow", {"alpha": 1})])
 def test_series_table_builds_the_factor_tables_once(name, params, monkeypatch):
-    # the exact prime-power columns (omega, divisor_pow(1)) read the prime powers only
-    calls, factor_tables = [], _accel.factor_tables
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    # the exact prime-power columns (omega, divisor_pow(1)) read the prime powers only;
+    # the divisor sums build mu once
+    calls, mobius_table = [], _accel.mobius_table
+    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
     for fam in (weights.named_family(name, **params),
                 weights.named_family("one_plus", base=weights.named_family(name, **params))):
         calls.clear()
@@ -405,8 +406,9 @@ def test_series_table_past_the_exact_bound_off_the_powers_of_2_builds_the_factor
         monkeypatch):
     # (r + 1)^8 + r^8 < 2^53 at every 2^r, but the bound's product of sizes 257^7 at
     # 2 3 5 7 11 13 17 = 510510 is past it: the exact factors, then the divisor sums
-    calls, factor_tables = [], _accel.factor_tables
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    # with one mu table
+    calls, mobius_table = [], _accel.mobius_table
+    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
     w = weights.named_family("divisor_pow", alpha=8)
     kernel._route(w, None, "series").table(600_000)
     assert calls == [600_000]

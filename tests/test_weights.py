@@ -482,11 +482,14 @@ def test_smooth_sum_ones_dominated_by_zeta():
 @pytest.mark.parametrize("name,params", [("omega", {}), ("divisor_pow", {"alpha": 1}),
                                          ("geometric", {"ratio": "1/2"}), ("log_pow", {})])
 def test_smooth_partial_sum_builds_the_factor_tables_once(name, params, monkeypatch):
-    calls, factor_tables = [], _accel.factor_tables
-    monkeypatch.setattr(_accel, "factor_tables", lambda n: calls.append(n) or factor_tables(n))
+    # one prime-power list for the smooth mask and one for a prime-power base's
+    # weight table, each at the cutoff, and no factorization
+    calls, prime_powers = [], _accel.prime_powers
+    monkeypatch.setattr(_accel, "prime_powers", lambda n: calls.append(n) or prime_powers(n))
+    monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail(f"factorize({n})"))
     plus = weights.named_family("one_plus", base=weights.named_family(name, **params))
     weights.smooth_partial_sum(plus, 1.5, 3, 4096)
-    assert calls == [4096]
+    assert calls == [4096] * (1 if name == "log_pow" else 2)
 
 
 def test_smooth_partial_sum_is_the_literal_sum():
@@ -500,6 +503,24 @@ def test_smooth_partial_sum_is_the_literal_sum():
 def test_smooth_sum_cutoff_validation():
     with pytest.raises(ValueError):
         weights.smooth_partial_sum(weights.named_family("ones"), 2.0, 1, 1)
+
+
+@pytest.mark.parametrize("cutoff,error,match", [
+    (100.5, TypeError, "cutoff must be an integer"),
+    ("64", TypeError, "cutoff must be an integer"),
+    (1001, arith.ResourceLimitError, "exceeds ceiling 1000"),
+    (1, ValueError, "cutoff must be >= 2"),
+])
+def test_smooth_partial_sum_checks_the_cutoff_before_any_table(cutoff, error, match,
+                                                               monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
+    monkeypatch.setattr(_accel, "primes_up_to", no_tables)
+    monkeypatch.setattr(weights.WeightFamily, "values_table", no_tables)
+    with pytest.raises(error, match=match):
+        weights.smooth_partial_sum(weights.named_family("omega"), 2.0, 1, cutoff)
 
 
 # -- config -------------------------------------------------------------------
