@@ -136,11 +136,13 @@ def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
 
 
 def _emit(report, cfg: dict, default_prefix: str | None, with_csv: bool = False) -> None:
-    """Write a report: ``report`` is the envelope dict, or an iterable of
-    (JSON text, CSV text) pairs whose parts join to the JSON report and to
-    its CSV projection, written next to the JSON file when ``with_csv``."""
+    """Write a report: ``report`` is the envelope dict, whose floats that
+    are not finite become the strings "inf", "-inf" and "nan"
+    (condition._strict_json), or an iterable of (JSON text, CSV text) pairs
+    whose parts join to the JSON report and to its CSV projection, written
+    next to the JSON file when ``with_csv``."""
     if isinstance(report, dict):
-        report = [(json.dumps(report, sort_keys=True, indent=2), "")]
+        report = [(json.dumps(condition._strict_json(report), sort_keys=True, indent=2), "")]
     out_prefix = cfg.get("out")
     to_stdout = cfg.get("stdout_flag", False)
     if out_prefix is None and not to_stdout:
@@ -169,7 +171,7 @@ def _condition_report(envelope: dict, report: condition.ConditionReport):
     """The check-condition report as (JSON, CSV) text pairs (see _emit).  The
     JSON is byte-identical to json.dumps(envelope with report.to_json_dict(),
     sort_keys=True, indent=2): report.render writes the records array."""
-    text = json.dumps(envelope, sort_keys=True, indent=2)
+    text = json.dumps(condition._strict_json(envelope), sort_keys=True, indent=2)
     # keys are sorted, so only result.tol and result.verdict follow the
     # records placeholder: its last occurrence is the one
     head, _, tail = text.rpartition('"records": []')
@@ -347,7 +349,7 @@ def cmd_eval_kernel(args) -> int:
         "s": [s.real, s.imag],
         "u": [u.real, u.imag],
         "value": [ev.value.real, ev.value.imag],
-        "tail_bound": ev.tail_bound if ev.certified else "inf",
+        "tail_bound": ev.tail_bound,
         "certified": ev.certified,
         "n_terms": ev.n_terms,
     }

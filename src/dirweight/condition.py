@@ -213,7 +213,7 @@ def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
     if n_max >= 17 and (least := math.floor(n_max / math.log(n_max))) > MAX_RUN_COMPOSITIONS:
         raise refused(f"more than {least}")
     # omega: 1 per prime power p^r || n, in int8
-    omega = _accel.prime_power_column(n_max, lambda p, r: np.ones(len(r), np.int8), np.add)[2:]
+    omega = _accel.PrimePowers(n_max).column(lambda p, r: np.ones(len(r), np.int8), np.add)[2:]
     total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
                 for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
     if total > MAX_RUN_COMPOSITIONS:
@@ -300,7 +300,7 @@ class ConditionReport:
             "agreement_failures": self.agreement_failures,
             "counts": self.counts(),
             "records": [{"n": r.n, "value": _scalar_json(r.value), "method": r.method,
-                         "verdict": r.verdict, "margin": r.margin}
+                         "verdict": r.verdict, "margin": _scalar_json(r.margin)}
                         for r in (self.records if with_records else ())],
         }
 
@@ -332,23 +332,40 @@ class ConditionReport:
 
 
 def _scalar_json(v):
+    """v as a report writes it: a Fraction as "p/q", an int as itself, a
+    float as itself or, when it is not finite, as the string "inf", "-inf"
+    or "nan" (strict JSON has no token for those)."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
-    return float(v)
+    v = float(v)
+    return v if math.isfinite(v) else str(v)
+
+
+def _strict_json(obj):
+    """obj with every float in it, through dicts, lists and tuples, as
+    _scalar_json writes it."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return _scalar_json(obj) if isinstance(obj, float) else obj
 
 
 def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     """The JSON and the CSV token of each entry of a column chunk: str() of
-    ints and repr() of floats in both, except NaN/Infinity (JSON) against
-    nan/inf (CSV), and "p/q" (JSON) against p/q (CSV) for a Fraction."""
-    scalars = [_scalar_json(v) for v in col.tolist()] if col.dtype == object else col.tolist()
+    ints and repr() of floats in both, except "nan"/"inf" (JSON strings)
+    against nan/inf (CSV), and "p/q" (JSON) against p/q (CSV) for a
+    Fraction."""
+    finite = col.dtype.kind != "f" or np.isfinite(col).all()
+    scalars = col.tolist()
+    if col.dtype == object or not finite:
+        scalars = list(map(_scalar_json, scalars))
     if col.dtype.kind == "i":
         return (tokens := list(map(str, scalars))), tokens
     tokens = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n")  # C encoder
-    shared = col.dtype.kind == "f" and np.isfinite(col).all()
-    return tokens, tokens if shared else list(map(str, scalars))
+    return tokens, tokens if col.dtype.kind == "f" and finite else list(map(str, scalars))
 
 
 def _column_tokens(col: np.ndarray) -> tuple:
@@ -367,35 +384,33 @@ def _join(*pieces) -> str:
     return "".join(np.stack(columns, axis=1).ravel().tolist())
 
 
-def _exact_values(w: WeightFamily, k: int, n: int) -> list:
-    """w_j for j <= n as Python ints and Fractions, zero below k: one
+def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
+    """w_j for j <= pp.n as Python ints and Fractions, zero below k: one
     prime-power fill of w.prime_power (multiplicative and additive
     families), 1 + the base's values (one_plus), else value().  value(j)
     of a prime-power family would factorize every j."""
     base = w.params.get("base")
     if isinstance(base, WeightFamily):
-        return [0] * k + [1 + v for v in _exact_values(base, k, n)[k:]]
+        return [0] * k + [1 + v for v in _exact_values(base, k, pp)[k:]]
     if w.kind in ("multiplicative", "additive"):
         op = np.multiply if w.kind == "multiplicative" else np.add
-        q, p, r = _accel.prime_powers(n)
-        fq = _accel.map_prime_powers(p, r, w.prime_power, object)
-        return [0] * k + _accel.prime_power_fill(n, q, p, fq, op)[k:].tolist()
-    return [0] * k + [w.value(j) for j in range(k, n + 1)]
+        return [0] * k + pp.column(pp.values(w.prime_power, object, w.r_only), op)[k:].tolist()
+    return [0] * k + [w.value(j) for j in range(k, pp.n + 1)]
 
 
-def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
-    """(q, p, r, fq, size): the prime powers q = p^r <= n, ascending, and
-    _prime_power_factor at each, called once per prime power, in float64;
-    or, when exact, the differences of one prime_power call per prime
-    power, int64 for an integer-valued family while they fit, with the
-    sizes |w_(p^r)| + |w_(p^(r-1))| as floats (else None)."""
-    q, p, r = _accel.prime_powers(n)
+def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers,
+                         r_only: bool):
+    """(p, r, at, fq, size) at pp.pairs(r_only): _prime_power_factor, one
+    call per pair, in float64; or, when exact, the differences of one
+    prime_power call per pair, int64 for an integer-valued family while
+    they fit, and the sizes |w_(p^r)| + |w_(p^(r-1))| as floats."""
+    p, r, at = pp.pairs(r_only)
     if not exact:
         f = partial(_prime_power_factor, w, delta, False)
-        return q, p, r, _accel.map_prime_powers(p, r, f, np.float64), None
+        return p, r, at, _accel.map_prime_powers(p, r, f, np.float64), None
     hi = _accel.map_prime_powers(p, r, w.prime_power, object)
-    lo = np.full(len(q), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
-    lo[r > 1] = hi[np.searchsorted(q, (q // p)[r > 1])]
+    lo = np.full(len(p), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
+    lo[r > 1] = hi[at(p[r > 1], r[r > 1] - 1)]
     fq, size = hi - lo, abs(hi) + abs(lo)
     try:
         size = size.astype(np.float64)
@@ -403,33 +418,50 @@ def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, n: int):
         size = np.array(list(map(_to_float, size.tolist())))
     with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
         fq = fq.astype(np.int64) if w.integer_valued else fq
-    return q, p, r, fq, size
+    return p, r, at, fq, size
 
 
-def _exact_factored(w: WeightFamily, method: str, n: int):
-    """(q, p, fq, bound): the exact factors at delta = 0 (_prime_power_factors)
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)  # product past 2^59
+
+
+def _exact_factored(w: WeightFamily, method: str, pp: _accel.PrimePowers):
+    """(fq, at, bound): the exact factors at delta = 0 (_prime_power_factors)
     and a bound on every |w_j| and every partial sum of every divisor sum
-    S(m), j, m <= n.  Multiplicative: the largest product of the sizes over
-    p^r || m, which is the sum of |w_j mu(m/j)| over j | m (one float64
-    fill: exact below 2^53, and no product past it rounds below it).
-    Additive: |w_j| <= omega(j) max size <= log2(n) max size, summed over
-    d(m) <= 2 sqrt(m) terms.  Below 2^53 the float weight table and divisor
-    sums are exact; below 2^62 no int64 product of factors overflows."""
-    q, p, _, fq, size = _prime_power_factors(w, 0.0, True, n)
-    if method == "additive_Tt":
-        return q, p, fq, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
+    S(m), j, m <= n.  Additive: |w_j| <= omega(j) max size <= log2(n) max
+    size, summed over d(m) <= 2 sqrt(m) terms.  Multiplicative: the largest
+    product of the sizes over p^r || m, the sum of |w_j mu(m/j)| over j | m.
+    With sizes on r alone that is a product over the exponent patterns
+    r_1 >= r_2 >= ... on the first primes, the least m with those exponents
+    (237 of them at 4.6*10^5); else the max of one float64 fill.  Either is
+    exact below 2^53 and never rounds below it; below 2^62 no int64 product
+    of factors overflows."""
+    n = pp.n
+    _, _, at, fq, size = _prime_power_factors(w, 0.0, True, pp, w.r_only)
     with np.errstate(over="ignore"):  # inf is past every bound
-        return q, p, fq, _accel.prime_power_fill(n, q, p, size, np.multiply).max()
+        if method == "additive_Tt":
+            return fq, at, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
+        if not w.r_only:
+            return fq, at, pp.column(lambda p, r: size[at(p, r)], np.multiply).max()
+        bound, todo = 1.0, [(0, len(size), 1, 1.0)]  # (prime index, top exponent, m, product)
+        while todo:
+            i, top, m, product = todo.pop()
+            bound = max(bound, product)
+            for r in range(1, top + 1):
+                if (m := m * _FIRST_PRIMES[i]) > n:
+                    break
+                todo.append((i + 1, r, m, product * size[r - 1]))
+    return fq, at, bound
 
 
-def _fill(q, p, fq, method: str, n: int, dtype) -> np.ndarray:
-    """S(0..n) in dtype from the factors fq at the prime powers q = p^r: at
-    delta = 0 every T_t vanishes unless n = p^r, so additive_Tt is fq
-    itself, and mult_product is one prime_power_fill of fq."""
+def _fill(pp: _accel.PrimePowers, fq, at, method: str, lo: int, hi: int, dtype) -> np.ndarray:
+    """S(lo..hi-1) in dtype from the factors fq[at(p, r)]: at delta = 0 only
+    the prime powers carry an additive S, and mult_product is their fill."""
+    fq = fq.astype(dtype, copy=False)
     if method == "mult_product":
-        return _accel.prime_power_fill(n, q, p, fq.astype(dtype, copy=False), np.multiply)
-    col = np.zeros(n + 1, dtype=dtype)
-    col[q] = fq
+        return pp.fill(lo, hi, lambda p, r: fq[at(p, r)], np.multiply)
+    q, p, r = pp.within(lo, hi)
+    col = np.zeros(hi - lo, dtype=dtype)
+    col[q - lo] = fq[at(p, r)]
     return col
 
 
@@ -447,32 +479,35 @@ def _dual(x, y, out=None):
 _dual.identity = (1.0, 0.0)
 
 
-def _factored(w: WeightFamily, delta: float, method: str, n: int, exact: bool):
-    """mult_product or additive_Tt for every n <= n_max from the factors fq
-    of the prime powers: exact ones (_exact_factored) in int64 or Python
-    objects, else float64 _prime_power_factors.  The float additive_Tt is
-    one fill of the pairs (companion, factor) under _dual: the same terms
-    as the per-n additive_Tt, rounded in another order.  A factor or
+def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers, exact: bool):
+    """mult_product or additive_Tt for every n <= pp.n from the factors of
+    the prime powers: exact ones (_exact_factored) in int64 or Python
+    objects, else float64 ones, per exponent where they depend on r alone.
+    The float additive_Tt is one fill of the pairs (companion, factor)
+    under _dual: the per-n terms, rounded in another order.  A factor or
     companion past the float range is inf, and its rows are not finite."""
+    n = pp.n
     if exact:
-        q, p, fq, bound = _exact_factored(w, method, n)
+        fq, at, bound = _exact_factored(w, method, pp)
         # a product of int64 factors could overflow: multiply Python ints
         dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
-        return _fill(q, p, fq, method, n, dtype)
-    q, p, r, fq, _ = _prime_power_factors(w, delta, False, n)
+        return _fill(pp, fq, at, method, 0, n + 1, dtype)
+    p, r, at, fq, _ = _prime_power_factors(w, delta, False, pp, w.r_only and delta == 0.0)
     with np.errstate(all="ignore"):  # inf times 0 is nan: an inconclusive row, not a warning
         if method == "mult_product":
-            return _fill(q, p, fq, method, n, np.float64)
+            return _fill(pp, fq, at, method, 0, n + 1, np.float64)
         cq = _accel.map_prime_powers(p, r, partial(_companion, delta), np.float64)
+        pairs = np.stack([cq, fq], axis=1)
         # + 0.0: a product 0 * (negative) is -0.0, the per-n sum's 0 is +0.0
-        return _accel.prime_power_fill(n, q, p, np.stack([cq, fq], axis=1), _dual)[:, 1] + 0.0
+        return pp.column(lambda p, r: pairs[at(p, r)], _dual)[:, 1] + 0.0
 
 
 def s_columns(w: WeightFamily, delta: float, k: int, n: int,
-              methods: tuple[str, ...] = ("divisor_sum",), exact: bool = False) -> list:
+              methods: tuple[str, ...] = ("divisor_sum",), exact: bool = False,
+              pp: _accel.PrimePowers | None = None) -> list:
     """S(0..n) by each of ``methods``, in order, from at most one mu table
     and one read of the weight table; zero below k (mult_product is S at
-    k = 1 only, additive_Tt at k = 2 only).
+    k = 1 only, additive_Tt at k = 2 only), from the run's pp if given.
 
     Lanes: float64 unless ``exact`` (rational weights at delta = 0).
     Exact columns of integer-valued families are int64: the factored ones
@@ -480,49 +515,55 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
     2^62, divisor_sum while n * max|w_j| < 2^53 (every partial sum is then
     exact in float64).  Other exact columns are Python ints and Fractions.
     The weight table and mu are built after the factored routes, for
-    divisor_sum alone.
+    divisor_sum alone; a power past the float range makes a row inf or NaN.
     """
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
-    cols = {m: _factored(w, delta, m, n, exact) for m in methods if m != "divisor_sum"}
+    pp = pp or _accel.PrimePowers(n)
+    cols = {m: _factored(w, delta, m, pp, exact) for m in methods if m != "divisor_sum"}
     if "divisor_sum" in methods:
-        table = w.values_table(n) if w.integer_valued or not exact else None
+        table = w.values_table(n, pp) if w.integer_valued or not exact else None
         # Python ints and Fractions unless every exact partial sum is below 2^53
         # (a weight past float64 reads inf)
         objects = exact and (table is None or not (top := np.abs(table).max()) < _FLOAT_EXACT
                              or n * int(top) >= _FLOAT_EXACT)
-        mu = _accel.mobius_table(n)
+        mu = _accel.mobius_table(n, pp)
         if objects:
             del table  # the exact sums read Python values
             cols["divisor_sum"] = np.array(
-                _accel.exact_convolve(_exact_values(w, k, n), mu.tolist()), dtype=object)
+                _accel.exact_convolve(_exact_values(w, k, pp), mu.tolist()), dtype=object)
         else:  # float64 sums; exact ones are integers below 2^53, cast to int64
-            col = _accel.divisor_sum_table(table, mu, delta, k)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0 = NaN
+                col = _accel.divisor_sum_table(table, mu, delta, k)
             cols["divisor_sum"] = col.astype(np.int64) if exact else col
     return [cols[m] for m in methods]
 
 
-def series_column(w: WeightFamily, delta: float, n: int) -> np.ndarray:
+def series_column(w: WeightFamily, delta: float, n: int, pp: _accel.PrimePowers | None = None):
     """S(0..n) in float64 at the family's start index: the series kernel's
     coefficients.  In the exact lane (integer-valued at delta = 0,
     multiplicative with k = 1 or additive with k = 2) and below 2^53 of
-    _exact_factored's bound, the factored column, which the float divisor
-    sums then equal bit for bit; else s_columns's divisor_sum column.  The
-    bound is at least the size |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n,
-    so a family past 2^53 there skips _exact_factored (one past the bound
-    only off the powers of 2 computes its exact factors, then the sums)."""
+    _exact_factored's bound, the factored column, streamed as an
+    _accel.Column, which the float divisor sums then equal bit for bit;
+    else s_columns's divisor_sum column.  The bound is at least the size
+    |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n, so a family past 2^53 there
+    skips _exact_factored (one past the bound only off the powers of 2
+    computes its exact factors, then the sums)."""
+    pp = pp or _accel.PrimePowers(n)
     k = w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
     if method and w.integer_valued and _mode(w, delta)[1] and all(
             abs(w.prime_power(2, r)) + abs(w.prime_power(2, r - 1)) < _FLOAT_EXACT
             for r in range(1, n.bit_length())):
-        q, p, fq, bound = _exact_factored(w, method, n)
+        fq, at, bound = _exact_factored(w, method, pp)
         if bound < _FLOAT_EXACT:
-            col = _fill(q, p, fq, method, n, np.float64)
-            col += 0.0  # a product 0 * (negative) is -0.0; the divisor sum's 0 is +0.0
-            return col
-    return s_columns(w, delta, k, n)[0]
+            def window(lo, hi):  # + 0.0: a product 0 * (negative) is -0.0, a divisor sum's +0.0
+                col = _fill(pp, fq, at, method, lo, hi, np.float64)
+                return np.add(col, 0.0, out=col)
+
+            return _accel.Column(n, window)
+    return s_columns(w, delta, k, n, pp=pp)[0]
 
 
 def check_range(
@@ -630,7 +671,7 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     mult = w.kind == "multiplicative"
-    _, p, r, fq, _ = _prime_power_factors(w, delta, exact, n_max)
+    p, r, _, fq, _ = _prime_power_factors(w, delta, exact, _accel.PrimePowers(n_max), False)
     keep = r >= (1 if mult else 2)
     p, r, fq = p[keep], r[keep], fq[keep]
     margin = np.array(list(map(_to_float, fq.tolist())), dtype=np.float64)

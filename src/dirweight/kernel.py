@@ -20,22 +20,23 @@ budget, because the statement being tested concerns the exact kernel.
 
 The three functions, ``default_grid`` and ``gram_psd`` share one
 ``_Route``: its tail bound (c, tau) and point abscissa, each entry's
-truncation (``terms``), the coefficient table (``table``; series S(n) is
-``condition.series_column``) and the entries with their tails
-(``entries``, which alone propagates the quotient's error).  ``entries``
-makes one ``_accel.power_sum`` call for every pair (a, b, n) of a run:
-the engine walks j in blocks of B = 2^14 at absolute multiples of B,
-builds one column j^(-s) per point and block (a real exp when Im s = 0),
-and sums each entry as one BLAS dot per block, so the columns of m
-points take about m B 32 bytes.  The ratio route folds
-j^(-delta) into its table and reads its zeta denominators from the same
-columns.  An eval-kernel value thus equals the Gram entry at the same
-point and per-entry target bit for bit: an entry's block partials do not
-depend on the entries that share the pass, and every table up to
-TRUNCATION_CAP is a prefix of a longer one, float S(n) included, as the
-convolution sums each coefficient in one order up to the cap (see
-``_accel._convolve``); where the exact lane's factored column is taken,
-the divisor sums are exact and equal it bit for bit.
+truncation (``terms``), the coefficient table (``table``) and the entries
+with their tails (``entries``, which alone propagates the quotient's
+error).  ``entries`` makes one ``_accel.power_sum`` call for every pair
+(a, b, n) of a run: the engine walks j in blocks of B = 2^14, builds one
+column j^(-s) per point and block (a real exp when Im s = 0) and sums each
+entry as one BLAS dot per block, so the columns of m points take about
+m B 32 bytes.  The ratio route folds j^(-delta) into its table and reads
+its zeta denominators from the same columns.  Tables stream: the weights
+and the exact lane's factored S column (``condition.series_column``) are
+``_accel.Column``s, filled one window of 2^16 entries at a time from one
+``_accel.PrimePowers``; only divisor-sum S columns are built whole.  An
+eval-kernel value thus equals the Gram entry at the same point and
+per-entry target bit for bit: block partials do not depend on the entries
+that share the pass, a window is the same slice of the table at any
+length, and a float S(n) column up to TRUNCATION_CAP is a prefix of a
+longer one (see ``_accel._convolve``), equal to the exact lane's factored
+column where that is taken.
 """
 
 from __future__ import annotations
@@ -112,20 +113,22 @@ class _Route:
             n = max(n, _pick_terms(1.0, 0.0, sigma_t, target))
         return n
 
-    def table(self, n: int) -> np.ndarray:
-        """Coefficients 0..n of the power sums: the weights, folded with
-        j^(-delta) on the ratio route; for the series route the condition
-        values S(n), condition.series_column (the exact factored column
-        where it applies, else the float divisor_sum column)."""
-        w = self.family
+    def table(self, n: int):
+        """Coefficients 0..n of the power sums: the weights as an
+        _accel.Column of their windows, folded with j^(-delta) on the ratio
+        route; for the series route S(n), condition.series_column."""
+        w, pp = self.family, _accel.PrimePowers(n)
         if self.kernel == "series":
-            return condition.series_column(w, self.delta, n)
-        table = w.values_table(n)
+            return condition.series_column(w, self.delta, n, pp)
+        window = weights = w.windows(pp)
         if self.kernel == "ratio" and self.delta != 0.0:
-            table[1:] *= np.arange(1, n + 1, dtype=np.float64) ** -self.delta
-        return table
 
-    def entries(self, table: np.ndarray, points, pairs) -> list[tuple[complex, float]]:
+            def window(lo, hi):  # power_sum reads from j = 1
+                return weights(lo, hi) * np.arange(lo, hi, dtype=np.float64) ** -self.delta
+
+        return _accel.Column(n, window)
+
+    def entries(self, table, points, pairs) -> list[tuple[complex, float]]:
         """(value, tail bound) of each pair (a, b, n): the entry at
         z = s_a + conj(s_b) from table[:n + 1], all from one power_sum
         pass.  A value that is not finite, and a quotient whose denominator
@@ -248,7 +251,8 @@ class GramCheck:
         return len(self.points) * self.truncation_bound
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report's result, in strict JSON (condition._strict_json)."""
+        return condition._strict_json({
             "family": self.family,
             "kernel": self.kernel,
             "delta": self.delta,
@@ -262,7 +266,7 @@ class GramCheck:
             "tol": self.tol,
             "verdict": self.verdict,
             "n_terms_max": self.n_terms_max,
-        }
+        })
 
 
 def default_grid(

@@ -9,10 +9,12 @@ powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
 routes and ``condition.prime_power_check`` read without factorizing p^r.
 
 Each family has one definition of w_n, evaluated two ways: ``value(n)``
-(int/Fraction for exact families, else float) and ``values_table(n)``,
-the float column the kernels and the float condition routes read.  Entry
-m of the column is ``_to_float(value(m))`` bit for bit (the exceptions are
-in ``values_table``).  Nothing is cached: each call evaluates afresh.
+(int/Fraction for exact families, else float) and the float column,
+``windows(pp)``, any window [lo, hi) of it, which the kernels stream, and
+``values_table(n)``, the whole column the float condition routes read.
+Entry m of the column is ``_to_float(value(m))`` bit for bit (the
+exceptions are in ``values_table``).  Nothing is cached: each call
+evaluates afresh.
 
 The abscissas are declared, never inferred: the smooth-restricted infimum
 defining delta is not numerically decidable, so partial-sum diagnostics
@@ -105,8 +107,10 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).  ``batch_fn(n)`` builds ``values_table(n)`` from the same
-    definition as ``value_fn``.
+    (additive).  ``windows(pp)`` builds ``window(lo, hi)``, the float
+    weights w_lo..w_(hi-1), from the same definition as ``value_fn`` and a
+    run's ``_accel.PrimePowers`` pp (without it, value() per n).  ``r_only``
+    marks prime-power families whose f(p, r) depends on r alone.
     ``integer_valued`` marks exact families of integers whose
     ``values_table`` is exact below 2^53 and never rounds a larger value
     below it; the exact lane of ``condition.check_range`` relies on it.
@@ -121,7 +125,7 @@ class WeightFamily:
         delta: float,
         growth_bound: tuple[float, float],
         value_fn,
-        batch_fn=None,
+        windows=None,
         exact: bool = False,
         params: dict | None = None,
         integer_valued: bool = False,
@@ -145,7 +149,8 @@ class WeightFamily:
         self.integer_valued = self.exact and bool(integer_valued)
         self.params = dict(params or {})
         self._value_fn = value_fn
-        self._batch_fn = batch_fn
+        self._windows = windows
+        self.r_only = False
 
     def __repr__(self):
         return f"WeightFamily({self.name!r}, kind={self.kind}, k={self.start_index})"
@@ -174,23 +179,25 @@ class WeightFamily:
             )
         return self._value_fn(n)
 
-    def values_table(self, n: int) -> np.ndarray:
+    def values_table(self, n: int, pp: _accel.PrimePowers | None = None) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
-        the defined range are zero.  Feeds the numeric kernels.  Entry m is
-        ``_to_float(value(m))`` bit for bit: the table and value() evaluate
-        one definition (the prime-power fill, the measure expression, or
-        value() per n).  Two exceptions: an integer-valued table multiplies
-        floats, so it is exact only below 2^53 (see integer_valued), and
-        one_plus over a Fraction-valued base is 1.0 + the base's float,
-        rounded twice."""
-        if self._batch_fn is not None:
-            table = np.asarray(self._batch_fn(n), dtype=np.float64)
-        else:
-            table = np.zeros(n + 1, dtype=np.float64)
-            for m in range(self.defined_from, n + 1):
-                table[m] = _to_float(self.value(m))
-        table[: self.defined_from] = 0.0
-        return table
+        the defined range are zero: the window [0, n] of ``windows``, from
+        the run's pp if given.  Entry m is ``_to_float(value(m))`` bit for
+        bit: the table and value() evaluate one definition (the prime-power
+        fill, the measure expression, or value() per n).  Two exceptions:
+        an integer-valued table multiplies floats, so it is exact only below
+        2^53 (see integer_valued), and one_plus over a Fraction-valued base
+        is 1.0 + the base's float, rounded twice."""
+        return self.windows(pp or _accel.PrimePowers(n))(0, n + 1)
+
+    def windows(self, pp: _accel.PrimePowers):
+        """window(lo, hi), hi <= pp.n + 1: the weights w_lo..w_(hi-1) as a new
+        float64 array, zero below the defined range, the same slice of
+        values_table(pp.n) bit for bit.  The kernels stream their weights so."""
+        if self._windows is not None:
+            return self._windows(pp)
+        return lambda lo, hi: np.array([_to_float(self.value(m)) if m >= self.defined_from
+                                        else 0.0 for m in range(lo, hi)], dtype=np.float64)
 
     def prime_power(self, p: int, r: int):
         """w_(p^r), equal to value(p**r); r = 0 gives w_1.  Families built
@@ -218,15 +225,16 @@ class WeightFamily:
 # ---------------------------------------------------------------------------
 
 
-def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exact, params,
-                        integer_valued) -> WeightFamily:
+def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, params=None,
+                        integer_valued=False, r_only=False, windows=None) -> WeightFamily:
     """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
-    Without a batch_fn the table calls f once per prime power <= n and is
-    one ``_accel.prime_power_fill``: in float64 of _to_float(f(p, r)), or
-    in Python ints and Fractions converted with _to_float at the end, as
-    value() would be."""
+    Without windows of its own, a window of the table is one
+    ``_accel.prime_power_fill``, in float64 of _to_float(f(p, r)), or in
+    Python ints and Fractions converted with _to_float at the end, as
+    value() would be.  f is called once per prime power <= n, or, when it
+    depends on r alone (``r_only``: the named families), once per exponent."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
     identity = op.identity if exact else float(op.identity)
 
@@ -249,42 +257,47 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, batch_fn, exa
 
     dtype = np.float64 if integer_valued or not exact else object
 
-    def batch(n):
+    def fill(pp):
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
-        q, p, r = _accel.prime_powers(n)
-        w = _accel.prime_power_fill(n, q, p, _accel.map_prime_powers(p, r, fp, dtype), op)
-        return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
+        values = pp.values(fp, dtype, r_only)
+
+        def window(lo, hi):
+            w = pp.fill(lo, hi, values, op)
+            return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
+
+        return window
 
     fam = WeightFamily(
         name, kind, 1 if op is np.multiply else 2, sigma, delta, growth_bound,
-        value_fn, batch_fn=batch_fn or batch, exact=exact, params=params,
+        value_fn, windows=windows or fill, exact=exact, params=params,
         integer_valued=integer_valued,
     )
     fam.prime_power = prime_power
+    fam.r_only = r_only
     return fam
 
 
 def multiplicative_from_prime_powers(
     f, sigma: float, delta: float, growth_bound: tuple[float, float],
-    name: str = "multiplicative", batch_fn=None, exact: bool = False,
+    name: str = "multiplicative", exact: bool = False,
     params: dict | None = None, integer_valued: bool = False,
 ) -> WeightFamily:
     """Multiplicative family from prime-power values: w_n = prod f(p_i, r_i)
     over the factorization, w_1 = 1 (see _prime_power_family)."""
     return _prime_power_family("multiplicative", f, sigma, delta, growth_bound, name,
-                               batch_fn, exact, params, integer_valued)
+                               exact, params, integer_valued)
 
 
 def additive_from_prime_powers(
     f, sigma: float, delta: float, growth_bound: tuple[float, float],
-    name: str = "additive", batch_fn=None, exact: bool = False,
+    name: str = "additive", exact: bool = False,
     params: dict | None = None, integer_valued: bool = False,
 ) -> WeightFamily:
     """Additive family from prime-power values: w_n = sum f(p_i, r_i),
     extended by w_1 = 0.  Start index is 2; positivity for n >= 2 is
     checked by audit()."""
     return _prime_power_family("additive", f, sigma, delta, growth_bound, name,
-                               batch_fn, exact, params, integer_valued)
+                               exact, params, integer_valued)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +388,11 @@ def measure_family(
         # w_n = (log n)^alpha and log n <= (2/e) sqrt(n)
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
-    def batch(n):
-        table = np.zeros(n + 1)
-        table[start:] = _measure_weights(spec, np.arange(start, n + 1, dtype=np.float64))
-        return table
+    def window(lo, hi):
+        w = np.zeros(hi - lo)
+        w[max(start - lo, 0) :] = _measure_weights(
+            spec, np.arange(max(start, lo), hi, dtype=np.float64))
+        return w
 
     return WeightFamily(
         name,
@@ -388,9 +402,9 @@ def measure_family(
         0.0 if delta is None else delta,
         bound,
         lambda n: measure_induced(spec, n0, n),
-        batch_fn=batch,
         exact=False,
         params={"measure": spec, "n0": n0},
+        windows=lambda pp: window,
     )
 
 
@@ -409,12 +423,13 @@ def smooth_partial_sum(w: WeightFamily, s: float, n: int, cutoff: int) -> float:
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     n = arith._check_positive(n)
-    q, p, r = _accel.prime_powers(cutoff)
+    pp = _accel.PrimePowers(cutoff)
+    _, p, r = pp.listing
     primes = p[r == 1]
     # p_n, or the cutoff when p_n lies past it: both admit every j <= cutoff
     p_n = primes[n - 1] if n <= len(primes) else cutoff
-    vals = w.values_table(cutoff)
-    vals[~_accel.prime_power_fill(cutoff, q, p, p <= p_n, np.logical_and)] = 0.0
+    vals = w.values_table(cutoff, pp)
+    vals[~pp.column(lambda p, r: p <= p_n, np.logical_and)] = 0.0
     return float(_accel.power_sum(vals, 2, [float(s), 0.0], [(0, 1, cutoff)])[0].real)
 
 
@@ -435,24 +450,24 @@ def smooth_growth_diagnostic(
 
 
 def _ones_family() -> WeightFamily:
-    return multiplicative_from_prime_powers(
-        lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
-        name="ones", exact=True, integer_valued=True,
+    return _prime_power_family(
+        "multiplicative", lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.0, 0.0),
+        name="ones", exact=True, integer_valued=True, r_only=True,
     )
 
 
 def _omega_family() -> WeightFamily:
     # omega(n) <= log2(n) and log2(n)/sqrt(n) peaks at 2/(e ln 2) ~ 1.062
-    return additive_from_prime_powers(
-        lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="omega", exact=True, integer_valued=True,
+    return _prime_power_family(
+        "additive", lambda p, r: 1, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
+        name="omega", exact=True, integer_valued=True, r_only=True,
     )
 
 
 def _big_omega_family() -> WeightFamily:
-    return additive_from_prime_powers(
-        lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
-        name="big_omega", exact=True, integer_valued=True,
+    return _prime_power_family(
+        "additive", lambda p, r: r, sigma=1.0, delta=0.0, growth_bound=(1.1, 0.5),
+        name="big_omega", exact=True, integer_valued=True, r_only=True,
     )
 
 
@@ -468,10 +483,10 @@ def _divisor_pow_family(alpha, af: float) -> WeightFamily:
         return (r + 1) ** alpha if exact else float(r + 1) ** af
 
     # d(n) <= 2 sqrt(n)
-    return multiplicative_from_prime_powers(
-        f, sigma=1.0, delta=0.0, growth_bound=(_pow2(af), af / 2.0),
+    return _prime_power_family(
+        "multiplicative", f, sigma=1.0, delta=0.0, growth_bound=(_pow2(af), af / 2.0),
         name=f"divisor_pow(alpha={alpha})", exact=exact,
-        params={"alpha": alpha}, integer_valued=exact,
+        params={"alpha": alpha}, integer_valued=exact, r_only=True,
     )
 
 
@@ -494,11 +509,11 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
 
     m = max(1, math.ceil(bf))
     # d_beta(n) <= d(n)^(ceil(beta)-1) <= (2 sqrt n)^(ceil(beta)-1)
-    return multiplicative_from_prime_powers(
-        f, sigma=1.0, delta=0.0,
+    return _prime_power_family(
+        "multiplicative", f, sigma=1.0, delta=0.0,
         growth_bound=(_pow2(m - 1), (m - 1) / 2.0),
         name=f"d_beta(beta={beta})", exact=exact,
-        params={"beta": beta}, integer_valued=exact,
+        params={"beta": beta}, integer_valued=exact, r_only=True,
     )
 
 
@@ -511,10 +526,15 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
     start = base.defined_from
     c, tau = base.growth_bound
 
-    def batch(n):
-        table = 1.0 + base.values_table(n)
-        table[:start] = 0.0
-        return table
+    def windows(pp):
+        base_window = base.windows(pp)
+
+        def window(lo, hi):
+            w = 1.0 + base_window(lo, hi)
+            w[: max(start - lo, 0)] = 0.0
+            return w
+
+        return window
 
     return WeightFamily(
         f"one_plus({base.name})",
@@ -524,10 +544,10 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
         0.0,
         (1.0 + c, max(tau, 0.0)),
         lambda n: 1 + base.value(n) if base.exact else 1.0 + _to_float(base.value(n)),
-        batch_fn=batch,
         exact=base.exact,
         params={"base": base},
         integer_valued=base.integer_valued,
+        windows=windows,
     )
 
 
@@ -544,20 +564,20 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     # for ratio < 1 the large primes bind and delta_w = 0, not log2(ratio)
     delta = math.log2(rf)
 
-    def batch(n):
-        big_omega = _accel.prime_power_column(n, lambda p, r: r.astype(np.int8), np.add)
-        powers = [_to_float(ratio**j) for j in range(int(big_omega.max()) + 1)]
-        return np.array(powers)[big_omega]
+    def windows(pp):
+        powers = np.array([_to_float(ratio**j) for j in range(pp.n.bit_length() + 1)])
 
-    return multiplicative_from_prime_powers(
-        lambda p, r: ratio**r,
-        sigma=max(1.0, delta),
-        delta=delta,
-        growth_bound=(1.0, max(0.0, delta)),
-        name=f"geometric(ratio={ratio})",
-        batch_fn=batch if exact else None,
-        exact=exact,
-        params={"ratio": ratio},
+        def window(lo, hi):
+            w = powers[pp.fill(lo, hi, lambda p, r: r.astype(np.int8), np.add)]
+            w[: max(1 - lo, 0)] = 0.0
+            return w
+
+        return window
+
+    return _prime_power_family(
+        "multiplicative", lambda p, r: ratio**r, sigma=max(1.0, delta), delta=delta,
+        growth_bound=(1.0, max(0.0, delta)), name=f"geometric(ratio={ratio})", exact=exact,
+        params={"ratio": ratio}, r_only=True, windows=windows if exact else None,
     )
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirweight import _accel, arith
+from dirweight import _accel, arith, condition
 
 EPS = np.finfo(np.float64).eps
 SIZES = range(0, 61)  # every split r = isqrt(n), squares and r(r+1) alike
@@ -205,16 +205,15 @@ def test_power_sum_passes_non_finite_values_without_warnings():
 
 
 def test_prime_power_fill_is_the_divisor_count():
-    q, p, r = _accel.prime_powers(5000)
-    w = _accel.prime_power_fill(5000, q, p, (r + 1).astype(np.float64), np.multiply)
+    pp = _accel.PrimePowers(5000)
+    w = pp.column(lambda p, r: (r + 1).astype(np.float64), np.multiply)
     assert w.dtype == np.float64  # d(n) = the product of r + 1 over p^r || n
     assert w.tolist() == [0.0, *map(float, _accel.divisor_count_table(5000)[1:])]
     # a trailing axis: each column fills as a fill of its own
-    fr = r.astype(np.float64)
-    pairs = _accel.prime_power_fill(5000, q, p, np.stack([fr + 1.0, fr], axis=1), np.multiply)
+    pairs = pp.column(lambda p, r: np.stack([r + 1.0, r + 0.0], axis=1), np.multiply)
     assert pairs.shape == (5001, 2)
     assert pairs[:, 0].tobytes() == w.tobytes()
-    assert pairs[:, 1].tobytes() == _accel.prime_power_fill(5000, q, p, fr, np.multiply).tobytes()
+    assert pairs[:, 1].tobytes() == pp.column(lambda p, r: r + 0.0, np.multiply).tobytes()
 
 
 @pytest.mark.parametrize("n", [53**2 - 1, 53**2, 53**2 + 1])  # 53 past, at, below sqrt(n)
@@ -223,25 +222,26 @@ def test_prime_power_fill_is_the_divisor_count():
     (lambda p, r: Fraction(r + 2, p + r), 1),
 ], ids=["float", "fraction"])
 def test_prime_power_fill_is_the_literal_per_n_product_and_sum(n, f, one):
-    q, p, r = _accel.prime_powers(n)
-    fq = _accel.map_prime_powers(p, r, f, np.float64 if isinstance(one, float) else object)
+    pp = _accel.PrimePowers(n)
+    dtype = np.float64 if isinstance(one, float) else object
+    fq = pp.values(f, dtype, False)
     for op, identity in ((operator.mul, one), (operator.add, one - one)):
         want = [one - one] + [functools.reduce(op, [f(*pr) for pr in arith.factorize(m)],
                                                 identity) for m in range(1, n + 1)]
-        got = _accel.prime_power_fill(n, q, p, fq, np.multiply if op is operator.mul else np.add)
-        assert got.dtype == fq.dtype and len(got) == n + 1
+        got = pp.column(fq, np.multiply if op is operator.mul else np.add)
+        assert got.dtype == dtype and len(got) == n + 1
         assert [(type(v), v) for v in got.tolist()] == [(type(v), v) for v in want]
 
 
 def test_prime_power_fill_memory_is_the_output_and_prime_count_columns():
-    # only the prime powers with p <= sqrt(n) are reordered: the primes past it are
-    # copied once with their values, 0.6 MiB each at 78,498 primes
+    # the values looked up from the listing of 78,498 primes (0.6 MiB a column), and
+    # the cofactors divided out one WINDOW at a time: a few columns of 2^16 entries
     n = 10**6
-    q, p, r = _accel.prime_powers(n)
-    fq = (r + 1).astype(np.float64)
+    pp = _accel.PrimePowers(n)
+    fq = pp.values(lambda p, r: float(r + 1), np.float64, False)
     tracemalloc.start()
     try:
-        w = _accel.prime_power_fill(n, q, p, fq, np.multiply)
+        w = pp.column(fq, np.multiply)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,8 +312,8 @@ def test_prime_power_fill_applies_prime_powers_in_ascending_order():
         def __radd__(self, other):
             return Word(f"{'' if other == 0 else other}{self}")
 
-    fq = _accel.map_prime_powers(p, r, lambda p, r: Word(f"{p}^{r};"), object)
-    w = _accel.prime_power_fill(1000, q, p, fq, np.add)
+    pp = _accel.PrimePowers(1000)
+    w = pp.column(pp.values(lambda p, r: Word(f"{p}^{r};"), object, False), np.add)
     assert w[1] == 0 and w[2 * 9 * 7] == "2^1;3^2;7^1;"
     for m in range(2, 1001):
         assert w[m] == "".join(f"{p}^{r};" for p, r in arith.factorize(m).factors)
@@ -344,3 +344,94 @@ def test_primes_and_prime_powers_match_a_plain_sieve(n):
     assert [c.dtype for c in (q, p, r)] == [np.int64] * 3
     want = sorted((x**e, x, e) for x in primes for e in range(1, n.bit_length()) if x**e <= n)
     assert list(zip(q.tolist(), p.tolist(), r.tolist())) == want
+
+
+W = _accel.WINDOW
+N = _accel.SEGMENT + 100  # sqrt(N) = 512
+# windows across the WINDOW and SEGMENT edges, the squares 97^2 = 9409 and
+# 509^2 = 259081 of primes below sqrt(N), sqrt(N) itself, both ends, and empty ones
+WINDOWS = [(0, N + 1), (0, 1), (0, 2), (1, 3), (2, 3), (9400, 9420), (W - 5, W + 5),
+           (W, 2 * W), (5, W + 7), (2 * W - 1, 3 * W + 1), (505, 520), (259070, 259090),
+           (_accel.SEGMENT - 7, _accel.SEGMENT + 9), (N - 10, N + 1), (77, 77), (N + 1, N + 1)]
+
+
+def _fills(pp):
+    """(f, op) of each kind of fill: float64 on r alone and on p (a listing
+    lookup), int8 mu, Python ints on p, and the float additive route's dual
+    pairs on p."""
+    p, r, at = pp.pairs(False)
+    pairs = np.stack([p**-0.5 - r, r / p], axis=1)
+    return {
+        "float64 r-only": (pp.values(lambda p, r: float(r + 1) ** 0.5, np.float64, True),
+                           np.multiply),
+        "float64 p": (pp.values(lambda p, r: 1.0 + 1.0 / p**r, np.float64, False), np.multiply),
+        "int8 mu": (lambda p, r: -(r == 1).astype(np.int8), np.multiply),
+        "object p": (pp.values(lambda p, r: p**r + r, object, False), np.multiply),
+        "dual p": (lambda p, r: pairs[at(p, r)], condition._dual),
+    }
+
+
+@pytest.mark.parametrize("kind", ["float64 r-only", "float64 p", "int8 mu", "object p",
+                                  "dual p"])
+def test_window_fills_are_the_whole_range_slice_bit_for_bit(kind):
+    pp = _accel.PrimePowers(N)
+    f, op = _fills(pp)[kind]
+    whole = pp.column(f, op)
+    assert len(whole) == N + 1
+    for lo, hi in WINDOWS:
+        # from the run's base primes up to sqrt(N), and from those up to sqrt(hi - 1) alone
+        for base in (pp.base, _accel.primes_up_to(math.isqrt(max(hi - 1, 0)))):
+            got = _accel.prime_power_fill(lo, hi, base, f, op)
+            assert got.dtype == whole.dtype and got.shape == whole[lo:hi].shape, (lo, hi)
+            if got.dtype == object:
+                assert [(type(v), v) for v in got.tolist()] == [
+                    (type(v), v) for v in whole[lo:hi].tolist()], (lo, hi)
+            else:
+                assert got.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def test_window_fill_matches_the_per_n_product_across_window_edges():
+    pp = _accel.PrimePowers(N)
+    w = pp.column(pp.values(lambda p, r: p + r, object, False), np.multiply)
+    for m in [*range(2, 500), *range(W - 300, W + 300), *range(N - 300, N + 1)]:
+        assert w[m] == math.prod(p + r for p, r in arith.factorize(m).factors), m
+
+
+def test_prime_powers_within_a_window_are_a_slice_of_the_listing():
+    pp = _accel.PrimePowers(N)
+    q, p, r = pp.listing
+    for lo, hi in WINDOWS:
+        keep = (q >= lo) & (q < hi)
+        got = pp.within(lo, hi)
+        assert [c.tolist() for c in got] == [q[keep].tolist(), p[keep].tolist(),
+                                             r[keep].tolist()], (lo, hi)
+
+
+def test_prime_power_pairs_index_every_prime_power():
+    pp = _accel.PrimePowers(5000)
+    q, p, r = pp.listing
+    for r_only in (True, False):
+        pairs_p, pairs_r, at = pp.pairs(r_only)
+        i = at(p, r)
+        assert (pairs_r[i] == r).all()
+        if not r_only:
+            assert (pairs_p[i] == p).all()
+    assert pp.pairs(True)[1].tolist() == list(range(1, 13))  # 2^12 <= 5000 < 2^13
+
+
+def test_power_sum_reads_a_column_as_the_array_bit_for_bit():
+    vals = np.random.default_rng(7).uniform(-1.0, 2.0, 2 * W + 9)
+    reads = []
+
+    def window(lo, hi):
+        reads.append((lo, hi))
+        return vals[lo:hi].copy()
+
+    column = _accel.Column(len(vals) - 1, window)
+    assert len(column) == len(vals)
+    pairs = [(a, b, n) for a in range(3) for b in range(3) for n in (B, W - 1, W, 2 * W + 8)]
+    want = _accel.power_sum(vals, 2, ENGINE_POINTS, pairs, zeta=True)
+    got = _accel.power_sum(column, 2, ENGINE_POINTS, pairs, zeta=True)
+    assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+    # one read per window, each at most WINDOW entries at a multiple of it
+    assert reads == [(1, W), (W, 2 * W), (2 * W, 2 * W + 9)]

@@ -45,6 +45,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 # -- exit codes ---------------------------------------------------------------
 
 
@@ -326,10 +335,10 @@ def test_classify_past_the_float_range_counts_the_factors_not_finite(tmp_path, c
     cfg = write_config(tmp_path, "omega.json", {"family": {"kind": "named", "name": "omega"}})
     assert run(["classify", "--config", cfg, "--delta", "-2000", "--no-timestamp",
                 "--stdout"]) == 0
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = strict_loads(capsys.readouterr().out)["result"]
     growth = result["growth_check"]
     assert (growth["passed"], growth["violations"], growth["checks"]) == (False, 30, 30)
-    assert growth["first_violation"] == [2, 2, math.inf]
+    assert growth["first_violation"] == [2, 2, "inf"]
     assert result["condition_sample"]["verdict"] == "inconclusive"
     assert result["applicable_routes"] == []
 
@@ -665,11 +674,11 @@ def test_non_finite_condition_values_are_inconclusive(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "checking condition for divisor_pow(alpha=701/2) up to n = 50",
         f"wrote {out}.json", f"wrote {out}.csv", "verdict: inconclusive"]
-    result = json.loads(captured.out)["result"]
-    values = [r["value"] for r in result["records"]]
+    result = strict_loads(captured.out)["result"]
+    values = [float(r["value"]) for r in result["records"]]  # "nan" and "inf" are strings
     assert (sum(map(math.isnan, values)), sum(map(math.isinf, values))) == (1, 5)
     assert result["counts"] == {"nonneg_within_tol": 44, "inconclusive": 6}
-    assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
+    assert all((r["verdict"] == "inconclusive") == (not math.isfinite(float(r["value"])))
                for r in result["records"])
 
 
@@ -677,13 +686,13 @@ def test_non_finite_kernel_values_are_inconclusive(tmp_path, capsys):
     cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING})
     common = ["--config", cfg, "--no-timestamp", "--stdout"]
     assert run(["eval-kernel", "--kernel", "weight", "--s", "300", *common]) == 3
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = strict_loads(capsys.readouterr().out)["result"]
     assert (result["certified"], result["tail_bound"]) == (False, "inf")
-    assert math.isnan(result["value"][0])
+    assert result["value"][0] == "nan"
     for route in ("weight", "series"):
         assert run(["gram", "--kernel", route, "--points", "300;301", *common]) == 3
-        result = json.loads(capsys.readouterr().out)["result"]
-        assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
+        result = strict_loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "inconclusive" and result["min_eigenvalue"] == "nan"
 
 
 # growth constants 2^2000 and 2^1999 are past the float range: +inf, so no
@@ -698,7 +707,7 @@ def test_growth_constant_past_the_float_range_is_infinite(family, tmp_path, caps
     assert run(["check-condition", *common]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "nonneg_exact"
     assert run(["classify", *common]) == 0
-    assert json.loads(capsys.readouterr().out)["result"]["growth_bound"][0] == math.inf
+    assert strict_loads(capsys.readouterr().out)["result"]["growth_bound"][0] == "inf"
     assert run(["eval-kernel", "--kernel", "weight", "--s", "600", *common]) == 3
     result = json.loads(capsys.readouterr().out)["result"]
     assert (result["certified"], result["tail_bound"]) == (False, "inf")
@@ -742,7 +751,7 @@ def test_exact_weights_past_the_float_range_read_inf(family, argv, code, verdict
                                                      capsys):
     cfg = write_config(tmp_path, "d.json", {"family": family, "n_max": 40})
     assert run([*argv, "--config", cfg, "--no-timestamp", "--stdout"]) == code
-    result = json.loads(capsys.readouterr().out)["result"]
+    result = strict_loads(capsys.readouterr().out)["result"]
     if argv[0] == "classify":
         sample = result["condition_sample"]
         assert sample["verdict"] == "nonneg_exact" and "direct condition route" in result[
@@ -750,25 +759,52 @@ def test_exact_weights_past_the_float_range_read_inf(family, argv, code, verdict
         return
     assert result["verdict"] == verdict
     if argv[0] == "gram":
-        assert math.isnan(result["min_eigenvalue"])
+        assert result["min_eigenvalue"] == "nan"
         return
     margins = [r["margin"] for r in result["records"]]
-    assert math.inf in margins and -math.inf not in margins
+    assert "inf" in margins and "-inf" not in margins
     if verdict == "nonneg_exact":  # the Python-int routes: +inf margins, exact values
         assert all(r["verdict"] == "nonneg_exact" for r in result["records"])
         assert any(isinstance(r["value"], int) and r["value"] > 2**1024
                    for r in result["records"])
     else:
-        assert all((r["verdict"] == "inconclusive") == (not math.isfinite(r["value"]))
+        assert all((r["verdict"] == "inconclusive") == (not math.isfinite(float(r["value"])))
                    for r in result["records"])
+
+
+@pytest.mark.parametrize("argv,family", [
+    (["check-condition", "--delta", "-200", "--n-max", "100"], {"kind": "named", "name": "omega"}),
+    (["check-condition", "--methods", "divisor_sum,mult_product", "--n-max", "40"],
+     EXACT_PAST_FLOAT),
+    (["classify", "--n-max", "100"],
+     {"kind": "named", "name": "d_beta", "parameters": {"beta": 2000}}),
+    (["gram", "--points", "300;301"], OVERFLOWING),
+    (["eval-kernel", "--s", "300"], OVERFLOWING),
+    (["von-mangoldt", "--n-max", "50"], None),
+], ids=["check-condition", "check-condition-exact", "classify", "gram", "eval-kernel",
+        "von-mangoldt"])
+def test_every_report_is_strict_json(argv, family, tmp_path):
+    # a float that is not finite is the string "inf", "-inf" or "nan" in JSON; the
+    # CSV keeps inf and nan
+    cfg = write_config(tmp_path, "c.json", {} if family is None else {"family": family})
+    out = tmp_path / "rep"
+    run([*argv, "--config", cfg, "--no-timestamp", "--out", str(out)])
+    text = (tmp_path / "rep.json").read_text()
+    report = strict_loads(text)
+    assert report["command"] == argv[0]
+    if family is not None:
+        assert '"inf"' in text or '"nan"' in text
+    if argv[0] == "check-condition":
+        rows = list(csv.reader((tmp_path / "rep.csv").read_text().splitlines()))
+        assert any(row[4] in ("inf", "nan") for row in rows[1:])
 
 
 def test_gram_on_the_default_grid_with_inf_weights_is_inconclusive(tmp_path, capsys):
     # d(n)^400 is inf past d(n) = 6: the matrix is not finite, so no eigen step
     cfg = write_config(tmp_path, "d.json", {"family": EXACT_PAST_FLOAT, "kernel": "series"})
     assert run(["gram", "--config", cfg, "--no-timestamp", "--stdout"]) == 3
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["verdict"] == "inconclusive" and math.isnan(result["min_eigenvalue"])
+    result = strict_loads(capsys.readouterr().out)["result"]
+    assert result["verdict"] == "inconclusive" and result["min_eigenvalue"] == "nan"
 
 
 @pytest.mark.parametrize("name,key,value,message", [

@@ -475,6 +475,10 @@ def test_report_json_and_csv(fam):
     assert len(lines) == len(rep.records) + 1
 
 
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def _hand_report(n, value, method, verdict, margin) -> condition.ConditionReport:
     columns = {"n": np.array(n, dtype=np.int64), "value": value,
                "method": np.array(method, dtype=np.int8),
@@ -491,10 +495,12 @@ def _assert_renders_like_the_reference(rep, chunk):
     csv.writer over the records, which never read the renderer's tokens."""
     pieces = list(rep.render("  ", chunk))
     records = [{"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
-                "verdict": r.verdict, "margin": r.margin} for r in rep.records]
+                "verdict": r.verdict, "margin": condition._scalar_json(r.margin)}
+               for r in rep.records]
     text = "".join(j for j, _ in pieces)
     assert "{\n  \"records\": " + text + "\n}" == json.dumps(
         {"records": records}, sort_keys=True, indent=2)
+    json.loads(text, parse_constant=_no_constant)  # strict JSON: no NaN or Infinity tokens
     buf = io.StringIO()
     csv.writer(buf).writerows(
         [condition.FIELDS, *((r.n, r.value, r.method, r.verdict, r.margin) for r in rep.records)])
@@ -621,7 +627,7 @@ def test_integer_values_table_is_exact(name, params):
 ])
 def test_vectorized_factored_routes_match_per_n(name, params, method):
     w = weights.named_family(name, **params)
-    col = condition._factored(w, 0.0, method, 5000, True)
+    col = condition._factored(w, 0.0, method, _accel.PrimePowers(5000), True)
     assert col.dtype == np.int64
     if method == "mult_product":
         want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
@@ -691,9 +697,8 @@ def test_factored_routes_past_the_float_range_are_inconclusive(name, params, del
     # an overflowing power is inf: the rows are inconclusive where the divisor sums'
     # are, without a RuntimeWarning (an error here) from the factored routes
     w = weights.named_family(name, **params)
-    with np.errstate(all="ignore"):  # the divisor sums' powers overflow as the CLI runs them
-        want = condition.check_range(w, delta, None, n_max)
-        both = condition.check_range(w, delta, None, n_max, methods=("divisor_sum", method))
+    want = condition.check_range(w, delta, None, n_max)
+    both = condition.check_range(w, delta, None, n_max, methods=("divisor_sum", method))
     rep = condition.check_range(w, delta, None, n_max, methods=(method,))
     assert rep.verdict == want.verdict == both.verdict == condition.INCONCLUSIVE
     finite = np.isfinite(rep.columns["margin"])
@@ -703,13 +708,24 @@ def test_factored_routes_past_the_float_range_are_inconclusive(name, params, del
     assert not check["passed"] and check["first_violation"][2] == math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divisor_sums_past_the_float_range_warn_nothing():
+    # j^200 overflows from j = 35 on, and every n >= 35 is its own divisor: those
+    # divisor-sum rows are inf or NaN and inconclusive, as the factored routes' are,
+    # with no errstate around the call
+    rep = condition.check_range(weights.named_family("omega"), -200, 2, 100)
+    n, margin = rep.columns["n"], rep.columns["margin"]
+    assert rep.verdict == condition.INCONCLUSIVE
+    assert (np.isfinite(margin) == (n < 35)).all()
+
+
 def test_vectorized_product_overflow_guard():
     # the bound (2^40 + 1)^2 on S(6) = (2^40 - 1)^2 is past 2^62: the same
     # int64 factors, multiplied as Python ints
     f = {(2, 1): 2**40, (2, 2): 1, (3, 1): 2**40, (5, 1): 1}
     w = weights.multiplicative_from_prime_powers(lambda p, r: f[p, r], 1.0, 0.0, (1.0, 1.0),
                                                  exact=True, integer_valued=True)
-    col = condition._factored(w, 0.0, "mult_product", 6, True)
+    col = condition._factored(w, 0.0, "mult_product", _accel.PrimePowers(6), True)
     assert col.dtype == object
     assert col[1:].tolist() == [1, 2**40 - 1, 2**40 - 1, 1 - 2**40, 0, (2**40 - 1) ** 2]
     assert all(type(v) is int for v in col[1:])
@@ -806,15 +822,25 @@ def test_exact_disagreement_raises(fam, monkeypatch):
 def test_check_range_builds_the_factor_tables_at_most_twice(name, params, methods, delta,
                                                             monkeypatch):
     # mu is built once, for divisor_sum alone, and no route factorizes:
-    # prime-power values come from the family's prime_power
+    # prime-power values come from the family's prime_power.  The base primes
+    # are sieved once, and the prime powers listed once where a value depends
+    # on p (the factors and companions at delta != 0), never for r alone
     calls, mobius_table, factorize = [], _accel.mobius_table, arith.factorize
-    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
+    sieves, listings = [], []
+    primes_up_to, prime_powers = _accel.primes_up_to, _accel.prime_powers
+    monkeypatch.setattr(_accel, "mobius_table",
+                        lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(("factorize", n)) or
                         factorize(n))
+    monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
+    monkeypatch.setattr(_accel, "prime_powers",
+                        lambda n, base=None: listings.append(n) or prime_powers(n, base))
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")
     assert calls == ([1000] if "divisor_sum" in methods else [])
+    assert sieves == [31]
+    assert listings == ([1000] if delta and methods != ("divisor_sum",) else [])
 
 
 @pytest.mark.parametrize("exact", [True, False])

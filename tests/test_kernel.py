@@ -84,7 +84,7 @@ def test_series_kernel_coefficients_divisor_count(fams):
 
 
 def test_series_kernel_coefficients_omega_prime_indicator(fams):
-    coeffs = kernel._route(fams["omega"], 0.0, "series").table(200)
+    coeffs = kernel._route(fams["omega"], 0.0, "series").table(200)[:]
     primes = set(int(p) for p in arith.primes_up_to(200))
     for n in range(1, 201):
         assert coeffs[n] == pytest.approx(1.0 if n in primes else 0.0, abs=1e-12)
@@ -303,6 +303,42 @@ def test_series_route_memory_is_bounded_by_the_block():
     assert peak < 12e6, peak
 
 
+@pytest.mark.parametrize("route", kernel.ROUTES)
+def test_streamed_gram_memory_is_the_window_not_the_table(route):
+    # every entry at Re(s + conj(u)) = 2.6 needs the 10^6-term cap, whose whole table
+    # takes 8 MB: a streamed table holds one window of 2^16 entries while it is
+    # filled (2.6 MB at the peak here, with the power sums' block columns), and its
+    # peak does not grow with n
+    w = weights.named_family("d_beta", beta=3)
+    tracemalloc.start()
+    try:
+        check = kernel.gram_psd(w, points=[1.3, 1.3 + 0.2j], kernel=route, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.n_terms_max == kernel.TRUNCATION_CAP
+    assert peak < 4e6, peak
+
+
+@pytest.mark.parametrize("route", kernel.ROUTES)
+@pytest.mark.parametrize("family", [
+    weights.named_family("omega"), weights.named_family("d_beta", beta=3),
+    weights.named_family("divisor_pow", alpha="1/2"),
+    weights.multiplicative_from_prime_powers(lambda p, r: 1.0 + r / p, 1.0, 0.0, (2.0, 1.0))],
+    ids=["omega", "d_beta(3)", "divisor_pow(1/2)", "p-dependent"])
+def test_gram_sieves_the_base_primes_once(family, route, monkeypatch):
+    # one table per Gram check: its base primes are sieved once, and the prime powers
+    # are listed once for a family whose values depend on p, never for the named ones
+    sieves, listings = [], []
+    primes_up_to, prime_powers = _accel.primes_up_to, _accel.prime_powers
+    monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
+    monkeypatch.setattr(_accel, "prime_powers",
+                        lambda n, base=None: listings.append(n) or prime_powers(n, base))
+    check = kernel.gram_psd(family, kernel=route, n_points=3, tol=1e-6)
+    assert sieves == [math.isqrt(check.n_terms_max)]
+    assert listings == ([] if family.r_only else [check.n_terms_max])
+
+
 def test_gram_with_non_finite_entries_is_inconclusive(fams):
     # at the parent, np.linalg.eigvalsh raised "Eigenvalues did not converge"
     big = weights.named_family("divisor_pow", alpha=400)  # d(n)^400 is inf past d(n) = 6
@@ -357,7 +393,7 @@ def test_exact_series_table_is_the_divisor_sum_column_bit_for_bit(n, monkeypatch
     monkeypatch.setattr(_accel, "divisor_sum_table", no_divisor_sums)
     monkeypatch.setattr(weights.WeightFamily, "values_table", no_divisor_sums)
     for w, col in zip(families, want):
-        got = kernel._route(w, 0.0, "series").table(n)
+        got = kernel._route(w, 0.0, "series").table(n)[:]
         assert got.dtype == np.float64 and got.tobytes() == col.tobytes(), w.name
 
 
@@ -370,7 +406,8 @@ def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w, monkeypatch
     want = condition.s_columns(w, 0.0, w.start_index, 3000)[0]
     # both are past 2^53 at a power of 2: no exact factors and one mu table
     calls, mobius_table = [], _accel.mobius_table
-    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
+    monkeypatch.setattr(_accel, "mobius_table",
+                        lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
     monkeypatch.setattr(condition, "_exact_factored", lambda *a: pytest.fail("exact factors"))
     assert kernel._route(w, 0.0, "series").table(3000).tobytes() == want.tobytes()
     assert calls == [3000]
@@ -382,7 +419,7 @@ def test_exact_series_table_keeps_the_divisor_sums_positive_zero():
     w = weights.multiplicative_from_prime_powers(
         lambda p, r: 1 if p == 2 or r > 1 else 3, 1.0, 0.0, (3.0, 1.0), exact=True,
         integer_valued=True)
-    got = kernel._route(w, 0.0, "series").table(100)
+    got = kernel._route(w, 0.0, "series").table(100)[:]
     assert got[18] == 0.0 and math.copysign(1.0, got[18]) == 1.0
     assert got.tobytes() == condition.s_columns(w, 0.0, 1, 100)[0].tobytes()
 
@@ -394,7 +431,8 @@ def test_series_table_builds_the_factor_tables_once(name, params, monkeypatch):
     # the exact prime-power columns (omega, divisor_pow(1)) read the prime powers only;
     # the divisor sums build mu once
     calls, mobius_table = [], _accel.mobius_table
-    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
+    monkeypatch.setattr(_accel, "mobius_table",
+                        lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
     for fam in (weights.named_family(name, **params),
                 weights.named_family("one_plus", base=weights.named_family(name, **params))):
         calls.clear()
@@ -408,7 +446,8 @@ def test_series_table_past_the_exact_bound_off_the_powers_of_2_builds_the_factor
     # 2 3 5 7 11 13 17 = 510510 is past it: the exact factors, then the divisor sums
     # with one mu table
     calls, mobius_table = [], _accel.mobius_table
-    monkeypatch.setattr(_accel, "mobius_table", lambda n: calls.append(n) or mobius_table(n))
+    monkeypatch.setattr(_accel, "mobius_table",
+                        lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
     w = weights.named_family("divisor_pow", alpha=8)
     kernel._route(w, None, "series").table(600_000)
     assert calls == [600_000]

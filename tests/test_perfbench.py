@@ -33,11 +33,50 @@ BENCHMARK_ONLY = {("_accel", "spf_table"), ("_accel", "omega_table"),
                   ("arith", "factorizations_up_to")}
 
 
-def _probe() -> dict:
+#: Runs a real small call of every function that tracing.WORK_COUNTERS names and
+#: evaluates its counter on that call's arguments and result.
+COUNTERS = """
+import inspect
+import json
+
+import numpy as np
+import tracing
+from dirweight import _accel, condition, kernel, weights
+
+calls = {}
+for name in tracing.WORK_COUNTERS:
+    module = {"_accel": _accel, "condition": condition, "kernel": kernel}[name.split(".")[0]]
+    attr = name.split(".")[1]
+
+    def capture(*args, fn=getattr(module, attr), name=name, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.setdefault(name, (fn, args, kwargs, result))
+        return result
+
+    setattr(module, attr, capture)
+
+# a streamed series table first: power_sum's first call reads a Column
+kernel.gram_psd(weights.named_family("d_beta", beta=3), kernel="series", n_points=2)
+condition.check_range(weights.named_family("omega"), 0.5, None, 200)  # mu, float divisor sums
+for table in ("spf_table", "omega_table", "big_omega_table", "divisor_count_table"):
+    getattr(_accel, table)(100)
+_accel.dirichlet_convolve(np.ones(50), np.ones(50))
+counts = {}
+for name, counter in tracing.WORK_COUNTERS.items():
+    fn, args, kwargs, result = calls[name]
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    counts[name] = type(counter(bound.arguments, result)).__name__
+vals = calls["_accel.power_sum"][1][0]
+print(json.dumps({"counts": counts, "streamed": isinstance(vals, _accel.Column)}))
+"""
+
+
+def _probe(script: str = PROBE) -> dict:
     # in a subprocess: instrument rebinds the package's functions in place; -B writes
     # no bytecode, so perfbench/ is only read
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(ROOT / "perfbench")])}
-    proc = subprocess.run([sys.executable, "-B", "-W", "error", "-c", PROBE], capture_output=True,
+    proc = subprocess.run([sys.executable, "-B", "-W", "error", "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -46,6 +85,14 @@ def _probe() -> dict:
 def test_tracing_wraps_every_layer_the_benchmark_measures():
     probe = _probe()
     assert (probe["warnings"], probe["unwrapped"]) == ([], [])
+
+
+def test_every_work_counter_counts_a_real_call():
+    # a counter that raises or returns no int drops its metric with only a warning:
+    # power_sum's reads len(vals), which a streamed table keeps
+    probe = _probe(COUNTERS)
+    assert probe["streamed"]
+    assert probe["counts"] == {name: "int" for name in probe["counts"]}
 
 
 def _uses():

@@ -267,6 +267,37 @@ def test_prime_power_is_the_value_at_p_to_the_r_bit_for_bit(name, params, exact)
             assert (type(got), repr(got)) == (type(want), repr(want)), (p, r)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name,params", [*_PRIME_POWER_FAMILIES, ("d_beta", {"beta": 3}),
+                                         ("geometric", {"ratio": "2/3"})])
+def test_named_families_evaluate_f_once_per_exponent_bit_for_bit(name, params, exact):
+    # f(p, r) of a named family depends on r alone: its value at every prime power is
+    # the one at 2^r (type and repr), and the tables from one value per exponent equal
+    # those from one value per prime power, as a public family with the same f builds
+    fam = weights.named_family(name, **params)
+    build = (weights.multiplicative_from_prime_powers if fam.kind == "multiplicative"
+             else weights.additive_from_prime_powers)
+    twin = build(fam.prime_power, 1.0, 0.0, (1.0, 1.0), exact=fam.exact,
+                 integer_valued=fam.integer_valued)
+    assert fam.r_only and not twin.r_only
+    if not exact:
+        fam.exact = twin.exact = False  # what --float does
+    n = 5000
+    _, p, r = _accel.prime_powers(n)
+    got = [(type(v), repr(v)) for v in map(fam.prime_power, p.tolist(), r.tolist())]
+    assert got == [(type(v), repr(v)) for v in map(fam.prime_power, [2] * len(r), r.tolist())]
+    assert fam.values_table(n).tobytes() == twin.values_table(n).tobytes()
+    if fam.exact:
+        pp = _accel.PrimePowers(n)
+        assert condition._exact_values(fam, 1, pp) == condition._exact_values(twin, 1, pp)
+    with np.errstate(all="ignore"):
+        for method in {"multiplicative": ["mult_product"], "additive": ["additive_Tt"]}[fam.kind]:
+            want = condition._factored(twin, 0.0, method, _accel.PrimePowers(n), fam.exact)
+            col = condition._factored(fam, 0.0, method, _accel.PrimePowers(n), fam.exact)
+            assert [(type(v), repr(v)) for v in col.tolist()] == [
+                (type(v), repr(v)) for v in want.tolist()]
+
+
 def test_prime_power_past_the_float_range_is_a_value_error():
     fam = weights.named_family("divisor_pow", alpha="801/2")
     for read in (lambda: fam.prime_power(2, 5), lambda: fam.value(96)):
@@ -482,14 +513,18 @@ def test_smooth_sum_ones_dominated_by_zeta():
 @pytest.mark.parametrize("name,params", [("omega", {}), ("divisor_pow", {"alpha": 1}),
                                          ("geometric", {"ratio": "1/2"}), ("log_pow", {})])
 def test_smooth_partial_sum_builds_the_factor_tables_once(name, params, monkeypatch):
-    # one prime-power list for the smooth mask and one for a prime-power base's
-    # weight table, each at the cutoff, and no factorization
+    # one sieve of the base primes and one prime-power list, for p_n and the smooth
+    # mask, at the cutoff; a named base's weight table reads its values per
+    # exponent from the same base primes; and no factorization
     calls, prime_powers = [], _accel.prime_powers
-    monkeypatch.setattr(_accel, "prime_powers", lambda n: calls.append(n) or prime_powers(n))
+    sieves, primes_up_to = [], _accel.primes_up_to
+    monkeypatch.setattr(_accel, "prime_powers",
+                        lambda n, base=None: calls.append(n) or prime_powers(n, base))
+    monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
     monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail(f"factorize({n})"))
     plus = weights.named_family("one_plus", base=weights.named_family(name, **params))
     weights.smooth_partial_sum(plus, 1.5, 3, 4096)
-    assert calls == [4096] * (1 if name == "log_pow" else 2)
+    assert (calls, sieves) == ([4096], [64])
 
 
 def test_smooth_partial_sum_is_the_literal_sum():
