@@ -172,11 +172,9 @@ class PrimePowers:
         vals = map_prime_powers(p, r, f, dtype)
         return lambda p, r: vals[at(p, r)]
 
-    def fill(self, lo: int, hi: int, f, op) -> np.ndarray:
-        return prime_power_fill(lo, hi, self.base, f, op)
-
     def column(self, f, op) -> np.ndarray:
-        return self.fill(0, self.n + 1, f, op)
+        """prime_power_fill over [0, n]."""
+        return prime_power_fill(0, self.n + 1, self.base, f, op)
 
 
 class Column:

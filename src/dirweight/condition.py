@@ -299,8 +299,8 @@ class ConditionReport:
             "verdict": self.verdict,
             "agreement_failures": self.agreement_failures,
             "counts": self.counts(),
-            "records": [{"n": r.n, "value": _scalar_json(r.value), "method": r.method,
-                         "verdict": r.verdict, "margin": _scalar_json(r.margin)}
+            "records": [{"n": r.n, "value": _strict_json(r.value), "method": r.method,
+                         "verdict": r.verdict, "margin": _strict_json(r.margin)}
                         for r in (self.records if with_records else ())],
         }
 
@@ -331,26 +331,19 @@ class ConditionReport:
         fh.writelines(rows for _, rows in self.render())
 
 
-def _scalar_json(v):
-    """v as a report writes it: a Fraction as "p/q", an int as itself, a
-    float as itself or, when it is not finite, as the string "inf", "-inf"
-    or "nan" (strict JSON has no token for those)."""
+def _strict_json(v):
+    """v as a report writes it, through dicts, lists and tuples: a Fraction
+    as "p/q", a numpy integer as an int, and a float that is not finite as
+    the string "inf", "-inf" or "nan" (strict JSON has no token for those)."""
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return list(map(_strict_json, v))
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    v = float(v)
-    return v if math.isfinite(v) else str(v)
-
-
-def _strict_json(obj):
-    """obj with every float in it, through dicts, lists and tuples, as
-    _scalar_json writes it."""
-    if isinstance(obj, dict):
-        return {k: _strict_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(v) for v in obj]
-    return _scalar_json(obj) if isinstance(obj, float) else obj
+    if isinstance(v, float):
+        return v if math.isfinite(v) else str(v)
+    return int(v) if isinstance(v, np.integer) else v
 
 
 def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
@@ -361,7 +354,7 @@ def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
     finite = col.dtype.kind != "f" or np.isfinite(col).all()
     scalars = col.tolist()
     if col.dtype == object or not finite:
-        scalars = list(map(_scalar_json, scalars))
+        scalars = list(map(_strict_json, scalars))
     if col.dtype.kind == "i":
         return (tokens := list(map(str, scalars))), tokens
     tokens = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n")  # C encoder
@@ -432,7 +425,7 @@ def _exact_factored(w: WeightFamily, method: str, pp: _accel.PrimePowers):
     product of the sizes over p^r || m, the sum of |w_j mu(m/j)| over j | m.
     With sizes on r alone that is a product over the exponent patterns
     r_1 >= r_2 >= ... on the first primes, the least m with those exponents
-    (237 of them at 4.6*10^5); else the max of one float64 fill.  Either is
+    (237 of them at 4.6*10^5); else the max of a float64 fill.  Either is
     exact below 2^53 and never rounds below it; below 2^62 no int64 product
     of factors overflows."""
     n = pp.n
@@ -440,8 +433,10 @@ def _exact_factored(w: WeightFamily, method: str, pp: _accel.PrimePowers):
     with np.errstate(over="ignore"):  # inf is past every bound
         if method == "additive_Tt":
             return fq, at, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
-        if not w.r_only:
-            return fq, at, pp.column(lambda p, r: size[at(p, r)], np.multiply).max()
+        if not w.r_only:  # one WINDOW of the fill at a time
+            return fq, at, max(_accel.prime_power_fill(
+                lo, min(lo + _accel.WINDOW, n + 1), pp.base, lambda p, r: size[at(p, r)],
+                np.multiply).max() for lo in range(0, n + 1, _accel.WINDOW))
         bound, todo = 1.0, [(0, len(size), 1, 1.0)]  # (prime index, top exponent, m, product)
         while todo:
             i, top, m, product = todo.pop()
@@ -458,7 +453,7 @@ def _fill(pp: _accel.PrimePowers, fq, at, method: str, lo: int, hi: int, dtype) 
     the prime powers carry an additive S, and mult_product is their fill."""
     fq = fq.astype(dtype, copy=False)
     if method == "mult_product":
-        return pp.fill(lo, hi, lambda p, r: fq[at(p, r)], np.multiply)
+        return _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: fq[at(p, r)], np.multiply)
     q, p, r = pp.within(lo, hi)
     col = np.zeros(hi - lo, dtype=dtype)
     col[q - lo] = fq[at(p, r)]
@@ -539,7 +534,7 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
     return [cols[m] for m in methods]
 
 
-def series_column(w: WeightFamily, delta: float, n: int, pp: _accel.PrimePowers | None = None):
+def series_column(w: WeightFamily, delta: float, n: int):
     """S(0..n) in float64 at the family's start index: the series kernel's
     coefficients.  In the exact lane (integer-valued at delta = 0,
     multiplicative with k = 1 or additive with k = 2) and below 2^53 of
@@ -549,8 +544,7 @@ def series_column(w: WeightFamily, delta: float, n: int, pp: _accel.PrimePowers 
     |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n, so a family past 2^53 there
     skips _exact_factored (one past the bound only off the powers of 2
     computes its exact factors, then the sums)."""
-    pp = pp or _accel.PrimePowers(n)
-    k = w.start_index
+    pp, k = _accel.PrimePowers(n), w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
     if method and w.integer_valued and _mode(w, delta)[1] and all(

@@ -117,10 +117,10 @@ class _Route:
         """Coefficients 0..n of the power sums: the weights as an
         _accel.Column of their windows, folded with j^(-delta) on the ratio
         route; for the series route S(n), condition.series_column."""
-        w, pp = self.family, _accel.PrimePowers(n)
+        w = self.family
         if self.kernel == "series":
-            return condition.series_column(w, self.delta, n, pp)
-        window = weights = w.windows(pp)
+            return condition.series_column(w, self.delta, n)
+        window = weights = w.windows(_accel.PrimePowers(n))
         if self.kernel == "ratio" and self.delta != 0.0:
 
             def window(lo, hi):  # power_sum reads from j = 1
@@ -251,8 +251,7 @@ class GramCheck:
         return len(self.points) * self.truncation_bound
 
     def to_json_dict(self) -> dict:
-        """The report's result, in strict JSON (condition._strict_json)."""
-        return condition._strict_json({
+        return {
             "family": self.family,
             "kernel": self.kernel,
             "delta": self.delta,
@@ -266,7 +265,7 @@ class GramCheck:
             "tol": self.tol,
             "verdict": self.verdict,
             "n_terms_max": self.n_terms_max,
-        })
+        }
 
 
 def default_grid(

@@ -262,7 +262,7 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
         values = pp.values(fp, dtype, r_only)
 
         def window(lo, hi):
-            w = pp.fill(lo, hi, values, op)
+            w = _accel.prime_power_fill(lo, hi, pp.base, values, op)
             return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
         return window
@@ -568,7 +568,8 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
         powers = np.array([_to_float(ratio**j) for j in range(pp.n.bit_length() + 1)])
 
         def window(lo, hi):
-            w = powers[pp.fill(lo, hi, lambda p, r: r.astype(np.int8), np.add)]
+            w = powers[_accel.prime_power_fill(lo, hi, pp.base, lambda p, r: r.astype(np.int8),
+                                               np.add)]
             w[: max(1 - lo, 0)] = 0.0
             return w
 

@@ -576,7 +576,7 @@ def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path
     # the references never read the renderer: json.dumps and csv.writer over the records
     envelope = json.loads(text)
     envelope["result"] = {**report.to_json_dict(with_records=False), "records": [
-        {"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
+        {"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
          "verdict": r.verdict, "margin": r.margin} for r in report.records]}
     assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     buf = io.StringIO()

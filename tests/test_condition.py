@@ -494,8 +494,8 @@ def _assert_renders_like_the_reference(rep, chunk):
     """report.render against json.dumps(..., sort_keys=True, indent=2) and
     csv.writer over the records, which never read the renderer's tokens."""
     pieces = list(rep.render("  ", chunk))
-    records = [{"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
-                "verdict": r.verdict, "margin": condition._scalar_json(r.margin)}
+    records = [{"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
+                "verdict": r.verdict, "margin": condition._strict_json(r.margin)}
                for r in rep.records]
     text = "".join(j for j, _ in pieces)
     assert "{\n  \"records\": " + text + "\n}" == json.dumps(
@@ -789,6 +789,26 @@ def test_exact_lane_bound_falls_back_to_python_ints(big, monkeypatch):
         condition.divisor_sum(w, 0.0, 2, n) for n in range(2, 13)]
 
 
+@pytest.mark.parametrize("name, params", [
+    ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 1}),
+    ("divisor_pow", {"alpha": 8}), ("d_beta", {"beta": 3}), ("d_beta", {"beta": 2000}),
+    ("geometric", {"ratio": "1/2"}), ("geometric", {"ratio": 3})])
+def test_exact_lane_bound_is_the_max_of_the_size_fill(name, params):
+    # the largest product of the sizes over p^r || m, m <= n: from the exponent patterns on
+    # the first primes for sizes on r alone, one WINDOW at a time for sizes on p, and the
+    # max of the whole fill agree bit for bit, also just below and at a primorial
+    w = weights.named_family(name, **params)
+    assert w.r_only
+    for n in (2309, 2310, 30029, 30030, 2 * _accel.WINDOW + 1, 510509, 510510):
+        pp = _accel.PrimePowers(n)
+        _, _, at, _, size = condition._prime_power_factors(w, 0.0, True, pp, True)
+        whole = pp.column(lambda p, r: size[at(p, r)], np.multiply).max()
+        assert condition._exact_factored(w, "mult_product", pp)[2] == whole, n
+        w.r_only = False  # the same sizes, read from the listing
+        assert condition._exact_factored(w, "mult_product", pp)[2] == whole, n
+        w.r_only = True
+
+
 def test_exact_disagreement_raises(fam, monkeypatch):
     factored = condition._factored
 
@@ -925,7 +945,7 @@ def test_report_columns_match_records(fam, name, delta, k, methods, tol):
     records = rep.records
     assert len(records) == len(rep.columns["n"])
     by_record = [
-        {"n": r.n, "value": condition._scalar_json(r.value), "method": r.method,
+        {"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
          "verdict": r.verdict, "margin": r.margin}
         for r in records
     ]

@@ -320,6 +320,24 @@ def test_streamed_gram_memory_is_the_window_not_the_table(route):
     assert peak < 4e6, peak
 
 
+def test_streamed_series_memory_for_values_on_p_is_the_listing_not_the_table():
+    # an exact family whose values depend on p: the exact lane's bound is the max of its
+    # size fill, taken one window at a time, so the run holds the listing of the 78,734
+    # prime powers and their Python values (6.6 MB at the peak here), not a whole 8 MB
+    # column of sizes besides them (13.9 MB)
+    w = weights.multiplicative_from_prime_powers(
+        lambda p, r: r + 1 + (p % 4 == 1), 1.0, 0.0, (4.0, 1.0), exact=True,
+        integer_valued=True)
+    tracemalloc.start()
+    try:
+        check = kernel.gram_psd(w, points=[1.3, 1.3 + 0.2j], kernel="series", tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.n_terms_max == kernel.TRUNCATION_CAP
+    assert peak < 8e6, peak
+
+
 @pytest.mark.parametrize("route", kernel.ROUTES)
 @pytest.mark.parametrize("family", [
     weights.named_family("omega"), weights.named_family("d_beta", beta=3),
