@@ -116,17 +116,10 @@ def mobius_sieve(n: int) -> np.ndarray:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in ascending order."""
-    n = _check_positive(n)
     divs = [1]
     for p, r in factorize(n):
-        pk = 1
-        ext = []
-        for _ in range(r):
-            pk *= p
-            ext.extend(d * pk for d in divs)
-        divs.extend(ext)
-    divs.sort()
-    return divs
+        divs = [d * p**a for a in range(r + 1) for d in divs]
+    return sorted(divs)
 
 
 def gpf(n: int) -> int:

@@ -14,7 +14,9 @@ computes S(0..n) by any of the three and alone picks the arithmetic lane:
 series kernel's: the exact factored column wherever the divisor sums
 equal it bit for bit.  ``prime_power_check`` reads the signs of S at the
 prime powers alone, which decide the condition for multiplicative and
-additive families.
+additive families.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is
+Lambda_alpha = mu * L^alpha, which ``von_mangoldt_alpha`` (one n) and
+``von_mangoldt_range`` compute by the von Mangoldt recurrence.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -32,7 +34,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations
 
 import numpy as np
 
@@ -45,10 +46,9 @@ NEGATIVE = "negative_certified"
 INCONCLUSIVE = "inconclusive"
 
 DEFAULT_TOL = 1e-10
-#: Terms von_mangoldt_alpha sums at most: 0.2-0.3 s at 4.5-6.5 us each (2-vCPU Xeon VM).
-MAX_COMPOSITIONS = 5 * 10**4
-#: Terms von_mangoldt_range sums at most over its whole range: 4.5-6.5 s.
-MAX_RUN_COMPOSITIONS = 10**6
+#: Work past which von Mangoldt values raise ResourceLimitError: alpha steps, each n_max or
+#: the divisor pairs of n, plus 5000 for the fixed cost of a step (_convolve's j <= 1000).
+MAX_VON_MANGOLDT_WORK = 2 * 10**7
 
 
 def _mode(w: WeightFamily, delta) -> tuple[float, bool]:
@@ -154,71 +154,58 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     return sum(terms), tuple(terms)
 
 
-def von_mangoldt_alpha(n: int, alpha: int) -> float:
-    """Generalized von Mangoldt value: the Mobius convolution of (log)^alpha,
-    sum over divisors j >= 2 of n of (log j)^alpha mu(n/j).
+def _check_von_mangoldt_work(alpha, size: int, what: str) -> None:
+    if not isinstance(alpha, int) or alpha < 1:
+        raise ValueError("alpha must be a positive integer")
+    if (work := alpha * (size + 5000)) > MAX_VON_MANGOLDT_WORK:
+        raise arith.ResourceLimitError(f"von Mangoldt {what}, alpha={alpha}: work {work} "
+                                       f"past the ceiling {MAX_VON_MANGOLDT_WORK}")
 
-    Expanded over the prime factorization, the sum collapses to monomials
-    in the log p_i with positive integer coefficients, so the returned
-    value is nonnegative by construction and exactly zero whenever n has
-    more than alpha distinct prime factors.  alpha = 1 is the classical
-    von Mangoldt function.  A value past the float range raises ValueError,
-    a sum of more than MAX_COMPOSITIONS terms ResourceLimitError.
-    """
+
+def _von_mangoldt(alpha: int, ns, lam, logs, convolve) -> np.ndarray:
+    """Lambda_alpha = mu * L^alpha at ns, the last len(ns) entries, by alpha - 1
+    steps Lambda_(k+1) = L Lambda_k + Lambda * Lambda_k from Lambda_1 = lam, with
+    L = logs and * = convolve (Iwaniec and Kowalski, *Analytic Number Theory*,
+    1.4).  All terms are >= 0: rounding errors stay relative, a value is 0 where
+    n has more than alpha distinct primes, and one past float64 stays inf or nan."""
+    cur = lam
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf = nan
+        for _ in range(alpha - 1):
+            cur = convolve(lam, cur) + logs * cur
+    if len(bad := np.flatnonzero(~np.isfinite(values := cur[len(cur) - len(ns) :]))):
+        raise ValueError(f"von Mangoldt value at n={ns[bad[0]]}, alpha={alpha} overflows float64")
+    return values
+
+
+def von_mangoldt_alpha(n: int, alpha: int) -> float:
+    """Lambda_alpha(n) = sum over divisors j >= 2 of n of (log j)^alpha mu(n/j),
+    by _von_mangoldt on the divisors of n: (mi, qi, ci) indexes each divisor
+    m, prime power q | m and m / q, m then q ascending.  alpha = 1 is the von
+    Mangoldt function.  Work counts the pairs jq | n, prod of (r + 1)(r + 2)/2 over p^r || n."""
     n = arith._check_sieve(n, "n")  # trial division: 2^61 - 1 alone takes minutes
     if n < 2:
         raise ValueError("generalized von Mangoldt values start at n = 2")
-    if not isinstance(alpha, int) or alpha < 1:
-        raise ValueError("alpha must be a positive integer")
     factors = arith.factorize(n).factors
-    if len(factors) > alpha:
-        return 0.0
-    logs = [math.log(p) for p, _ in factors]
-    total = 0.0
-    try:  # lg**a and int * float raise OverflowError past the float range
-        # compositions of alpha into one part per prime, lexicographic like their cuts
-        for count, cuts in enumerate(combinations(range(1, alpha), len(factors) - 1)):
-            if count == MAX_COMPOSITIONS:
-                raise arith.ResourceLimitError(f"von Mangoldt value at n={n}, alpha={alpha} sums "
-                                               f"{math.comb(alpha - 1, len(factors) - 1)} "
-                                               f"compositions, past the ceiling {MAX_COMPOSITIONS}")
-            comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
-            coef = math.factorial(alpha) // math.prod(map(math.factorial, comp))
-            coef *= math.prod(r**a - (r - 1) ** a for (_, r), a in zip(factors, comp))
-            total += coef * math.prod(lg**a for lg, a in zip(logs, comp))
-            if math.isinf(total):
-                raise OverflowError
-    except OverflowError:
-        raise ValueError(f"von Mangoldt value at n={n}, alpha={alpha} overflows float64") from None
-    return total
+    _check_von_mangoldt_work(alpha, math.prod((r + 1) * (r + 2) // 2 for _, r in factors),
+                             f"value at n={n}")
+    divs = arith.divisors(n)
+    at = {d: i for i, d in enumerate(divs)}
+    pp = dict(sorted((p**a, p) for p, r in factors for a in range(1, r + 1)))  # p^a: p
+    lam = np.bincount([at[q] for q in pp], np.log(list(pp.values())), len(divs))
+    mi, qi, ci = np.array([(at[d], at[q], at[d // q]) for d in divs for q in pp if d % q == 0]).T
+    return float(_von_mangoldt(alpha, [n], lam, np.log(divs),
+                               lambda a, b: np.bincount(mi, a[qi] * b[ci], len(divs)))[0])
 
 
 def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
-    """von_mangoldt_alpha(n, alpha) for n = 2..n_max.  The value at n sums
-    C(alpha - 1, omega(n) - 1) compositions (none past alpha distinct
-    primes); a range whose total is past MAX_RUN_COMPOSITIONS raises
-    ResourceLimitError before any value is computed.  Each prime counts
-    C(alpha - 1, 0) = 1 and pi(x) > x / ln x for x >= 17 (Rosser and
-    Schoenfeld 1962), so a range past the ceiling on that count alone is
-    refused before omega is counted."""
+    """von_mangoldt_alpha(n, alpha) for n = 2..n_max, by _von_mangoldt on
+    columns 0..n_max, each step one _accel._convolve."""
     n_max = arith._check_sieve(n_max, "n_max")
-    if not isinstance(alpha, int) or alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-
-    def refused(total):
-        return arith.ResourceLimitError(
-            f"von Mangoldt values for n <= {n_max}, alpha={alpha} sum {total} compositions, "
-            f"past the run ceiling {MAX_RUN_COMPOSITIONS}")
-
-    if n_max >= 17 and (least := math.floor(n_max / math.log(n_max))) > MAX_RUN_COMPOSITIONS:
-        raise refused(f"more than {least}")
-    # omega: 1 per prime power p^r || n, in int8
-    omega = _accel.PrimePowers(n_max).column(lambda p, r: np.ones(len(r), np.int8), np.add)[2:]
-    total = sum(np.count_nonzero(omega == w) * math.comb(alpha - 1, w - 1)
-                for w in range(1, min(alpha, int(omega.max(initial=0))) + 1))
-    if total > MAX_RUN_COMPOSITIONS:
-        raise refused(total)
-    return [von_mangoldt_alpha(n, alpha) for n in range(2, n_max + 1)]
+    _check_von_mangoldt_work(alpha, n_max, f"values for n <= {n_max}")  # before any column
+    q, p, _ = _accel.PrimePowers(n_max).listing
+    logs = np.log(np.arange(n_max + 1, dtype=np.float64).clip(1))
+    return _von_mangoldt(alpha, range(2, n_max + 1), np.bincount(q, np.log(p), n_max + 1), logs,
+                         partial(_accel._convolve, start=2)).tolist()
 
 
 # ---------------------------------------------------------------------------

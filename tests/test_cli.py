@@ -475,10 +475,10 @@ def test_von_mangoldt_input_past_the_ceiling_exits_one(flag, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv,n", [
-    (["--n", "30030", "--alpha", "3000"], 30030),  # (log 13)^2995 overflows
-    (["--n", "9", "--alpha", "950"], 9),  # finite factors, an infinite product
-    (["--n-max", "10", "--alpha", "3000"], 4),  # 2^3000 - 1 does not convert to float
-    (["--n-max", "9", "--alpha", "950"], 8),
+    (["--n", "30030", "--alpha", "3000"], 30030),  # (log 13)^2995 alone overflows
+    (["--n", "9", "--alpha", "950"], 9),  # (2^950 - 1) (log 3)^950
+    (["--n-max", "10", "--alpha", "3000"], 4),  # the least n past float64, not the first
+    (["--n-max", "9", "--alpha", "950"], 9),  # Lambda_950(8) = 1.12e302 is finite
 ])
 def test_von_mangoldt_past_the_float_range_exits_one(argv, n, capsys):
     assert run(["von-mangoldt", *argv, "--stdout"]) == 1
@@ -489,24 +489,38 @@ def test_von_mangoldt_past_the_float_range_exits_one(argv, n, capsys):
 
 
 def test_von_mangoldt_past_the_run_ceiling_exits_one(capsys):
-    # 8167696 compositions took about 44 s to sum: refused before the first value
+    # 21 steps of 10^6 + 5000 each are past the work ceiling: refused before any column
     t0 = time.perf_counter()
-    assert run(["von-mangoldt", "--alpha", "25", "--n-max", "20000", "--stdout"]) == 1
+    assert run(["von-mangoldt", "--alpha", "21", "--n-max", "1000000", "--stdout"]) == 1
     assert time.perf_counter() - t0 < 5.0
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: von Mangoldt values for n <= 20000, alpha=25 sum 8167696 compositions, "
-        f"past the run ceiling {condition.MAX_RUN_COMPOSITIONS}"]
+        "error: von Mangoldt values for n <= 1000000, alpha=21: work 21105000 "
+        f"past the ceiling {condition.MAX_VON_MANGOLDT_WORK}"]
     assert captured.out == ""
 
 
 def test_von_mangoldt_past_the_composition_ceiling_exits_one(capsys):
-    assert run(["von-mangoldt", "--n", "30030", "--alpha", "40", "--stdout"]) == 1
+    # one value is bounded by the same work ceiling: 10^7 steps of 10 divisor
+    # pairs and the fixed cost, refused before the first
+    t0 = time.perf_counter()
+    assert run(["von-mangoldt", "--n", "27", "--alpha", "10000000", "--stdout"]) == 1
+    assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "error: von Mangoldt value at n=30030, alpha=40 sums 575757 compositions, "
-        f"past the ceiling {condition.MAX_COMPOSITIONS}"]
+        "error: von Mangoldt value at n=27, alpha=10000000: work 50100000000 "
+        f"past the ceiling {condition.MAX_VON_MANGOLDT_WORK}"]
     assert captured.out == ""
+
+
+def test_von_mangoldt_alpha_25_to_20000_exits_zero(tmp_path):
+    # 24 convolutions of 2 * 10^4 terms; the values sum 8167696 compositions
+    out = tmp_path / "lam25"
+    assert run(["von-mangoldt", "--alpha", "25", "--n-max", "20000", "--no-timestamp",
+                "--out", str(out)]) == 0
+    values = [row["value"] for row in json.loads((tmp_path / "lam25.json").read_text())
+              ["result"]["values"]]
+    assert len(values) == 19999 and all(math.isfinite(v) and v > 0.0 for v in values)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,9 +5,11 @@ import math
 import operator
 import struct
 import timeit
+import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,32 +184,85 @@ def test_von_mangoldt_validation():
         condition.von_mangoldt_alpha(6, 0)
 
 
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: a product of k factors
+    (1 + d), |d| <= u, lies in [1 - gamma_k, 1 + gamma_k]."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+
+def recurrence_bound(n, alpha):
+    """Relative error bound of von_mangoldt_alpha and von_mangoldt_range at n.
+    Each log (log p, log m) is within 2 ulps, 4u relative.  A step's value at
+    m | n sums Omega(m) + 1 terms >= 0, Lambda(q) Lambda_k(m / q) for the
+    prime powers q | m and log(m) Lambda_k(m), each product rounded once and
+    added at most Omega(m) times (adding an exact 0 is exact).  So
+    1 + E_(k+1) <= (1 + 4u)(1 + E_k)(1 + gamma_(Omega(n) + 1)) from
+    E_1 <= 4u, and E_alpha <= gamma_(4 alpha + (alpha - 1)(Omega(n) + 1))."""
+    return gamma(4 * alpha + (alpha - 1) * (arith.big_omega(n) + 1))
+
+
+def von_mangoldt_work(alpha, size):
+    """The work the ceiling counts: alpha steps, each its size (n_max, or the
+    divisor pairs of n) plus 5000 for a step's fixed cost."""
+    return alpha * (size + 5000)
+
+
 def test_von_mangoldt_range_past_the_prime_count_builds_no_factor_tables(monkeypatch):
-    # 2e7 / ln(2e7) primes alone are past the run ceiling: no sieve runs
+    # one step of 2e7 + 5000 is past the work ceiling: refused before any sieve
     monkeypatch.setattr(_accel, "primes_up_to", lambda n: pytest.fail("a prime sieve"))
-    with pytest.raises(arith.ResourceLimitError, match=r"n <= 20000000, alpha=1 sum more "
-                       r"than 1189680 compositions, past the run ceiling 1000000$"):
+    with pytest.raises(arith.ResourceLimitError, match=r"^von Mangoldt values for n <= 20000000, "
+                       r"alpha=1: work 20005000 past the ceiling 20000000$"):
         condition.von_mangoldt_range(20_000_000, 1)
 
 
 @pytest.mark.parametrize("n_max", [30, 211, 2310, 2 * 10**4])
 @pytest.mark.parametrize("alpha", [1500, 3000])
-def test_von_mangoldt_range_counts_omega_without_factor_tables(n_max, alpha):
-    # the composition total from omega by trial division
-    total = sum(math.comb(alpha - 1, arith.omega(n) - 1) for n in range(2, n_max + 1))
-    assert total > condition.MAX_RUN_COMPOSITIONS
-    with pytest.raises(arith.ResourceLimitError, match=f" sum {total} compositions,"):
-        condition.von_mangoldt_range(n_max, alpha)
+def test_von_mangoldt_range_counts_omega_without_factor_tables(n_max, alpha, monkeypatch):
+    # The range counts its work (von_mangoldt_work), not omega or compositions,
+    # and no factorization: past the ceiling it is refused before any sieve.  Below it,
+    # every n <= n_max has at most 5 < alpha distinct primes, no value vanishes,
+    # and the least n past float64 is 5 at alpha 1500 ((log 5)^1500 ~ 10^310,
+    # (2^1500 - 1)(log 2)^1500 ~ 10^213) and 4 at alpha 3000 (~ 10^425).
+    assert max(arith.omega(n) for n in range(2, n_max + 1)) <= 5
+    monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail("a factorization"))
+    if (work := von_mangoldt_work(alpha, n_max)) > condition.MAX_VON_MANGOLDT_WORK:
+        monkeypatch.setattr(_accel, "primes_up_to", lambda n: pytest.fail("a prime sieve"))
+        with pytest.raises(arith.ResourceLimitError, match=f": work {work} past "):
+            condition.von_mangoldt_range(n_max, alpha)
+    else:
+        least = {1500: 5, 3000: 4}[alpha]
+        with pytest.raises(ValueError, match=f"^von Mangoldt value at n={least}, alpha={alpha} "):
+            condition.von_mangoldt_range(n_max, alpha)
 
 
 @pytest.mark.parametrize("n,alpha", [
-    (30030, 3000),  # (log 13)^2995 raises OverflowError
-    (4, 3000),  # the coefficient 2^3000 - 1 does not convert to float
-    (9, 950),  # every factor is finite, (2^950 - 1) (log 3)^950 is inf
+    (30030, 3000),  # (log 13)^2995 alone is past float64
+    (4, 3000),  # (2^3000 - 1) (log 2)^3000
+    (9, 950),  # (2^950 - 1) (log 3)^950
 ])
 def test_von_mangoldt_past_the_float_range_raises(n, alpha):
     with pytest.raises(ValueError, match=f"at n={n}, alpha={alpha} overflows float64"):
         condition.von_mangoldt_alpha(n, alpha)
+
+
+def test_von_mangoldt_overflow_raises_no_runtime_warning():
+    # inf, and 0 * inf = nan in the range's convolution, stay silent under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, args, n in [(condition.von_mangoldt_alpha, (30030, 3000), 30030),
+                              (condition.von_mangoldt_alpha, (9, 950), 9),
+                              (condition.von_mangoldt_range, (10, 3000), 4),
+                              (condition.von_mangoldt_range, (9, 950), 9)]:
+            with pytest.raises(ValueError, match=f"at n={n}, alpha={args[1]} overflows"):
+                call(*args)
+
+
+def test_von_mangoldt_near_the_float_limit_is_finite():
+    # Lambda_950(8) = (3^950 - 2^950) (log 2)^950 = 1.12041774001343e302 (mpmath,
+    # 50 digits); 3^950 - 2^950 itself does not convert to a float
+    bound = recurrence_bound(8, 950)
+    assert condition.von_mangoldt_alpha(8, 950) == pytest.approx(1.12041774001343e302, rel=bound)
+    assert condition.von_mangoldt_range(8, 950)[-1] == condition.von_mangoldt_alpha(8, 950)
 
 
 def test_von_mangoldt_rejects_n_past_the_sieve_ceiling(monkeypatch):
@@ -241,30 +296,110 @@ def von_mangoldt_all_tuples(n, alpha):
     return total
 
 
-def test_von_mangoldt_matches_all_tuple_enumeration_bit_for_bit():
+def all_tuples_bound(n, alpha):
+    """Relative error bound of von_mangoldt_all_tuples: per term, log p within
+    2 ulps raised to a_i (4u a_i in all, 4u alpha), lg**a within 1 ulp (2u,
+    m of them), m - 1 products, the integer coefficient's conversion and
+    product (2), and at most C - 1 additions of the C = C(alpha - 1, m - 1)
+    terms, all >= 0: gamma_(4 alpha + 3m + C) with m = omega(n)."""
+    m = arith.omega(n)
+    return gamma(4 * alpha + 3 * m + math.comb(alpha - 1, m - 1))
+
+
+def test_von_mangoldt_matches_all_tuple_enumeration_within_the_rounding_bound():
+    # Both are within their bounds of Lambda_alpha(n) > 0, so
+    # |rec - tup| <= (E_rec + E_tup) Lambda <= (E_rec + E_tup) tup / (1 - E_tup);
+    # both are exactly 0 where n has more than alpha distinct primes
     for alpha in range(1, 9):
         for n in range(2, 3001):
-            assert condition.von_mangoldt_alpha(n, alpha) == von_mangoldt_all_tuples(n, alpha)
+            rec, tup = condition.von_mangoldt_alpha(n, alpha), von_mangoldt_all_tuples(n, alpha)
+            e_rec, e_tup = recurrence_bound(n, alpha), all_tuples_bound(n, alpha)
+            if arith.omega(n) > alpha:
+                assert rec == tup == 0.0
+            else:
+                assert abs(rec - tup) <= (e_rec + e_tup) * tup / (1 - e_tup), (n, alpha)
+
+
+def von_mangoldt_compositions(n, alpha):
+    """The factored sum over the compositions of alpha into one part per
+    prime of n, each from its cuts: C(alpha - 1, m - 1) terms."""
+    factors = arith.factorize(n).factors
+    total = 0.0
+    for cuts in combinations(range(1, alpha), len(factors) - 1):
+        comp = [b - a for a, b in zip((0, *cuts), (*cuts, alpha))]
+        coef = math.factorial(alpha) // math.prod(map(math.factorial, comp))
+        coef *= math.prod(r**a - (r - 1) ** a for (_, r), a in zip(factors, comp))
+        total += coef * math.prod(math.log(p) ** a for (p, _), a in zip(factors, comp))
+    return total
 
 
 def test_von_mangoldt_enumerates_compositions_only():
-    # n = 30030 has 6 prime factors: of the 12^6 tuples only C(11, 5) = 462
-    # are compositions of 12; filtering the tuples took 0.6 s on a 2-vCPU
-    # Xeon VM, enumerating the compositions 2 ms
+    # n = 30030 has 6 prime factors: of the 12^6 tuples only C(11, 5) = 462 are
+    # compositions of 12, the reference's terms; the recurrence steps over the
+    # 64 divisors of 30030 and the 3^6 = 729 pairs (j, q) with jq | 30030
+    ref = von_mangoldt_compositions(30030, 12)
+    bound = recurrence_bound(30030, 12) + all_tuples_bound(30030, 12)
+    assert condition.von_mangoldt_alpha(30030, 12) == pytest.approx(ref, rel=bound)
     best = min(timeit.repeat(lambda: condition.von_mangoldt_alpha(30030, 12), number=1, repeat=3))
     assert best < 0.1
 
 
 def test_von_mangoldt_caps_the_composition_count():
-    # n = 30030 at alpha 40 has C(39, 5) = 575757 compositions, 2.6 s of sums
-    def refuse():
+    # n = 30030 at alpha 40 expands into C(39, 5) = 575757 compositions; the
+    # recurrence steps 40 times over its 3^6 = 729 pairs.  The one work
+    # ceiling caps alpha there at 3491, and refuses 27 (10 pairs) at alpha
+    # 10^7 before any step.
+    ceiling = condition.MAX_VON_MANGOLDT_WORK
+    assert condition.von_mangoldt_alpha(30030, 40) > 0.0
+    assert von_mangoldt_work(3491, 729) <= ceiling < von_mangoldt_work(3492, 729)
+
+    def refuse(n, alpha, pairs):
         start = timeit.default_timer()
-        with pytest.raises(arith.ResourceLimitError,
-                           match=r"^von Mangoldt value at n=30030, alpha=40 sums 575757 "):
-            condition.von_mangoldt_alpha(30030, 40)
+        work = von_mangoldt_work(alpha, pairs)
+        with pytest.raises(arith.ResourceLimitError, match=f"^von Mangoldt value at n={n}, "
+                           f"alpha={alpha}: work {work} past the ceiling {ceiling}$"):
+            condition.von_mangoldt_alpha(n, alpha)
         return timeit.default_timer() - start
 
-    assert min(refuse() for _ in range(2)) < 1.0
+    assert min(refuse(30030, 3492, 729) for _ in range(2)) < 1.0
+    assert min(refuse(27, 10**7, 10) for _ in range(2)) < 1.0
+
+
+def test_von_mangoldt_range_at_alpha_12_to_a_million_is_finite():
+    values = np.array(condition.von_mangoldt_range(10**6, 12))
+    assert np.isfinite(values).all()
+    assert values.min() == pytest.approx(math.log(2) ** 12, rel=recurrence_bound(2, 12))
+
+
+ORACLE_NS = [*range(2, 400), 30030, 510510, 2**20, 720720]
+
+
+@pytest.fixture(scope="module")
+def mp_logs():
+    """log d in 50-digit mpmath for every divisor of ORACLE_NS."""
+    with mpmath.workdps(50):
+        return {d: mpmath.log(d) for n in ORACLE_NS for d in arith.divisors(n)}
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 8, 12])
+def test_von_mangoldt_matches_mpmath_oracle(alpha, mp_logs):
+    # mu * L^alpha summed over the divisors in 50-digit mpmath; the per-n and
+    # the range values lie within recurrence_bound of it, so within twice it of
+    # each other, and are exactly 0 where n has more than alpha distinct primes
+    values = condition.von_mangoldt_range(max(ORACLE_NS), alpha)
+    for n in ORACLE_NS:
+        per_n, ranged = condition.von_mangoldt_alpha(n, alpha), values[n - 2]
+        if arith.omega(n) > alpha:
+            assert per_n == ranged == 0.0
+            continue
+        with mpmath.workdps(50):
+            exact = mpmath.fsum(arith.mobius(n // d) * mp_logs[d] ** alpha
+                                for d in arith.divisors(n))
+            assert exact > 0
+            bound = recurrence_bound(n, alpha)
+            for value in (per_n, ranged):
+                assert abs(mpmath.mpf(value) - exact) <= bound * exact, (n, alpha, value)
+        assert abs(per_n - ranged) <= 2 * bound * max(per_n, ranged)
 
 
 # -- check_range --------------------------------------------------------------
