@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: check-condition, classify, gram, eval-kernel, von-mangoldt.
-Reports are JSON (source of truth) with a CSV projection where tabular;
-every report embeds its resolved config, so a report file can be passed
-back via --config to reproduce the run.  Exit codes: 0 nonnegative/PSD,
-1 config or usage error, 2 certified violation/indefinite, 3 inconclusive.
+Reports are JSON (source of truth); check-condition and von-mangoldt stream
+their rows into it and into a CSV projection through one writer, _spliced.
+Every report embeds its resolved config, so a report file passed back via
+--config reruns it.  Exit codes: 0 nonnegative/PSD, 1 config or usage
+error, 2 certified violation/indefinite, 3 inconclusive.
 
 Progress and diagnostics go to stderr; stdout carries machine-readable
 content only (when --stdout is set or for the query-style subcommands).
@@ -167,17 +168,25 @@ def _emit(report, cfg: dict, default_prefix: str | None, with_csv: bool = False)
         sys.stdout.write("\n")
 
 
-def _condition_report(envelope: dict, report: condition.ConditionReport):
-    """The check-condition report as (JSON, CSV) text pairs (see _emit).  The
-    JSON is byte-identical to json.dumps(envelope with report.to_json_dict(),
-    sort_keys=True, indent=2): report.render writes the records array."""
+def _spliced(envelope: dict, key: str, rows, *args):
+    """The report as (JSON, CSV) text pairs (see _emit): json.dumps(envelope, sort_keys=True,
+    indent=2) with rows(*args, pad) streamed into the empty list result[key] at its indent pad.
+    Keys sort and only scalars follow key in a result, so the last '"key": []' is result's."""
     text = json.dumps(condition._strict_json(envelope), sort_keys=True, indent=2)
-    # keys are sorted, so only result.tol and result.verdict follow the
-    # records placeholder: its last occurrence is the one
-    head, _, tail = text.rpartition('"records": []')
-    yield head + '"records": ', ""
-    yield from report.render(head[head.rfind("\n") + 1 :])
+    head, _, tail = text.rpartition(f'"{key}": []')
+    yield head + f'"{key}": ', ""
+    yield from rows(*args, head[head.rfind("\n") + 1 :])
     yield tail, ""
+
+
+def _value_rows(ns: np.ndarray, values: np.ndarray, pad: str, chunk: int = 1 << 14):
+    """The von-mangoldt rows {"n": n, "value": v} and "n,value", as ConditionReport.render's."""
+    yield "[", "n,value\r\n"
+    for lo in range(0, len(ns), chunk):
+        (n, _), (value, csv) = (condition._column_tokens(c[lo : lo + chunk]) for c in (ns, values))
+        yield (condition._join(f',\n{pad}  {{\n{pad}    "n": ', n, f',\n{pad}    "value": ', value,
+                               f"\n{pad}  }}")[lo == 0 :], condition._join(n, ",", csv, "\r\n"))
+    yield ("]" if len(ns) == 0 else f"\n{pad}]"), ""
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +214,7 @@ def cmd_check_condition(args) -> int:
         fam, delta, k, _config_int(cfg, "n_max"), methods=tuple(methods), tol=tol
     )
     envelope = _report_envelope("check-condition", cfg, report.to_json_dict(with_records=False))
-    _emit(_condition_report(envelope, report), cfg, "condition_report", with_csv=True)
+    _emit(_spliced(envelope, "records", report.render), cfg, "condition_report", with_csv=True)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _EXIT_BY_VERDICT[report.verdict]
 
@@ -364,21 +373,19 @@ def cmd_von_mangoldt(args) -> int:
 
     if cfg.get("n") is not None:
         n = _config_int(cfg, "n")
-        values = [(n, condition.von_mangoldt_alpha(n, alpha))]
+        ns, values = np.array([n]), np.array([condition.von_mangoldt_alpha(n, alpha)])
     else:
-        n_max = _config_int(cfg, "n_max", 100)
-        values = list(zip(range(2, n_max + 1), condition.von_mangoldt_range(n_max, alpha)))
+        values = condition.von_mangoldt_range(_config_int(cfg, "n_max", 100), alpha)
+        ns = np.arange(2, len(values) + 2)
     result = {
         "alpha": alpha,
-        "values": [{"n": n, "value": v} for n, v in values],
+        "values": [],  # streamed by _value_rows
         # diagnostic only: classical vanishing past alpha distinct primes
-        "zero_count": sum(1 for _, v in values if v == 0.0),
-        "min_value": min((v for _, v in values), default=0.0),
+        "zero_count": int(np.count_nonzero(values == 0.0)),
+        "min_value": float(values.min()) if len(values) else 0.0,
     }
     envelope = _report_envelope("von-mangoldt", cfg, result)
-    rows = "".join(f"{n},{v!r}\r\n" for n, v in values)
-    _emit([(json.dumps(envelope, sort_keys=True, indent=2), "n,value\r\n" + rows)], cfg,
-          None, with_csv=True)
+    _emit(_spliced(envelope, "values", _value_rows, ns, values), cfg, None, with_csv=True)
     return 0
 
 

@@ -16,7 +16,7 @@ equal it bit for bit.  ``prime_power_check`` reads the signs of S at the
 prime powers alone, which decide the condition for multiplicative and
 additive families.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is
 Lambda_alpha = mu * L^alpha, which ``von_mangoldt_alpha`` (one n) and
-``von_mangoldt_range`` compute by the von Mangoldt recurrence.
+``von_mangoldt_range`` (a float64 column) compute by its recurrence.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -197,15 +197,15 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
                                lambda a, b: np.bincount(mi, a[qi] * b[ci], len(divs)))[0])
 
 
-def von_mangoldt_range(n_max: int, alpha: int) -> list[float]:
-    """von_mangoldt_alpha(n, alpha) for n = 2..n_max, by _von_mangoldt on
-    columns 0..n_max, each step one _accel._convolve."""
+def von_mangoldt_range(n_max: int, alpha: int) -> np.ndarray:
+    """von_mangoldt_alpha(n, alpha) for n = 2..n_max as a float64 column, by
+    _von_mangoldt on columns 0..n_max, each step one _accel._convolve."""
     n_max = arith._check_sieve(n_max, "n_max")
     _check_von_mangoldt_work(alpha, n_max, f"values for n <= {n_max}")  # before any column
     q, p, _ = _accel.PrimePowers(n_max).listing
     logs = np.log(np.arange(n_max + 1, dtype=np.float64).clip(1))
     return _von_mangoldt(alpha, range(2, n_max + 1), np.bincount(q, np.log(p), n_max + 1), logs,
-                         partial(_accel._convolve, start=2)).tolist()
+                         partial(_accel._convolve, start=2))
 
 
 # ---------------------------------------------------------------------------

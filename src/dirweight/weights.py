@@ -329,13 +329,6 @@ class MeasureSpec:
         else:
             raise ValueError(f"unknown measure kind {self.kind!r}")
 
-    @property
-    def has_zero_support(self) -> bool:
-        """Whether 0 lies in the support (recorded, not exploited)."""
-        if self.kind == "gamma_density":
-            return True
-        return any(sig == 0 for sig, _ in self.atoms)
-
 
 def _measure_weights(spec: MeasureSpec, m: np.ndarray) -> np.ndarray:
     """w_n = 1 / integral of n^(-2 sigma) dmu(sigma) at every n of the

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -521,6 +522,64 @@ def test_von_mangoldt_alpha_25_to_20000_exits_zero(tmp_path):
     values = [row["value"] for row in json.loads((tmp_path / "lam25.json").read_text())
               ["result"]["values"]]
     assert len(values) == 19999 and all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+def _assert_von_mangoldt_reference(out, alpha, rows):
+    """The report files at out equal json.dumps of the envelope with rows [(n, value)]
+    and the CSV written row by row: the references never read the renderer."""
+    text = out.with_suffix(".json").read_bytes().decode()
+    envelope = json.loads(text)
+    values = [v for _, v in rows]
+    envelope["result"] = {"alpha": alpha, "values": [{"n": n, "value": v} for n, v in rows],
+                          "zero_count": values.count(0.0), "min_value": min(values, default=0.0)}
+    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert out.with_suffix(".csv").read_bytes().decode() == "n,value\r\n" + "".join(
+        f"{n},{v!r}\r\n" for n, v in rows)
+    return text
+
+
+@pytest.mark.parametrize("mode", ["default", "chunk", "stdout"])
+@pytest.mark.parametrize("argv", [["--n-max", "1"], ["--n-max", "2"], ["--n-max", "12"],
+                                  ["--n-max", "16384"], ["--n-max", "16385"],
+                                  ["--n", "30030", "--alpha", "12"]], ids=" ".join)
+def test_von_mangoldt_reports_match_reference_rendering(argv, mode, tmp_path, monkeypatch, capsys):
+    if argv[0] == "--n":
+        alpha, rows = 12, [(30030, condition.von_mangoldt_alpha(30030, 12))]
+    else:
+        n_max = int(argv[1])
+        alpha, rows = 1, list(zip(range(2, n_max + 1),
+                                  map(float, condition.von_mangoldt_range(n_max, 1))))
+    if mode == "chunk":  # rows split across many column chunks
+        monkeypatch.setattr(cli, "_value_rows", functools.partial(cli._value_rows, chunk=7))
+    out = tmp_path / "lam"
+    flags = ["--stdout"] if mode == "stdout" else []
+    assert run(["von-mangoldt", *argv, *flags, "--no-timestamp", "--out", str(out)]) == 0
+    text = _assert_von_mangoldt_reference(out, alpha, rows)
+    assert capsys.readouterr().out == (text if flags else "")
+
+
+def test_von_mangoldt_rows_land_in_the_result_past_an_empty_config_list(tmp_path):
+    # the embedded config holds a second "values": [], before the result's
+    family = {"kind": "explicit", "values": [], "start_index": 2}
+    cfg = write_config(tmp_path, "c.json", {"family": family, "alpha": 2, "n_max": 300})
+    out = tmp_path / "lam"
+    assert run(["von-mangoldt", "--config", cfg, "--no-timestamp", "--out", str(out)]) == 0
+    rows = list(zip(range(2, 301), map(float, condition.von_mangoldt_range(300, 2))))
+    text = _assert_von_mangoldt_reference(out, 2, rows)
+    assert json.loads(text)["config"]["family"] == family
+
+
+def test_von_mangoldt_report_memory_is_the_columns_and_one_chunk(tmp_path):
+    # 2 * 10^5 values: the float64 columns of the recurrence (1.5 MiB each) and
+    # one chunk of row text, not a dict per row and the whole report as one string
+    tracemalloc.start()
+    try:
+        assert cli.main(["von-mangoldt", "--alpha", "3", "--n-max", "200000", "--no-timestamp",
+                         "--out", str(tmp_path / "lam")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak
 
 
 @pytest.mark.parametrize("argv", [
