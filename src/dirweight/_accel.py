@@ -11,8 +11,8 @@ past the int64 lane.
 Every arithmetic table is a window [lo, hi) of one engine,
 ``prime_power_fill``, equal to the same slice of the whole-range fill bit
 for bit.  A run shares one ``PrimePowers``: the base primes up to sqrt(n)
-from one segmented sieve, and a listing of the prime powers only for
-values that depend on p.  The kernels stream their tables as ``Column``s,
+from one segmented sieve, and ``values``, the one evaluator of a column's
+prime-power function.  The kernels stream their tables as ``Column``s,
 and every kernel partial sum goes through one blocked engine,
 ``power_sum``.  Only the smallest prime factor is a short sieve of its own.
 """
@@ -76,18 +76,6 @@ def prime_powers(n: int, base: np.ndarray | None = None):
     return _prime_powers(0, n + 1, primes_up_to(math.isqrt(n)) if base is None else base)
 
 
-def map_prime_powers(p: np.ndarray, r: np.ndarray, f, dtype):
-    """f(p, r) at each pair (p[i], r[i]) as a dtype array, called on Python
-    ints once per pair, in order and in chunks that keep the Python objects
-    few."""
-    out = np.empty(len(p), dtype=dtype)
-    for i in range(0, len(p), 1 << 12):
-        part = slice(i, i + (1 << 12))
-        out[part] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype,
-                                len(out[part]))
-    return out
-
-
 def prime_power_fill(lo: int, hi: int, base: np.ndarray, f, op) -> np.ndarray:
     """w[m - lo] for lo <= m < hi: 0 at m = 0 and, at m = p_1^r_1 ... p_k^r_k
     with p_1 < ... < p_k, op(...op(identity, f(p_1, r_1))..., f(p_k, r_k)).
@@ -139,7 +127,8 @@ def prime_power_fill(lo: int, hi: int, base: np.ndarray, f, op) -> np.ndarray:
 
 class PrimePowers:
     """What a run shares of the prime powers <= n, each made on first use:
-    the base primes up to sqrt(n), and the listing for values on p."""
+    the base primes up to sqrt(n) and the listing for values on p.  Every
+    column reads its prime-power function through ``values``."""
 
     def __init__(self, n: int):
         self.n = n
@@ -152,25 +141,24 @@ class PrimePowers:
     def listing(self):
         return prime_powers(self.n, self.base)
 
-    def within(self, lo: int, hi: int):
-        """(q, p, r) of the prime powers in [lo, hi), hi <= n + 1."""
-        return _prime_powers(lo, hi, self.base)
-
-    def pairs(self, r_only: bool):
-        """(p, r, at): where to evaluate a prime-power value f, and at(p, r),
-        the index of f(p, r) there for any p^r <= n: the exponents
-        1..log2(n) at p = 2 if f depends on r alone, else the listing."""
+    def values(self, f, dtype, r_only: bool):
+        """(p, r, vals, at): the pairs (p, r) that a prime-power function f
+        is called at, on Python ints, in order and in chunks that keep them
+        few; f there as a dtype array; and at(p, r), the index of f(p, r) in
+        vals for any p^r <= n.  The pairs are the exponents 1..log2(n) at
+        p = 2 if f depends on r alone, else the listing of the p^r <= n."""
         if r_only:
             r = np.arange(1, self.n.bit_length(), dtype=np.int64)  # 2^r <= n
-            return np.full(len(r), 2), r, lambda p, r: r - 1
-        q, p, r = self.listing
-        return p, r, lambda p, r: np.searchsorted(q, p**r)
-
-    def values(self, f, dtype, r_only: bool):
-        """f for prime_power_fill, from one call per pair (map_prime_powers)."""
-        p, r, at = self.pairs(r_only)
-        vals = map_prime_powers(p, r, f, dtype)
-        return lambda p, r: vals[at(p, r)]
+            p, at = np.full(len(r), 2), lambda p, r: r - 1
+        else:
+            q, p, r = self.listing
+            at = lambda p, r: np.searchsorted(q, p**r)
+        vals = np.empty(len(p), dtype=dtype)
+        for i in range(0, len(p), 1 << 12):
+            part = slice(i, i + (1 << 12))
+            vals[part] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype,
+                                     len(vals[part]))
+        return p, r, vals, at
 
     def column(self, f, op) -> np.ndarray:
         """prime_power_fill over [0, n]."""

@@ -350,12 +350,15 @@ def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
 
 def _column_tokens(col: np.ndarray) -> tuple:
     """_tokens of each distinct int64 or float64 entry (floats keyed on their bits, so
-    -0.0 is not 0.0), gathered back per row; row by row for objects, which mix types."""
+    -0.0 is not 0.0), gathered back per row, once where JSON and CSV share them; row
+    by row for objects, which mix types."""
     if col.dtype == object:
         return _tokens(col)
     key = col.view(np.int64) if col.dtype.kind == "f" else col
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return tuple(np.array(tokens, dtype=object)[inverse] for tokens in _tokens(col[first]))
+    json_tokens, csv_tokens = _tokens(col[first])
+    rows = np.array(json_tokens, dtype=object)[inverse]
+    return rows, rows if csv_tokens is json_tokens else np.array(csv_tokens, dtype=object)[inverse]
 
 
 def _join(*pieces) -> str:
@@ -374,21 +377,21 @@ def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
         return [0] * k + [1 + v for v in _exact_values(base, k, pp)[k:]]
     if w.kind in ("multiplicative", "additive"):
         op = np.multiply if w.kind == "multiplicative" else np.add
-        return [0] * k + pp.column(pp.values(w.prime_power, object, w.r_only), op)[k:].tolist()
+        _, _, vals, at = pp.values(w.prime_power, object, w.r_only)
+        return [0] * k + pp.column(lambda p, r: vals[at(p, r)], op)[k:].tolist()
     return [0] * k + [w.value(j) for j in range(k, pp.n + 1)]
 
 
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers,
                          r_only: bool):
-    """(p, r, at, fq, size) at pp.pairs(r_only): _prime_power_factor, one
+    """(p, r, at, fq, size) from pp.values(r_only): _prime_power_factor, one
     call per pair, in float64; or, when exact, the differences of one
     prime_power call per pair, int64 for an integer-valued family while
     they fit, and the sizes |w_(p^r)| + |w_(p^(r-1))| as floats."""
-    p, r, at = pp.pairs(r_only)
     if not exact:
-        f = partial(_prime_power_factor, w, delta, False)
-        return p, r, at, _accel.map_prime_powers(p, r, f, np.float64), None
-    hi = _accel.map_prime_powers(p, r, w.prime_power, object)
+        p, r, fq, at = pp.values(partial(_prime_power_factor, w, delta, False), np.float64, r_only)
+        return p, r, at, fq, None
+    p, r, hi, at = pp.values(w.prime_power, object, r_only)
     lo = np.full(len(p), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
     lo[r > 1] = hi[at(p[r > 1], r[r > 1] - 1)]
     fq, size = hi - lo, abs(hi) + abs(lo)
@@ -441,7 +444,7 @@ def _fill(pp: _accel.PrimePowers, fq, at, method: str, lo: int, hi: int, dtype) 
     fq = fq.astype(dtype, copy=False)
     if method == "mult_product":
         return _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: fq[at(p, r)], np.multiply)
-    q, p, r = pp.within(lo, hi)
+    q, p, r = _accel._prime_powers(lo, hi, pp.base)
     col = np.zeros(hi - lo, dtype=dtype)
     col[q - lo] = fq[at(p, r)]
     return col
@@ -474,11 +477,12 @@ def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers
         # a product of int64 factors could overflow: multiply Python ints
         dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
         return _fill(pp, fq, at, method, 0, n + 1, dtype)
-    p, r, at, fq, _ = _prime_power_factors(w, delta, False, pp, w.r_only and delta == 0.0)
+    r_only = w.r_only and delta == 0.0
+    _, _, at, fq, _ = _prime_power_factors(w, delta, False, pp, r_only)
     with np.errstate(all="ignore"):  # inf times 0 is nan: an inconclusive row, not a warning
         if method == "mult_product":
             return _fill(pp, fq, at, method, 0, n + 1, np.float64)
-        cq = _accel.map_prime_powers(p, r, partial(_companion, delta), np.float64)
+        cq = pp.values(partial(_companion, delta), np.float64, r_only)[2]
         pairs = np.stack([cq, fq], axis=1)
         # + 0.0: a product 0 * (negative) is -0.0, the per-n sum's 0 is +0.0
         return pp.column(lambda p, r: pairs[at(p, r)], _dual)[:, 1] + 0.0
@@ -527,16 +531,11 @@ def series_column(w: WeightFamily, delta: float, n: int):
     multiplicative with k = 1 or additive with k = 2) and below 2^53 of
     _exact_factored's bound, the factored column, streamed as an
     _accel.Column, which the float divisor sums then equal bit for bit;
-    else s_columns's divisor_sum column.  The bound is at least the size
-    |w_(2^r)| + |w_(2^(r-1))| at every 2^r <= n, so a family past 2^53 there
-    skips _exact_factored (one past the bound only off the powers of 2
-    computes its exact factors, then the sums)."""
+    else s_columns's divisor_sum column."""
     pp, k = _accel.PrimePowers(n), w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
-    if method and w.integer_valued and _mode(w, delta)[1] and all(
-            abs(w.prime_power(2, r)) + abs(w.prime_power(2, r - 1)) < _FLOAT_EXACT
-            for r in range(1, n.bit_length())):
+    if method and w.integer_valued and _mode(w, delta)[1]:
         fq, at, bound = _exact_factored(w, method, pp)
         if bound < _FLOAT_EXACT:
             def window(lo, hi):  # + 0.0: a product 0 * (negative) is -0.0, a divisor sum's +0.0

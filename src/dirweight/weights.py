@@ -101,6 +101,15 @@ def _is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+def _declared(v, exact: bool, integer_valued: bool, where: str, *args):
+    """v if it is of its family's declared type: a Python int if integer-valued, an int or
+    a Fraction if exact (a numpy integer wraps), else any; or ValueError at where.format(*args)."""
+    if exact and not (type(v) is int or not integer_valued and isinstance(v, Fraction)):
+        kind = "an int" if integer_valued else "an int or a Fraction"
+        raise ValueError(f"{where.format(*args)} = {v!r} is not {kind}, as declared")
+    return v
+
+
 class WeightFamily:
     """A weight sequence with declared analytic metadata.
 
@@ -111,9 +120,10 @@ class WeightFamily:
     weights w_lo..w_(hi-1), from the same definition as ``value_fn`` and a
     run's ``_accel.PrimePowers`` pp (without it, value() per n).  ``r_only``
     marks prime-power families whose f(p, r) depends on r alone.
-    ``integer_valued`` marks exact families of integers whose
-    ``values_table`` is exact below 2^53 and never rounds a larger value
-    below it; the exact lane of ``condition.check_range`` relies on it.
+    ``exact`` declares int or Fraction values, ``integer_valued`` Python
+    ints, whose ``values_table`` is exact below 2^53 and never rounds a
+    larger value below it; the exact lane of ``condition.check_range``
+    relies on both, and ``value`` and ``prime_power`` reject another type.
     """
 
     def __init__(
@@ -177,7 +187,8 @@ class WeightFamily:
             raise ValueError(
                 f"weight {self.name} undefined at n={n} (starts at {self.defined_from})"
             )
-        return self._value_fn(n)
+        return _declared(self._value_fn(n), self.exact, self.integer_valued, "{}: w_{}",
+                         self.name, n)
 
     def values_table(self, n: int, pp: _accel.PrimePowers | None = None) -> np.ndarray:
         """Float table of w_1..w_n (1-indexed, slot 0 zero); entries below
@@ -245,6 +256,7 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
             v = f(p, r)
         except OverflowError as e:
             raise ValueError(f"prime-power value f({p},{r}) of {name} is past the float range") from e
+        _declared(v, exact, integer_valued, "prime-power value f({},{}) of {}", p, r, name)
         if op is np.multiply and not v > 0:
             raise ValueError(f"prime-power value f({p},{r}) = {v} not positive")
         return py_op(identity, v)
@@ -259,10 +271,10 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
 
     def fill(pp):
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
-        values = pp.values(fp, dtype, r_only)
+        _, _, vals, at = pp.values(fp, dtype, r_only)
 
         def window(lo, hi):
-            w = _accel.prime_power_fill(lo, hi, pp.base, values, op)
+            w = _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: vals[at(p, r)], op)
             return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
         return window

@@ -216,6 +216,12 @@ def test_prime_power_fill_is_the_divisor_count():
     assert pairs[:, 1].tobytes() == pp.column(lambda p, r: r + 0.0, np.multiply).tobytes()
 
 
+def _lookup(pp, f, dtype, r_only=False):
+    """f for prime_power_fill: PrimePowers.values of f, looked up at each p^r."""
+    _, _, vals, at = pp.values(f, dtype, r_only)
+    return lambda p, r: vals[at(p, r)]
+
+
 @pytest.mark.parametrize("n", [53**2 - 1, 53**2, 53**2 + 1])  # 53 past, at, below sqrt(n)
 @pytest.mark.parametrize("f,one", [
     (lambda p, r: float(r + 1) ** 0.5, 1.0),  # divisor_pow(1/2)
@@ -224,7 +230,7 @@ def test_prime_power_fill_is_the_divisor_count():
 def test_prime_power_fill_is_the_literal_per_n_product_and_sum(n, f, one):
     pp = _accel.PrimePowers(n)
     dtype = np.float64 if isinstance(one, float) else object
-    fq = pp.values(f, dtype, False)
+    fq = _lookup(pp, f, dtype)
     for op, identity in ((operator.mul, one), (operator.add, one - one)):
         want = [one - one] + [functools.reduce(op, [f(*pr) for pr in arith.factorize(m)],
                                                 identity) for m in range(1, n + 1)]
@@ -238,7 +244,7 @@ def test_prime_power_fill_memory_is_the_output_and_prime_count_columns():
     # the cofactors divided out one WINDOW at a time: a few columns of 2^16 entries
     n = 10**6
     pp = _accel.PrimePowers(n)
-    fq = pp.values(lambda p, r: float(r + 1), np.float64, False)
+    fq = _lookup(pp, lambda p, r: float(r + 1), np.float64)
     tracemalloc.start()
     try:
         w = pp.column(fq, np.multiply)
@@ -313,7 +319,7 @@ def test_prime_power_fill_applies_prime_powers_in_ascending_order():
             return Word(f"{'' if other == 0 else other}{self}")
 
     pp = _accel.PrimePowers(1000)
-    w = pp.column(pp.values(lambda p, r: Word(f"{p}^{r};"), object, False), np.add)
+    w = pp.column(_lookup(pp, lambda p, r: Word(f"{p}^{r};"), object), np.add)
     assert w[1] == 0 and w[2 * 9 * 7] == "2^1;3^2;7^1;"
     for m in range(2, 1001):
         assert w[m] == "".join(f"{p}^{r};" for p, r in arith.factorize(m).factors)
@@ -359,14 +365,14 @@ def _fills(pp):
     """(f, op) of each kind of fill: float64 on r alone and on p (a listing
     lookup), int8 mu, Python ints on p, and the float additive route's dual
     pairs on p."""
-    p, r, at = pp.pairs(False)
-    pairs = np.stack([p**-0.5 - r, r / p], axis=1)
+    _, _, c, at = pp.values(lambda p, r: p**-0.5 - r, np.float64, False)
+    pairs = np.stack([c, pp.values(lambda p, r: r / p, np.float64, False)[2]], axis=1)
     return {
-        "float64 r-only": (pp.values(lambda p, r: float(r + 1) ** 0.5, np.float64, True),
+        "float64 r-only": (_lookup(pp, lambda p, r: float(r + 1) ** 0.5, np.float64, True),
                            np.multiply),
-        "float64 p": (pp.values(lambda p, r: 1.0 + 1.0 / p**r, np.float64, False), np.multiply),
+        "float64 p": (_lookup(pp, lambda p, r: 1.0 + 1.0 / p**r, np.float64), np.multiply),
         "int8 mu": (lambda p, r: -(r == 1).astype(np.int8), np.multiply),
-        "object p": (pp.values(lambda p, r: p**r + r, object, False), np.multiply),
+        "object p": (_lookup(pp, lambda p, r: p**r + r, object), np.multiply),
         "dual p": (lambda p, r: pairs[at(p, r)], condition._dual),
     }
 
@@ -392,7 +398,7 @@ def test_window_fills_are_the_whole_range_slice_bit_for_bit(kind):
 
 def test_window_fill_matches_the_per_n_product_across_window_edges():
     pp = _accel.PrimePowers(N)
-    w = pp.column(pp.values(lambda p, r: p + r, object, False), np.multiply)
+    w = pp.column(_lookup(pp, lambda p, r: p + r, object), np.multiply)
     for m in [*range(2, 500), *range(W - 300, W + 300), *range(N - 300, N + 1)]:
         assert w[m] == math.prod(p + r for p, r in arith.factorize(m).factors), m
 
@@ -402,7 +408,7 @@ def test_prime_powers_within_a_window_are_a_slice_of_the_listing():
     q, p, r = pp.listing
     for lo, hi in WINDOWS:
         keep = (q >= lo) & (q < hi)
-        got = pp.within(lo, hi)
+        got = _accel._prime_powers(lo, hi, pp.base)
         assert [c.tolist() for c in got] == [q[keep].tolist(), p[keep].tolist(),
                                              r[keep].tolist()], (lo, hi)
 
@@ -411,12 +417,13 @@ def test_prime_power_pairs_index_every_prime_power():
     pp = _accel.PrimePowers(5000)
     q, p, r = pp.listing
     for r_only in (True, False):
-        pairs_p, pairs_r, at = pp.pairs(r_only)
+        pairs_p, pairs_r, vals, at = pp.values(lambda p, r: r, np.int64, r_only)
         i = at(p, r)
-        assert (pairs_r[i] == r).all()
+        assert (pairs_r[i] == r).all() and (vals[i] == r).all()
         if not r_only:
             assert (pairs_p[i] == p).all()
-    assert pp.pairs(True)[1].tolist() == list(range(1, 13))  # 2^12 <= 5000 < 2^13
+    # 2^12 <= 5000 < 2^13
+    assert pp.values(lambda p, r: r, np.int64, True)[1].tolist() == list(range(1, 13))
 
 
 def test_power_sum_reads_a_column_as_the_array_bit_for_bit():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirweight import _accel, arith, condition, weights
+from dirweight import _accel, arith, condition, kernel, weights
 
 
 @pytest.fixture(scope="module")
@@ -996,6 +996,40 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     assert calls == ([1000] if "divisor_sum" in methods else [])
     assert sieves == [31]
     assert listings == ([1000] if delta and methods != ("divisor_sum",) else [])
+
+
+@pytest.mark.parametrize("kind,exact,integer_valued", [
+    ("multiplicative", True, True), ("multiplicative", True, False),
+    ("multiplicative", False, False), ("additive", True, True), ("additive", False, False)])
+def test_columns_call_the_prime_power_function_only_inside_values(kind, exact, integer_valued,
+                                                                  monkeypatch):
+    # every column reads f(p, r) through PrimePowers.values: each check_range route, exact
+    # and float, the prime-power check, and the weight, ratio and series tables
+    running, values = [], _accel.PrimePowers.values
+
+    def tracked(*args):
+        running.append(None)
+        try:
+            return values(*args)
+        finally:
+            running.pop()
+
+    def f(p, r):
+        assert running, f"f({p},{r}) called outside PrimePowers.values"
+        v = r + 1 + (p % 4 == 1)
+        return v if integer_valued else Fraction(v, 2) if exact else v / 2.0
+
+    monkeypatch.setattr(_accel.PrimePowers, "values", tracked)
+    build = (weights.multiplicative_from_prime_powers if kind == "multiplicative"
+             else weights.additive_from_prime_powers)
+    w = build(f, 1.0, 0.0, (4.0, 1.0), exact=exact, integer_valued=integer_valued)
+    method = "mult_product" if kind == "multiplicative" else "additive_Tt"
+    for delta in (0.0, 0.3 if kind == "multiplicative" else -0.3):
+        rep = condition.check_range(w, delta, None, 2000, ("divisor_sum", method))
+        assert rep.mode == ("exact" if exact and delta == 0.0 else "float")
+        assert condition.prime_power_check(w, delta, 2000)["checks"] > 0
+        for route in kernel.ROUTES:  # the power sums read from j = 1
+            assert len(kernel._route(w, delta, route).table(2000)[1:]) == 2000
 
 
 @pytest.mark.parametrize("exact", [True, False])

@@ -422,11 +422,10 @@ def test_exact_series_table_is_the_divisor_sum_column_bit_for_bit(n, monkeypatch
 def test_series_table_past_the_exact_bound_keeps_the_divisor_sums(w, monkeypatch):
     # the float divisor sums round here: the factored column is not taken
     want = condition.s_columns(w, 0.0, w.start_index, 3000)[0]
-    # both are past 2^53 at a power of 2: no exact factors and one mu table
+    # both are past 2^53 at a power of 2, so past the exact factors' bound: one mu table
     calls, mobius_table = [], _accel.mobius_table
     monkeypatch.setattr(_accel, "mobius_table",
                         lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
-    monkeypatch.setattr(condition, "_exact_factored", lambda *a: pytest.fail("exact factors"))
     assert kernel._route(w, 0.0, "series").table(3000).tobytes() == want.tobytes()
     assert calls == [3000]
 

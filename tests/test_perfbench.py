@@ -133,3 +133,15 @@ def test_every_public_function_is_called_exported_or_a_benchmark_layer():
     unused = defs - refs - exported
     assert unused <= layers, sorted(unused - layers)
     assert unused <= BENCHMARK_ONLY <= defs & layers, sorted(unused - BENCHMARK_ONLY)
+
+
+def test_every_public_method_of_the_accel_classes_is_read():
+    # _accel is not exported, so the guard above does not see a dead method of its
+    # classes: each public method or property must be read as an attribute in src/
+    classes = [c for c in ast.parse((SRC / "_accel.py").read_text()).body
+               if isinstance(c, ast.ClassDef)]
+    public = {(c.name, f.name) for c in classes for f in c.body
+              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    read = {node.attr for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert public and sorted(m for m in public if m[1] not in read) == []

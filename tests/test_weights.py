@@ -247,6 +247,44 @@ def test_prime_power_table_rejects_a_non_positive_value():
         fam.value(14)
 
 
+def _mult(f, **declared):
+    return weights.multiplicative_from_prime_powers(f, 1.0, 0.0, (1.0, 0.0), **declared)
+
+
+_INT_DECLARED = {"exact": True, "integer_valued": True}
+
+
+@pytest.mark.parametrize("w,run", [
+    # Fraction values declared int: an all-zero nonneg_exact run and a passing prime-power
+    # check at the parent, where S(2) = -1/2
+    (_mult(lambda p, r: Fraction(1, 2) ** r, **_INT_DECLARED),
+     lambda w: condition.check_range(w, 0.0, 1, 12)),
+    (_mult(lambda p, r: Fraction(1, 2) ** r, **_INT_DECLARED),
+     lambda w: condition.prime_power_check(w, 0.0, 50)),
+    (weights.WeightFamily("x", "explicit", 2, 1.0, 0.0, (1.0, 0.0), lambda n: Fraction(1, n),
+                          **_INT_DECLARED), lambda w: condition.check_range(w, 0.0, 2, 12)),
+    # floats declared exact: nonneg_exact float sums at the parent, MethodDisagreement with two
+    (_mult(lambda p, r: 1.0 + 0.1 * r, exact=True),
+     lambda w: condition.check_range(w, 0.0, 1, 12, ("divisor_sum", "mult_product"))),
+    # numpy integers wrap: S(4) = 3^40 - 3^20 read -6289078618139407216 at the parent
+    (weights.additive_from_prime_powers(lambda p, r: np.int64(3) ** (20 * r), 1.0, 0.0,
+                                        (1e30, 1.0), **_INT_DECLARED),
+     lambda w: condition.check_range(w, 0.0, 2, 12)),
+], ids=["fraction-as-int", "fraction-as-int-prime-powers", "explicit-fraction-as-int",
+        "float-as-exact", "numpy-int"])
+def test_a_value_of_another_number_type_than_declared_is_a_value_error(w, run):
+    with pytest.raises(ValueError, match="as declared$") as err:
+        run(w)
+    assert "\n" not in str(err.value)
+
+
+def test_fraction_values_declared_only_exact_keep_their_verdicts():
+    w = _mult(lambda p, r: Fraction(1, 2) ** r, exact=True)
+    rep = condition.check_range(w, 0.0, 1, 12)
+    assert rep.verdict == condition.NEGATIVE and rep.records[1].value == Fraction(-1, 2)
+    assert condition.prime_power_check(w, 0.0, 50)["first_violation"] == [2, 1, -0.5]
+
+
 _PRIME_POWER_FAMILIES = [
     ("ones", {}), ("omega", {}), ("big_omega", {}), ("divisor_pow", {"alpha": 1}),
     ("divisor_pow", {"alpha": 3}), ("divisor_pow", {"alpha": "1/2"}), ("d_beta", {"beta": 2}),
