@@ -125,6 +125,16 @@ def prime_power_fill(lo: int, hi: int, base: np.ndarray, f, op) -> np.ndarray:
     return w
 
 
+def evaluate(f, dtype, *args) -> np.ndarray:
+    """f at the entries of the equal-length arrays args, on Python scalars, as a dtype
+    array, in chunks of 4096 entries that keep the Python lists short."""
+    out = np.empty(len(args[0]), dtype=dtype)
+    for i in range(0, len(out), 1 << 12):
+        part = [a[i : i + (1 << 12)].tolist() for a in args]
+        out[i : i + (1 << 12)] = np.fromiter(map(f, *part), dtype, len(part[0]))
+    return out
+
+
 class PrimePowers:
     """What a run shares of the prime powers <= n, each made on first use:
     the base primes up to sqrt(n) and the listing for values on p.  Every
@@ -143,22 +153,17 @@ class PrimePowers:
 
     def values(self, f, dtype, r_only: bool):
         """(p, r, vals, at): the pairs (p, r) that a prime-power function f
-        is called at, on Python ints, in order and in chunks that keep them
-        few; f there as a dtype array; and at(p, r), the index of f(p, r) in
-        vals for any p^r <= n.  The pairs are the exponents 1..log2(n) at
-        p = 2 if f depends on r alone, else the listing of the p^r <= n."""
+        is called at, in order; f there as a dtype array (evaluate); and
+        at(p, r), the index of f(p, r) in vals for any p^r <= n.  The pairs
+        are the exponents 1..log2(n) at p = 2 if f depends on r alone, else
+        the listing of the p^r <= n."""
         if r_only:
             r = np.arange(1, self.n.bit_length(), dtype=np.int64)  # 2^r <= n
             p, at = np.full(len(r), 2), lambda p, r: r - 1
         else:
             q, p, r = self.listing
             at = lambda p, r: np.searchsorted(q, p**r)
-        vals = np.empty(len(p), dtype=dtype)
-        for i in range(0, len(p), 1 << 12):
-            part = slice(i, i + (1 << 12))
-            vals[part] = np.fromiter(map(f, p[part].tolist(), r[part].tolist()), dtype,
-                                     len(vals[part]))
-        return p, r, vals, at
+        return p, r, evaluate(f, dtype, p, r), at
 
     def column(self, f, op) -> np.ndarray:
         """prime_power_fill over [0, n]."""

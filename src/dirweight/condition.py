@@ -10,13 +10,15 @@ closed form available for multiplicative families; ``additive_Tt`` uses
 the per-prime decomposition available for additive families, whose
 individual terms are the sharper per-term certificates.  ``s_columns``
 computes S(0..n) by any of the three and alone picks the arithmetic lane:
-``check_range`` cross-checks its columns.  ``series_column`` is the
-series kernel's: the exact factored column wherever the divisor sums
-equal it bit for bit.  ``prime_power_check`` reads the signs of S at the
-prime powers alone, which decide the condition for multiplicative and
-additive families.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is
-Lambda_alpha = mu * L^alpha, which ``von_mangoldt_alpha`` (one n) and
-``von_mangoldt_range`` (a float64 column) compute by its recurrence.
+``check_range`` cross-checks its columns.  The factored routes are windows
+of ``_factored``, the one function that turns the prime-power factors into
+S; ``series_column``, the series kernel's, is its exact window in float64
+wherever the divisor sums equal it bit for bit.  ``prime_power_check``
+reads the signs of the factors, which decide the condition for
+multiplicative and additive families.  For w_j = (log j)^alpha, delta = 0
+and k = 2, S is Lambda_alpha = mu * L^alpha, which ``von_mangoldt_alpha``
+(one n) and ``von_mangoldt_range`` (a float64 column) compute by its
+recurrence.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -94,17 +96,21 @@ def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
     return total
 
 
-def _prime_power_factor(w, delta, exact, p, r):
-    """p^(-delta (r-1)) (p^(-delta) w_{p^r} - w_{p^(r-1)}): the factor of
-    p^r in mult_product, and at delta = 0 the whole of S(p^r)."""
-    hi, lo = w.prime_power(p, r), w.prime_power(p, r - 1)
-    if exact:
-        return hi - lo
+def _factor(delta, p, r, hi=1.0, lo=1.0):
+    """p^(-delta (r-1)) (p^(-delta) hi - lo) in floats, inf past the float range: with hi
+    = w_(p^r) and lo = w_(p^(r-1)) the factor of p^r in mult_product (at delta = 0 all of
+    S(p^r)); by default the companion of p^r in the term T_t of every other prime of n."""
     try:
         pd = 1.0 if delta == 0.0 else p ** (-delta)
-        return pd ** (r - 1) * (pd * _to_float(hi) - _to_float(lo))
-    except OverflowError:  # a power past the float range: inf, which decides nothing
+        return pd ** (r - 1) * (pd * hi - lo)
+    except OverflowError:
         return math.inf
+
+
+def _prime_power_factor(w, delta, exact, p, r):
+    """The factor of p^r (_factor) from w.prime_power, exact as hi - lo."""
+    hi, lo = w.prime_power(p, r), w.prime_power(p, r - 1)
+    return hi - lo if exact else _factor(delta, p, r, _to_float(hi), _to_float(lo))
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -124,16 +130,6 @@ def mult_product(w: WeightFamily, delta: float, n: int):
     return math.prod(mult_factors(w, delta, n), start=1 if exact else 1.0)
 
 
-def _companion(delta, p, r):
-    """p^(-delta (r-1)) (p^(-delta) - 1): the factor of p^r in the term T_t
-    of every other prime of n; inf past the float range."""
-    try:
-        pd = 1.0 if delta == 0.0 else p ** (-delta)
-        return pd ** (r - 1) * (pd - 1.0)
-    except OverflowError:
-        return math.inf
-
-
 def additive_Tt(w: WeightFamily, delta: float, n: int):
     """Per-prime decomposition S(n) = sum_t T_t for an additive family
     (k = 2, with the w_1 = 0 extension).  Returns (total, terms)."""
@@ -148,7 +144,7 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     if exact:  # at delta = 0 every companion p^(-delta) - 1 vanishes
         terms = terms if len(terms) == 1 else [0] * len(terms)
     else:  # T_t: its factor times the companion of every other prime, in ascending order
-        comp = [_companion(delta, p, r) for p, r in factors]
+        comp = [_factor(delta, p, r) for p, r in factors]
         terms = [math.prod((c for j, c in enumerate(comp) if j != t), start=f)
                  for t, f in enumerate(terms)]
     return sum(terms), tuple(terms)
@@ -190,9 +186,9 @@ def von_mangoldt_alpha(n: int, alpha: int) -> float:
                              f"value at n={n}")
     divs = arith.divisors(n)
     at = {d: i for i, d in enumerate(divs)}
-    pp = dict(sorted((p**a, p) for p, r in factors for a in range(1, r + 1)))  # p^a: p
-    lam = np.bincount([at[q] for q in pp], np.log(list(pp.values())), len(divs))
-    mi, qi, ci = np.array([(at[d], at[q], at[d // q]) for d in divs for q in pp if d % q == 0]).T
+    qs = dict(sorted((p**a, p) for p, r in factors for a in range(1, r + 1)))  # p^a: p
+    lam = np.bincount([at[q] for q in qs], np.log(list(qs.values())), len(divs))
+    mi, qi, ci = np.array([(at[d], at[q], at[d // q]) for d in divs for q in qs if d % q == 0]).T
     return float(_von_mangoldt(alpha, [n], lam, np.log(divs),
                                lambda a, b: np.bincount(mi, a[qi] * b[ci], len(divs)))[0])
 
@@ -382,72 +378,25 @@ def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
     return [0] * k + [w.value(j) for j in range(k, pp.n + 1)]
 
 
-def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers,
-                         r_only: bool):
-    """(p, r, at, fq, size) from pp.values(r_only): _prime_power_factor, one
-    call per pair, in float64; or, when exact, the differences of one
-    prime_power call per pair, int64 for an integer-valued family while
-    they fit, and the sizes |w_(p^r)| + |w_(p^(r-1))| as floats."""
-    if not exact:
-        p, r, fq, at = pp.values(partial(_prime_power_factor, w, delta, False), np.float64, r_only)
-        return p, r, at, fq, None
-    p, r, hi, at = pp.values(w.prime_power, object, r_only)
-    lo = np.full(len(p), w.prime_power(2, 0), dtype=object)  # w_1 below every p^1
+def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers):
+    """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone at
+    delta = 0: one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
+    is hi at r - 1 (w_1 at r = 1).  fq is _factor of their floats in float64; or, when
+    exact, hi - lo, int64 for an integer-valued family while they fit, and size the
+    floats |hi| + |lo|."""
+    f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
+    p, r, hi, at = pp.values(f, object if exact else np.float64, w.r_only and delta == 0.0)
+    lo = np.full(len(p), f(2, 0), dtype=hi.dtype)  # w_1 below every p^1
     lo[r > 1] = hi[at(p[r > 1], r[r > 1] - 1)]
-    fq, size = hi - lo, abs(hi) + abs(lo)
-    try:
-        size = size.astype(np.float64)
-    except OverflowError:  # a size past the float range
-        size = np.array(list(map(_to_float, size.tolist())))
+    if not exact:
+        return p, r, at, _accel.evaluate(partial(_factor, delta), np.float64, p, r, hi, lo), None
+    fq, size = hi - lo, _accel.evaluate(_to_float, np.float64, abs(hi) + abs(lo))
     with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
         fq = fq.astype(np.int64) if w.integer_valued else fq
     return p, r, at, fq, size
 
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)  # product past 2^59
-
-
-def _exact_factored(w: WeightFamily, method: str, pp: _accel.PrimePowers):
-    """(fq, at, bound): the exact factors at delta = 0 (_prime_power_factors)
-    and a bound on every |w_j| and every partial sum of every divisor sum
-    S(m), j, m <= n.  Additive: |w_j| <= omega(j) max size <= log2(n) max
-    size, summed over d(m) <= 2 sqrt(m) terms.  Multiplicative: the largest
-    product of the sizes over p^r || m, the sum of |w_j mu(m/j)| over j | m.
-    With sizes on r alone that is a product over the exponent patterns
-    r_1 >= r_2 >= ... on the first primes, the least m with those exponents
-    (237 of them at 4.6*10^5); else the max of a float64 fill.  Either is
-    exact below 2^53 and never rounds below it; below 2^62 no int64 product
-    of factors overflows."""
-    n = pp.n
-    _, _, at, fq, size = _prime_power_factors(w, 0.0, True, pp, w.r_only)
-    with np.errstate(over="ignore"):  # inf is past every bound
-        if method == "additive_Tt":
-            return fq, at, 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
-        if not w.r_only:  # one WINDOW of the fill at a time
-            return fq, at, max(_accel.prime_power_fill(
-                lo, min(lo + _accel.WINDOW, n + 1), pp.base, lambda p, r: size[at(p, r)],
-                np.multiply).max() for lo in range(0, n + 1, _accel.WINDOW))
-        bound, todo = 1.0, [(0, len(size), 1, 1.0)]  # (prime index, top exponent, m, product)
-        while todo:
-            i, top, m, product = todo.pop()
-            bound = max(bound, product)
-            for r in range(1, top + 1):
-                if (m := m * _FIRST_PRIMES[i]) > n:
-                    break
-                todo.append((i + 1, r, m, product * size[r - 1]))
-    return fq, at, bound
-
-
-def _fill(pp: _accel.PrimePowers, fq, at, method: str, lo: int, hi: int, dtype) -> np.ndarray:
-    """S(lo..hi-1) in dtype from the factors fq[at(p, r)]: at delta = 0 only
-    the prime powers carry an additive S, and mult_product is their fill."""
-    fq = fq.astype(dtype, copy=False)
-    if method == "mult_product":
-        return _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: fq[at(p, r)], np.multiply)
-    q, p, r = _accel._prime_powers(lo, hi, pp.base)
-    col = np.zeros(hi - lo, dtype=dtype)
-    col[q - lo] = fq[at(p, r)]
-    return col
 
 
 def _dual(x, y, out=None):
@@ -465,27 +414,58 @@ _dual.identity = (1.0, 0.0)
 
 
 def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers, exact: bool):
-    """mult_product or additive_Tt for every n <= pp.n from the factors of
-    the prime powers: exact ones (_exact_factored) in int64 or Python
-    objects, else float64 ones, per exponent where they depend on r alone.
-    The float additive_Tt is one fill of the pairs (companion, factor)
-    under _dual: the per-n terms, rounded in another order.  A factor or
-    companion past the float range is inf, and its rows are not finite."""
+    """(window, bound): window(lo, hi) is mult_product or additive_Tt on [lo, hi),
+    hi <= pp.n + 1, from the factors of the prime powers (_prime_power_factors), exact
+    ones in int64 or Python objects, else float64 ones (inf past the float range, where
+    rows are not finite).  At delta = 0 only the prime powers carry an additive S; the
+    float additive_Tt is one fill of the pairs (companion, factor) under _dual, the
+    per-n terms rounded in another order.
+
+    bound, inf outside the exact lane, bounds every |w_j| and every partial sum of
+    every divisor sum S(m), j, m <= n.  Additive: |w_j| <= omega(j) max size <= log2(n)
+    max size, summed over d(m) <= 2 sqrt(m) terms.  Multiplicative: the largest product
+    of the sizes over p^r || m, the sum of |w_j mu(m/j)| over j | m: for sizes on r
+    alone, over the exponent patterns r_1 >= r_2 >= ... on the first primes, the least
+    m with those exponents (237 of them at 4.6*10^5); else the max of a float64 fill one
+    WINDOW at a time, or inf once a size, and so the bound, reaches 2^53.  Either is
+    exact below 2^53 and never rounds below it.  Products of factors are int64 below
+    2^62, where none overflows, and Python ints past it."""
     n = pp.n
-    if exact:
-        fq, at, bound = _exact_factored(w, method, pp)
-        # a product of int64 factors could overflow: multiply Python ints
-        dtype = object if method == "mult_product" and not bound < _INT64_SAFE else fq.dtype
-        return _fill(pp, fq, at, method, 0, n + 1, dtype)
-    r_only = w.r_only and delta == 0.0
-    _, _, at, fq, _ = _prime_power_factors(w, delta, False, pp, r_only)
-    with np.errstate(all="ignore"):  # inf times 0 is nan: an inconclusive row, not a warning
-        if method == "mult_product":
-            return _fill(pp, fq, at, method, 0, n + 1, np.float64)
-        cq = pp.values(partial(_companion, delta), np.float64, r_only)[2]
-        pairs = np.stack([cq, fq], axis=1)
+    p, r, at, fq, size = _prime_power_factors(w, delta, exact, pp)
+    bound = math.inf
+    with np.errstate(over="ignore"):  # inf is past every bound
+        if exact and method == "additive_Tt":
+            bound = 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
+        elif exact and w.r_only:
+            bound, todo = 1.0, [(0, len(size), 1, 1.0)]  # (prime index, top exponent, m, product)
+            while todo:
+                i, top, m, product = todo.pop()
+                bound = max(bound, product)
+                for e in range(1, top + 1):
+                    if (m := m * _FIRST_PRIMES[i]) > n:
+                        break
+                    todo.append((i + 1, e, m, product * size[e - 1]))
+        elif exact and size.max(initial=0.0) < _FLOAT_EXACT:
+            bound = max(_accel.prime_power_fill(
+                lo, min(lo + _accel.WINDOW, n + 1), pp.base, lambda p, r: size[at(p, r)],
+                np.multiply).max() for lo in range(0, n + 1, _accel.WINDOW))
+    if exact and method == "mult_product" and not bound < _INT64_SAFE:
+        fq = fq.astype(object)
+    elif not exact and method == "additive_Tt":
+        fq = np.stack([_accel.evaluate(partial(_factor, delta), np.float64, p, r), fq], axis=1)
+
+    def window(lo, hi):
+        if exact and method == "additive_Tt":
+            q, p, r = _accel._prime_powers(lo, hi, pp.base)
+            col = np.zeros(hi - lo, dtype=fq.dtype)
+            col[q - lo] = fq[at(p, r)]
+            return col
+        col = _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: fq[at(p, r)],
+                                      np.multiply if method == "mult_product" else _dual)
         # + 0.0: a product 0 * (negative) is -0.0, the per-n sum's 0 is +0.0
-        return pp.column(lambda p, r: pairs[at(p, r)], _dual)[:, 1] + 0.0
+        return col if method == "mult_product" else col[:, 1] + 0.0
+
+    return window, bound
 
 
 def s_columns(w: WeightFamily, delta: float, k: int, n: int,
@@ -497,7 +477,7 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
 
     Lanes: float64 unless ``exact`` (rational weights at delta = 0).
     Exact columns of integer-valued families are int64: the factored ones
-    (_exact_factored) while their factors fit and a product stays below
+    (_factored) while their factors fit and a product stays below
     2^62, divisor_sum while n * max|w_j| < 2^53 (every partial sum is then
     exact in float64).  Other exact columns are Python ints and Fractions.
     The weight table and mu are built after the factored routes, for
@@ -506,7 +486,9 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
     if exact and not _mode(w, delta)[1]:
         raise ValueError(f"exact S of {w.name} needs rational weights and delta = 0")
     pp = pp or _accel.PrimePowers(n)
-    cols = {m: _factored(w, delta, m, pp, exact) for m in methods if m != "divisor_sum"}
+    with np.errstate(all="ignore"):  # inf times 0 is nan: an inconclusive row, not a warning
+        cols = {m: _factored(w, delta, m, pp, exact)[0](0, n + 1)
+                for m in methods if m != "divisor_sum"}
     if "divisor_sum" in methods:
         table = w.values_table(n, pp) if w.integer_valued or not exact else None
         # Python ints and Fractions unless every exact partial sum is below 2^53
@@ -528,21 +510,18 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
 def series_column(w: WeightFamily, delta: float, n: int):
     """S(0..n) in float64 at the family's start index: the series kernel's
     coefficients.  In the exact lane (integer-valued at delta = 0,
-    multiplicative with k = 1 or additive with k = 2) and below 2^53 of
-    _exact_factored's bound, the factored column, streamed as an
-    _accel.Column, which the float divisor sums then equal bit for bit;
-    else s_columns's divisor_sum column."""
+    multiplicative with k = 1 or additive with k = 2) and below 2^53 of its
+    bound, _factored's exact window cast to float64 (int64 values below 2^53
+    are exact floats, with no -0.0), streamed as an _accel.Column, which the
+    float divisor sums then equal bit for bit; else s_columns's divisor_sum
+    column."""
     pp, k = _accel.PrimePowers(n), w.start_index
     method = {("multiplicative", 1): "mult_product",
               ("additive", 2): "additive_Tt"}.get((w.kind, k))
     if method and w.integer_valued and _mode(w, delta)[1]:
-        fq, at, bound = _exact_factored(w, method, pp)
+        window, bound = _factored(w, delta, method, pp, True)
         if bound < _FLOAT_EXACT:
-            def window(lo, hi):  # + 0.0: a product 0 * (negative) is -0.0, a divisor sum's +0.0
-                col = _fill(pp, fq, at, method, lo, hi, np.float64)
-                return np.add(col, 0.0, out=col)
-
-            return _accel.Column(n, window)
+            return _accel.Column(n, lambda lo, hi: window(lo, hi).astype(np.float64))
     return s_columns(w, delta, k, n, pp=pp)[0]
 
 
@@ -631,9 +610,9 @@ def check_range(
 def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
                       tol: float = DEFAULT_TOL) -> dict:
     """The sign of S(p^r) at every prime power p^r <= n_max, from the factor
-    p^(-delta (r-1)) (p^(-delta) w_(p^r) - w_(p^(r-1))) (_prime_power_factors),
-    under check_range's sign policy: an exact factor fails below 0, a float
-    one below -tol or when it is not finite.
+    p^(-delta (r-1)) (p^(-delta) w_(p^r) - w_(p^(r-1))) (_prime_power_factors,
+    looked up over the listing), under check_range's sign policy: an exact
+    factor fails below 0, a float one below -tol or when it is not finite.
 
     Multiplicative w, k = 1 (Stetler): S is multiplicative and S(p^r) is the
     factor, so S(n) >= 0 on [1, n_max] iff every factor with r >= 1 passes,
@@ -650,20 +629,23 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
     delta, exact = _mode(w, delta)
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
-    mult = w.kind == "multiplicative"
-    p, r, _, fq, _ = _prime_power_factors(w, delta, exact, _accel.PrimePowers(n_max), False)
+    mult, pp = w.kind == "multiplicative", _accel.PrimePowers(n_max)
+    _, _, at, fq, _ = _prime_power_factors(w, delta, exact, pp)
+    margin = _accel.evaluate(_to_float, np.float64, fq)
+    fails = fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol)
+    _, p, r = pp.listing
     keep = r >= (1 if mult else 2)
-    p, r, fq = p[keep], r[keep], fq[keep]
-    margin = np.array(list(map(_to_float, fq.tolist())), dtype=np.float64)
-    bad = np.flatnonzero(fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol))
+    p, r = p[keep], r[keep]
+    bad = np.flatnonzero(fails[at(p, r)])
     i = bad[0] if len(bad) else None
     return {
         "rule": "multiplicative r>=1" if mult else "additive r>=2",
         "delta": delta,
         "range": [2, n_max],
-        "checks": len(fq),
+        "checks": len(p),
         "passed": len(bad) == 0,
         "violations": len(bad),
-        "first_violation": None if i is None else [int(p[i]), int(r[i]), float(margin[i])],
+        "first_violation": None if i is None else [int(p[i]), int(r[i]),
+                                                    float(margin[at(p[i], r[i])])],
         "delta_nonpositive": None if mult else delta <= 0.0,
     }

@@ -28,7 +28,8 @@ column j^(-s) per point and block (a real exp when Im s = 0) and sums each
 entry as one BLAS dot per block, so the columns of m points take about
 m B 32 bytes.  The ratio route folds j^(-delta) into its table and reads
 its zeta denominators from the same columns.  Tables stream: the weights
-and the exact lane's factored S column (``condition.series_column``) are
+and the exact lane's factored S column (``condition.series_column``, the
+int64 window of ``condition._factored`` cast to float64) are
 ``_accel.Column``s, filled one window of 2^16 entries at a time from one
 ``_accel.PrimePowers``; only divisor-sum S columns are built whole.  An
 eval-kernel value thus equals the Gram entry at the same point and

@@ -649,9 +649,11 @@ def family_from_config(cfg: dict) -> WeightFamily:
         raise ValueError(f"unknown family config keys: {sorted(unknown)}")
 
     if kind == "named":
-        if "name" not in cfg:
-            raise ValueError("named family config needs 'name'")
-        fam = named_family(cfg["name"], **cfg.get("parameters", {}))
+        if not isinstance(cfg.get("name"), str):
+            raise ValueError(f"name: expected a family name, got {cfg.get('name')!r}")
+        if not isinstance(params := cfg.get("parameters", {}), dict):
+            raise ValueError(f"parameters: expected an object, got {params!r}")
+        fam = named_family(cfg["name"], **params)
         if "sigma" in cfg:
             fam.sigma = _float(cfg["sigma"])
         if "delta" in cfg:
@@ -666,6 +668,10 @@ def family_from_config(cfg: dict) -> WeightFamily:
         for key in ("values", "start_index", "sigma", "delta", "growth_bound"):
             if key not in cfg:
                 raise ValueError(f"explicit family config needs {key!r}")
+        if not isinstance(cfg["values"], list):
+            raise ValueError(f"values: expected a list of numbers, got {cfg['values']!r}")
+        if not (isinstance(bound := cfg["growth_bound"], list) and len(bound) == 2):
+            raise ValueError(f"growth_bound: expected a pair [c, tau], got {bound!r}")
         values = [_parse_scalar(v) for v in cfg["values"]]
         start = _int(cfg["start_index"])
         exact = all(_is_exact(v) for v in values)
@@ -676,10 +682,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
                 raise ValueError(f"explicit family has no value at n={n}")
             return table[n]
 
-        c, tau = cfg["growth_bound"]
         return WeightFamily(
             "explicit", "explicit", start, _float(cfg["sigma"]),
-            _float(cfg["delta"]), (float(c), float(tau)), value_fn,
+            _float(cfg["delta"]), tuple(map(_float, bound)), value_fn,
             exact=exact, params={"n_values": len(values)},
             integer_valued=all(isinstance(v, int) for v in values),
         )

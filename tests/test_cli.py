@@ -12,6 +12,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dirweight
@@ -242,6 +243,31 @@ def test_config_shapes_are_checked(command, cfg, message, tmp_path, capsys):
     assert [line for line in captured.err.splitlines() if "error" in line] == [
         f"config error: {message}"]
     assert captured.out == ""
+
+
+EXPLICIT = {"kind": "explicit", "values": [1, 2, 3], "start_index": 2, "sigma": 1.0,
+            "delta": 0.0, "growth_bound": [2, 1]}
+
+
+@pytest.mark.parametrize("family,message", [
+    ({**OMEGA, "parameters": []}, "parameters: expected an object, got []"),
+    ({**OMEGA, "parameters": 5}, "parameters: expected an object, got 5"),
+    ({**OMEGA, "name": ["omega"]}, "name: expected a family name, got ['omega']"),
+    ({**EXPLICIT, "values": "123"}, "values: expected a list of numbers, got '123'"),
+    ({**EXPLICIT, "growth_bound": "35"}, "growth_bound: expected a pair [c, tau], got '35'"),
+    ({**EXPLICIT, "growth_bound": [1]}, "growth_bound: expected a pair [c, tau], got [1]"),
+    ({**EXPLICIT, "growth_bound": [2, "1/2"]}, None),  # config scalars, as everywhere else
+])
+def test_family_configs_of_the_wrong_shape_are_config_errors(family, message, tmp_path, capsys):
+    # these once ended in a traceback, or read "123" as [1, 2, 3] and "35" as (3.0, 5.0)
+    path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
+    code = run(["classify", "--config", path, "--no-timestamp", "--stdout"])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and json.loads(captured.out)["result"]["growth_bound"] == [2.0, 0.5]
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [f"config error: {message}"]
 
 
 def test_config_points_accept_rational_strings(tmp_path, capsys):
@@ -685,10 +711,9 @@ def test_additive_route_off_k2_exits_one(family, k, tmp_path, capsys):
 def test_exact_disagreement_exits_three(omega_cfg, capsys, monkeypatch):
     factored = condition._factored
 
-    def corrupted(*args):
-        col = factored(*args)
-        col[7] += 1
-        return col
+    def corrupted(*args):  # S(7) off by one
+        window, bound = factored(*args)
+        return (lambda lo, hi: window(lo, hi) + (np.arange(lo, hi) == 7)), bound
 
     monkeypatch.setattr(condition, "_factored", corrupted)
     assert run(["check-condition", "--exact", "--config", omega_cfg, "--stdout"]) == 3

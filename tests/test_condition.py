@@ -762,8 +762,9 @@ def test_integer_values_table_is_exact(name, params):
 ])
 def test_vectorized_factored_routes_match_per_n(name, params, method):
     w = weights.named_family(name, **params)
-    col = condition._factored(w, 0.0, method, _accel.PrimePowers(5000), True)
-    assert col.dtype == np.int64
+    window, bound = condition._factored(w, 0.0, method, _accel.PrimePowers(5000), True)
+    col = window(0, 5001)
+    assert col.dtype == np.int64 and bound < 2.0**62
     if method == "mult_product":
         want = [condition.mult_product(w, 0.0, n) for n in range(2, 5001)]
     else:
@@ -860,8 +861,9 @@ def test_vectorized_product_overflow_guard():
     f = {(2, 1): 2**40, (2, 2): 1, (3, 1): 2**40, (5, 1): 1}
     w = weights.multiplicative_from_prime_powers(lambda p, r: f[p, r], 1.0, 0.0, (1.0, 1.0),
                                                  exact=True, integer_valued=True)
-    col = condition._factored(w, 0.0, "mult_product", _accel.PrimePowers(6), True)
-    assert col.dtype == object
+    window, bound = condition._factored(w, 0.0, "mult_product", _accel.PrimePowers(6), True)
+    col = window(0, 7)
+    assert bound > 2.0**62 and col.dtype == object
     assert col[1:].tolist() == [1, 2**40 - 1, 2**40 - 1, 1 - 2**40, 0, (2**40 - 1) ** 2]
     assert all(type(v) is int for v in col[1:])
 
@@ -931,26 +933,27 @@ def test_exact_lane_bound_falls_back_to_python_ints(big, monkeypatch):
 def test_exact_lane_bound_is_the_max_of_the_size_fill(name, params):
     # the largest product of the sizes over p^r || m, m <= n: from the exponent patterns on
     # the first primes for sizes on r alone, one WINDOW at a time for sizes on p, and the
-    # max of the whole fill agree bit for bit, also just below and at a primorial
+    # max of the whole fill agree bit for bit, also just below and at a primorial; for
+    # sizes on p the bound is inf once a size reaches 2^53, where the fill is skipped
     w = weights.named_family(name, **params)
     assert w.r_only
     for n in (2309, 2310, 30029, 30030, 2 * _accel.WINDOW + 1, 510509, 510510):
         pp = _accel.PrimePowers(n)
-        _, _, at, _, size = condition._prime_power_factors(w, 0.0, True, pp, True)
+        _, _, at, _, size = condition._prime_power_factors(w, 0.0, True, pp)
         whole = pp.column(lambda p, r: size[at(p, r)], np.multiply).max()
-        assert condition._exact_factored(w, "mult_product", pp)[2] == whole, n
+        assert condition._factored(w, 0.0, "mult_product", pp, True)[1] == whole, n
         w.r_only = False  # the same sizes, read from the listing
-        assert condition._exact_factored(w, "mult_product", pp)[2] == whole, n
+        bound = condition._factored(w, 0.0, "mult_product", pp, True)[1]
+        assert bound == (whole if size.max() < 2**53 else math.inf), n
         w.r_only = True
 
 
 def test_exact_disagreement_raises(fam, monkeypatch):
     factored = condition._factored
 
-    def corrupted(*args):
-        col = factored(*args)
-        col[7] += 1
-        return col
+    def corrupted(*args):  # S(7) off by one
+        window, bound = factored(*args)
+        return (lambda lo, hi: window(lo, hi) + (np.arange(lo, hi) == 7)), bound
 
     monkeypatch.setattr(condition, "_factored", corrupted)
     with pytest.raises(condition.MethodDisagreement, match="n=7"):

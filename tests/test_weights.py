@@ -332,8 +332,28 @@ def test_named_families_evaluate_f_once_per_exponent_bit_for_bit(name, params, e
         for method in {"multiplicative": ["mult_product"], "additive": ["additive_Tt"]}[fam.kind]:
             want = condition._factored(twin, 0.0, method, _accel.PrimePowers(n), fam.exact)
             col = condition._factored(fam, 0.0, method, _accel.PrimePowers(n), fam.exact)
+            assert col[1] == want[1]
+            want, col = want[0](0, n + 1), col[0](0, n + 1)
             assert [(type(v), repr(v)) for v in col.tolist()] == [
                 (type(v), repr(v)) for v in want.tolist()]
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("name,params", [*_PRIME_POWER_FAMILIES, ("d_beta", {"beta": 3})])
+def test_prime_power_check_evaluates_f_once_per_exponent(name, params, delta):
+    # at delta = 0 the certificate calls a named family's f once per exponent r with
+    # 2^r <= n (and once at r = 0, for w_1), in the exact lane and the float one alike,
+    # and returns what it returns when it reads f at every prime power of the listing
+    n = 10**5
+    for exact in (True, False):
+        fam = weights.named_family(name, **params)
+        fam.exact = fam.exact and exact  # False is what --float does
+        calls, f = [], fam.prime_power
+        fam.prime_power = lambda p, r: calls.append((p, r)) or f(p, r)
+        got = condition.prime_power_check(fam, delta, n)
+        assert delta != 0.0 or len(calls) <= n.bit_length(), (exact, len(calls))
+        fam.r_only = False
+        assert condition.prime_power_check(fam, delta, n) == got, exact
 
 
 def test_prime_power_past_the_float_range_is_a_value_error():
