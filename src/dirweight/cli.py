@@ -14,6 +14,8 @@ content only (when --stdout is set or for the query-style subcommands).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from contextlib import ExitStack
@@ -24,6 +26,8 @@ import numpy as np
 from . import condition, kernel, weights
 
 SCHEMA_VERSION = "1.0"
+
+atexit.register(gc.freeze)  # shutdown then leaves the imports' cycles to the OS uncollected
 
 _COMMON_KEYS = {
     "family", "delta", "k", "n_max", "methods", "tol", "mode",
@@ -86,20 +90,14 @@ def _family(cfg: dict) -> weights.WeightFamily:
 
 def _config_int(cfg: dict, key: str, default=None) -> int:
     """cfg[key] (default when absent) via weights._int; bad values are config errors."""
-    try:
-        return weights._int(cfg.get(key, default))
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from e
+    return weights._keyed(key, weights._int, cfg.get(key, default), ConfigError)
 
 
 def _config_pair(value, key: str) -> complex:
     """A [re, im] pair of config scalars (see weights._float) as a complex."""
-    try:
-        if not (isinstance(value, list) and len(value) == 2):
-            raise ValueError(f"expected a pair [re, im], got {value!r}")
-        return complex(*map(weights._float, value))
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from e
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{key}: expected a pair [re, im], got {value!r}")
+    return complex(*(weights._keyed(key, weights._float, v, ConfigError) for v in value))
 
 
 def _delta(cfg: dict) -> float | None:
@@ -481,6 +479,8 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 1
+    enabled = gc.isenabled()
+    gc.disable()  # a run's arrays, ints and Fractions hold no cycles to collect
     try:
         with np.errstate(all="ignore"):  # a value that is not finite is inconclusive
             return args.func(args)
@@ -493,6 +493,9 @@ def main(argv=None) -> int:
     except condition.MethodDisagreement as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_BY_VERDICT[condition.INCONCLUSIVE]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

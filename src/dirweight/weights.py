@@ -37,10 +37,10 @@ AUDIT_CEILING = 10_000
 
 
 def _parse_scalar(v):
-    """Config scalars: strings and ints stay exact (Fraction/int), floats stay float."""
+    """Config scalars: strings, Fractions and ints stay exact (Fraction/int), floats stay float."""
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got {v!r}")
-    if isinstance(v, str):
+    if isinstance(v, (str, Fraction)):
         try:
             f = Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -51,6 +51,14 @@ def _parse_scalar(v):
     if isinstance(v, float):
         return v
     raise ValueError(f"expected a number, got {v!r}")
+
+
+def _keyed(key: str, parse, v, error=ValueError):
+    """parse(v); its ValueError is raised again as error, naming key."""
+    try:
+        return parse(v)
+    except ValueError as e:
+        raise error(f"{key}: {e}") from e
 
 
 def _float(v) -> float:
@@ -79,12 +87,9 @@ def _finite(params: dict, key: str, default):
     """A named family's parameter params[key] (default when absent), as
     parsed (see _parse_scalar) and as a float, which must be finite."""
     v = params.get(key, default)
-    try:
-        x, xf = _parse_scalar(v), _float(v)
-        if not math.isfinite(xf):
-            raise ValueError(f"expected a finite number, got {v!r}")
-    except ValueError as e:
-        raise ValueError(f"{key}: {e}") from e
+    x, xf = _keyed(key, _parse_scalar, v), _keyed(key, _float, v)
+    if not math.isfinite(xf):
+        raise ValueError(f"{key}: expected a finite number, got {v!r}")
     return x, xf
 
 
@@ -672,8 +677,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
             raise ValueError(f"values: expected a list of numbers, got {cfg['values']!r}")
         if not (isinstance(bound := cfg["growth_bound"], list) and len(bound) == 2):
             raise ValueError(f"growth_bound: expected a pair [c, tau], got {bound!r}")
-        values = [_parse_scalar(v) for v in cfg["values"]]
+        values = [_keyed(f"values[{i}]", _parse_scalar, v) for i, v in enumerate(cfg["values"])]
         start = _int(cfg["start_index"])
+        bound = tuple(_keyed(f"growth_bound[{i}]", _float, c) for i, c in enumerate(bound))
         exact = all(_is_exact(v) for v in values)
         table = {start + i: v for i, v in enumerate(values)}
 
@@ -684,7 +690,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
 
         return WeightFamily(
             "explicit", "explicit", start, _float(cfg["sigma"]),
-            _float(cfg["delta"]), tuple(map(_float, bound)), value_fn,
+            _float(cfg["delta"]), bound, value_fn,
             exact=exact, params={"n_values": len(values)},
             integer_valued=all(isinstance(v, int) for v in values),
         )

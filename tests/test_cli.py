@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -257,6 +258,14 @@ EXPLICIT = {"kind": "explicit", "values": [1, 2, 3], "start_index": 2, "sigma": 
     ({**EXPLICIT, "growth_bound": "35"}, "growth_bound: expected a pair [c, tau], got '35'"),
     ({**EXPLICIT, "growth_bound": [1]}, "growth_bound: expected a pair [c, tau], got [1]"),
     ({**EXPLICIT, "growth_bound": [2, "1/2"]}, None),  # config scalars, as everywhere else
+    # a bad entry is named by its index
+    ({**EXPLICIT, "values": [1, "x"]}, "values[1]: expected a number, got 'x'"),
+    ({**EXPLICIT, "values": [True, 2, 3]}, "values[0]: expected a number, got True"),
+    ({**EXPLICIT, "values": [1, 2, None]}, "values[2]: expected a number, got None"),
+    ({**EXPLICIT, "growth_bound": [1, "x"]}, "growth_bound[1]: expected a number, got 'x'"),
+    ({**EXPLICIT, "growth_bound": ["1/0", 1]}, "growth_bound[0]: expected a number, got '1/0'"),
+    ({**EXPLICIT, "growth_bound": [2, "1e400"]},
+     "growth_bound[1]: number too large for a float: '1e400'"),
 ])
 def test_family_configs_of_the_wrong_shape_are_config_errors(family, message, tmp_path, capsys):
     # these once ended in a traceback, or read "123" as [1, 2, 3] and "35" as (3.0, 5.0)
@@ -744,13 +753,94 @@ def test_classify_explicit_clamps_n_max(tmp_path, capsys):
     assert sample["counts"] == {"nonneg_exact": 5}
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args, **kwargs):
+    """python args... with dirweight's sources on the path; the completed process."""
     src = str(Path(dirweight.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "dirweight", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60, **kwargs)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "dirweight", "--help")
     assert proc.returncode == 0
     assert "check-condition" in proc.stdout
+
+
+# -- the cyclic garbage collector ---------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_importing_the_cli_leaves_the_collector_as_it_found_it(enabled):
+    # atexit runs its handlers last in, first out: this one runs after the cli's
+    proc = _python("-c", f"""if True:
+        import atexit, gc
+        atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+        gc.enable() if {enabled} else gc.disable()
+        before = gc.isenabled(), gc.get_freeze_count()
+        import dirweight
+        print("library:", (gc.isenabled(), gc.get_freeze_count()) == before)
+        import dirweight.cli
+        print("cli:", (gc.isenabled(), gc.get_freeze_count()) == before)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["library: True", "cli: True", "frozen at exit: True"]
+
+
+def _von_mangoldt_raises(args):
+    raise RuntimeError("subcommand failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", [0, 1, RuntimeError])  # a report, a config error, a raise
+def test_main_pauses_the_collector_and_restores_it(enabled, outcome, tmp_path, monkeypatch, capsys):
+    argv = ["von-mangoldt", "--n", "12", "--stdout"]
+    if outcome == 1:
+        argv = ["von-mangoldt", "--config", write_config(tmp_path, "c.json", {"alpha": "x"})]
+    seen = []
+    subcommand = _von_mangoldt_raises if outcome is RuntimeError else cli.cmd_von_mangoldt
+    monkeypatch.setattr(cli, "cmd_von_mangoldt",
+                        lambda args: seen.append(gc.isenabled()) or subcommand(args))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if outcome is RuntimeError:
+            with pytest.raises(RuntimeError, match="subcommand failed"):
+                run(argv)
+        else:
+            assert run(argv) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False]
+    if outcome == 1:
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: alpha: expected a number, got 'x'"]
+
+
+def test_no_output_is_lost_at_shutdown(omega_cfg, tmp_path, monkeypatch, capsys):
+    # the shutdown that skips the collection still writes every byte of every report
+    argv = ["eval-kernel", "--config", omega_cfg, "--kernel", "weight", "--s", "2.5",
+            "--no-timestamp", "--stdout"]
+    proc = _python("-m", "dirweight", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert json.loads(proc.stdout)["result"]["certified"] is True
+    assert proc.stdout == capsys.readouterr().out
+
+    argv = ["check-condition", "--config", omega_cfg, "--n-max", "30000", "--no-timestamp",
+            "--out", "report"]
+    for where in ("sub", "in"):
+        (tmp_path / where).mkdir()
+    proc = _python("-m", "dirweight", *argv, cwd=tmp_path / "sub")
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path / "in")
+    assert run(argv) == 0
+    for suffix in (".json", ".csv"):
+        sub, ref = ((tmp_path / where / f"report{suffix}").read_bytes() for where in ("sub", "in"))
+        assert len(ref) > 1_000_000 and sub == ref
+    report = (tmp_path / "sub" / "report.json").read_text()
+    assert json.loads(report)["result"]["verdict"] == "nonneg_exact" and report.endswith("}\n")
 
 
 # -- values past the float range ----------------------------------------------
@@ -935,11 +1025,8 @@ def test_named_family_parameters_are_finite_floats(name, key, value, message, tm
 def test_classify_at_the_smallest_n_max_ends(n_max, tmp_path):
     # in a subprocess with a timeout: a run at these n_max must end
     cfg = write_config(tmp_path, "ones.json", {"family": {"kind": "named", "name": "ones"}})
-    src = str(Path(dirweight.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "dirweight", "classify", "--config", cfg,
-                           "--n-max", str(n_max), "--no-timestamp", "--stdout"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _python("-m", "dirweight", "classify", "--config", cfg, "--n-max", str(n_max),
+                   "--no-timestamp", "--stdout")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)["result"]
     assert result["condition_sample"] == {"n_max": n_max, "delta": 0.0, "verdict": "nonneg_exact",

@@ -90,6 +90,16 @@ def test_geometric_family():
     assert g.delta == -1.0
 
 
+@pytest.mark.parametrize("ratio,spelling", [(Fraction(1, 2), "1/2"), (Fraction(6, 3), 2),
+                                            (Fraction(-3, -4), "3/4")])
+def test_geometric_ratio_as_a_fraction_is_exact(ratio, spelling):
+    a, b = (weights.named_family("geometric", ratio=r) for r in (ratio, spelling))
+    assert a.name == b.name and a.exact and b.exact
+    assert [a.value(n) for n in range(1, 65)] == [b.value(n) for n in range(1, 65)]
+    assert [type(a.value(n)) for n in range(1, 65)] == [type(b.value(n)) for n in range(1, 65)]
+    assert type(weights._parse_scalar(ratio)) is type(weights._parse_scalar(spelling))
+
+
 def test_log_pow_family():
     f = weights.named_family("log_pow", alpha=2)
     assert f.value(10) == pytest.approx(math.log(10) ** 2)
