@@ -137,7 +137,7 @@ def evaluate(f, dtype, *args) -> np.ndarray:
 
 class PrimePowers:
     """What a run shares of the prime powers <= n, each made on first use:
-    the base primes up to sqrt(n) and the listing for values on p.  Every
+    the base primes up to sqrt(n) and the listing, which ``at`` indexes.  Every
     column reads its prime-power function through ``values``."""
 
     def __init__(self, n: int):
@@ -161,9 +161,13 @@ class PrimePowers:
             r = np.arange(1, self.n.bit_length(), dtype=np.int64)  # 2^r <= n
             p, at = np.full(len(r), 2), lambda p, r: r - 1
         else:
-            q, p, r = self.listing
-            at = lambda p, r: np.searchsorted(q, p**r)
+            _, p, r = self.listing
+            at = self.at
         return p, r, evaluate(f, dtype, p, r), at
+
+    def at(self, p, r):
+        """The index of p^r <= n in the listing."""
+        return np.searchsorted(self.listing[0], p**r)
 
     def column(self, f, op) -> np.ndarray:
         """prime_power_fill over [0, n]."""

@@ -11,7 +11,7 @@ an overflow guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, isqrt
+from math import isfinite, isqrt, prod
 
 import numpy as np
 
@@ -99,8 +99,6 @@ def mobius(n: int) -> int:
     """Mobius function: 1 at n=1, (-1)^j on a product of j distinct primes,
     0 when a squared prime divides n."""
     n = _check_positive(n)
-    if n == 1:
-        return 1
     j = 0
     for _, r in factorize(n):
         if r >= 2:
@@ -142,10 +140,7 @@ def big_omega(n: int) -> int:
 
 def divisor_count(n: int) -> int:
     """Number of divisors, prod (r_i + 1) over the factorization."""
-    out = 1
-    for _, r in factorize(n):
-        out *= r + 1
-    return out
+    return prod(r + 1 for _, r in factorize(n))
 
 
 def primes_up_to(n: int) -> np.ndarray:

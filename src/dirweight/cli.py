@@ -17,6 +17,7 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 from contextlib import ExitStack
 from datetime import datetime, timezone
@@ -68,13 +69,24 @@ def _load_config(path: str | None) -> dict:
 
 
 def _config(args, keys) -> dict:
-    """The --config file with the flags named in keys, --no-timestamp and
-    --stdout laid over it."""
+    """The --config file with the flags named in keys and --no-timestamp laid over it,
+    and under the runtime-only key "outputs" the report files and whether the JSON goes
+    to stdout: PREFIX.json (and PREFIX.csv) for out, or else for the subcommand's default
+    prefix (args.report) unless --stdout is set; stdout alone without either.  A run is
+    refused if one of its report files is the --config file."""
     cfg = _load_config(args.config)
     cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     if args.no_timestamp:
         cfg["timestamp"] = False
-    cfg["stdout_flag"] = args.stdout
+    default, with_csv = args.report
+    prefix, to_stdout = cfg.get("out"), args.stdout
+    if prefix is None and not to_stdout:
+        prefix, to_stdout = default, default is None
+    paths = [f"{prefix}.json", f"{prefix}.csv"][: 1 + with_csv] if prefix else []
+    for path in paths:
+        if args.config and os.path.exists(path) and os.path.samefile(path, args.config):
+            raise ConfigError(f"the report {path} would overwrite the config {args.config}")
+    cfg["outputs"] = paths, to_stdout
     return cfg
 
 
@@ -112,8 +124,8 @@ def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
     if mode == "float":
         fam.exact = False
     elif mode == "exact":
-        d = fam.delta if delta is None else delta
-        if not (fam.exact and d == 0.0):
+        d, exact = condition._mode(fam, delta)
+        if not exact:
             raise ConfigError(
                 "exact mode needs rational weights and delta = 0 "
                 f"(family {fam.name}, delta {d})"
@@ -122,11 +134,11 @@ def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
 
 def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
     """The report around result; it embeds the resolved config, less the
-    runtime-only stdout_flag."""
+    runtime-only outputs."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": {k: v for k, v in cfg.items() if k != "stdout_flag"},
+        "config": {k: v for k, v in cfg.items() if k != "outputs"},
         "result": result,
     }
     if cfg.get("timestamp", True):
@@ -134,24 +146,17 @@ def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
     return out
 
 
-def _emit(report, cfg: dict, default_prefix: str | None, with_csv: bool = False) -> None:
-    """Write a report: ``report`` is the envelope dict, whose floats that
-    are not finite become the strings "inf", "-inf" and "nan"
-    (condition._strict_json), or an iterable of (JSON text, CSV text) pairs
-    whose parts join to the JSON report and to its CSV projection, written
-    next to the JSON file when ``with_csv``."""
+def _emit(report, cfg: dict) -> None:
+    """Write a report to cfg["outputs"] (see _config): ``report`` is the
+    envelope dict, whose floats that are not finite become the strings
+    "inf", "-inf" and "nan" (condition._strict_json), or an iterable of
+    (JSON text, CSV text) pairs whose parts join to the JSON report and to
+    its CSV projection."""
     if isinstance(report, dict):
         report = [(json.dumps(condition._strict_json(report), sort_keys=True, indent=2), "")]
-    out_prefix = cfg.get("out")
-    to_stdout = cfg.get("stdout_flag", False)
-    if out_prefix is None and not to_stdout:
-        if default_prefix is None:
-            to_stdout = True
-        else:
-            out_prefix = default_prefix
-    if out_prefix:
+    paths, to_stdout = cfg["outputs"]
+    if paths:
         report = list(report) if to_stdout else report  # the JSON is written twice
-        paths = [f"{out_prefix}.json", f"{out_prefix}.csv"][: 1 + with_csv]
         with ExitStack() as stack:
             files = [stack.enter_context(open(path, "w", newline=newline))
                      for path, newline in zip(paths, (None, ""))]
@@ -212,7 +217,7 @@ def cmd_check_condition(args) -> int:
         fam, delta, k, _config_int(cfg, "n_max"), methods=tuple(methods), tol=tol
     )
     envelope = _report_envelope("check-condition", cfg, report.to_json_dict(with_records=False))
-    _emit(_spliced(envelope, "records", report.render), cfg, "condition_report", with_csv=True)
+    _emit(_spliced(envelope, "records", report.render), cfg)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _EXIT_BY_VERDICT[report.verdict]
 
@@ -237,11 +242,11 @@ def cmd_classify(args) -> int:
     }
     routes = []
 
-    if fam.kind in ("multiplicative", "additive"):
+    if fam.kind in condition.FACTORED:
         mult = fam.kind == "multiplicative"
         growth = result["growth_check"] = condition.prime_power_check(fam, delta, n_max, tol)
         # check_range runs each factored route at one start index only
-        if growth["passed"] and fam.start_index == (1 if mult else 2) and (
+        if growth["passed"] and fam.start_index == condition.FACTORED[fam.kind][1] and (
                 mult or growth["delta_nonpositive"]):
             routes.append("multiplicative product route" if mult else "additive per-term route")
 
@@ -278,7 +283,7 @@ def cmd_classify(args) -> int:
     result["applicable_routes"] = routes
 
     envelope = _report_envelope("classify", cfg, result)
-    _emit(envelope, cfg, None)
+    _emit(envelope, cfg)
     return 0
 
 
@@ -314,7 +319,7 @@ def cmd_gram(args) -> int:
         n_points=_config_int(grid_cfg, "n_points", 8),
     )
     envelope = _report_envelope("gram", cfg, check.to_json_dict())
-    _emit(envelope, cfg, "gram_report")
+    _emit(envelope, cfg)
     print(
         f"min eigenvalue {check.min_eigenvalue:.3e}, "
         f"budget {check.budget:.3e}, verdict {check.verdict}",
@@ -361,7 +366,7 @@ def cmd_eval_kernel(args) -> int:
         "n_terms": ev.n_terms,
     }
     envelope = _report_envelope("eval-kernel", cfg, result)
-    _emit(envelope, cfg, None)
+    _emit(envelope, cfg)
     return 0 if ev.certified else 3
 
 
@@ -383,7 +388,7 @@ def cmd_von_mangoldt(args) -> int:
         "min_value": float(values.min()) if len(values) else 0.0,
     }
     envelope = _report_envelope("von-mangoldt", cfg, result)
-    _emit(_spliced(envelope, "values", _value_rows, ns, values), cfg, None, with_csv=True)
+    _emit(_spliced(envelope, "values", _value_rows, ns, values), cfg)
     return 0
 
 
@@ -439,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--float", dest="mode", action="store_const", const="float")
-    p.set_defaults(mode=None, func=cmd_check_condition)
+    p.set_defaults(mode=None, func=cmd_check_condition, report=("condition_report", True))
 
     p = sub.add_parser("classify",
                        help="check the prime-power signs and report applicable routes")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, report=(None, False))
 
     p = sub.add_parser("gram", help="Gram positivity witness on a point grid")
     _add_common(p)
@@ -453,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default=None,
                    help="semicolon list of complex points, e.g. '1.2;1.5+0.3j'")
     p.add_argument("--n-points", type=int, default=None, dest="n_points")
-    p.set_defaults(func=cmd_gram)
+    p.set_defaults(func=cmd_gram, report=("gram_report", False))
 
     p = sub.add_parser("eval-kernel", help="evaluate one kernel entry")
     _add_common(p)
     p.add_argument("--kernel", choices=kernel.ROUTES, default=None)
     p.add_argument("--s", default=None, help="complex point, e.g. '1.2+0.3j'")
     p.add_argument("--u", default=None, help="second point (defaults to s)")
-    p.set_defaults(func=cmd_eval_kernel)
+    p.set_defaults(func=cmd_eval_kernel, report=(None, False))
 
     p = sub.add_parser("von-mangoldt",
                        help="generalized von Mangoldt values (Mobius * log^alpha)")
@@ -468,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="single index")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.set_defaults(func=cmd_von_mangoldt)
+    p.set_defaults(func=cmd_von_mangoldt, report=(None, True))
 
     return parser
 

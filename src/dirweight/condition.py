@@ -211,6 +211,8 @@ def von_mangoldt_range(n_max: int, alpha: int) -> np.ndarray:
 #: Verdicts by rising severity.
 VERDICTS = (NONNEG_EXACT, NONNEG_TOL, INCONCLUSIVE, NEGATIVE)
 METHODS = ("divisor_sum", "mult_product", "additive_Tt")
+#: The factored route of each family kind that has one, and the one start index k it serves.
+FACTORED = {"multiplicative": ("mult_product", 1), "additive": ("additive_Tt", 2)}
 
 #: Integers below 2^53 are exact in float64.  int64 products are exact modulo
 #: 2^64, so a float bound below 2^62 on |product| rules out overflow.
@@ -371,7 +373,7 @@ def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
     base = w.params.get("base")
     if isinstance(base, WeightFamily):
         return [0] * k + [1 + v for v in _exact_values(base, k, pp)[k:]]
-    if w.kind in ("multiplicative", "additive"):
+    if w.kind in FACTORED:
         op = np.multiply if w.kind == "multiplicative" else np.add
         _, _, vals, at = pp.values(w.prime_power, object, w.r_only)
         return [0] * k + pp.column(lambda p, r: vals[at(p, r)], op)[k:].tolist()
@@ -379,16 +381,19 @@ def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
 
 
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers):
-    """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone at
-    delta = 0: one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
-    is hi at r - 1 (w_1 at r = 1).  fq is _factor of their floats in float64; or, when
-    exact, hi - lo, int64 for an integer-valued family while they fit, and size the
-    floats |hi| + |lo|."""
+    """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone (at
+    every delta): one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
+    is hi at r - 1 (w_1 at r = 1).  fq is _factor of their floats in float64, over the
+    listing where delta != 0 makes p^(-delta) vary with p; or, when exact, hi - lo, int64
+    for an integer-valued family while they fit, and size the floats |hi| + |lo|."""
     f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
-    p, r, hi, at = pp.values(f, object if exact else np.float64, w.r_only and delta == 0.0)
+    p, r, hi, at = pp.values(f, object if exact else np.float64, w.r_only)
     lo = np.full(len(p), f(2, 0), dtype=hi.dtype)  # w_1 below every p^1
     lo[r > 1] = hi[at(p[r > 1], r[r > 1] - 1)]
     if not exact:
+        if w.r_only and delta != 0.0:  # hi and lo of each exponent at each of its p^r
+            _, p, r = pp.listing
+            hi, lo, at = hi[r - 1], lo[r - 1], pp.at
         return p, r, at, _accel.evaluate(partial(_factor, delta), np.float64, p, r, hi, lo), None
     fq, size = hi - lo, _accel.evaluate(_to_float, np.float64, abs(hi) + abs(lo))
     with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
@@ -516,9 +521,8 @@ def series_column(w: WeightFamily, delta: float, n: int):
     float divisor sums then equal bit for bit; else s_columns's divisor_sum
     column."""
     pp, k = _accel.PrimePowers(n), w.start_index
-    method = {("multiplicative", 1): "mult_product",
-              ("additive", 2): "additive_Tt"}.get((w.kind, k))
-    if method and w.integer_valued and _mode(w, delta)[1]:
+    method, start = FACTORED.get(w.kind, (None, None))
+    if start == k and w.integer_valued and _mode(w, delta)[1]:
         window, bound = _factored(w, delta, method, pp, True)
         if bound < _FLOAT_EXACT:
             return _accel.Column(n, lambda lo, hi: window(lo, hi).astype(np.float64))
@@ -553,14 +557,12 @@ def check_range(
     methods = tuple(methods)
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"need one or more distinct methods, got {list(methods)}")
-    kinds = {"divisor_sum": w.kind, "mult_product": "multiplicative", "additive_Tt": "additive"}
+    method, start = FACTORED.get(w.kind, ("divisor_sum", k))  # none: divisor_sum at any k
     for m in methods:
-        if kinds.get(m) != w.kind:
+        if m not in ("divisor_sum", method):
             raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}")
-    if "mult_product" in methods and k != 1:
-        raise ValueError("mult_product agrees with the condition only for k = 1")
-    if "additive_Tt" in methods and k != 2:
-        raise ValueError("additive_Tt agrees with the condition only for k = 2")
+    if method in methods and k != start:
+        raise ValueError(f"{method} agrees with the condition only for k = {start}")
 
     cols = [col[k:] for col in s_columns(w, delta, k, n_max, methods, exact)]
     ref = cols[0]
@@ -624,14 +626,14 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
     raise ValueError.  first_violation is [p, r, margin] of the least
     failing p^r, margin the factor as a float.
     """
-    if w.kind not in ("multiplicative", "additive"):
+    if w.kind not in FACTORED:
         raise ValueError(f"{w.name} is {w.kind}: no prime-power check")
     delta, exact = _mode(w, delta)
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     mult, pp = w.kind == "multiplicative", _accel.PrimePowers(n_max)
     _, _, at, fq, _ = _prime_power_factors(w, delta, exact, pp)
-    margin = _accel.evaluate(_to_float, np.float64, fq)
+    margin = _accel.evaluate(_to_float, np.float64, fq) if exact else fq
     fails = fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol)
     _, p, r = pp.listing
     keep = r >= (1 if mult else 2)

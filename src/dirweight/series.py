@@ -115,18 +115,13 @@ class FormalDirichletSeries:
         return out
 
     def to_json_dict(self) -> dict:
-        if self.mode == EXACT:
-            return {"mode": EXACT, "coeffs": [str(c) for c in self.coeffs]}
-        return {"mode": FLOAT, "coeffs": [float(c) for c in self.coeffs]}
+        cast = str if self.mode == EXACT else float
+        return {"mode": self.mode, "coeffs": [cast(c) for c in self.coeffs]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FormalDirichletSeries":
-        mode = d["mode"]
-        if mode == EXACT:
-            coeffs = tuple(_parse_scalar(c) for c in d["coeffs"])
-        else:
-            coeffs = tuple(float(c) for c in d["coeffs"])
-        return cls(coeffs, mode)
+        parse = _parse_scalar if d["mode"] == EXACT else float
+        return cls(tuple(map(parse, d["coeffs"])), d["mode"])
 
 
 def from_coeffs(coeffs, mode: str = EXACT) -> FormalDirichletSeries:
@@ -147,10 +142,8 @@ def inverse_zeta_coeffs(n: int, mode: str = EXACT) -> FormalDirichletSeries:
     n = _check_positive(n, "N")
     if n > MAX_SERIES_LEN:
         raise ResourceLimitError(f"series length {n} exceeds {MAX_SERIES_LEN}")
-    mu = mobius_sieve(n)
-    if mode == EXACT:
-        return FormalDirichletSeries(tuple(int(m) for m in mu[1:]), EXACT)
-    return FormalDirichletSeries(tuple(float(m) for m in mu[1:]), FLOAT)
+    mu = mobius_sieve(n)[1:].tolist()
+    return FormalDirichletSeries(tuple(mu if mode == EXACT else map(float, mu)), mode)
 
 
 def convolve(

@@ -659,12 +659,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if not isinstance(params := cfg.get("parameters", {}), dict):
             raise ValueError(f"parameters: expected an object, got {params!r}")
         fam = named_family(cfg["name"], **params)
-        if "sigma" in cfg:
-            fam.sigma = _float(cfg["sigma"])
-        if "delta" in cfg:
-            fam.delta = _float(cfg["delta"])
-        if "start_index" in cfg:
-            fam.start_index = _int(cfg["start_index"])
+        for key, parse in (("sigma", _float), ("delta", _float), ("start_index", _int)):
+            if key in cfg:
+                setattr(fam, key, _keyed(key, parse, cfg[key]))
         if fam.delta > fam.sigma:
             raise ValueError("declared delta exceeds sigma")
         return fam
@@ -678,7 +675,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if not (isinstance(bound := cfg["growth_bound"], list) and len(bound) == 2):
             raise ValueError(f"growth_bound: expected a pair [c, tau], got {bound!r}")
         values = [_keyed(f"values[{i}]", _parse_scalar, v) for i, v in enumerate(cfg["values"])]
-        start = _int(cfg["start_index"])
+        start = _keyed("start_index", _int, cfg["start_index"])
         bound = tuple(_keyed(f"growth_bound[{i}]", _float, c) for i, c in enumerate(bound))
         exact = all(_is_exact(v) for v in values)
         table = {start + i: v for i, v in enumerate(values)}
@@ -689,8 +686,8 @@ def family_from_config(cfg: dict) -> WeightFamily:
             return table[n]
 
         return WeightFamily(
-            "explicit", "explicit", start, _float(cfg["sigma"]),
-            _float(cfg["delta"]), bound, value_fn,
+            "explicit", "explicit", start, _keyed("sigma", _float, cfg["sigma"]),
+            _keyed("delta", _float, cfg["delta"]), bound, value_fn,
             exact=exact, params={"n_values": len(values)},
             integer_valued=all(isinstance(v, int) for v in values),
         )
@@ -709,14 +706,16 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if not (isinstance(atoms, (list, tuple))
                 and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
             raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
-        atoms = tuple((_float(a), _float(m)) for a, m in atoms)
+        atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", _float, x) for j, x in enumerate(a))
+                      for i, a in enumerate(atoms))
         spec = MeasureSpec("discrete", atoms=atoms)
     else:
-        spec = MeasureSpec("gamma_density", alpha=_float(spec_cfg.get("alpha", 1)))
+        spec = MeasureSpec("gamma_density",
+                           alpha=_keyed("spec.alpha", _float, spec_cfg.get("alpha", 1)))
     return measure_family(
         spec,
-        n0=_int(cfg.get("n0", 2)),
+        n0=_keyed("n0", _int, cfg.get("n0", 2)),
         name=f"measure({stype})",
-        sigma=_optional_float(cfg.get("sigma")),
-        delta=_optional_float(cfg.get("delta")),
+        sigma=_keyed("sigma", _optional_float, cfg.get("sigma")),
+        delta=_keyed("delta", _optional_float, cfg.get("delta")),
     )

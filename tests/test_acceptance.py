@@ -193,7 +193,7 @@ def test_criterion_11_negative_control(tmp_path):
         "n_max": 100,
     }))
     code = cli.main(["check-condition", "--config", str(cfg),
-                     "--out", str(tmp_path / "neg")])
+                     "--out", str(tmp_path / "neg_report")])
     ok = (
         not growth["passed"]
         and growth["first_violation"][:2] == [2, 1]  # S(2) = w_2 - w_1 < 0

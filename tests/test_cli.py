@@ -93,9 +93,9 @@ def test_classify_ones_multiplicative_route(tmp_path, capsys):
 
 
 def test_check_condition_negative_exits_two(negctrl_cfg, tmp_path):
-    out = str(tmp_path / "neg")
+    out = str(tmp_path / "neg_report")
     assert run(["check-condition", "--config", negctrl_cfg, "--out", out]) == 2
-    report = json.loads((tmp_path / "neg.json").read_text())
+    report = json.loads((tmp_path / "neg_report.json").read_text())
     assert report["result"]["verdict"] == "negative_certified"
 
 
@@ -205,13 +205,13 @@ MEASURE = {"kind": "measure", "spec": {"type": "gamma_density", "alpha": 2}}
     ("von-mangoldt", {"alpha": None}, "alpha: expected a number, got None"),
     ("von-mangoldt", {"alpha": True}, "alpha: expected a number, got True"),
     ("von-mangoldt", {"n": 6.5}, "n: expected an integer, got 6.5"),
-    ("check-condition", {"family": {**MEASURE, "n0": None}}, "expected a number, got None"),
-    ("check-condition", {"family": {**MEASURE, "n0": 2.5}}, "expected an integer, got 2.5"),
+    ("check-condition", {"family": {**MEASURE, "n0": None}}, "n0: expected a number, got None"),
+    ("check-condition", {"family": {**MEASURE, "n0": 2.5}}, "n0: expected an integer, got 2.5"),
     ("check-condition", {"family": {**OMEGA, "start_index": True}},
-     "expected a number, got True"),
+     "start_index: expected a number, got True"),
     ("check-condition", {"family": {
         "kind": "explicit", "values": [1, 2], "start_index": 1.5, "sigma": 1.0,
-        "delta": 0.0, "growth_bound": [2.0, 0.0]}}, "expected an integer, got 1.5"),
+        "delta": 0.0, "growth_bound": [2.0, 0.0]}}, "start_index: expected an integer, got 1.5"),
 ])
 def test_integer_config_values_are_integers(command, cfg, message, tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": OMEGA, **cfg})
@@ -279,6 +279,35 @@ def test_family_configs_of_the_wrong_shape_are_config_errors(family, message, tm
         assert captured.err.splitlines() == [f"config error: {message}"]
 
 
+DISCRETE = {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0], [0.5, 1.0]]}}
+
+
+@pytest.mark.parametrize("family,message", [
+    ({**OMEGA, "sigma": "x"}, "sigma: expected a number, got 'x'"),
+    ({**OMEGA, "delta": "d"}, "delta: expected a number, got 'd'"),
+    ({**OMEGA, "start_index": "x"}, "start_index: expected a number, got 'x'"),
+    ({**EXPLICIT, "sigma": "x"}, "sigma: expected a number, got 'x'"),
+    ({**EXPLICIT, "delta": None}, "delta: expected a number, got None"),
+    ({**EXPLICIT, "start_index": "x"}, "start_index: expected a number, got 'x'"),
+    ({**MEASURE, "n0": "x"}, "n0: expected a number, got 'x'"),
+    ({**MEASURE, "sigma": "x"}, "sigma: expected a number, got 'x'"),
+    ({**MEASURE, "delta": "1/0"}, "delta: expected a number, got '1/0'"),
+    ({**MEASURE, "spec": {"type": "gamma_density", "alpha": "x"}},
+     "spec.alpha: expected a number, got 'x'"),
+    ({**DISCRETE, "spec": {"type": "discrete", "atoms": [[0.5, "m"]]}},
+     "spec.atoms[0][1]: expected a number, got 'm'"),
+    ({**DISCRETE, "spec": {"type": "discrete", "atoms": [[0.0, 1.0], [True, 1.0]]}},
+     "spec.atoms[1][0]: expected a number, got True"),
+    ({**DISCRETE, "spec": {"type": "discrete", "atoms": [["1e400", 1.0]]}},
+     "spec.atoms[0][0]: number too large for a float: '1e400'"),
+])
+def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
+    assert run(["classify", "--config", path, "--no-timestamp", "--stdout"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
+
+
 def test_config_points_accept_rational_strings(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": OMEGA, "kernel": "weight",
                                              "s": ["5/2", 0], "u": [2.5, "0"]})
@@ -323,6 +352,30 @@ def test_rerun_from_embedded_config(omega_cfg, tmp_path, capsys):
     rep1 = json.loads((tmp_path / "r1.json").read_text())
     rep2 = json.loads((tmp_path / "r2.json").read_text())
     assert rep1["result"] == rep2["result"]
+
+
+@pytest.mark.parametrize("config,out,argv", [
+    ("omega.json", None, ["--out", "{dir}/omega"]),
+    ("condition_report.json", None, []),  # the default prefix
+    ("omega.csv", None, ["--out", "{dir}/omega"]),  # the CSV projection
+    ("omega.json", None, ["--out", "{dir}/sub/../omega", "--stdout"]),
+    ("omega.json", "omega", []),  # a report's embedded config, rerun
+], ids=["out", "default", "csv", "same-file", "config-out"])
+def test_a_report_never_overwrites_its_config(config, out, argv, tmp_path, monkeypatch, capsys):
+    # the run is refused before any work: --out omega once replaced omega.json by its report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = json.dumps({"family": {"kind": "named", "name": "omega"}, "n_max": 300,
+                       **({} if out is None else {"out": out})})
+    (tmp_path / config).write_text(text)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert run(["check-condition", "--config", config, "--no-timestamp", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: the report ")
+    assert captured.err.rstrip().endswith(f"would overwrite the config {config}")
+    assert (tmp_path / config).read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config, "sub"])
 
 
 def test_csv_projection(omega_cfg, tmp_path):
@@ -855,7 +908,7 @@ PAST_FLOAT = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": "8
 def test_non_finite_condition_values_are_inconclusive(tmp_path, capsys):
     # numpy's overflow and inf - inf warn nothing: the values are inconclusive
     cfg = write_config(tmp_path, "d.json", {"family": OVERFLOWING, "n_max": 50})
-    out = str(tmp_path / "d")
+    out = str(tmp_path / "d_report")
     assert run(["check-condition", "--config", cfg, "--no-timestamp", "--stdout",
                 "--out", out]) == 3
     captured = capsys.readouterr()

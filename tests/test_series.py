@@ -144,6 +144,13 @@ def test_evaluate_mobius_series_reciprocal_zeta():
     assert abs(ev.value.real - 6 / math.pi**2) <= ev.tail_bound
 
 
+@pytest.mark.parametrize("build", [series.zeta_coeffs, series.inverse_zeta_coeffs])
+def test_an_unknown_arithmetic_mode_is_rejected(build):
+    # inverse_zeta_coeffs once read any mode but "exact" as "float"
+    with pytest.raises(ValueError, match="unknown arithmetic mode 'double'"):
+        build(10, "double")
+
+
 @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
 def test_tail_bound_sound_against_zeta_oracle(sigma):
     n = 2000

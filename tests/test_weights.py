@@ -338,32 +338,55 @@ def test_named_families_evaluate_f_once_per_exponent_bit_for_bit(name, params, e
     if fam.exact:
         pp = _accel.PrimePowers(n)
         assert condition._exact_values(fam, 1, pp) == condition._exact_values(twin, 1, pp)
-    with np.errstate(all="ignore"):
-        for method in {"multiplicative": ["mult_product"], "additive": ["additive_Tt"]}[fam.kind]:
-            want = condition._factored(twin, 0.0, method, _accel.PrimePowers(n), fam.exact)
-            col = condition._factored(fam, 0.0, method, _accel.PrimePowers(n), fam.exact)
+    method = condition.FACTORED[fam.kind][0]
+    # off delta = 0 only the float lane runs, where p^(-delta) makes the factors vary with p
+    for delta, lane in [(0.0, fam.exact), *((d, False) for d in (-0.3, 0.5) if not exact)]:
+        with np.errstate(all="ignore"):
+            want = condition._factored(twin, delta, method, _accel.PrimePowers(n), lane)
+            col = condition._factored(fam, delta, method, _accel.PrimePowers(n), lane)
             assert col[1] == want[1]
             want, col = want[0](0, n + 1), col[0](0, n + 1)
-            assert [(type(v), repr(v)) for v in col.tolist()] == [
-                (type(v), repr(v)) for v in want.tolist()]
+        assert [(type(v), repr(v)) for v in col.tolist()] == [
+            (type(v), repr(v)) for v in want.tolist()], delta
+
+
+def _counting_calls(fam):
+    """A list to which fam.prime_power, wrapped here, appends each call (p, r)."""
+    calls, f = [], fam.prime_power
+    fam.prime_power = lambda p, r: calls.append((p, r)) or f(p, r)
+    return calls
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.0, 0.5])
 @pytest.mark.parametrize("name,params", [*_PRIME_POWER_FAMILIES, ("d_beta", {"beta": 3})])
 def test_prime_power_check_evaluates_f_once_per_exponent(name, params, delta):
-    # at delta = 0 the certificate calls a named family's f once per exponent r with
+    # at every delta the certificate calls a named family's f once per exponent r with
     # 2^r <= n (and once at r = 0, for w_1), in the exact lane and the float one alike,
     # and returns what it returns when it reads f at every prime power of the listing
     n = 10**5
     for exact in (True, False):
         fam = weights.named_family(name, **params)
         fam.exact = fam.exact and exact  # False is what --float does
-        calls, f = [], fam.prime_power
-        fam.prime_power = lambda p, r: calls.append((p, r)) or f(p, r)
+        calls = _counting_calls(fam)
         got = condition.prime_power_check(fam, delta, n)
-        assert delta != 0.0 or len(calls) <= n.bit_length(), (exact, len(calls))
+        assert len(calls) <= n.bit_length(), (exact, len(calls))
         fam.r_only = False
         assert condition.prime_power_check(fam, delta, n) == got, exact
+
+
+@pytest.mark.parametrize("delta", [-0.3, 0.5])
+@pytest.mark.parametrize("name,params", [*_PRIME_POWER_FAMILIES, ("d_beta", {"beta": 3})])
+def test_float_factored_route_evaluates_f_once_per_exponent(name, params, delta):
+    # off delta = 0 the float factored route reads f as the certificate does: once per
+    # exponent, the factor p^(-delta (r-1)) (p^(-delta) hi - lo) then taken at every p^r
+    n = 10**5
+    fam = weights.named_family(name, **params)
+    fam.exact = False  # what --float does
+    method, k = condition.FACTORED[fam.kind]
+    calls = _counting_calls(fam)
+    with np.errstate(all="ignore"):
+        condition.check_range(fam, delta, k, n, methods=(method,))
+    assert len(calls) <= n.bit_length(), len(calls)
 
 
 def test_prime_power_past_the_float_range_is_a_value_error():
