@@ -71,11 +71,6 @@ def _prime_powers(lo: int, hi: int, base: np.ndarray):
     return q[order], np.concatenate(ps)[order], np.concatenate(rs)[order]
 
 
-def prime_powers(n: int, base: np.ndarray | None = None):
-    """_prime_powers of [0, n], from primes_up_to(isqrt(n)) unless base is given."""
-    return _prime_powers(0, n + 1, primes_up_to(math.isqrt(n)) if base is None else base)
-
-
 def prime_power_fill(lo: int, hi: int, base: np.ndarray, f, op) -> np.ndarray:
     """w[m - lo] for lo <= m < hi: 0 at m = 0 and, at m = p_1^r_1 ... p_k^r_k
     with p_1 < ... < p_k, op(...op(identity, f(p_1, r_1))..., f(p_k, r_k)).
@@ -149,7 +144,7 @@ class PrimePowers:
 
     @cached_property
     def listing(self):
-        return prime_powers(self.n, self.base)
+        return _prime_powers(0, self.n + 1, self.base)
 
     def values(self, f, dtype, r_only: bool):
         """(p, r, vals, at): the pairs (p, r) that a prime-power function f

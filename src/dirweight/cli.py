@@ -17,6 +17,7 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -29,11 +30,6 @@ from . import condition, kernel, weights
 SCHEMA_VERSION = "1.0"
 
 atexit.register(gc.freeze)  # shutdown then leaves the imports' cycles to the OS uncollected
-
-_COMMON_KEYS = {
-    "family", "delta", "k", "n_max", "methods", "tol", "mode",
-    "kernel", "grid", "alpha", "n", "s", "u", "out", "timestamp",
-}
 
 _EXIT_BY_VERDICT = {
     condition.NONNEG_EXACT: 0,
@@ -50,6 +46,75 @@ class ConfigError(ValueError):
     pass
 
 
+def _family(v) -> weights.WeightFamily:
+    """The family config as a WeightFamily; its errors name their own keys."""
+    if v is None:
+        raise ConfigError("a weight family is required ('family' in the config)")
+    try:
+        return weights.family_from_config(v)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _optional_int(v) -> int | None:
+    """A config integer (see weights._int); None means not given."""
+    return None if v is None else weights._int(v)
+
+
+def _checked(what: str, ok, parse=lambda v: v):
+    """The reader of parse(v) for which ok holds, else an error: expected what."""
+    def read(v):
+        x = parse(v)
+        if not ok(x):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return x
+    return read
+
+
+def _pair(v) -> complex:
+    """A [re, im] pair of config scalars (see weights._float) as a complex."""
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError(f"expected a pair [re, im], got {v!r}")
+    return complex(*map(weights._float, v))
+
+
+def _grid(v) -> tuple:
+    """(points, n_points): the grid's points as complexes (None: the default grid of n_points)."""
+    if not isinstance(v, dict):
+        raise ValueError(f"expected an object, got {v!r}")
+    unknown = set(v) - {"points", "n_points"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    pts = v.get("points")
+    if not (pts is None or isinstance(pts, list)):
+        raise ConfigError(f"grid.points: expected a list of [re, im] pairs, got {pts!r}")
+    points = None if pts is None else [weights._keyed("grid.points", _pair, p, ConfigError)
+                                       for p in pts]
+    return points, weights._keyed("n_points", weights._int, v.get("n_points", 8), ConfigError)
+
+
+#: Every top-level config key and its reader, which returns the value or raises ValueError.
+_READERS = {
+    "family": _family,
+    "delta": _checked("a finite number", lambda x: x is None or math.isfinite(x),
+                      weights._optional_float),  # strings such as "1/2" parse as rationals
+    "k": _optional_int,
+    "n_max": weights._int,
+    "methods": _checked("a list of method names",
+                        lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
+    "tol": _checked("a finite number > 0", lambda x: math.isfinite(x) and x > 0, weights._float),
+    "mode": _checked("auto/exact/float", lambda v: v in ("auto", "exact", "float")),
+    "kernel": _checked("/".join(kernel.ROUTES), lambda v: v in kernel.ROUTES),
+    "grid": _grid,
+    "alpha": weights._int,
+    "n": _optional_int,
+    "s": _pair,
+    "u": _pair,
+    "out": _checked("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "timestamp": _checked("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -62,83 +127,44 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError("config must be a JSON object")
     if "schema_version" in data and "config" in data:
         data = data["config"]  # a previous report: rerun from its embedded config
-    unknown = set(data) - _COMMON_KEYS
+    unknown = set(data) - set(_READERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _config(args, keys) -> dict:
-    """The --config file with the flags named in keys and --no-timestamp laid over it,
-    and under the runtime-only key "outputs" the report files and whether the JSON goes
-    to stdout: PREFIX.json (and PREFIX.csv) for out, or else for the subcommand's default
-    prefix (args.report) unless --stdout is set; stdout alone without either.  A run is
-    refused if one of its report files is the --config file."""
-    cfg = _load_config(args.config)
-    cfg.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
-    if args.no_timestamp:
-        cfg["timestamp"] = False
+def _config(args, reads: str, embedded=None, **defaults) -> dict:
+    """out, timestamp and the keys in reads, embedded and defaults: each from the flags, else
+    the --config file, else embedded, else defaults, parsed once by its reader in _READERS.
+    "config" holds the flags, file and embedded as given, for the report to embed; "outputs"
+    the report files and whether the JSON goes to stdout: PREFIX.json (and PREFIX.csv) for
+    out, else for the subcommand's default prefix (args.report) unless --stdout is set;
+    stdout alone without either.  A run is refused if a report file is the --config file."""
+    cfg = {**(embedded or {}), **_load_config(args.config)}
+    cfg.update((key, v) for key in _READERS if (v := getattr(args, key, None)) is not None)
+    if getattr(args, "n_points", None) is not None and isinstance(cfg.setdefault("grid", {}), dict):
+        cfg["grid"]["n_points"] = args.n_points
+    keys = {"out", "timestamp", *reads.split(), *(embedded or {}), *defaults}
+    val = {key: weights._keyed(key, _READERS[key], v, ConfigError)
+           for key, v in {**defaults, **cfg}.items() if key in keys}
     default, with_csv = args.report
-    prefix, to_stdout = cfg.get("out"), args.stdout
+    prefix, to_stdout = val.get("out"), args.stdout
     if prefix is None and not to_stdout:
         prefix, to_stdout = default, default is None
     paths = [f"{prefix}.json", f"{prefix}.csv"][: 1 + with_csv] if prefix else []
     for path in paths:
         if args.config and os.path.exists(path) and os.path.samefile(path, args.config):
             raise ConfigError(f"the report {path} would overwrite the config {args.config}")
-    cfg["outputs"] = paths, to_stdout
-    return cfg
-
-
-def _family(cfg: dict) -> weights.WeightFamily:
-    fam_cfg = cfg.get("family")
-    if fam_cfg is None:
-        raise ConfigError("a weight family is required ('family' in the config)")
-    try:
-        return weights.family_from_config(fam_cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _config_int(cfg: dict, key: str, default=None) -> int:
-    """cfg[key] (default when absent) via weights._int; bad values are config errors."""
-    return weights._keyed(key, weights._int, cfg.get(key, default), ConfigError)
-
-
-def _config_pair(value, key: str) -> complex:
-    """A [re, im] pair of config scalars (see weights._float) as a complex."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{key}: expected a pair [re, im], got {value!r}")
-    return complex(*(weights._keyed(key, weights._float, v, ConfigError) for v in value))
-
-
-def _delta(cfg: dict) -> float | None:
-    """The top-level delta override; strings such as "1/2" parse as rationals."""
-    return weights._optional_float(cfg.get("delta"))
-
-
-def _apply_mode(fam: weights.WeightFamily, cfg: dict, delta) -> None:
-    mode = cfg.get("mode", "auto")
-    if mode not in ("auto", "exact", "float"):
-        raise ConfigError(f"mode must be auto/exact/float, got {mode!r}")
-    if mode == "float":
-        fam.exact = False
-    elif mode == "exact":
-        d, exact = condition._mode(fam, delta)
-        if not exact:
-            raise ConfigError(
-                "exact mode needs rational weights and delta = 0 "
-                f"(family {fam.name}, delta {d})"
-            )
+    val.update(config=cfg, outputs=(paths, to_stdout))
+    return val
 
 
 def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
-    """The report around result; it embeds the resolved config, less the
-    runtime-only outputs."""
+    """The report around result; it embeds the config as given (see _config)."""
     out = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": {k: v for k, v in cfg.items() if k != "outputs"},
+        "config": cfg["config"],
         "result": result,
     }
     if cfg.get("timestamp", True):
@@ -198,23 +224,22 @@ def _value_rows(ns: np.ndarray, values: np.ndarray, pad: str, chunk: int = 1 << 
 
 
 def cmd_check_condition(args) -> int:
-    cfg = _config(args, ["delta", "k", "n_max", "tol", "mode", "out"])
-    if args.methods is not None:
-        cfg["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
-    cfg.setdefault("n_max", 1000)
-
-    fam = _family(cfg)
-    delta = _delta(cfg)
-    _apply_mode(fam, cfg, delta)
-    methods = cfg.get("methods", ["divisor_sum"])
-    if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-        raise ConfigError(f"methods: expected a list of method names, got {methods!r}")
-    tol = weights._float(cfg.get("tol", condition.DEFAULT_TOL))
-    k = None if cfg.get("k") is None else _config_int(cfg, "k")
+    cfg = _config(args, "delta k", embedded={"n_max": 1000}, family=None,
+                  methods=["divisor_sum"], tol=condition.DEFAULT_TOL, mode="auto")
+    fam, delta = cfg["family"], cfg.get("delta")
+    if cfg["mode"] == "float":
+        fam.exact = False
+    elif cfg["mode"] == "exact":
+        d, exact = condition._mode(fam, delta)
+        if not exact:
+            raise ConfigError(
+                "exact mode needs rational weights and delta = 0 "
+                f"(family {fam.name}, delta {d})"
+            )
 
     print(f"checking condition for {fam.name} up to n = {cfg['n_max']}", file=sys.stderr)
     report = condition.check_range(
-        fam, delta, k, _config_int(cfg, "n_max"), methods=tuple(methods), tol=tol
+        fam, delta, cfg.get("k"), cfg["n_max"], methods=tuple(cfg["methods"]), tol=cfg["tol"]
     )
     envelope = _report_envelope("check-condition", cfg, report.to_json_dict(with_records=False))
     _emit(_spliced(envelope, "records", report.render), cfg)
@@ -223,13 +248,8 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _config(args, ["delta", "n_max", "tol", "out"])
-    cfg.setdefault("n_max", 2000)
-
-    fam = _family(cfg)
-    delta = _delta(cfg)
-    n_max = _config_int(cfg, "n_max")
-    tol = weights._float(cfg.get("tol", condition.DEFAULT_TOL))
+    cfg = _config(args, "delta", embedded={"n_max": 2000}, family=None, tol=condition.DEFAULT_TOL)
+    fam, delta, n_max, tol = cfg["family"], cfg.get("delta"), cfg["n_max"], cfg["tol"]
 
     result: dict = {
         "family": fam.name,
@@ -288,35 +308,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    cfg = _config(args, ["delta", "tol", "kernel", "out"])
-    if args.points:
-        pts = [complex(chunk.strip()) for chunk in args.points.split(";")]
-        cfg["grid"] = {"points": [[p.real, p.imag] for p in pts]}
-    if args.n_points is not None:
-        cfg.setdefault("grid", {})["n_points"] = args.n_points
-
-    fam = _family(cfg)
-    grid_cfg = cfg.get("grid") or {}
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError(f"grid: expected an object, got {grid_cfg!r}")
-    unknown = set(grid_cfg) - {"points", "n_points"}
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    pts = grid_cfg.get("points")
-    if not (pts is None or isinstance(pts, list)):
-        raise ConfigError(f"grid.points: expected a list of [re, im] pairs, got {pts!r}")
-    points = None if pts is None else [_config_pair(p, "grid.points") for p in pts]
-    route = cfg.get("kernel", "series")
-    tol = weights._float(cfg.get("tol", 1e-10))
+    cfg = _config(args, "delta", family=None, kernel="series", tol=1e-10, grid={})
+    fam, route, (points, n_points) = cfg["family"], cfg["kernel"], cfg["grid"]
 
     print(f"gram check for {fam.name} via {route} kernel", file=sys.stderr)
     check = kernel.gram_psd(
         fam,
-        delta=_delta(cfg),
+        delta=cfg.get("delta"),
         points=points,
         kernel=route,
-        tol=tol,
-        n_points=_config_int(grid_cfg, "n_points", 8),
+        tol=cfg["tol"],
+        n_points=n_points,
     )
     envelope = _report_envelope("gram", cfg, check.to_json_dict())
     _emit(envelope, cfg)
@@ -329,32 +331,18 @@ def cmd_gram(args) -> int:
 
 
 def cmd_eval_kernel(args) -> int:
-    cfg = _config(args, ["delta", "tol", "kernel", "out"])
-    if args.s is not None:
-        cfg["s"] = [complex(args.s).real, complex(args.s).imag]
-    if args.u is not None:
-        cfg["u"] = [complex(args.u).real, complex(args.u).imag]
-
-    fam = _family(cfg)
+    cfg = _config(args, "delta s u", family=None, kernel="weight", tol=1e-8)
     if "s" not in cfg:
         raise ConfigError("eval-kernel needs a point --s")
-    s = _config_pair(cfg["s"], "s")
-    u = _config_pair(cfg["u"], "u") if "u" in cfg else s
-    route = cfg.get("kernel", "weight")
-    tol = weights._float(cfg.get("tol", 1e-8))
-    delta = _delta(cfg)
+    fam, route, tol, delta = cfg["family"], cfg["kernel"], cfg["tol"], cfg.get("delta")
+    s, u = cfg["s"], cfg.get("u", cfg["s"])
 
-    try:
-        if route == "weight":
-            ev = kernel.weight_kernel(fam, s, u, tol=tol)
-        elif route == "ratio":
-            ev = kernel.condition_kernel_ratio(fam, s, u, delta=delta, tol=tol)
-        elif route == "series":
-            ev = kernel.condition_kernel_series(fam, delta, s, u, tol=tol)
-        else:
-            raise ConfigError(f"unknown kernel route {route!r}")
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    if route == "weight":
+        ev = kernel.weight_kernel(fam, s, u, tol=tol)
+    elif route == "ratio":
+        ev = kernel.condition_kernel_ratio(fam, s, u, delta=delta, tol=tol)
+    else:
+        ev = kernel.condition_kernel_series(fam, delta, s, u, tol=tol)
 
     result = {
         "kernel": route,
@@ -371,14 +359,13 @@ def cmd_eval_kernel(args) -> int:
 
 
 def cmd_von_mangoldt(args) -> int:
-    cfg = _config(args, ["alpha", "n", "n_max", "out"])
-    alpha = _config_int(cfg, "alpha", 1)
+    cfg = _config(args, "n", alpha=1, n_max=100)
+    alpha, n = cfg["alpha"], cfg.get("n")
 
-    if cfg.get("n") is not None:
-        n = _config_int(cfg, "n")
+    if n is not None:
         ns, values = np.array([n]), np.array([condition.von_mangoldt_alpha(n, alpha)])
     else:
-        values = condition.von_mangoldt_range(_config_int(cfg, "n_max", 100), alpha)
+        values = condition.von_mangoldt_range(cfg["n_max"], alpha)
         ns = np.arange(2, len(values) + 2)
     result = {
         "alpha": alpha,
@@ -414,13 +401,24 @@ def _rational(text: str) -> float:
         raise argparse.ArgumentTypeError(str(e)) from e
 
 
+def _point(text: str) -> list:
+    """A complex flag value such as 1.5+0.3j as the config's [re, im] pair."""
+    z = complex(text)
+    return [z.real, z.imag]
+
+
+def _points(text: str) -> dict:
+    """A semicolon list of complex flag values as the config's grid of [re, im] pairs."""
+    return {"points": [_point(chunk) for chunk in text.split(";")]}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (or a previous report)")
     p.add_argument("--delta", type=_rational, default=None,
                    help="override the family's declared delta")
     p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
     p.add_argument("--out", default=None, help="output path prefix (.json/.csv)")
-    p.add_argument("--no-timestamp", action="store_true",
+    p.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None,
                    help="omit the timestamp for byte-identical reruns")
     p.add_argument("--stdout", action="store_true",
                    help="print the JSON report to stdout")
@@ -440,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="start index of the sum")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.add_argument("--methods", default=None,
+                   type=lambda text: [m.strip() for m in text.split(",") if m.strip()],
                    help="comma list from divisor_sum,mult_product,additive_Tt")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gram", help="Gram positivity witness on a point grid")
     _add_common(p)
     p.add_argument("--kernel", choices=kernel.ROUTES, default=None)
-    p.add_argument("--points", default=None,
+    p.add_argument("--points", dest="grid", type=_points, default=None,
                    help="semicolon list of complex points, e.g. '1.2;1.5+0.3j'")
     p.add_argument("--n-points", type=int, default=None, dest="n_points")
     p.set_defaults(func=cmd_gram, report=("gram_report", False))
@@ -463,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-kernel", help="evaluate one kernel entry")
     _add_common(p)
     p.add_argument("--kernel", choices=kernel.ROUTES, default=None)
-    p.add_argument("--s", default=None, help="complex point, e.g. '1.2+0.3j'")
-    p.add_argument("--u", default=None, help="second point (defaults to s)")
+    p.add_argument("--s", type=_point, default=None, help="complex point, e.g. '1.2+0.3j'")
+    p.add_argument("--u", type=_point, default=None, help="second point (defaults to s)")
     p.set_defaults(func=cmd_eval_kernel, report=(None, False))
 
     p = sub.add_parser("von-mangoldt",

@@ -54,10 +54,13 @@ def _parse_scalar(v):
 
 
 def _keyed(key: str, parse, v, error=ValueError):
-    """parse(v); its ValueError is raised again as error, naming key."""
+    """parse(v); its ValueError is raised again as error, naming key.  An error
+    of a subclass of ValueError passes as it is: parse has named its own key."""
     try:
         return parse(v)
     except ValueError as e:
+        if isinstance(e, error) and error is not ValueError:
+            raise
         raise error(f"{key}: {e}") from e
 
 
@@ -643,7 +646,7 @@ _SPEC_KEYS = {
 def family_from_config(cfg: dict) -> WeightFamily:
     """Build a family from its JSON description; unknown keys are rejected."""
     if not isinstance(cfg, dict):
-        raise ValueError("family config must be an object")
+        raise ValueError(f"family: expected an object, got {cfg!r}")
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise ValueError(

@@ -309,7 +309,7 @@ def test_sieve_tables_keep_their_dtypes():
 
 
 def test_prime_power_fill_applies_prime_powers_in_ascending_order():
-    q, p, r = _accel.prime_powers(1000)
+    q, p, r = _accel.PrimePowers(1000).listing
     assert q.tolist() == [m for m in range(2, 1001) if len(arith.factorize(m).factors) == 1]
 
     class Word(str):
@@ -346,7 +346,7 @@ def test_primes_and_prime_powers_match_a_plain_sieve(n):
     primes = _plain_primes(n)
     got = _accel.primes_up_to(n)
     assert got.dtype == np.int64 and got.tolist() == primes
-    q, p, r = _accel.prime_powers(n)
+    q, p, r = _accel.PrimePowers(n).listing
     assert [c.dtype for c in (q, p, r)] == [np.int64] * 3
     want = sorted((x**e, x, e) for x in primes for e in range(1, n.bit_length()) if x**e <= n)
     assert list(zip(q.tolist(), p.tolist(), r.tolist())) == want

@@ -985,14 +985,14 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     # on p (the factors and companions at delta != 0), never for r alone
     calls, mobius_table, factorize = [], _accel.mobius_table, arith.factorize
     sieves, listings = [], []
-    primes_up_to, prime_powers = _accel.primes_up_to, _accel.prime_powers
+    primes_up_to, listing = _accel.primes_up_to, _accel.PrimePowers.listing.func
     monkeypatch.setattr(_accel, "mobius_table",
                         lambda n, pp=None: calls.append(n) or mobius_table(n, pp))
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(("factorize", n)) or
                         factorize(n))
     monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
-    monkeypatch.setattr(_accel, "prime_powers",
-                        lambda n, base=None: listings.append(n) or prime_powers(n, base))
+    monkeypatch.setattr(_accel.PrimePowers.listing, "func",
+                        lambda pp: listings.append(pp.n) or listing(pp))
     w = weights.named_family(name, **params)
     rep = condition.check_range(w, delta, None, 1000, methods=methods)
     assert rep.mode == ("float" if delta else "exact")

@@ -348,10 +348,10 @@ def test_gram_sieves_the_base_primes_once(family, route, monkeypatch):
     # one table per Gram check: its base primes are sieved once, and the prime powers
     # are listed once for a family whose values depend on p, never for the named ones
     sieves, listings = [], []
-    primes_up_to, prime_powers = _accel.primes_up_to, _accel.prime_powers
+    primes_up_to, listing = _accel.primes_up_to, _accel.PrimePowers.listing.func
     monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
-    monkeypatch.setattr(_accel, "prime_powers",
-                        lambda n, base=None: listings.append(n) or prime_powers(n, base))
+    monkeypatch.setattr(_accel.PrimePowers.listing, "func",
+                        lambda pp: listings.append(pp.n) or listing(pp))
     check = kernel.gram_psd(family, kernel=route, n_points=3, tol=1e-6)
     assert sieves == [math.isqrt(check.n_terms_max)]
     assert listings == ([] if family.r_only else [check.n_terms_max])

@@ -331,7 +331,7 @@ def test_named_families_evaluate_f_once_per_exponent_bit_for_bit(name, params, e
     if not exact:
         fam.exact = twin.exact = False  # what --float does
     n = 5000
-    _, p, r = _accel.prime_powers(n)
+    _, p, r = _accel.PrimePowers(n).listing
     got = [(type(v), repr(v)) for v in map(fam.prime_power, p.tolist(), r.tolist())]
     assert got == [(type(v), repr(v)) for v in map(fam.prime_power, [2] * len(r), r.tolist())]
     assert fam.values_table(n).tobytes() == twin.values_table(n).tobytes()
@@ -605,10 +605,10 @@ def test_smooth_partial_sum_builds_the_factor_tables_once(name, params, monkeypa
     # one sieve of the base primes and one prime-power list, for p_n and the smooth
     # mask, at the cutoff; a named base's weight table reads its values per
     # exponent from the same base primes; and no factorization
-    calls, prime_powers = [], _accel.prime_powers
+    calls, listing = [], _accel.PrimePowers.listing.func
     sieves, primes_up_to = [], _accel.primes_up_to
-    monkeypatch.setattr(_accel, "prime_powers",
-                        lambda n, base=None: calls.append(n) or prime_powers(n, base))
+    monkeypatch.setattr(_accel.PrimePowers.listing, "func",
+                        lambda pp: calls.append(pp.n) or listing(pp))
     monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
     monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail(f"factorize({n})"))
     plus = weights.named_family("one_plus", base=weights.named_family(name, **params))
