@@ -96,8 +96,7 @@ def _grid(v) -> tuple:
 #: Every top-level config key and its reader, which returns the value or raises ValueError.
 _READERS = {
     "family": _family,
-    "delta": _checked("a finite number", lambda x: x is None or math.isfinite(x),
-                      weights._optional_float),  # strings such as "1/2" parse as rationals
+    "delta": lambda v: None if v is None else weights._finite_float(v),  # "1/2" is a rational
     "k": _optional_int,
     "n_max": weights._int,
     "methods": _checked("a list of method names",
@@ -396,7 +395,7 @@ class _Parser(argparse.ArgumentParser):
 def _rational(text: str) -> float:
     """A flag value as a float; exact rationals such as 1/2 are accepted."""
     try:
-        return weights._optional_float(text)
+        return weights._float(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from e
 

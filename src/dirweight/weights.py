@@ -81,19 +81,26 @@ def _int(v) -> int:
     return int(x)
 
 
-def _optional_float(v):
-    """A config scalar as a float (see _float); None stays None."""
-    return None if v is None else _float(v)
+def _finite_float(v) -> float:
+    """A config scalar as a float (see _float), which must be finite."""
+    x = _float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _finite(params: dict, key: str, default):
     """A named family's parameter params[key] (default when absent), as
-    parsed (see _parse_scalar) and as a float, which must be finite."""
+    parsed (see _parse_scalar) and as a finite float (see _finite_float)."""
     v = params.get(key, default)
-    x, xf = _keyed(key, _parse_scalar, v), _keyed(key, _float, v)
-    if not math.isfinite(xf):
-        raise ValueError(f"{key}: expected a finite number, got {v!r}")
-    return x, xf
+    return _keyed(key, _parse_scalar, v), _keyed(key, _finite_float, v)
+
+
+def _known(what: str, given, allowed) -> None:
+    """ValueError naming the keys of given that are not in allowed, if any."""
+    unknown = set(given) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
 def _to_float(v) -> float:
@@ -124,10 +131,12 @@ class WeightFamily:
     kind is one of ``multiplicative``, ``additive``, ``explicit``,
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
-    (additive).  ``windows(pp)`` builds ``window(lo, hi)``, the float
-    weights w_lo..w_(hi-1), from the same definition as ``value_fn`` and a
-    run's ``_accel.PrimePowers`` pp (without it, value() per n).  ``r_only``
-    marks prime-power families whose f(p, r) depends on r alone.
+    (additive).  ``declare`` alone sets and checks the start index, sigma,
+    delta and growth bound.  ``windows(pp)`` builds ``window(lo, hi)``, the
+    float weights w_lo..w_(hi-1), from the same definition as ``value_fn``
+    and a run's ``_accel.PrimePowers`` pp (without it, value() per n).
+    ``prime_power`` is f(p, r) = w_(p^r) of a family built from prime-power
+    values (see the method), and ``r_only`` marks an f of r alone.
     ``exact`` declares int or Fraction values, ``integer_valued`` Python
     ints, whose ``values_table`` is exact below 2^53 and never rounds a
     larger value below it; the exact lane of ``condition.check_range``
@@ -147,28 +156,39 @@ class WeightFamily:
         exact: bool = False,
         params: dict | None = None,
         integer_valued: bool = False,
+        prime_power=None,
+        r_only: bool = False,
     ):
         if kind not in ("multiplicative", "additive", "explicit", "measure_induced"):
             raise ValueError(f"unknown family kind {kind!r}")
-        if start_index < 1:
-            raise ValueError("start_index must be >= 1")
-        c, tau = growth_bound
-        if c < 0:
-            raise ValueError("growth bound constant must be >= 0")
-        if delta > sigma:
-            raise ValueError(f"declared delta {delta} exceeds sigma {sigma}")
+        self.declare(start_index, sigma, delta, growth_bound)
         self.name = name
         self.kind = kind
-        self.start_index = int(start_index)
-        self.sigma = float(sigma)
-        self.delta = float(delta)
-        self.growth_bound = (float(c), float(tau))
         self.exact = bool(exact)
         self.integer_valued = self.exact and bool(integer_valued)
         self.params = dict(params or {})
         self._value_fn = value_fn
         self._windows = windows
-        self.r_only = False
+        self.r_only = bool(r_only)
+        if prime_power is not None:
+            self.prime_power = prime_power
+
+    def declare(self, start_index=None, sigma=None, delta=None, growth_bound=None) -> None:
+        """Set the declaration (None keeps a value) under one rule: start index
+        >= 1, sigma and delta finite with delta <= sigma, and growth bound (c, tau)
+        with c >= 0 (c = inf: no certified tail) and tau finite.  A broken rule
+        raises ValueError naming its key and sets nothing."""
+        k = self.start_index if start_index is None else int(start_index)
+        sigma = self.sigma if sigma is None else _keyed("sigma", _finite_float, float(sigma))
+        delta = self.delta if delta is None else _keyed("delta", _finite_float, float(delta))
+        c, tau = self.growth_bound if growth_bound is None else map(float, growth_bound)
+        if k < 1:
+            raise ValueError(f"start_index: expected an integer >= 1, got {k}")
+        if delta > sigma:
+            raise ValueError(f"delta: expected at most sigma = {sigma}, got {delta}")
+        if not (c >= 0 and math.isfinite(tau)):
+            raise ValueError(f"growth_bound: expected c >= 0 and a finite tau, got {[c, tau]}")
+        self.start_index, self.sigma, self.delta, self.growth_bound = k, sigma, delta, (c, tau)
 
     def __repr__(self):
         return f"WeightFamily({self.name!r}, kind={self.kind}, k={self.start_index})"
@@ -219,17 +239,16 @@ class WeightFamily:
                                         else 0.0 for m in range(lo, hi)], dtype=np.float64)
 
     def prime_power(self, p: int, r: int):
-        """w_(p^r), equal to value(p**r); r = 0 gives w_1.  Families built
-        from prime-power values (``_prime_power_family``) replace this with
-        their f(p, r), which factorizes nothing."""
+        """w_(p^r), equal to value(p**r); r = 0 gives w_1.  A family built
+        with a ``prime_power`` argument (``_prime_power_family``) answers
+        with that f(p, r) instead, which factorizes nothing."""
         return self.value(p**r)
 
     def audit(self, limit: int = AUDIT_CEILING) -> None:
         """Raise if positivity or the growth bound fails at any n <= limit."""
         c, tau = self.growth_bound
-        lo = max(self.start_index, 1)
         table = self.values_table(limit)
-        for n in range(lo, limit + 1):
+        for n in range(self.start_index, limit + 1):
             v = table[n]
             if not v > 0:
                 raise ValueError(f"{self.name}: w_{n} = {v} is not positive")
@@ -287,14 +306,11 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
 
         return window
 
-    fam = WeightFamily(
+    return WeightFamily(
         name, kind, 1 if op is np.multiply else 2, sigma, delta, growth_bound,
         value_fn, windows=windows or fill, exact=exact, params=params,
-        integer_valued=integer_valued,
+        integer_valued=integer_valued, prime_power=prime_power, r_only=r_only,
     )
-    fam.prime_power = prime_power
-    fam.r_only = r_only
-    return fam
 
 
 def multiplicative_from_prime_powers(
@@ -608,9 +624,7 @@ _NAMED_BUILDERS = {
 
 def named_family(name: str, **params) -> WeightFamily:
     if name == "one_plus":
-        unknown = set(params) - {"base"}
-        if unknown:
-            raise ValueError(f"unknown one_plus parameters: {sorted(unknown)}")
+        _known("one_plus parameters", params, {"base"})
         base = params.get("base")
         if isinstance(base, dict):
             base = family_from_config(base)
@@ -621,9 +635,7 @@ def named_family(name: str, **params) -> WeightFamily:
         known = sorted([*_NAMED_BUILDERS, "one_plus"])
         raise ValueError(f"unknown named family {name!r}; known: {known}")
     builder, allowed = _NAMED_BUILDERS[name]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown {name} parameters: {sorted(unknown)}")
+    _known(f"{name} parameters", params, allowed)
     return builder(params)
 
 
@@ -644,7 +656,8 @@ _SPEC_KEYS = {
 
 
 def family_from_config(cfg: dict) -> WeightFamily:
-    """Build a family from its JSON description; unknown keys are rejected."""
+    """Build a family from its JSON description; unknown keys are rejected.
+    Declaration keys go through ``WeightFamily.declare``, over the family's own."""
     if not isinstance(cfg, dict):
         raise ValueError(f"family: expected an object, got {cfg!r}")
     kind = cfg.get("kind")
@@ -652,9 +665,10 @@ def family_from_config(cfg: dict) -> WeightFamily:
         raise ValueError(
             f"family kind must be one of {sorted(_FAMILY_KEYS)}, got {kind!r}"
         )
-    unknown = set(cfg) - _FAMILY_KEYS[kind]
-    if unknown:
-        raise ValueError(f"unknown family config keys: {sorted(unknown)}")
+    _known("family config keys", cfg, _FAMILY_KEYS[kind])
+    decl = {key: _keyed(key, read, cfg[key]) for key, read in
+            (("start_index", _int), ("sigma", _finite_float), ("delta", _finite_float))
+            if key in cfg}
 
     if kind == "named":
         if not isinstance(cfg.get("name"), str):
@@ -662,14 +676,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if not isinstance(params := cfg.get("parameters", {}), dict):
             raise ValueError(f"parameters: expected an object, got {params!r}")
         fam = named_family(cfg["name"], **params)
-        for key, parse in (("sigma", _float), ("delta", _float), ("start_index", _int)):
-            if key in cfg:
-                setattr(fam, key, _keyed(key, parse, cfg[key]))
-        if fam.delta > fam.sigma:
-            raise ValueError("declared delta exceeds sigma")
-        return fam
-
-    if kind == "explicit":
+    elif kind == "explicit":
         for key in ("values", "start_index", "sigma", "delta", "growth_bound"):
             if key not in cfg:
                 raise ValueError(f"explicit family config needs {key!r}")
@@ -678,10 +685,9 @@ def family_from_config(cfg: dict) -> WeightFamily:
         if not (isinstance(bound := cfg["growth_bound"], list) and len(bound) == 2):
             raise ValueError(f"growth_bound: expected a pair [c, tau], got {bound!r}")
         values = [_keyed(f"values[{i}]", _parse_scalar, v) for i, v in enumerate(cfg["values"])]
-        start = _keyed("start_index", _int, cfg["start_index"])
         bound = tuple(_keyed(f"growth_bound[{i}]", _float, c) for i, c in enumerate(bound))
         exact = all(_is_exact(v) for v in values)
-        table = {start + i: v for i, v in enumerate(values)}
+        table = {decl["start_index"] + i: v for i, v in enumerate(values)}
 
         def value_fn(n):
             if n not in table:
@@ -689,36 +695,29 @@ def family_from_config(cfg: dict) -> WeightFamily:
             return table[n]
 
         return WeightFamily(
-            "explicit", "explicit", start, _keyed("sigma", _float, cfg["sigma"]),
-            _keyed("delta", _float, cfg["delta"]), bound, value_fn,
+            "explicit", "explicit", growth_bound=bound, value_fn=value_fn,
             exact=exact, params={"n_values": len(values)},
-            integer_valued=all(isinstance(v, int) for v in values),
+            integer_valued=all(isinstance(v, int) for v in values), **decl,
         )
-
-    spec_cfg = cfg.get("spec")
-    if not isinstance(spec_cfg, dict):
-        raise ValueError("measure family config needs a 'spec' object")
-    stype = spec_cfg.get("type")
-    if not isinstance(stype, str) or stype not in _SPEC_KEYS:
-        raise ValueError(f"unknown measure spec type {stype!r}")
-    unknown = set(spec_cfg) - _SPEC_KEYS[stype]
-    if unknown:
-        raise ValueError(f"unknown {stype} spec keys: {sorted(unknown)}")
-    if stype == "discrete":
-        atoms = spec_cfg.get("atoms", [])
-        if not (isinstance(atoms, (list, tuple))
-                and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
-            raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
-        atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", _float, x) for j, x in enumerate(a))
-                      for i, a in enumerate(atoms))
-        spec = MeasureSpec("discrete", atoms=atoms)
     else:
-        spec = MeasureSpec("gamma_density",
-                           alpha=_keyed("spec.alpha", _float, spec_cfg.get("alpha", 1)))
-    return measure_family(
-        spec,
-        n0=_keyed("n0", _int, cfg.get("n0", 2)),
-        name=f"measure({stype})",
-        sigma=_keyed("sigma", _optional_float, cfg.get("sigma")),
-        delta=_keyed("delta", _optional_float, cfg.get("delta")),
-    )
+        spec_cfg = cfg.get("spec")
+        if not isinstance(spec_cfg, dict):
+            raise ValueError("measure family config needs a 'spec' object")
+        stype = spec_cfg.get("type")
+        if not isinstance(stype, str) or stype not in _SPEC_KEYS:
+            raise ValueError(f"unknown measure spec type {stype!r}")
+        _known(f"{stype} spec keys", spec_cfg, _SPEC_KEYS[stype])
+        if stype == "discrete":
+            atoms = spec_cfg.get("atoms", [])
+            if not (isinstance(atoms, (list, tuple))
+                    and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
+                raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
+            atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", _float, x) for j, x in enumerate(a))
+                          for i, a in enumerate(atoms))
+            spec = MeasureSpec("discrete", atoms=atoms)
+        else:
+            spec = MeasureSpec("gamma_density",
+                               alpha=_keyed("spec.alpha", _float, spec_cfg.get("alpha", 1)))
+        fam = measure_family(spec, _keyed("n0", _int, cfg.get("n0", 2)), f"measure({stype})")
+    fam.declare(**decl)
+    return fam

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dirweight
-from dirweight import arith, cli, condition
+from dirweight import arith, cli, condition, weights
 
 
 def write_config(tmp_path, name, payload):
@@ -300,6 +300,20 @@ DISCRETE = {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0]
      "spec.atoms[1][0]: expected a number, got True"),
     ({**DISCRETE, "spec": {"type": "discrete", "atoms": [["1e400", 1.0]]}},
      "spec.atoms[0][0]: number too large for a float: '1e400'"),
+    # a declaration out of range once passed the config, then ran or failed unkeyed
+    ({**OMEGA, "delta": math.nan}, "delta: expected a finite number, got nan"),
+    ({**OMEGA, "sigma": math.nan}, "sigma: expected a finite number, got nan"),
+    ({**OMEGA, "start_index": 0}, "start_index: expected an integer >= 1, got 0"),
+    ({**EXPLICIT, "delta": -math.inf}, "delta: expected a finite number, got -inf"),
+    ({**EXPLICIT, "growth_bound": [math.nan, 0]},
+     "growth_bound: expected c >= 0 and a finite tau, got [nan, 0.0]"),
+    ({**EXPLICIT, "growth_bound": [1, math.nan]},
+     "growth_bound: expected c >= 0 and a finite tau, got [1.0, nan]"),
+    ({**MEASURE, "delta": math.nan}, "delta: expected a finite number, got nan"),
+    ({**MEASURE, "sigma": math.inf}, "sigma: expected a finite number, got inf"),
+    # null is no override, for every kind
+    ({**MEASURE, "sigma": None}, "sigma: expected a number, got None"),
+    ({**MEASURE, "delta": None}, "delta: expected a number, got None"),
 ])
 def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
@@ -1155,6 +1169,20 @@ def test_readme_lists_exactly_the_config_keys():
     section = readme.split("\n### Config schema\n", 1)[1]
     listing = section.split("Top-level keys", 1)[1].split(".\n", 1)[0]
     assert re.findall(r"`(\w+)`", listing) == list(cli._READERS)
+
+
+def test_readme_lists_exactly_the_family_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Config schema\n", 1)[1]
+    block = re.sub(r"\s*//.*", "", section.split("```jsonc\n", 1)[1].split("\n```", 1)[0])
+    listed = {}
+    for family in re.findall(r"^\{.*?\}$", block, re.M | re.S):
+        top = family[1:-1]
+        while "{" in top:  # drop the nested objects, spec and parameters
+            top = re.sub(r"\{[^{}]*\}", "", top)
+        kind = re.search(r'"kind": "(\w+)"', family)[1]
+        listed.setdefault(kind, set()).update(re.findall(r'"(\w+)":', top))
+    assert listed == weights._FAMILY_KEYS
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

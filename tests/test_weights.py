@@ -1,5 +1,7 @@
+import json
 import math
 import operator
+import re
 from fractions import Fraction
 from functools import partial
 from random import Random
@@ -8,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirweight import _accel, arith, condition, series, weights
+from dirweight import _accel, arith, cli, condition, series, weights
 
 
 # -- named families -----------------------------------------------------------
@@ -756,3 +758,55 @@ def test_invalid_delta_exceeds_sigma():
         weights.family_from_config({
             "kind": "named", "name": "ones", "delta": 2.0,
         })
+
+
+def _builders(decl: dict) -> list:
+    """Each public family builder that takes every key of decl, building with decl
+    over a valid declaration."""
+    full = {"start_index": 1, "sigma": 1.0, "delta": 0.0, "growth_bound": (1.0, 0.0), **decl}
+    rest = {key: v for key, v in full.items() if key != "start_index"}
+    builders = [lambda: weights.WeightFamily("x", "explicit", value_fn=float, **full)]
+    if "start_index" not in decl:
+        builders += [lambda: weights.multiplicative_from_prime_powers(lambda p, r: 1, **rest),
+                     lambda: weights.additive_from_prime_powers(lambda p, r: 1, **rest)]
+    if decl.keys() <= {"sigma", "delta"}:
+        builders.append(lambda: weights.measure_family(
+            weights.MeasureSpec("gamma_density", alpha=1.0), sigma=full["sigma"],
+            delta=full["delta"]))
+    return builders
+
+
+@pytest.mark.parametrize("decl,message", [
+    ({"sigma": math.nan}, "sigma: expected a finite number, got nan"),
+    ({"sigma": math.inf}, "sigma: expected a finite number, got inf"),
+    ({"delta": math.nan}, "delta: expected a finite number, got nan"),
+    ({"delta": -math.inf}, "delta: expected a finite number, got -inf"),
+    ({"delta": 2.0}, "delta: expected at most sigma = 1.0, got 2.0"),
+    ({"growth_bound": (math.nan, 0.0)}, "growth_bound: expected c >= 0 and a finite tau"),
+    ({"growth_bound": (-1.0, 0.0)}, "growth_bound: expected c >= 0 and a finite tau"),
+    ({"growth_bound": (1.0, math.inf)}, "growth_bound: expected c >= 0 and a finite tau"),
+    ({"growth_bound": (1.0, math.nan)}, "growth_bound: expected c >= 0 and a finite tau"),
+    ({"start_index": 0}, "start_index: expected an integer >= 1, got 0"),
+    ({"start_index": -3}, "start_index: expected an integer >= 1, got -3"),
+])
+def test_every_builder_checks_the_declaration(decl, message):
+    for build in _builders(decl):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    # an override is checked by the same rule, and sets nothing when it fails
+    fam = weights.named_family("omega")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fam.declare(**decl)
+    assert (fam.start_index, fam.sigma, fam.delta, fam.growth_bound) == (2, 1.0, 0.0, (1.1, 0.5))
+
+
+def test_an_infinite_growth_constant_declares_an_uncertified_tail(tmp_path, capsys):
+    for build in _builders({"growth_bound": (math.inf, 0.0)}):
+        assert build().growth_bound == (math.inf, 0.0)
+    assert weights.named_family("divisor_pow", alpha=1100).growth_bound == (math.inf, 550.0)
+    family = {"kind": "explicit", "values": [1, 2, 3], "start_index": 2, "sigma": 1.0,
+              "delta": 0.0, "growth_bound": [math.inf, 0]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"family": family, "n_max": 4}))
+    assert cli.main(["classify", "--config", str(path), "--no-timestamp", "--stdout"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["growth_bound"] == ["inf", 0.0]
