@@ -143,22 +143,6 @@ def divisor_count(n: int) -> int:
     return prod(r + 1 for _, r in factorize(n))
 
 
-def primes_up_to(n: int) -> np.ndarray:
-    return _accel.primes_up_to(_check_sieve(n))
-
-
-def first_primes(count: int) -> list[int]:
-    """The increasing enumeration p_1 = 2, p_2 = 3, ... up to p_count."""
-    count = _check_positive(count, "count")
-    # p_k < k (ln k + ln ln k) for k >= 6
-    bound = 15
-    while True:
-        ps = primes_up_to(bound)
-        if len(ps) >= count:
-            return [int(p) for p in ps[:count]]
-        bound *= 4
-
-
 def factorizations_up_to(n_max: int):
     """Yield (n, factorize(n).factors) for n = 1..n_max."""
     n_max = _check_sieve(n_max, "n_max")

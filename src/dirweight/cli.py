@@ -56,9 +56,9 @@ def _family(v) -> weights.WeightFamily:
         raise ConfigError(str(e)) from e
 
 
-def _optional_int(v) -> int | None:
-    """A config integer (see weights._int); None means not given."""
-    return None if v is None else weights._int(v)
+def _optional(read):
+    """read, except that None means not given."""
+    return lambda v: None if v is None else read(v)
 
 
 def _checked(what: str, ok, parse=lambda v: v):
@@ -69,6 +69,12 @@ def _checked(what: str, ok, parse=lambda v: v):
             raise ValueError(f"expected {what}, got {v!r}")
         return x
     return read
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """The reader of a config integer (see weights._int) in [lo, hi]."""
+    what = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return _checked(what, lambda x: lo <= x <= hi, weights._int)
 
 
 def _pair(v) -> complex:
@@ -82,31 +88,30 @@ def _grid(v) -> tuple:
     """(points, n_points): the grid's points as complexes (None: the default grid of n_points)."""
     if not isinstance(v, dict):
         raise ValueError(f"expected an object, got {v!r}")
-    unknown = set(v) - {"points", "n_points"}
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
+    weights._known("keys", v, {"points", "n_points"})
     pts = v.get("points")
     if not (pts is None or isinstance(pts, list)):
         raise ConfigError(f"grid.points: expected a list of [re, im] pairs, got {pts!r}")
     points = None if pts is None else [weights._keyed("grid.points", _pair, p, ConfigError)
                                        for p in pts]
-    return points, weights._keyed("n_points", weights._int, v.get("n_points", 8), ConfigError)
+    n_points = _integer(1, kernel.MAX_POINTS)
+    return points, weights._keyed("n_points", n_points, v.get("n_points", 8), ConfigError)
 
 
 #: Every top-level config key and its reader, which returns the value or raises ValueError.
 _READERS = {
     "family": _family,
-    "delta": lambda v: None if v is None else weights._finite_float(v),  # "1/2" is a rational
-    "k": _optional_int,
-    "n_max": weights._int,
+    "delta": _optional(weights._finite_float),  # "1/2" is a rational
+    "k": _optional(_integer(1)),
+    "n_max": _integer(1),
     "methods": _checked("a list of method names",
                         lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
     "tol": _checked("a finite number > 0", lambda x: math.isfinite(x) and x > 0, weights._float),
     "mode": _checked("auto/exact/float", lambda v: v in ("auto", "exact", "float")),
     "kernel": _checked("/".join(kernel.ROUTES), lambda v: v in kernel.ROUTES),
     "grid": _grid,
-    "alpha": weights._int,
-    "n": _optional_int,
+    "alpha": _integer(1),
+    "n": _optional(_integer(2)),
     "s": _pair,
     "u": _pair,
     "out": _checked("a non-empty string", lambda v: isinstance(v, str) and v != ""),
@@ -235,6 +240,10 @@ def cmd_check_condition(args) -> int:
                 "exact mode needs rational weights and delta = 0 "
                 f"(family {fam.name}, delta {d})"
             )
+    last = fam.last_index
+    if last is not None and cfg["n_max"] > last:  # classify clamps instead
+        raise ConfigError(f"n_max: expected at most {last}, the last index of {fam.name}, "
+                          f"got {cfg['n_max']}")
 
     print(f"checking condition for {fam.name} up to n = {cfg['n_max']}", file=sys.stderr)
     report = condition.check_range(
@@ -256,6 +265,7 @@ def cmd_classify(args) -> int:
         "start_index": fam.start_index,
         "sigma": fam.sigma,
         "delta": fam.delta,
+        "delta_w": weights.smooth_abscissa(fam),
         "growth_bound": list(fam.growth_bound),
         "exact_values": fam.exact,
     }
@@ -293,12 +303,6 @@ def cmd_classify(args) -> int:
     }
     if report.verdict in (condition.NONNEG_EXACT, condition.NONNEG_TOL):
         routes.append("direct condition route")
-
-    try:  # at the delta the condition sample ran at
-        smooth = weights.smooth_growth_diagnostic(fam, max(report.delta, 0.0) + 0.5, 3)
-        result["smooth_sum_diagnostic"] = {"delta": report.delta, **smooth}
-    except ValueError:
-        pass
     result["applicable_routes"] = routes
 
     envelope = _report_envelope("classify", cfg, result)

@@ -16,9 +16,10 @@ Entry m of the column is ``_to_float(value(m))`` bit for bit (the
 exceptions are in ``values_table``).  Nothing is cached: each call
 evaluates afresh.
 
-The abscissas are declared, never inferred: the smooth-restricted infimum
-defining delta is not numerically decidable, so partial-sum diagnostics
-here only corroborate a declaration (see ``smooth_partial_sum``).
+The abscissas sigma and delta are declared, and the declared delta is the
+default of every run.  ``smooth_abscissa`` derives delta_w, the infimum of
+the Re s at which every p_n-smooth sum of w_j j^(-s) converges, in closed
+form from the family's own definition, where that definition fixes it.
 """
 
 from __future__ import annotations
@@ -86,6 +87,15 @@ def _finite_float(v) -> float:
     x = _float(v)
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {v!r}")
+    return x
+
+
+def _position(v) -> float:
+    """A discrete atom's position sigma (a config scalar) as a float: sigma >= 0
+    with 2 sigma finite, the exponent of w_n ~ n^(2 sigma) and delta_w."""
+    x = _float(v)
+    if not 0 <= 2.0 * x < math.inf:
+        raise ValueError(f"atom position {v!r} must be finite and >= 0, with 2 * position finite")
     return x
 
 
@@ -355,8 +365,7 @@ class MeasureSpec:
             if not self.atoms:
                 raise ValueError("discrete measure needs at least one atom")
             for sig, mass in self.atoms:
-                if not 0 <= sig < math.inf:
-                    raise ValueError(f"atom position {sig} must be finite and >= 0")
+                _position(sig)
                 if not 0 < mass < math.inf:
                     raise ValueError(f"atom mass {mass} must be finite and positive")
         elif self.kind == "gamma_density":
@@ -402,9 +411,7 @@ def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
     return float(_measure_weights(spec, np.array([n], dtype=np.float64))[0])
 
 
-def measure_family(
-    spec: MeasureSpec, n0: int = 2, name: str = "measure", sigma=None, delta=None
-) -> WeightFamily:
+def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> WeightFamily:
     """Wrap a measure spec as a WeightFamily (float values)."""
     start = max(n0, 2)
     if spec.kind == "discrete":
@@ -427,50 +434,13 @@ def measure_family(
         name,
         "measure_induced",
         start,
-        1.0 if sigma is None else sigma,
-        0.0 if delta is None else delta,
+        1.0,
+        0.0,
         bound,
         lambda n: measure_induced(spec, n0, n),
-        exact=False,
         params={"measure": spec, "n0": n0},
         windows=lambda pp: window,
     )
-
-
-# ---------------------------------------------------------------------------
-# smooth-restricted partial sums (divergence diagnostics)
-# ---------------------------------------------------------------------------
-
-
-def smooth_partial_sum(w: WeightFamily, s: float, n: int, cutoff: int) -> float:
-    """Sum of w_j j^(-s) over 2 <= j <= cutoff with gpf(j) <= p_n.
-
-    A diagnostic for the declared smooth-restricted abscissa delta: the
-    doubling-cutoff behaviour is reported by callers, never asserted.
-    """
-    cutoff = arith._check_sieve(cutoff, "cutoff")
-    if cutoff < 2:
-        raise ValueError("cutoff must be >= 2")
-    n = arith._check_positive(n)
-    pp = _accel.PrimePowers(cutoff)
-    _, p, r = pp.listing
-    primes = p[r == 1]
-    # p_n, or the cutoff when p_n lies past it: both admit every j <= cutoff
-    p_n = primes[n - 1] if n <= len(primes) else cutoff
-    vals = w.values_table(cutoff, pp)
-    vals[~pp.column(lambda p, r: p <= p_n, np.logical_and)] = 0.0
-    return float(_accel.power_sum(vals, 2, [float(s), 0.0], [(0, 1, cutoff)])[0].real)
-
-
-def smooth_growth_diagnostic(
-    w: WeightFamily, s: float, n: int, base_cutoff: int = 256, doublings: int = 5
-) -> dict:
-    """Partial sums at doubling cutoffs plus successive ratios."""
-    cutoffs = [base_cutoff * 2**i for i in range(doublings + 1)]
-    sums = [smooth_partial_sum(w, s, n, c) for c in cutoffs]
-    ratios = [b / a if a > 0 else math.inf for a, b in zip(sums, sums[1:])]
-    return {"s": s, "p_n": arith.first_primes(n)[-1], "cutoffs": cutoffs,
-            "sums": sums, "ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +559,8 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     if not rf > 0:
         raise ValueError(f"ratio: geometric ratio must be a positive float, got {rf!r}")
     exact = _is_exact(ratio)
-    # ratio * 2^(-s) < 1 drives the smooth-restricted sums only for ratio >= 1;
-    # for ratio < 1 the large primes bind and delta_w = 0, not log2(ratio)
+    # declared as log2(ratio); for ratio < 1 the large primes bind and
+    # delta_w = 0, not log2(ratio) (see smooth_abscissa)
     delta = math.log2(rf)
 
     def windows(pp):
@@ -637,6 +607,29 @@ def named_family(name: str, **params) -> WeightFamily:
     builder, allowed = _NAMED_BUILDERS[name]
     _known(f"{name} parameters", params, allowed)
     return builder(params)
+
+
+def smooth_abscissa(w: WeightFamily) -> float | None:
+    """delta_w = inf{Re s : sum_(j >= 2, gpf(j) <= p_n) w_j j^(-s) < oo for every n}, from the
+    family's own definition, or None where the definition does not fix it.  The sum of j^(-s)
+    over the p_n-smooth j is prod_(p <= p_n) (1 - p^(-s))^(-1) - 1, finite iff s > 0; so:
+
+    - one_plus(v): max(0, delta_w(v)), or None if v's is None: 1 + v_j adds that sum.
+    - a discrete measure: 2 s_min: w_j = 1 / sum m j^(-2 sigma) = j^(2 s_min) / m(s_min) (1 + o(1)).
+    - the gamma density and log_pow: 0: w_j = (log j)^alpha = j^o(1).
+    - geometric(rho): max(0, log2 rho): sum_r (rho p^(-s))^r needs s > log rho / log p at each p.
+    - ones, omega, big_omega, divisor_pow, d_beta: 0: f(r) = r^O(1), so w_j = (log j)^O(n).
+    - explicit lists and the public ``*_from_prime_powers`` families: None.
+    """
+    base, spec = w.params.get("base"), w.params.get("measure")
+    if isinstance(base, WeightFamily):
+        d = smooth_abscissa(base)
+        return None if d is None else max(0.0, d)
+    if spec is not None:
+        return 2.0 * min(sig for sig, _ in spec.atoms) if spec.kind == "discrete" else 0.0
+    if not w.r_only:  # the named prime-power families alone depend on r only
+        return None
+    return max(0.0, math.log2(w.params["ratio"])) if "ratio" in w.params else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +705,8 @@ def family_from_config(cfg: dict) -> WeightFamily:
             if not (isinstance(atoms, (list, tuple))
                     and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
                 raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
-            atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", _float, x) for j, x in enumerate(a))
-                          for i, a in enumerate(atoms))
+            atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", (_position, _float)[j], x)
+                                for j, x in enumerate(a)) for i, a in enumerate(atoms))
             spec = MeasureSpec("discrete", atoms=atoms)
         else:
             spec = MeasureSpec("gamma_density",

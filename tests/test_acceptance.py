@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dirweight import arith, cli, condition, kernel, series, weights
+from dirweight import _accel, arith, cli, condition, kernel, series, weights
 
 
 def _report(num, ok, text):
@@ -62,7 +62,7 @@ def test_criterion_02_divisor_count_convolution_is_one(fams):
 
 def test_criterion_03_omega_condition_is_prime_indicator(fams):
     rep = condition.check_range(fams["omega"], 0.0, 2, 10**4)
-    primes = set(int(p) for p in arith.primes_up_to(10**4))
+    primes = set(int(p) for p in _accel.primes_up_to(10**4))
     ok = rep.mode == "exact" and all(
         r.value == (1 if r.n in primes else 0) for r in rep.records
     )

@@ -192,10 +192,6 @@ def test_big_omega():
     assert arith.big_omega(2**10) == 10
 
 
-def test_first_primes():
-    assert arith.first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
 def test_factorizations_up_to_matches_factorize():
     got = list(arith.factorizations_up_to(500))
     assert [n for n, _ in got] == list(range(1, 501))

@@ -314,6 +314,9 @@ DISCRETE = {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0]
     # null is no override, for every kind
     ({**MEASURE, "sigma": None}, "sigma: expected a number, got None"),
     ({**MEASURE, "delta": None}, "delta: expected a number, got None"),
+    # 2 * position is w_n's exponent and delta_w: it once overflowed the growth bound's tau
+    ({**DISCRETE, "spec": {"type": "discrete", "atoms": [[1e308, 1.0]]}},
+     "spec.atoms[0][0]: atom position 1e+308 must be finite and >= 0, with 2 * position finite"),
 ])
 def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
@@ -335,6 +338,8 @@ BAD_VALUES = [
     ("family", 5), ("delta", "1/0"), ("delta", math.inf), ("k", 2.5), ("n_max", 1.5), ("methods", "divisor_sum"),
     ("tol", None), ("tol", 0), ("mode", [1]), ("kernel", 5), ("grid", [2.0]), ("alpha", True),
     ("n", 6.5), ("s", [2.0]), ("u", None), ("out", [1]), ("out", ""), ("timestamp", "no"),
+    # integers out of range once failed unkeyed, the first three after the progress line
+    ("k", 0), ("n_max", 0), ("grid", {"n_points": 0}), ("alpha", 0), ("n", 1),
 ]
 
 
@@ -357,7 +362,9 @@ def test_a_bad_value_of_any_key_is_one_keyed_config_error(command, key, value, t
     assert run([command, "--config", path]) == 1
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith(f"config error: {key}: ")
+    # a bad entry of an object names its own key, as n_points does in grid
+    assert captured.err.startswith(f"config error: {next(iter(value), key)}: "
+                                   if isinstance(value, dict) else f"config error: {key}: ")
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
@@ -495,14 +502,21 @@ def test_classify_past_the_float_range_counts_the_factors_not_finite(tmp_path, c
     assert result["applicable_routes"] == []
 
 
-def test_classify_smooth_sums_run_at_the_delta_override(tmp_path, capsys):
-    cfg = write_config(tmp_path, "d.json", {
-        "family": {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}})
-    assert run(["classify", "--config", cfg, "--delta", "0.3", "--no-timestamp", "--stdout"]) == 0
+@pytest.mark.parametrize("family,delta,delta_w", [
+    ({"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}}, -1.0, 0.0),
+    ({"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.5, 1]]}}, 0.0, 1.0),  # w_n = n
+    ({"kind": "explicit", "values": [1, 2, 3], "start_index": 2, "sigma": 1.0, "delta": 0.0,
+      "growth_bound": [2, 1]}, 0.0, None),
+], ids=["geometric", "discrete", "explicit"])
+def test_classify_reports_delta_w_beside_the_declared_delta(family, delta, delta_w, tmp_path,
+                                                            capsys):
+    # the condition sample still runs at the declared delta
+    cfg = write_config(tmp_path, "f.json", {"family": family, "n_max": 4})
+    assert run(["classify", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    smooth = result["smooth_sum_diagnostic"]
-    assert (smooth["delta"], smooth["s"]) == (0.3, 0.8) == (
-        result["condition_sample"]["delta"], 0.8)
+    assert (result["delta"], result["delta_w"], result["condition_sample"]["delta"]) == (
+        delta, delta_w, delta)
+    assert "smooth_sum_diagnostic" not in result
 
 
 @pytest.mark.parametrize("family,method", [
@@ -871,6 +885,19 @@ def test_classify_explicit_clamps_n_max(tmp_path, capsys):
     assert sample["counts"] == {"nonneg_exact": 5}
 
 
+def test_check_condition_refuses_n_max_past_an_explicit_family(tmp_path, monkeypatch, capsys):
+    # once a progress line, then "error: explicit family has no value at n=6"
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "e.json", {"family": {
+        "kind": "explicit", "values": [1, 2, 3, 4, 5], "start_index": 1, "sigma": 1.0,
+        "delta": 0.0, "growth_bound": [5.0, 1.0]}, "n_max": 20})
+    assert run(["check-condition", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "config error: n_max: expected at most 5, the last index of explicit, got 20"]
+    assert [p.name for p in tmp_path.iterdir()] == ["e.json"]
+
+
 def _python(*args, **kwargs):
     """python args... with dirweight's sources on the path; the completed process."""
     src = str(Path(dirweight.__file__).resolve().parents[1])
@@ -1156,8 +1183,8 @@ def test_gram_rejects_n_points_outside_its_range(n_points, tmp_path, capsys):
     cfg = write_config(tmp_path, "ones.json", {"family": {"kind": "named", "name": "ones"}})
     assert run(["gram", "--config", cfg, "--n-points", str(n_points), "--stdout"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1] == (
-        f"error: need between 1 and 64 points, got n_points = {n_points}")
+    assert captured.err.splitlines() == [
+        f"config error: n_points: expected an integer in [1, 64], got {n_points}"]
     assert captured.out == ""
 
 

@@ -415,7 +415,7 @@ def test_check_range_divisor_count_all_ones(fam):
 
 def test_check_range_omega_prime_indicator(fam):
     rep = condition.check_range(fam["omega"], None, None, 1000)
-    primes = set(int(p) for p in arith.primes_up_to(1000))
+    primes = set(int(p) for p in _accel.primes_up_to(1000))
     for r in rep.records:
         assert r.value == (1 if r.n in primes else 0)
     assert rep.verdict == condition.NONNEG_EXACT

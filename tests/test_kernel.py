@@ -71,6 +71,16 @@ def test_ratio_kernel_outside_beta_raises(fams):
         kernel.condition_kernel_ratio(fams["ones"], 0.45, 1.5)
 
 
+def test_ratio_kernel_with_a_denominator_inside_its_tail_is_inconclusive():
+    # at Re(s + conj(u)) = 1.01 the zeta partial sum to the 10^6-term cap lies
+    # within its own tail bound, so the quotient has no value
+    omega = weights.named_family("omega")
+    ev = kernel.condition_kernel_ratio(omega, 0.505, 0.505)
+    assert math.isnan(ev.value.real) and ev.tail_bound == math.inf
+    assert ev.n_terms == kernel.TRUNCATION_CAP
+    assert kernel.gram_psd(omega, points=[0.505], kernel="ratio").verdict == kernel.INCONCLUSIVE
+
+
 def test_ratio_kernel_hermitian(fams):
     a = kernel.condition_kernel_ratio(fams["d"], 1.9 + 0.3j, 1.7 - 0.1j, tol=1e-6)
     b = kernel.condition_kernel_ratio(fams["d"], 1.7 - 0.1j, 1.9 + 0.3j, tol=1e-6)
@@ -85,7 +95,7 @@ def test_series_kernel_coefficients_divisor_count(fams):
 
 def test_series_kernel_coefficients_omega_prime_indicator(fams):
     coeffs = kernel._route(fams["omega"], 0.0, "series").table(200)[:]
-    primes = set(int(p) for p in arith.primes_up_to(200))
+    primes = set(int(p) for p in _accel.primes_up_to(200))
     for n in range(1, 201):
         assert coeffs[n] == pytest.approx(1.0 if n in primes else 0.0, abs=1e-12)
 

@@ -41,7 +41,7 @@ def test_ones_convolved_with_mobius_is_identity():
 def test_omega_series_expansion():
     # coefficients of zeta * (sum over primes p^-s) are omega(j)
     n = 400
-    primes = set(int(p) for p in arith.primes_up_to(n))
+    primes = set(int(p) for p in _accel.primes_up_to(n))
     prime_indicator = series.from_coeffs(
         [1 if j in primes else 0 for j in range(1, n + 1)], series.EXACT
     )

@@ -311,7 +311,7 @@ def test_prime_power_is_the_value_at_p_to_the_r_bit_for_bit(name, params, exact)
     fam = weights.named_family(name, **params)
     if not exact:
         fam.exact = False  # what --float does
-    for p in arith.primes_up_to(200).tolist():
+    for p in _accel.primes_up_to(200).tolist():
         for r in range(9):
             got, want = fam.prime_power(p, r), fam.value(p**r)
             assert (type(got), repr(got)) == (type(want), repr(want)), (p, r)
@@ -436,7 +436,8 @@ def test_measure_spec_validation():
         weights.MeasureSpec("discrete", atoms=((-1.0, 1.0),))
     with pytest.raises(ValueError):
         weights.MeasureSpec("discrete", atoms=((0.0, 0.0),))
-    for atom in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+    for atom in ((math.nan, 1.0), (math.inf, 1.0), (1e308, 1.0), (0.0, math.nan),
+                 (0.0, math.inf)):
         with pytest.raises(ValueError, match="must be finite"):
             weights.MeasureSpec("discrete", atoms=(atom,))
     for alpha in (0.0, -1.0, math.nan, math.inf):
@@ -577,76 +578,40 @@ def test_growth_check_kind_mismatch():
             condition.prime_power_check(fam, None, 100)
 
 
-# -- smooth partial sums ------------------------------------------------------
+# -- smooth abscissa -----------------------------------------------------------
 
 
-def test_smooth_sum_omega_at_half_is_stable():
-    om = weights.named_family("omega")
-    diag = weights.smooth_growth_diagnostic(om, 0.5, 3, base_cutoff=512, doublings=4)
-    # convergent regime: doubling the cutoff barely moves the sum
-    assert diag["ratios"][-1] < 1.05
+def _discrete(*atoms):
+    return weights.measure_family(weights.MeasureSpec("discrete", atoms=atoms))
 
 
-def test_smooth_sum_omega_at_zero_diverges():
-    om = weights.named_family("omega")
-    diag = weights.smooth_growth_diagnostic(om, 0.0, 3, base_cutoff=512, doublings=4)
-    # no plateau: every doubling still adds >10%, unlike the s = 0.5 case
-    assert all(r > 1.1 for r in diag["ratios"])
-    assert diag["sums"] == sorted(diag["sums"])
-
-
-def test_smooth_sum_ones_dominated_by_zeta():
-    ones = weights.named_family("ones")
-    total = weights.smooth_partial_sum(ones, 2.0, 5, 10**4)
-    assert 0 < total <= series.ZETA_TABLE[2] - 1.0
-
-
-@pytest.mark.parametrize("name,params", [("omega", {}), ("divisor_pow", {"alpha": 1}),
-                                         ("geometric", {"ratio": "1/2"}), ("log_pow", {})])
-def test_smooth_partial_sum_builds_the_factor_tables_once(name, params, monkeypatch):
-    # one sieve of the base primes and one prime-power list, for p_n and the smooth
-    # mask, at the cutoff; a named base's weight table reads its values per
-    # exponent from the same base primes; and no factorization
-    calls, listing = [], _accel.PrimePowers.listing.func
-    sieves, primes_up_to = [], _accel.primes_up_to
-    monkeypatch.setattr(_accel.PrimePowers.listing, "func",
-                        lambda pp: calls.append(pp.n) or listing(pp))
-    monkeypatch.setattr(_accel, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
-    monkeypatch.setattr(arith, "factorize", lambda n: pytest.fail(f"factorize({n})"))
-    plus = weights.named_family("one_plus", base=weights.named_family(name, **params))
-    weights.smooth_partial_sum(plus, 1.5, 3, 4096)
-    assert (calls, sieves) == ([4096], [64])
-
-
-def test_smooth_partial_sum_is_the_literal_sum():
-    w = weights.named_family("omega")
-    for n, cutoff in [(1, 64), (3, 300), (30, 100)]:  # p_30 = 113 lies past the cutoff 100
-        p_n = arith.first_primes(n)[-1]
-        want = sum(w.value(j) * j**-1.5 for j in range(2, cutoff + 1) if arith.gpf(j) <= p_n)
-        assert weights.smooth_partial_sum(w, 1.5, n, cutoff) == pytest.approx(want, rel=1e-12)
-
-
-def test_smooth_sum_cutoff_validation():
-    with pytest.raises(ValueError):
-        weights.smooth_partial_sum(weights.named_family("ones"), 2.0, 1, 1)
-
-
-@pytest.mark.parametrize("cutoff,error,match", [
-    (100.5, TypeError, "cutoff must be an integer"),
-    ("64", TypeError, "cutoff must be an integer"),
-    (1001, arith.ResourceLimitError, "exceeds ceiling 1000"),
-    (1, ValueError, "cutoff must be >= 2"),
+@pytest.mark.parametrize("build,want", [
+    *((partial(weights.named_family, name, **params), 0.0) for name, params in [
+        ("ones", {}), ("omega", {}), ("big_omega", {}),
+        *(("divisor_pow", {"alpha": a}) for a in (1, "1/2", -2)),
+        *(("d_beta", {"beta": b}) for b in (2, "3/2", "1/2")),
+        ("log_pow", {})]),
+    (lambda: weights.measure_family(weights.MeasureSpec("gamma_density", alpha=0.7)), 0.0),
+    (lambda: _discrete((0.0, 1.0), (0.5, 2.0)), 0.0),
+    *((partial(weights.named_family, "geometric", ratio=r), 0.0) for r in ("1/2", 1)),
+    *((partial(weights.named_family, "geometric", ratio=r), math.log2(float(Fraction(r))))
+      for r in (3, "5/2")),
+    (lambda: _discrete((0.5, 1.0)), 1.0),  # w_n = n
+    (lambda: _discrete((0.5, 1.0), (0.2, 2.0)), 0.4),
+    (lambda: weights.named_family("one_plus", base=weights.named_family("geometric", ratio=3)),
+     math.log2(3)),
+    (lambda: weights.family_from_config({"kind": "explicit", "values": [1, 2, 3],
+                                         "start_index": 1, "sigma": 1.0, "delta": 0.0,
+                                         "growth_bound": [3, 1]}), None),
+    (lambda: weights.multiplicative_from_prime_powers(lambda p, r: 1, 1.0, 0.0, (1.0, 0.0)),
+     None),
 ])
-def test_smooth_partial_sum_checks_the_cutoff_before_any_table(cutoff, error, match,
-                                                               monkeypatch):
-    def no_tables(*args):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(arith, "MAX_SIEVE", 1000)
-    monkeypatch.setattr(_accel, "primes_up_to", no_tables)
-    monkeypatch.setattr(weights.WeightFamily, "values_table", no_tables)
-    with pytest.raises(error, match=match):
-        weights.smooth_partial_sum(weights.named_family("omega"), 2.0, 1, cutoff)
+def test_smooth_abscissa_follows_each_family_rule(build, want):
+    fam = build()
+    assert weights.smooth_abscissa(fam) == want
+    # a declaration override moves the declared delta, not the derived one
+    fam.declare(sigma=9.0, delta=-5.0)
+    assert weights.smooth_abscissa(fam) == want
 
 
 # -- config -------------------------------------------------------------------
@@ -769,10 +734,6 @@ def _builders(decl: dict) -> list:
     if "start_index" not in decl:
         builders += [lambda: weights.multiplicative_from_prime_powers(lambda p, r: 1, **rest),
                      lambda: weights.additive_from_prime_powers(lambda p, r: 1, **rest)]
-    if decl.keys() <= {"sigma", "delta"}:
-        builders.append(lambda: weights.measure_family(
-            weights.MeasureSpec("gamma_density", alpha=1.0), sigma=full["sigma"],
-            delta=full["delta"]))
     return builders
 
 
