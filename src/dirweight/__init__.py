@@ -36,7 +36,6 @@ from .weights import (
     measure_induced,
     multiplicative_from_prime_powers,
     named_family,
-    smooth_abscissa,
 )
 from .condition import (
     ConditionReport,
@@ -85,7 +84,6 @@ __all__ = [
     "multiplicative_from_prime_powers",
     "additive_from_prime_powers",
     "measure_induced",
-    "smooth_abscissa",
     "ConditionReport",
     "divisor_sum",
     "mult_product",

@@ -265,7 +265,6 @@ def cmd_classify(args) -> int:
         "start_index": fam.start_index,
         "sigma": fam.sigma,
         "delta": fam.delta,
-        "delta_w": weights.smooth_abscissa(fam),
         "growth_bound": list(fam.growth_bound),
         "exact_values": fam.exact,
     }
@@ -282,7 +281,7 @@ def cmd_classify(args) -> int:
     base = fam.params.get("base")
     if isinstance(base, weights.WeightFamily) and base.kind == "multiplicative":
         # at delta = 0 the factor of p^r is w_(p^r) - w_(p^(r-1))
-        increasing = condition.prime_power_check(base, 0.0, n_max)["passed"]
+        increasing = condition.prime_power_check(base, 0.0, n_max, tol)["passed"]
         result["one_plus_base"] = {
             "name": base.name,
             "prime_power_values_increasing": increasing,
@@ -415,18 +414,6 @@ def _points(text: str) -> dict:
     return {"points": [_point(chunk) for chunk in text.split(";")]}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (or a previous report)")
-    p.add_argument("--delta", type=_rational, default=None,
-                   help="override the family's declared delta")
-    p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-    p.add_argument("--out", default=None, help="output path prefix (.json/.csv)")
-    p.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None,
-                   help="omit the timestamp for byte-identical reruns")
-    p.add_argument("--stdout", action="store_true",
-                   help="print the JSON report to stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dirweight",
@@ -435,9 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("check-condition",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file (or a previous report)")
+    common.add_argument("--out", default=None, help="output path prefix (.json/.csv)")
+    common.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None,
+                        help="omit the timestamp for byte-identical reruns")
+    common.add_argument("--stdout", action="store_true", help="print the JSON report to stdout")
+    # the subcommands that read a family add its delta and a tolerance
+    family = argparse.ArgumentParser(add_help=False, parents=[common])
+    family.add_argument("--delta", type=_rational, default=None, help="override the family's delta")
+    family.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+
+    p = sub.add_parser("check-condition", parents=[family],
                        help="evaluate the Mobius-convolution condition on a range")
-    _add_common(p)
     p.add_argument("--k", type=int, default=None, help="start index of the sum")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.add_argument("--methods", default=None,
@@ -448,30 +445,26 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--float", dest="mode", action="store_const", const="float")
     p.set_defaults(mode=None, func=cmd_check_condition, report=("condition_report", True))
 
-    p = sub.add_parser("classify",
+    p = sub.add_parser("classify", parents=[family],
                        help="check the prime-power signs and report applicable routes")
-    _add_common(p)
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.set_defaults(func=cmd_classify, report=(None, False))
 
-    p = sub.add_parser("gram", help="Gram positivity witness on a point grid")
-    _add_common(p)
+    p = sub.add_parser("gram", parents=[family], help="Gram positivity witness on a point grid")
     p.add_argument("--kernel", choices=kernel.ROUTES, default=None)
     p.add_argument("--points", dest="grid", type=_points, default=None,
                    help="semicolon list of complex points, e.g. '1.2;1.5+0.3j'")
     p.add_argument("--n-points", type=int, default=None, dest="n_points")
     p.set_defaults(func=cmd_gram, report=("gram_report", False))
 
-    p = sub.add_parser("eval-kernel", help="evaluate one kernel entry")
-    _add_common(p)
+    p = sub.add_parser("eval-kernel", parents=[family], help="evaluate one kernel entry")
     p.add_argument("--kernel", choices=kernel.ROUTES, default=None)
     p.add_argument("--s", type=_point, default=None, help="complex point, e.g. '1.2+0.3j'")
     p.add_argument("--u", type=_point, default=None, help="second point (defaults to s)")
     p.set_defaults(func=cmd_eval_kernel, report=(None, False))
 
-    p = sub.add_parser("von-mangoldt",
+    p = sub.add_parser("von-mangoldt", parents=[common],
                        help="generalized von Mangoldt values (Mobius * log^alpha)")
-    _add_common(p)
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, default=None, help="single index")
     p.add_argument("--n-max", type=int, default=None, dest="n_max")

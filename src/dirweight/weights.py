@@ -2,7 +2,7 @@
 
 A family carries a positive weight w_n for every n at or past its start
 index, a structural tag (multiplicative / additive / explicit /
-measure_induced), DECLARED convergence abscissas sigma and delta, and a
+measure_induced), convergence abscissas sigma and delta, and a
 dominating growth bound w_j <= C j^tau used for rigorous truncation tails.
 Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
@@ -16,10 +16,10 @@ Entry m of the column is ``_to_float(value(m))`` bit for bit (the
 exceptions are in ``values_table``).  Nothing is cached: each call
 evaluates afresh.
 
-The abscissas sigma and delta are declared, and the declared delta is the
-default of every run.  ``smooth_abscissa`` derives delta_w, the infimum of
-the Re s at which every p_n-smooth sum of w_j j^(-s) converges, in closed
-form from the family's own definition, where that definition fixes it.
+A family's delta is the default of every run.  Named and measure families take
+sigma and delta from their definition, delta = delta_w: the infimum of the Re s
+at which every p_n-smooth sum of w_j j^(-s) converges (iff s > 0 for j^(-s)).
+Explicit lists and the public ``*_from_prime_powers`` constructors declare theirs.
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ def _position(v) -> float:
     x = _float(v)
     if not 0 <= 2.0 * x < math.inf:
         raise ValueError(f"atom position {v!r} must be finite and >= 0, with 2 * position finite")
+    return x
+
+
+def _mass(v) -> float:
+    """A discrete atom's mass (a config scalar) as a float, finite and > 0."""
+    x = _float(v)
+    if not 0 < x < math.inf:
+        raise ValueError(f"atom mass {v!r} must be finite and positive")
     return x
 
 
@@ -366,8 +374,7 @@ class MeasureSpec:
                 raise ValueError("discrete measure needs at least one atom")
             for sig, mass in self.atoms:
                 _position(sig)
-                if not 0 < mass < math.inf:
-                    raise ValueError(f"atom mass {mass} must be finite and positive")
+                _mass(mass)
         elif self.kind == "gamma_density":
             if not 0 < self.alpha < math.inf:
                 raise ValueError(f"gamma density needs a finite alpha > 0, got {self.alpha}")
@@ -414,14 +421,17 @@ def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
 def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> WeightFamily:
     """Wrap a measure spec as a WeightFamily (float values)."""
     start = max(n0, 2)
+    # w_n = n^(delta + o(1)) gives (sigma, delta) = (1 + delta, delta)
     if spec.kind == "discrete":
-        # mass near 0 dominates the growth: w_n <= n^(2 s_min) / m(s_min)
+        # mass near 0 dominates the growth: w_n <= n^(2 s_min) / m(s_min) = w_n (1 + o(1))
         s_min = min(sig for sig, _ in spec.atoms)
         m_min = sum(mass for sig, mass in spec.atoms if sig == s_min)
-        bound = (1.0 / m_min, 2.0 * s_min)
+        delta = 2.0 * s_min
+        bound = (1.0 / m_min, delta)
     else:
         a = spec.alpha
-        # w_n = (log n)^alpha and log n <= (2/e) sqrt(n)
+        # w_n = (log n)^alpha = n^o(1) and log n <= (2/e) sqrt(n)
+        delta = 0.0
         bound = (1.05 * (2.0 / math.e) ** a, a / 2.0)
 
     def window(lo, hi):
@@ -434,8 +444,8 @@ def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> Wei
         name,
         "measure_induced",
         start,
-        1.0,
-        0.0,
+        1.0 + delta,
+        delta,
         bound,
         lambda n: measure_induced(spec, n0, n),
         params={"measure": spec, "n0": n0},
@@ -446,6 +456,8 @@ def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> Wei
 # ---------------------------------------------------------------------------
 # named families
 # ---------------------------------------------------------------------------
+# The prime-power families but geometric have f(r) = r^O(1), so a p_n-smooth
+# w_j is (log j)^O(n) = j^o(1): (sigma, delta) = (1, 0).
 
 
 def _ones_family() -> WeightFamily:
@@ -535,12 +547,13 @@ def _one_plus_family(base: WeightFamily) -> WeightFamily:
 
         return window
 
+    # 1 + v_j adds the sum of j^(-s), of abscissas (1, 0), to v's
     return WeightFamily(
         f"one_plus({base.name})",
         "explicit",
         start,
-        1.0,
-        0.0,
+        max(1.0, base.sigma),
+        max(0.0, base.delta),
         (1.0 + c, max(tau, 0.0)),
         lambda n: 1 + base.value(n) if base.exact else 1.0 + _to_float(base.value(n)),
         exact=base.exact,
@@ -559,9 +572,8 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     if not rf > 0:
         raise ValueError(f"ratio: geometric ratio must be a positive float, got {rf!r}")
     exact = _is_exact(ratio)
-    # declared as log2(ratio); for ratio < 1 the large primes bind and
-    # delta_w = 0, not log2(ratio) (see smooth_abscissa)
-    delta = math.log2(rf)
+    # sum_r (ratio p^(-s))^r needs s > log ratio / log p at each p: p = 2 binds if ratio > 1
+    delta = max(0.0, math.log2(rf))
 
     def windows(pp):
         powers = np.array([_to_float(ratio**j) for j in range(pp.n.bit_length() + 1)])
@@ -576,7 +588,7 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
 
     return _prime_power_family(
         "multiplicative", lambda p, r: ratio**r, sigma=max(1.0, delta), delta=delta,
-        growth_bound=(1.0, max(0.0, delta)), name=f"geometric(ratio={ratio})", exact=exact,
+        growth_bound=(1.0, delta), name=f"geometric(ratio={ratio})", exact=exact,
         params={"ratio": ratio}, r_only=True, windows=windows if exact else None,
     )
 
@@ -609,37 +621,14 @@ def named_family(name: str, **params) -> WeightFamily:
     return builder(params)
 
 
-def smooth_abscissa(w: WeightFamily) -> float | None:
-    """delta_w = inf{Re s : sum_(j >= 2, gpf(j) <= p_n) w_j j^(-s) < oo for every n}, from the
-    family's own definition, or None where the definition does not fix it.  The sum of j^(-s)
-    over the p_n-smooth j is prod_(p <= p_n) (1 - p^(-s))^(-1) - 1, finite iff s > 0; so:
-
-    - one_plus(v): max(0, delta_w(v)), or None if v's is None: 1 + v_j adds that sum.
-    - a discrete measure: 2 s_min: w_j = 1 / sum m j^(-2 sigma) = j^(2 s_min) / m(s_min) (1 + o(1)).
-    - the gamma density and log_pow: 0: w_j = (log j)^alpha = j^o(1).
-    - geometric(rho): max(0, log2 rho): sum_r (rho p^(-s))^r needs s > log rho / log p at each p.
-    - ones, omega, big_omega, divisor_pow, d_beta: 0: f(r) = r^O(1), so w_j = (log j)^O(n).
-    - explicit lists and the public ``*_from_prime_powers`` families: None.
-    """
-    base, spec = w.params.get("base"), w.params.get("measure")
-    if isinstance(base, WeightFamily):
-        d = smooth_abscissa(base)
-        return None if d is None else max(0.0, d)
-    if spec is not None:
-        return 2.0 * min(sig for sig, _ in spec.atoms) if spec.kind == "discrete" else 0.0
-    if not w.r_only:  # the named prime-power families alone depend on r only
-        return None
-    return max(0.0, math.log2(w.params["ratio"])) if "ratio" in w.params else 0.0
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
 _FAMILY_KEYS = {
-    "named": {"kind", "name", "parameters", "sigma", "delta", "start_index"},
+    "named": {"kind", "name", "parameters", "start_index"},
     "explicit": {"kind", "values", "start_index", "sigma", "delta", "growth_bound"},
-    "measure": {"kind", "spec", "n0", "sigma", "delta"},
+    "measure": {"kind", "spec", "n0"},
 }
 
 _SPEC_KEYS = {
@@ -705,7 +694,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
             if not (isinstance(atoms, (list, tuple))
                     and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in atoms)):
                 raise ValueError("discrete spec 'atoms' must be a list of [position, mass] pairs")
-            atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", (_position, _float)[j], x)
+            atoms = tuple(tuple(_keyed(f"spec.atoms[{i}][{j}]", (_position, _mass)[j], x)
                                 for j, x in enumerate(a)) for i, a in enumerate(atoms))
             spec = MeasureSpec("discrete", atoms=atoms)
         else:

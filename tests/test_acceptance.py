@@ -180,7 +180,7 @@ def test_criterion_10_gram_psd_witness(fams):
 def test_criterion_11_negative_control(tmp_path):
     geom = weights.family_from_config({
         "kind": "named", "name": "geometric",
-        "parameters": {"ratio": "1/2"}, "delta": 0.0,
+        "parameters": {"ratio": "1/2"},
     })
     growth = condition.prime_power_check(geom, None, 100)
     rep = condition.check_range(geom, None, 1, 100)
@@ -189,7 +189,7 @@ def test_criterion_11_negative_control(tmp_path):
     cfg = tmp_path / "neg.json"
     cfg.write_text(json.dumps({
         "family": {"kind": "named", "name": "geometric",
-                    "parameters": {"ratio": "1/2"}, "delta": 0.0},
+                    "parameters": {"ratio": "1/2"}},
         "n_max": 100,
     }))
     code = cli.main(["check-condition", "--config", str(cfg),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import gc
@@ -39,7 +40,7 @@ def omega_cfg(tmp_path):
 def negctrl_cfg(tmp_path):
     return write_config(tmp_path, "neg.json", {
         "family": {"kind": "named", "name": "geometric",
-                    "parameters": {"ratio": "1/2"}, "delta": 0.0},
+                    "parameters": {"ratio": "1/2"}},
         "n_max": 100,
     })
 
@@ -96,7 +97,8 @@ def test_check_condition_negative_exits_two(negctrl_cfg, tmp_path):
     out = str(tmp_path / "neg_report")
     assert run(["check-condition", "--config", negctrl_cfg, "--out", out]) == 2
     report = json.loads((tmp_path / "neg_report.json").read_text())
-    assert report["result"]["verdict"] == "negative_certified"
+    result = report["result"]
+    assert (result["mode"], result["verdict"]) == ("exact", "negative_certified")
 
 
 def test_unknown_config_key_exits_one(tmp_path):
@@ -134,6 +136,9 @@ def test_no_command_exits_one():
     ["check-condition", "--delta", "abc"],
     ["check-condition", "--n-max", "ten"],
     ["gram", "--kernel", "nope"],
+    # von-mangoldt reads no family, so no delta or tol: both were once accepted and embedded
+    ["von-mangoldt", "--n", "12", "--delta", "0.5"],
+    ["von-mangoldt", "--n", "12", "--tol", "5"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     # exit 2 is reserved for a certified violation
@@ -280,18 +285,21 @@ def test_family_configs_of_the_wrong_shape_are_config_errors(family, message, tm
 
 
 DISCRETE = {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0], [0.5, 1.0]]}}
+# named and measure families take sigma and delta from their definition: the cases of a bad
+# sigma or delta that once ran on them run on explicit families, none repeating a case
+RATIONAL = {**EXPLICIT, "values": ["1", "1/2", "1/3"], "start_index": 1}
 
 
 @pytest.mark.parametrize("family,message", [
-    ({**OMEGA, "sigma": "x"}, "sigma: expected a number, got 'x'"),
-    ({**OMEGA, "delta": "d"}, "delta: expected a number, got 'd'"),
+    ({**RATIONAL, "sigma": "x"}, "sigma: expected a number, got 'x'"),
+    ({**EXPLICIT, "delta": "d"}, "delta: expected a number, got 'd'"),
     ({**OMEGA, "start_index": "x"}, "start_index: expected a number, got 'x'"),
     ({**EXPLICIT, "sigma": "x"}, "sigma: expected a number, got 'x'"),
     ({**EXPLICIT, "delta": None}, "delta: expected a number, got None"),
     ({**EXPLICIT, "start_index": "x"}, "start_index: expected a number, got 'x'"),
     ({**MEASURE, "n0": "x"}, "n0: expected a number, got 'x'"),
-    ({**MEASURE, "sigma": "x"}, "sigma: expected a number, got 'x'"),
-    ({**MEASURE, "delta": "1/0"}, "delta: expected a number, got '1/0'"),
+    ({**EXPLICIT, "values": [1.5, 2.5, 3.5], "sigma": "x"}, "sigma: expected a number, got 'x'"),
+    ({**EXPLICIT, "delta": "1/0"}, "delta: expected a number, got '1/0'"),
     ({**MEASURE, "spec": {"type": "gamma_density", "alpha": "x"}},
      "spec.alpha: expected a number, got 'x'"),
     ({**DISCRETE, "spec": {"type": "discrete", "atoms": [[0.5, "m"]]}},
@@ -301,22 +309,30 @@ DISCRETE = {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0]
     ({**DISCRETE, "spec": {"type": "discrete", "atoms": [["1e400", 1.0]]}},
      "spec.atoms[0][0]: number too large for a float: '1e400'"),
     # a declaration out of range once passed the config, then ran or failed unkeyed
-    ({**OMEGA, "delta": math.nan}, "delta: expected a finite number, got nan"),
-    ({**OMEGA, "sigma": math.nan}, "sigma: expected a finite number, got nan"),
+    ({**EXPLICIT, "delta": math.nan}, "delta: expected a finite number, got nan"),
+    ({**EXPLICIT, "sigma": math.nan}, "sigma: expected a finite number, got nan"),
     ({**OMEGA, "start_index": 0}, "start_index: expected an integer >= 1, got 0"),
     ({**EXPLICIT, "delta": -math.inf}, "delta: expected a finite number, got -inf"),
     ({**EXPLICIT, "growth_bound": [math.nan, 0]},
      "growth_bound: expected c >= 0 and a finite tau, got [nan, 0.0]"),
     ({**EXPLICIT, "growth_bound": [1, math.nan]},
      "growth_bound: expected c >= 0 and a finite tau, got [1.0, nan]"),
-    ({**MEASURE, "delta": math.nan}, "delta: expected a finite number, got nan"),
-    ({**MEASURE, "sigma": math.inf}, "sigma: expected a finite number, got inf"),
-    # null is no override, for every kind
-    ({**MEASURE, "sigma": None}, "sigma: expected a number, got None"),
-    ({**MEASURE, "delta": None}, "delta: expected a number, got None"),
+    ({**RATIONAL, "delta": math.nan}, "delta: expected a finite number, got nan"),
+    ({**EXPLICIT, "sigma": math.inf}, "sigma: expected a finite number, got inf"),
+    # null is not a number
+    ({**EXPLICIT, "sigma": None}, "sigma: expected a number, got None"),
+    ({**RATIONAL, "delta": None}, "delta: expected a number, got None"),
     # 2 * position is w_n's exponent and delta_w: it once overflowed the growth bound's tau
     ({**DISCRETE, "spec": {"type": "discrete", "atoms": [[1e308, 1.0]]}},
      "spec.atoms[0][0]: atom position 1e+308 must be finite and >= 0, with 2 * position finite"),
+    # a bad mass was once named by no key
+    *(({**DISCRETE, "spec": {"type": "discrete", "atoms": [[0.5, m]]}},
+       f"spec.atoms[0][1]: atom mass {m!r} must be finite and positive")
+      for m in (0, -1, 1e400, math.nan)),
+    # sigma and delta come from a named or measure family's definition
+    ({**OMEGA, "sigma": 1.0}, "unknown family config keys: ['sigma']"),
+    ({**MEASURE, "delta": 0.0}, "unknown family config keys: ['delta']"),
+    ({**DISCRETE, "sigma": 2.0, "delta": 1.0}, "unknown family config keys: ['delta', 'sigma']"),
 ])
 def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
@@ -345,6 +361,17 @@ BAD_VALUES = [
 
 def test_every_config_key_has_a_bad_value_and_a_reader():
     assert {key for key, _ in BAD_VALUES} == set().union(*READS.values()) == set(cli._READERS)
+
+
+def test_every_flag_sets_a_key_its_subcommand_reads():
+    # von-mangoldt once took --delta and --tol, and embedded both in its report unread
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.dest not in ("help", "config", "stdout"):
+                key = "grid" if action.dest == "n_points" else action.dest
+                assert key in READS[command], (command, action.option_strings)
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -502,26 +529,46 @@ def test_classify_past_the_float_range_counts_the_factors_not_finite(tmp_path, c
     assert result["applicable_routes"] == []
 
 
-@pytest.mark.parametrize("family,delta,delta_w", [
-    ({"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}}, -1.0, 0.0),
-    ({"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.5, 1]]}}, 0.0, 1.0),  # w_n = n
+@pytest.mark.parametrize("family,delta", [
+    ({"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}}, 0.0),
+    ({"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.5, 1]]}}, 1.0),  # w_n = n
     ({"kind": "explicit", "values": [1, 2, 3], "start_index": 2, "sigma": 1.0, "delta": 0.0,
-      "growth_bound": [2, 1]}, 0.0, None),
+      "growth_bound": [2, 1]}, 0.0),
 ], ids=["geometric", "discrete", "explicit"])
-def test_classify_reports_delta_w_beside_the_declared_delta(family, delta, delta_w, tmp_path,
-                                                            capsys):
-    # the condition sample still runs at the declared delta
+def test_classify_reports_the_family_delta(family, delta, tmp_path, capsys):
+    # a named or measure family's delta is its delta_w, and the condition sample runs at it
     cfg = write_config(tmp_path, "f.json", {"family": family, "n_max": 4})
     assert run(["classify", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
-    assert (result["delta"], result["delta_w"], result["condition_sample"]["delta"]) == (
-        delta, delta_w, delta)
-    assert "smooth_sum_diagnostic" not in result
+    assert (result["delta"], result["condition_sample"]["delta"]) == (delta, delta)
+    assert not {"delta_w", "smooth_sum_diagnostic"} & set(result)
+
+
+def test_classify_lists_no_product_route_for_the_negative_control(negctrl_cfg, capsys):
+    # at the delta geometric(1/2) once declared, -1, its growth check passed
+    assert run(["classify", "--config", negctrl_cfg, "--n-max", "50", "--no-timestamp"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["growth_check"]["first_violation"] == [2, 1, -0.5]
+    assert "multiplicative product route" not in result["applicable_routes"]
+
+
+def test_classify_checks_the_one_plus_base_at_the_run_tol(tmp_path, capsys):
+    # w_p - w_1 = -1e-12 of the base is within the default tol, not within 1e-15
+    base = {"kind": "named", "name": "geometric", "parameters": {"ratio": 0.999999999999}}
+    cfg = write_config(tmp_path, "f.json", {
+        "family": {"kind": "named", "name": "one_plus", "parameters": {"base": base}},
+        "n_max": 50, "tol": 1e-15})
+    assert run(["classify", "--config", cfg, "--no-timestamp", "--stdout"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["condition_sample"]["verdict"] == "negative_certified"
+    assert result["one_plus_base"]["prime_power_values_increasing"] is False
+    assert result["applicable_routes"] == []
 
 
 @pytest.mark.parametrize("family,method", [
     ({"kind": "named", "name": "omega", "start_index": 3}, "additive_Tt"),
-    ({"kind": "named", "name": "geometric", "start_index": 2}, "mult_product")],
+    ({"kind": "named", "name": "geometric", "parameters": {"ratio": 1}, "start_index": 2},
+     "mult_product")],
     ids=["omega", "geometric"])
 def test_classify_lists_factored_routes_only_at_their_start_index(family, method, tmp_path,
                                                                   capsys):
@@ -777,7 +824,7 @@ def test_duplicate_methods_exit_one(omega_cfg, capsys):
 # -- columnar check-condition reports -----------------------------------------
 
 DPOW = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 1}}
-GEOM = {"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}, "delta": 0.0}
+GEOM = {"kind": "named", "name": "geometric", "parameters": {"ratio": "1/2"}}
 
 # name: (config, flags, exit code, a token the report must contain)
 REPORT_CASES = {

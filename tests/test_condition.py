@@ -28,7 +28,7 @@ def fam():
         "big_omega": weights.named_family("big_omega"),
         "geom_half": weights.family_from_config(
             {"kind": "named", "name": "geometric",
-             "parameters": {"ratio": "1/2"}, "delta": 0.0}
+             "parameters": {"ratio": "1/2"}}
         ),
     }
 

@@ -228,7 +228,7 @@ def test_gram_negative_control_reports(fams):
     # finite grid is evidence, not a promise)
     geom = weights.family_from_config({
         "kind": "named", "name": "geometric",
-        "parameters": {"ratio": "1/2"}, "delta": 0.0,
+        "parameters": {"ratio": "1/2"},
     })
     check = kernel.gram_psd(geom, kernel="series", tol=1e-10, n_points=6)
     assert check.verdict in (kernel.PSD_TOL, kernel.INDEFINITE, kernel.INCONCLUSIVE)

@@ -89,7 +89,7 @@ def test_geometric_family():
     assert g.value(2) == Fraction(1, 2)
     assert g.value(12) == Fraction(1, 8)
     assert g.exact
-    assert g.delta == -1.0
+    assert g.delta == 0.0
 
 
 @pytest.mark.parametrize("ratio,spelling", [(Fraction(1, 2), "1/2"), (Fraction(6, 3), 2),
@@ -578,40 +578,44 @@ def test_growth_check_kind_mismatch():
             condition.prime_power_check(fam, None, 100)
 
 
-# -- smooth abscissa -----------------------------------------------------------
+# -- abscissas from the definition ----------------------------------------------
 
 
 def _discrete(*atoms):
     return weights.measure_family(weights.MeasureSpec("discrete", atoms=atoms))
 
 
+def _geometric(r):
+    return weights.named_family("geometric", ratio=r)
+
+
 @pytest.mark.parametrize("build,want", [
-    *((partial(weights.named_family, name, **params), 0.0) for name, params in [
+    *(pytest.param(partial(weights.named_family, name, **params), (1.0, 0.0),
+                   id="-".join([name, *map(str, params.values())])) for name, params in [
         ("ones", {}), ("omega", {}), ("big_omega", {}),
         *(("divisor_pow", {"alpha": a}) for a in (1, "1/2", -2)),
         *(("d_beta", {"beta": b}) for b in (2, "3/2", "1/2")),
         ("log_pow", {})]),
-    (lambda: weights.measure_family(weights.MeasureSpec("gamma_density", alpha=0.7)), 0.0),
-    (lambda: _discrete((0.0, 1.0), (0.5, 2.0)), 0.0),
-    *((partial(weights.named_family, "geometric", ratio=r), 0.0) for r in ("1/2", 1)),
-    *((partial(weights.named_family, "geometric", ratio=r), math.log2(float(Fraction(r))))
-      for r in (3, "5/2")),
-    (lambda: _discrete((0.5, 1.0)), 1.0),  # w_n = n
-    (lambda: _discrete((0.5, 1.0), (0.2, 2.0)), 0.4),
-    (lambda: weights.named_family("one_plus", base=weights.named_family("geometric", ratio=3)),
-     math.log2(3)),
-    (lambda: weights.family_from_config({"kind": "explicit", "values": [1, 2, 3],
-                                         "start_index": 1, "sigma": 1.0, "delta": 0.0,
-                                         "growth_bound": [3, 1]}), None),
-    (lambda: weights.multiplicative_from_prime_powers(lambda p, r: 1, 1.0, 0.0, (1.0, 0.0)),
-     None),
+    pytest.param(lambda: weights.measure_family(weights.MeasureSpec("gamma_density", alpha=0.7)),
+                 (1.0, 0.0), id="gamma-0.7"),
+    pytest.param(lambda: _discrete((0.0, 1.0), (0.5, 2.0)), (1.0, 0.0), id="discrete-at-0"),
+    *(pytest.param(partial(_geometric, r), (1.0, 0.0), id=f"geometric-{r}") for r in ("1/2", 1)),
+    *(pytest.param(partial(_geometric, r), (math.log2(float(Fraction(r))),) * 2,
+                   id=f"geometric-{r}") for r in (3, "5/2")),
+    pytest.param(lambda: _discrete((0.5, 1.0)), (2.0, 1.0), id="discrete-n"),  # w_n = n
+    pytest.param(lambda: _discrete((0.5, 1.0), (0.2, 2.0)), (1.0 + 0.4, 0.4), id="discrete-two"),
+    pytest.param(lambda: weights.named_family("one_plus", base=_geometric(3)),
+                 (math.log2(3),) * 2, id="one_plus-geometric-3"),
+    pytest.param(lambda: weights.family_from_config({
+        "kind": "explicit", "values": [1, 2, 3], "start_index": 1, "sigma": 2.5, "delta": -1.0,
+        "growth_bound": [3, 1]}), (2.5, -1.0), id="explicit-declared"),
+    pytest.param(lambda: weights.multiplicative_from_prime_powers(
+        lambda p, r: 1, 2.5, -1.0, (1.0, 0.0)), (2.5, -1.0), id="from_prime_powers-declared"),
 ])
-def test_smooth_abscissa_follows_each_family_rule(build, want):
+def test_each_family_takes_sigma_and_delta_from_its_definition(build, want):
+    # delta is delta_w: the smooth sums of w_j j^(-s) converge exactly for Re s > delta
     fam = build()
-    assert weights.smooth_abscissa(fam) == want
-    # a declaration override moves the declared delta, not the derived one
-    fam.declare(sigma=9.0, delta=-5.0)
-    assert weights.smooth_abscissa(fam) == want
+    assert (fam.sigma, fam.delta) == want
 
 
 # -- config -------------------------------------------------------------------
@@ -620,16 +624,16 @@ def test_smooth_abscissa_follows_each_family_rule(build, want):
 def test_named_config_with_overrides():
     fam = weights.family_from_config({
         "kind": "named", "name": "geometric",
-        "parameters": {"ratio": "1/2"}, "delta": 0.0,
+        "parameters": {"ratio": "1/2"},
     })
     assert fam.delta == 0.0
     assert fam.value(2) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("cfg", [
-    {"kind": "named", "name": "omega"},
+    {"kind": "explicit", "values": [1, 2], "start_index": 2, "growth_bound": [2.0, 0.0]},
     {"kind": "explicit", "values": ["1", "2"], "start_index": 2, "growth_bound": [2.0, 0.0]},
-    {"kind": "measure", "spec": {"type": "discrete", "atoms": [[0.0, 1.0]]}},
+    {"kind": "explicit", "values": [1.5, 2.5], "start_index": 1, "growth_bound": [3.0, 0.0]},
 ])
 def test_config_sigma_delta_accept_rational_strings(cfg):
     fam = weights.family_from_config({**cfg, "sigma": "3/2", "delta": "1/2"})
