@@ -387,12 +387,18 @@ def cmd_von_mangoldt(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like config errors: exit 2 means a certified
-    violation.  Subparsers inherit the class."""
+    """Usage errors exit 1, like config errors: exit 2 means a certified violation.
+    Subparsers inherit the class, so each refuses its own unknown arguments."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        if rest:
+            self.error(f"unrecognized arguments: {' '.join(rest)}")
+        return namespace, rest
 
 
 def _rational(text: str) -> float:

@@ -365,21 +365,6 @@ def _join(*pieces) -> str:
     return "".join(np.stack(columns, axis=1).ravel().tolist())
 
 
-def _exact_values(w: WeightFamily, k: int, pp: _accel.PrimePowers) -> list:
-    """w_j for j <= pp.n as Python ints and Fractions, zero below k: one
-    prime-power fill of w.prime_power (multiplicative and additive
-    families), 1 + the base's values (one_plus), else value().  value(j)
-    of a prime-power family would factorize every j."""
-    base = w.params.get("base")
-    if isinstance(base, WeightFamily):
-        return [0] * k + [1 + v for v in _exact_values(base, k, pp)[k:]]
-    if w.kind in FACTORED:
-        op = np.multiply if w.kind == "multiplicative" else np.add
-        _, _, vals, at = pp.values(w.prime_power, object, w.r_only)
-        return [0] * k + pp.column(lambda p, r: vals[at(p, r)], op)[k:].tolist()
-    return [0] * k + [w.value(j) for j in range(k, pp.n + 1)]
-
-
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers):
     """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone (at
     every delta): one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
@@ -503,8 +488,10 @@ def s_columns(w: WeightFamily, delta: float, k: int, n: int,
         mu = _accel.mobius_table(n, pp)
         if objects:
             del table  # the exact sums read Python values
+            vals = w.windows(pp, True)(0, n + 1)
+            vals[:k] = 0
             cols["divisor_sum"] = np.array(
-                _accel.exact_convolve(_exact_values(w, k, pp), mu.tolist()), dtype=object)
+                _accel.exact_convolve(vals.tolist(), mu.tolist()), dtype=object)
         else:  # float64 sums; exact ones are integers below 2^53, cast to int64
             with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf * 0 = NaN
                 col = _accel.divisor_sum_table(table, mu, delta, k)

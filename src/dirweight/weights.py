@@ -8,13 +8,12 @@ Multiplicative and additive families also carry their values at prime
 powers, ``prime_power(p, r)`` = w_(p^r), which the factored condition
 routes and ``condition.prime_power_check`` read without factorizing p^r.
 
-Each family has one definition of w_n, evaluated two ways: ``value(n)``
-(int/Fraction for exact families, else float) and the float column,
-``windows(pp)``, any window [lo, hi) of it, which the kernels stream, and
-``values_table(n)``, the whole column the float condition routes read.
-Entry m of the column is ``_to_float(value(m))`` bit for bit (the
-exceptions are in ``values_table``).  Nothing is cached: each call
-evaluates afresh.
+Each family has one definition of w_n, evaluated per n by ``value(n)``
+(int/Fraction for exact families, else float) and as a column by
+``windows(pp, exact)``, any window [lo, hi) of it: value(m) itself, which the
+exact divisor sums read, or float64, entry m ``_to_float(value(m))`` bit for
+bit (the exceptions are in ``values_table``, the whole column), which the
+kernels stream.  Nothing is cached: each call evaluates afresh.
 
 A family's delta is the default of every run.  Named and measure families take
 sigma and delta from their definition, delta = delta_w: the infimum of the Re s
@@ -150,9 +149,9 @@ class WeightFamily:
     ``measure_induced``.  Values below the start index are undefined,
     except the standard extensions w_1 = 1 (multiplicative) and w_1 = 0
     (additive).  ``declare`` alone sets and checks the start index, sigma,
-    delta and growth bound.  ``windows(pp)`` builds ``window(lo, hi)``, the
-    float weights w_lo..w_(hi-1), from the same definition as ``value_fn``
-    and a run's ``_accel.PrimePowers`` pp (without it, value() per n).
+    delta and growth bound.  ``windows(pp, exact)`` builds ``window(lo, hi)``,
+    the weights w_lo..w_(hi-1) in float64 or exactly, from the definition of
+    ``value_fn`` and a run's ``_accel.PrimePowers`` pp (else value() per n).
     ``prime_power`` is f(p, r) = w_(p^r) of a family built from prime-power
     values (see the method), and ``r_only`` marks an f of r alone.
     ``exact`` declares int or Fraction values, ``integer_valued`` Python
@@ -247,14 +246,15 @@ class WeightFamily:
         is 1.0 + the base's float, rounded twice."""
         return self.windows(pp or _accel.PrimePowers(n))(0, n + 1)
 
-    def windows(self, pp: _accel.PrimePowers):
-        """window(lo, hi), hi <= pp.n + 1: the weights w_lo..w_(hi-1) as a new
-        float64 array, zero below the defined range, the same slice of
-        values_table(pp.n) bit for bit.  The kernels stream their weights so."""
+    def windows(self, pp: _accel.PrimePowers, exact: bool = False):
+        """window(lo, hi), hi <= pp.n + 1: w_lo..w_(hi-1) as a new array, zero below the
+        defined range, the same slice of the window [0, pp.n] bit for bit: float64, or
+        with exact (the exact divisor sums) value(m) itself in an object array."""
         if self._windows is not None:
-            return self._windows(pp)
-        return lambda lo, hi: np.array([_to_float(self.value(m)) if m >= self.defined_from
-                                        else 0.0 for m in range(lo, hi)], dtype=np.float64)
+            return self._windows(pp, exact)
+        cast = (lambda v: v) if exact else _to_float
+        return lambda lo, hi: np.array([cast(self.value(m) if m >= self.defined_from else 0)
+                                        for m in range(lo, hi)], dtype=object if exact else float)
 
     def prime_power(self, p: int, r: int):
         """w_(p^r), equal to value(p**r); r = 0 gives w_1.  A family built
@@ -286,11 +286,11 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
     """w_n = the product (multiplicative, every f(p, r) > 0) or the sum
     (additive) of f(p_i, r_i) over the factorization, in ascending prime
     order.  The family's ``prime_power(p, r)`` is w_(p^r) from f alone.
-    Without windows of its own, a window of the table is one
-    ``_accel.prime_power_fill``, in float64 of _to_float(f(p, r)), or in
-    Python ints and Fractions converted with _to_float at the end, as
-    value() would be.  f is called once per prime power <= n, or, when it
-    depends on r alone (``r_only``: the named families), once per exponent."""
+    Without windows of its own, a window is one ``_accel.prime_power_fill``, in
+    Python ints and Fractions for the exact lane or a Fraction-valued family (its
+    float window maps _to_float over them), else in float64 of _to_float(f(p, r)).
+    f is called once per prime power <= n, or, when it depends on r alone
+    (``r_only``: the named families), once per exponent."""
     op, py_op = (np.multiply, operator.mul) if kind == "multiplicative" else (np.add, operator.add)
     identity = op.identity if exact else float(op.identity)
 
@@ -312,15 +312,16 @@ def _prime_power_family(kind, f, sigma, delta, growth_bound, name, exact=False, 
             out = py_op(out, prime_power(p, r))
         return out
 
-    dtype = np.float64 if integer_valued or not exact else object
+    fractions = exact and not integer_valued
 
-    def fill(pp):
+    def fill(pp, exact=False):
+        dtype = object if exact or fractions else np.float64
         fp = prime_power if dtype is object else lambda p, r: _to_float(prime_power(p, r))
         _, _, vals, at = pp.values(fp, dtype, r_only)
 
         def window(lo, hi):
             w = _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: vals[at(p, r)], op)
-            return w if dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
+            return w if exact or dtype is np.float64 else np.array(list(map(_to_float, w.tolist())))
 
         return window
 
@@ -449,7 +450,7 @@ def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> Wei
         bound,
         lambda n: measure_induced(spec, n0, n),
         params={"measure": spec, "n0": n0},
-        windows=lambda pp: window,
+        windows=lambda pp, exact=False: window,  # never exact
     )
 
 
@@ -506,6 +507,8 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
     prime-power values binomial(beta + r - 1, r).  For non-integer beta the
     generalized binomial is used; equivalence with the series power then
     rests on the standard Euler-product expansion (float values)."""
+    if not bf > 0:
+        raise ValueError(f"beta: d_beta needs beta > 0, got {bf!r}")
     exact = isinstance(beta, int) and beta >= 1
 
     if exact:
@@ -530,19 +533,20 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
 
 def _log_pow_family(alpha, af: float) -> WeightFamily:
     """w_n = (log n)^alpha: the gamma-density measure family at alpha."""
-    return measure_family(MeasureSpec("gamma_density", alpha=af), name=f"log_pow(alpha={alpha})")
+    spec = _keyed("alpha", lambda a: MeasureSpec("gamma_density", alpha=a), af)
+    return measure_family(spec, name=f"log_pow(alpha={alpha})")
 
 
 def _one_plus_family(base: WeightFamily) -> WeightFamily:
     start = base.defined_from
     c, tau = base.growth_bound
 
-    def windows(pp):
-        base_window = base.windows(pp)
+    def windows(pp, exact=False):
+        base_window = base.windows(pp, exact)
 
         def window(lo, hi):
-            w = 1.0 + base_window(lo, hi)
-            w[: max(start - lo, 0)] = 0.0
+            w = 1 + base_window(lo, hi)
+            w[: max(start - lo, 0)] = 0
             return w
 
         return window
@@ -567,21 +571,22 @@ def _geometric_family(ratio, rf: float) -> WeightFamily:
     """Multiplicative family w_n = ratio^Omega(n) (prime-power value
     ratio^j).  With ratio < 1 this violates the multiplicative ratio
     condition at j = 1, making it the stock negative control.  An exact
-    ratio's table reads _to_float(ratio^j) at j = Omega(n); a float
-    ratio's is the prime-power fill."""
+    ratio's window reads ratio^j (w_1 the int 1, as value(1)), or _to_float
+    of it, at j = Omega(n); a float ratio's is the prime-power fill."""
     if not rf > 0:
         raise ValueError(f"ratio: geometric ratio must be a positive float, got {rf!r}")
     exact = _is_exact(ratio)
     # sum_r (ratio p^(-s))^r needs s > log ratio / log p at each p: p = 2 binds if ratio > 1
     delta = max(0.0, math.log2(rf))
 
-    def windows(pp):
-        powers = np.array([_to_float(ratio**j) for j in range(pp.n.bit_length() + 1)])
+    def windows(pp, exact=False):
+        powers = [1, *(ratio**j for j in range(1, pp.n.bit_length() + 1))]
+        powers = np.array(powers, dtype=object) if exact else np.array(list(map(_to_float, powers)))
 
         def window(lo, hi):
             w = powers[_accel.prime_power_fill(lo, hi, pp.base, lambda p, r: r.astype(np.int8),
                                                np.add)]
-            w[: max(1 - lo, 0)] = 0.0
+            w[: max(1 - lo, 0)] = 0
             return w
 
         return window
@@ -698,8 +703,8 @@ def family_from_config(cfg: dict) -> WeightFamily:
                                 for j, x in enumerate(a)) for i, a in enumerate(atoms))
             spec = MeasureSpec("discrete", atoms=atoms)
         else:
-            spec = MeasureSpec("gamma_density",
-                               alpha=_keyed("spec.alpha", _float, spec_cfg.get("alpha", 1)))
+            spec = _keyed("spec.alpha", lambda a: MeasureSpec("gamma_density", alpha=_float(a)),
+                          spec_cfg.get("alpha", 1))
         fam = measure_family(spec, _keyed("n0", _int, cfg.get("n0", 2)), f"measure({stype})")
     fam.declare(**decl)
     return fam

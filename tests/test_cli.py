@@ -131,23 +131,36 @@ def test_no_command_exits_one():
     assert run([]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["check-condition", "--bogus"],
-    ["check-condition", "--delta", "abc"],
-    ["check-condition", "--n-max", "ten"],
-    ["gram", "--kernel", "nope"],
+USAGE_ERRORS = [  # argv, the parser that refuses it, and its message where it names a flag
+    (["check-condition", "--bogus"], "dirweight check-condition",
+     "unrecognized arguments: --bogus"),
+    (["check-condition", "--delta", "abc"], "dirweight check-condition", None),
+    (["check-condition", "--n-max", "ten"], "dirweight check-condition", None),
+    (["gram", "--kernel", "nope"], "dirweight gram", None),
     # von-mangoldt reads no family, so no delta or tol: both were once accepted and embedded
-    ["von-mangoldt", "--n", "12", "--delta", "0.5"],
-    ["von-mangoldt", "--n", "12", "--tol", "5"],
-])
-def test_usage_errors_exit_one(argv, capsys):
+    (["von-mangoldt", "--n", "12", "--delta", "0.5"], "dirweight von-mangoldt",
+     "unrecognized arguments: --delta 0.5"),
+    (["von-mangoldt", "--n", "12", "--tol", "5"], "dirweight von-mangoldt",
+     "unrecognized arguments: --tol 5"),
+    # a flag the subcommand does not take is refused by its own parser, which names it, and
+    # one before the subcommand by the top-level parser
+    (["gram", "--bogus", "1"], "dirweight gram", "unrecognized arguments: --bogus 1"),
+    (["--stdout", "classify"], "dirweight", "unrecognized arguments: --stdout"),
+]
+
+
+@pytest.mark.parametrize("argv,prog,error", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_one(argv, prog, error, capsys):
     # exit 2 is reserved for a certified violation
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: dirweight")
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert err.startswith(f"usage: {prog} ")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert error is None or errors == [f"{prog}: error: {error}"]
 
 
 def test_delta_flag_accepts_rational(omega_cfg, capsys):
@@ -333,6 +346,9 @@ RATIONAL = {**EXPLICIT, "values": ["1", "1/2", "1/3"], "start_index": 1}
     ({**OMEGA, "sigma": 1.0}, "unknown family config keys: ['sigma']"),
     ({**MEASURE, "delta": 0.0}, "unknown family config keys: ['delta']"),
     ({**DISCRETE, "sigma": 2.0, "delta": 1.0}, "unknown family config keys: ['delta', 'sigma']"),
+    # a nonpositive alpha was once named by no key
+    ({**MEASURE, "spec": {"type": "gamma_density", "alpha": -1}},
+     "spec.alpha: gamma density needs a finite alpha > 0, got -1.0"),
 ])
 def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
@@ -1198,6 +1214,10 @@ def test_gram_on_the_default_grid_with_inf_weights_is_inconclusive(tmp_path, cap
     ("geometric", "ratio", "1e-400", "geometric ratio must be a positive float, got 0.0"),
     ("log_pow", "alpha", "1e400", "number too large for a float: '1e400'"),
     ("log_pow", "alpha", math.inf, "expected a finite number, got inf"),
+    # a nonpositive parameter once failed unkeyed, d_beta's after the progress line
+    *(("d_beta", "beta", b, f"d_beta needs beta > 0, got {f!r}")
+      for b, f in ((0, 0.0), (-1, -1.0), ("-1/2", -0.5))),
+    ("log_pow", "alpha", -1, "gamma density needs a finite alpha > 0, got -1.0"),
 ])
 def test_named_family_parameters_are_finite_floats(name, key, value, message, tmp_path,
                                                    capsys):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ import timeit
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -741,6 +743,19 @@ INTEGER_FAMILIES = [
     ("divisor_pow", {"alpha": 1}), ("divisor_pow", {"alpha": 2}), ("divisor_pow", {"alpha": 3}),
     ("d_beta", {"beta": 2}), ("d_beta", {"beta": 3}),
 ]
+
+
+def test_only_the_per_n_divisor_sum_calls_value():
+    # a weight column has one evaluator, WeightFamily.windows, exact or float: a second
+    # one for the exact divisor sums would be a twin of it free to drift from value()
+    tree = ast.parse(Path(condition.__file__).read_text())
+    reference = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "divisor_sum")
+    inside = set(map(id, ast.walk(reference)))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "value"]
+    assert any(id(node) in inside for node in calls)
+    assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
 @pytest.mark.parametrize("name,params", INTEGER_FAMILIES)

@@ -174,13 +174,26 @@ def _explicit_family():
         "start_index": 1, "sigma": 1.0, "delta": 0.0, "growth_bound": [1e4, 0.0]})
 
 
+def _typed(values):
+    """(type, repr) of each entry: an exact window equals value() in type and value."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def _fraction_family(builder=weights.multiplicative_from_prime_powers):
+    # exact, not integer-valued: the fill runs on Fractions
+    return builder(lambda p, r: Fraction(p + r, p + 2 * r), 1.0, 0.0, (1.0, 0.0), exact=True)
+
+
 _NAMED = [
     ("ones", {}), ("omega", {}), ("big_omega", {}),
     *(("divisor_pow", {"alpha": a}) for a in (1, 2, "1/2", "3/2")),
     *(("d_beta", {"beta": b}) for b in ("3/2", 3)),
     *(("log_pow", {"alpha": a}) for a in ("1/3", "1/2", 1, 2, 3)),
-    *(("geometric", {"ratio": r}) for r in ("1/2", "2/3", 3, 0.3)),
+    *(("geometric", {"ratio": r}) for r in ("1/2", "3/2", "2/3", 3, 0.3)),
 ]
+# one_plus over the integer-valued named families and geometric at 1/2 and 3/2
+_EXACT_BASES = ["ones()", "omega()", "big_omega()", "divisor_pow(1)", "divisor_pow(2)",
+                "d_beta(3)", "geometric(1/2)", "geometric(3/2)"]
 _ONE_DEFINITION = {
     **{f"{name}({','.join(map(str, params.values()))})": partial(weights.named_family, name,
                                                                   **params)
@@ -189,7 +202,10 @@ _ONE_DEFINITION = {
     "discrete": lambda: weights.measure_family(
         weights.MeasureSpec("discrete", atoms=((0.0, 0.5), (0.5, 0.25), (1.5, 0.25)))),
     "explicit": _explicit_family,
-    "one_plus(omega)": lambda: weights.named_family("one_plus", base=weights.named_family("omega")),
+    "multiplicative(Fraction f)": _fraction_family,
+    "additive(Fraction f)": partial(_fraction_family, weights.additive_from_prime_powers),
+    **{f"one_plus({key.removesuffix('()')})": (lambda key: lambda: weights.named_family(
+        "one_plus", base=_ONE_DEFINITION[key]()))(key) for key in _EXACT_BASES},
     "one_plus(divisor_pow(1/2))": lambda: weights.named_family(
         "one_plus", base=weights.named_family("divisor_pow", alpha="1/2")),
 }
@@ -204,6 +220,19 @@ def test_values_table_is_the_value_column_bit_for_bit(key):
     want[fam.defined_from :] = [weights._to_float(fam.value(m))
                                 for m in range(fam.defined_from, n + 1)]
     assert fam.values_table(n).tobytes() == want.tobytes()
+    if not fam.exact:
+        return
+    # the exact window, which the exact divisor sums read, is value() in type and value
+    # (w_1 of geometric is the int 1, not Fraction(1, 1)) ...
+    want = [0] * fam.defined_from + [fam.value(m) for m in range(fam.defined_from, n + 1)]
+    assert _typed(fam.windows(_accel.PrimePowers(n), True)(0, n + 1)) == _typed(want)
+    # ... and a window across WINDOW edges is the same slice of the whole range
+    top = fam.last_index or 2 * _accel.WINDOW + 1
+    window = fam.windows(_accel.PrimePowers(top), True)
+    whole = _typed(window(0, top + 1))
+    for edge in (top // 2, _accel.WINDOW, 2 * _accel.WINDOW):
+        if edge + 3 <= top + 1:
+            assert _typed(window(edge - 3, edge + 3)) == whole[edge - 3 : edge + 3], edge
 
 
 def test_one_plus_over_a_fraction_base_rounds_twice():
@@ -214,12 +243,6 @@ def test_one_plus_over_a_fraction_base_rounds_twice():
     table = fam.values_table(n)
     assert table[1:].tobytes() == (1.0 + base.values_table(n)[1:]).tobytes()
     assert sum(table[m] != float(fam.value(m)) for m in range(1, n + 1)) == 168
-
-
-def _fraction_family():
-    # exact, not integer-valued: the fill runs on Fractions
-    return weights.multiplicative_from_prime_powers(
-        lambda p, r: Fraction(p + r, p + 2 * r), 1.0, 0.0, (1.0, 0.0), exact=True)
 
 
 @pytest.mark.parametrize("fam", [
@@ -339,7 +362,7 @@ def test_named_families_evaluate_f_once_per_exponent_bit_for_bit(name, params, e
     assert fam.values_table(n).tobytes() == twin.values_table(n).tobytes()
     if fam.exact:
         pp = _accel.PrimePowers(n)
-        assert condition._exact_values(fam, 1, pp) == condition._exact_values(twin, 1, pp)
+        assert _typed(fam.windows(pp, True)(0, n + 1)) == _typed(twin.windows(pp, True)(0, n + 1))
     method = condition.FACTORED[fam.kind][0]
     # off delta = 0 only the float lane runs, where p^(-delta) makes the factors vary with p
     for delta, lane in [(0.0, fam.exact), *((d, False) for d in (-0.3, 0.5) if not exact)]:
