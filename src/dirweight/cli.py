@@ -104,8 +104,10 @@ _READERS = {
     "delta": _optional(weights._finite_float),  # "1/2" is a rational
     "k": _optional(_integer(1)),
     "n_max": _integer(1),
-    "methods": _checked("a list of method names",
-                        lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v)),
+    "methods": _checked(f"one or more distinct methods of {'/'.join(condition.METHODS)}",
+                        lambda v: len(set(v) & set(condition.METHODS)) == len(v) > 0,
+                        _checked("a list of method names", lambda v: isinstance(v, list)
+                                 and all(isinstance(m, str) for m in v))),
     "tol": _checked("a finite number > 0", lambda x: math.isfinite(x) and x > 0, weights._float),
     "mode": _checked("auto/exact/float", lambda v: v in ("auto", "exact", "float")),
     "kernel": _checked("/".join(kernel.ROUTES), lambda v: v in kernel.ROUTES),

@@ -13,12 +13,12 @@ computes S(0..n) by any of the three and alone picks the arithmetic lane:
 ``check_range`` cross-checks its columns.  The factored routes are windows
 of ``_factored``, the one function that turns the prime-power factors into
 S; ``series_column``, the series kernel's, is its exact window in float64
-wherever the divisor sums equal it bit for bit.  ``prime_power_check``
-reads the signs of the factors, which decide the condition for
-multiplicative and additive families.  For w_j = (log j)^alpha, delta = 0
-and k = 2, S is Lambda_alpha = mu * L^alpha, which ``von_mangoldt_alpha``
-(one n) and ``von_mangoldt_range`` (a float64 column) compute by its
-recurrence.
+wherever the divisor sums equal it bit for bit.  ``prime_power_check`` reads
+the signs of the factors, which decide the condition for multiplicative and
+additive families; ``_factor`` computes each float one, per n or in a column,
+over arrays.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is Lambda_alpha
+= mu * L^alpha, which ``von_mangoldt_alpha`` (one n) and
+``von_mangoldt_range`` (a float64 column) compute by its recurrence.
 
 Sign policy: with delta = 0 and exact (rational) weights everything is
 computed in exact arithmetic (int64 columns where overflow is ruled out in
@@ -96,21 +96,27 @@ def divisor_sum(w: WeightFamily, delta: float, k: int, n: int):
     return total
 
 
-def _factor(delta, p, r, hi=1.0, lo=1.0):
-    """p^(-delta (r-1)) (p^(-delta) hi - lo) in floats, inf past the float range: with hi
-    = w_(p^r) and lo = w_(p^(r-1)) the factor of p^r in mult_product (at delta = 0 all of
-    S(p^r)); by default the companion of p^r in the term T_t of every other prime of n."""
-    try:
-        pd = 1.0 if delta == 0.0 else p ** (-delta)
+def _factor(delta, p, r, hi=1.0, lo=1.0) -> np.ndarray:
+    """p^(-delta (r-1)) (p^(-delta) hi - lo) over float64 arrays (past the float range +-inf,
+    or NaN where inf meets 0): with hi = w_(p^r), lo = w_(p^(r-1)) the factor of p^r in
+    mult_product (at delta = 0 all of S(p^r)); by default the companion of p^r in T_t of every
+    other prime of n.  An entry has the same bits alone in a 1-d array as in a column.  With
+    numpy's power within an ulp, pd = p^(-delta) (1 + e), |e| <= 2u, u = 2^-53 (e = 0 at
+    delta = 0); pd^(r-1) adds 2r u, pd hi 3u, - and * u each, so the error is at most gamma_k
+    = k u / (1 - k u), k = 2r + 5, times p^(-delta (r-1)) (p^(-delta) |hi| + |lo|) (Higham)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pd = np.power(p, -delta, dtype=np.float64)
         return pd ** (r - 1) * (pd * hi - lo)
-    except OverflowError:
-        return math.inf
 
 
-def _prime_power_factor(w, delta, exact, p, r):
-    """The factor of p^r (_factor) from w.prime_power, exact as hi - lo."""
-    hi, lo = w.prime_power(p, r), w.prime_power(p, r - 1)
-    return hi - lo if exact else _factor(delta, p, r, _to_float(hi), _to_float(lo))
+def _factors_at(w, delta, exact, n) -> tuple[list, list]:
+    """(factors, companions) of the p^r || n, p ascending (_factor), from w.prime_power."""
+    factors = arith.factorize(n).factors
+    hi, lo = ([w.prime_power(p, r - e) for p, r in factors] for e in (0, 1))
+    if exact:  # hi - lo; at delta = 0 every companion p^(-delta) - 1 vanishes
+        return [h - l for h, l in zip(hi, lo)], [0] * len(factors)
+    hi, lo = ([list(map(_to_float, v)), [1.0] * len(v)] for v in (hi, lo))  # rows: f, companion
+    return _factor(delta, *np.array(factors, dtype=np.float64).reshape(-1, 2).T, hi, lo).tolist()
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -118,16 +124,13 @@ def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
     whose product is S(n) for a multiplicative family with k = 1."""
     if w.kind != "multiplicative":
         raise ValueError(f"{w.name} is not multiplicative")
-    delta, exact = _mode(w, delta)
-    n = arith._check_positive(n)
-    return [_prime_power_factor(w, delta, exact, p, r) for p, r in arith.factorize(n)]
+    return _factors_at(w, *_mode(w, delta), n)[0]
 
 
 def mult_product(w: WeightFamily, delta: float, n: int):
     """Factored form of S(n) over the prime factorization; equals
     divisor_sum with k = 1 for multiplicative families."""
-    delta, exact = _mode(w, delta)
-    return math.prod(mult_factors(w, delta, n), start=1 if exact else 1.0)
+    return math.prod(mult_factors(w, delta, n), start=1 if _mode(w, delta)[1] else 1.0)
 
 
 def additive_Tt(w: WeightFamily, delta: float, n: int):
@@ -135,18 +138,12 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
     (k = 2, with the w_1 = 0 extension).  Returns (total, terms)."""
     if w.kind != "additive":
         raise ValueError(f"{w.name} is not additive")
-    delta, exact = _mode(w, delta)
-    n = arith._check_positive(n)
-    if n < 2:
+    if arith._check_positive(n) < 2:
         raise ValueError("additive decomposition needs n >= 2")
-    factors = arith.factorize(n).factors
-    terms = [_prime_power_factor(w, delta, exact, p, r) for p, r in factors]
-    if exact:  # at delta = 0 every companion p^(-delta) - 1 vanishes
-        terms = terms if len(terms) == 1 else [0] * len(terms)
-    else:  # T_t: its factor times the companion of every other prime, in ascending order
-        comp = [_factor(delta, p, r) for p, r in factors]
-        terms = [math.prod((c for j, c in enumerate(comp) if j != t), start=f)
-                 for t, f in enumerate(terms)]
+    factors, comp = _factors_at(w, *_mode(w, delta), n)
+    # T_t: its factor times the companion of every other prime, in ascending order
+    terms = [math.prod((c for j, c in enumerate(comp) if j != t), start=f)
+             for t, f in enumerate(factors)]
     return sum(terms), tuple(terms)
 
 
@@ -368,8 +365,8 @@ def _join(*pieces) -> str:
 def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers):
     """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone (at
     every delta): one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
-    is hi at r - 1 (w_1 at r = 1).  fq is _factor of their floats in float64, over the
-    listing where delta != 0 makes p^(-delta) vary with p; or, when exact, hi - lo, int64
+    is hi at r - 1 (w_1 at r = 1).  fq is one _factor call over their float64 columns, over
+    the listing where delta != 0 makes p^(-delta) vary with p; or, when exact, hi - lo, int64
     for an integer-valued family while they fit, and size the floats |hi| + |lo|."""
     f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
     p, r, hi, at = pp.values(f, object if exact else np.float64, w.r_only)
@@ -379,7 +376,7 @@ def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.
         if w.r_only and delta != 0.0:  # hi and lo of each exponent at each of its p^r
             _, p, r = pp.listing
             hi, lo, at = hi[r - 1], lo[r - 1], pp.at
-        return p, r, at, _accel.evaluate(partial(_factor, delta), np.float64, p, r, hi, lo), None
+        return p, r, at, _factor(delta, p, r, hi, lo), None
     fq, size = hi - lo, _accel.evaluate(_to_float, np.float64, abs(hi) + abs(lo))
     with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
         fq = fq.astype(np.int64) if w.integer_valued else fq
@@ -406,10 +403,10 @@ _dual.identity = (1.0, 0.0)
 def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers, exact: bool):
     """(window, bound): window(lo, hi) is mult_product or additive_Tt on [lo, hi),
     hi <= pp.n + 1, from the factors of the prime powers (_prime_power_factors), exact
-    ones in int64 or Python objects, else float64 ones (inf past the float range, where
-    rows are not finite).  At delta = 0 only the prime powers carry an additive S; the
-    float additive_Tt is one fill of the pairs (companion, factor) under _dual, the
-    per-n terms rounded in another order.
+    ones in int64 or Python objects, else float64 ones (not finite past the float range,
+    where rows are not finite).  At delta = 0 only the prime powers carry an additive S;
+    the float additive_Tt is one fill of the pairs (companion, factor) under _dual, both
+    from _factor, the per-n terms rounded in another order.
 
     bound, inf outside the exact lane, bounds every |w_j| and every partial sum of
     every divisor sum S(m), j, m <= n.  Additive: |w_j| <= omega(j) max size <= log2(n)
@@ -442,7 +439,7 @@ def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers
     if exact and method == "mult_product" and not bound < _INT64_SAFE:
         fq = fq.astype(object)
     elif not exact and method == "additive_Tt":
-        fq = np.stack([_accel.evaluate(partial(_factor, delta), np.float64, p, r), fq], axis=1)
+        fq = np.stack([_factor(delta, p, r), fq], axis=1)
 
     def window(lo, hi):
         if exact and method == "additive_Tt":
@@ -547,7 +544,8 @@ def check_range(
     method, start = FACTORED.get(w.kind, ("divisor_sum", k))  # none: divisor_sum at any k
     for m in methods:
         if m not in ("divisor_sum", method):
-            raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}")
+            raise ValueError(f"method {m!r} not applicable to family kind {w.kind!r}"
+                             if m in METHODS else f"unknown method {m!r}, not one of {METHODS}")
     if method in methods and k != start:
         raise ValueError(f"{method} agrees with the condition only for k = {start}")
 

@@ -828,13 +828,20 @@ def test_non_finite_kernel_points_exit_one(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_duplicate_methods_exit_one(omega_cfg, capsys):
-    assert run(["check-condition", "--config", omega_cfg, "--stdout",
-                "--methods", "divisor_sum,divisor_sum"]) == 1
+@pytest.mark.parametrize("methods,got", [
+    ("divisor_sum,divisor_sum", "['divisor_sum', 'divisor_sum']"), ("foo", "['foo']"), (",", "[]"),
+], ids=["duplicate", "unknown", "empty"])
+def test_bad_methods_are_config_errors(omega_cfg, tmp_path, capsys, methods, got):
+    # these once printed the progress line and then an unkeyed error, "foo" as a method
+    # "not applicable" to omega
+    out = tmp_path / "rep"
+    assert run(["check-condition", "--config", omega_cfg, "--out", str(out),
+                "--methods", methods]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1] == (
-        "error: need one or more distinct methods, got ['divisor_sum', 'divisor_sum']")
-    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: methods: expected one or more distinct methods of "
+        f"divisor_sum/mult_product/additive_Tt, got {got}"]
+    assert captured.out == "" and list(tmp_path.glob("rep*")) == []
 
 
 # -- columnar check-condition reports -----------------------------------------

@@ -533,6 +533,14 @@ def test_check_range_needs_distinct_methods(fam, methods):
         condition.check_range(fam["omega"], None, None, 5, methods=methods)
 
 
+@pytest.mark.parametrize("method,message", [("foo", "unknown method 'foo'"),
+                                            ("mult_product", "not applicable to family kind")])
+def test_check_range_names_an_unknown_method_as_unknown(fam, method, message):
+    # "foo" was once "not applicable to family kind 'additive'"
+    with pytest.raises(ValueError, match=message):
+        condition.check_range(fam["omega"], None, None, 5, methods=("divisor_sum", method))
+
+
 def test_s_columns_exact_needs_the_exact_mode(fam):
     for w, delta in ((fam["omega"], 0.5), (weights.named_family("log_pow", alpha=1), None)):
         with pytest.raises(ValueError, match="needs rational weights and delta = 0"):
@@ -565,8 +573,11 @@ def test_prime_power_check_decides_the_condition(name, params, delta):
     negative = rep.columns["n"][rep.columns["verdict"] == condition.VERDICTS.index(
         condition.NEGATIVE)]
     if w.kind == "multiplicative" and not check["passed"]:
-        p, r, _ = check["first_violation"]
+        p, r, margin = check["first_violation"]
         assert p**r == negative[0]
+        if rep.mode == "float":  # the factor is S(p^r) by the product route, bit for bit
+            at = condition.check_range(w, delta, None, p**r, methods=("mult_product",))
+            assert margin.hex() == float(at.columns["value"][-1]).hex()
 
 
 def test_check_range_measure_family_float_lane():
@@ -758,6 +769,24 @@ def test_only_the_per_n_divisor_sum_calls_value():
     assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
+def test_one_float_factor_expression():
+    # every float factor and companion is _factor's one numpy expression over arrays: a
+    # scalar lane of it (one call per prime power) would be a twin free to round apart
+    tree = ast.parse(Path(condition.__file__).read_text())
+    factor = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_factor")
+    inside = set(map(id, ast.walk(factor)))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    mapped = [node.lineno for node in calls if ast.unparse(node.func) in ("_accel.evaluate",
+                                                                          "partial")
+              and any(isinstance(a, ast.Name) and a.id == "_factor" for a in node.args)]
+    power = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.power"]
+    assert mapped == []
+    assert any(id(node) in inside for node in power)
+    assert [node.lineno for node in power if id(node) not in inside] == []
+
+
 @pytest.mark.parametrize("name,params", INTEGER_FAMILIES)
 def test_integer_values_table_is_exact(name, params):
     # the exact lane reads these tables as the exact values
@@ -791,14 +820,29 @@ def _hex(v):
     return v.hex() if isinstance(v, float) else (type(v), v)
 
 
+#: Families whose f depends on p: their float factors are a column over the listing at
+#: every delta, where the named families' are one per exponent at delta = 0.
+ON_P = {
+    "mult_on_p": weights.multiplicative_from_prime_powers(
+        lambda p, r: (r + 1) / math.log(p + 1), 1.0, 0.0, (1.0, 1.0)),
+    "add_on_p": weights.additive_from_prime_powers(
+        lambda p, r: r * math.log(p) - 0.7, 1.0, 0.0, (1.0, 1.0)),
+}
+
+
+def _family(name, params):
+    return ON_P[name] if name in ON_P else weights.named_family(name, **params)
+
+
 @pytest.mark.parametrize("name,params,delta", [
     ("d_beta", {"beta": 2}, 0.3),
     ("d_beta", {"beta": "3/2"}, 0.3),
     ("divisor_pow", {"alpha": "1/2"}, 0.0),
     ("geometric", {"ratio": "1/2"}, 0.0),  # exact: Fractions
+    ("mult_on_p", {}, 0.3),
 ])
 def test_product_route_is_the_per_n_product_bit_for_bit(name, params, delta):
-    w = weights.named_family(name, **params)
+    w = _family(name, params)
     rep = condition.check_range(w, delta, 1, 3000, methods=("mult_product",))
     assert rep.mode == ("exact" if w.exact and delta == 0.0 else "float")
     got = [r.value for r in rep.records[1:]]  # past the one n = 1 row
@@ -809,19 +853,22 @@ def test_product_route_is_the_per_n_product_bit_for_bit(name, params, delta):
 @pytest.mark.parametrize("w,delta", [
     (weights.named_family("omega"), 0.3),
     (weights.named_family("big_omega"), 0.5),
-    (weights.additive_from_prime_powers(lambda p, r: r * math.log(p) - 0.7, 1.0, 0.0,
-                                        (1.0, 1.0)), 0.0),
+    (ON_P["add_on_p"], 0.0),
+    (ON_P["add_on_p"], -0.3),
 ])
 def test_additive_route_is_the_per_n_sum_bit_for_bit(w, delta):
     def reference(n):  # T_t: its own factor, then the other primes' companions in order
-        factors, terms = arith.factorize(n).factors, []
-        for t, (p, r) in enumerate(factors):
-            pd = 1.0 if delta == 0.0 else p ** (-delta)
-            term = pd ** (r - 1) * (pd * float(w.value(p**r)) - float(w.value(p ** (r - 1))))
-            for j, (q, s) in enumerate(factors):
+        factors = arith.factorize(n).factors
+        p, r = (np.array(c, dtype=np.float64) for c in zip(*factors))
+        hi, lo = (np.array([float(w.value(q**s)) for q, s in factors]),
+                  np.array([float(w.value(q ** (s - 1))) for q, s in factors]))
+        pd = np.power(p, -delta)  # numpy's power on 1-d arrays, as the routes round it
+        own, comp = ((pd ** (r - 1) * (pd * v - u)).tolist() for v, u in ((hi, lo), (1.0, 1.0)))
+        terms = []
+        for t, term in enumerate(own):
+            for j, c in enumerate(comp):
                 if j != t:
-                    qd = 1.0 if delta == 0.0 else q ** (-delta)
-                    term *= qd ** (s - 1) * (qd - 1.0)
+                    term *= c
             terms.append(term)
         return sum(terms)
 
@@ -837,6 +884,46 @@ def test_additive_route_is_the_per_n_sum_bit_for_bit(w, delta):
         gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
         assert abs(record.value - total) <= 2 * gamma * sum(map(abs, terms)), n
         assert math.copysign(1.0, record.value) == 1.0 or record.value < 0, n
+
+
+BOUND_DELTAS = (0.3, 0.5, -0.3, 1 / 3, 2.0)
+
+
+@pytest.fixture(scope="module")
+def mp_powers():
+    """The prime powers <= 10^5 and, at each of BOUND_DELTAS, p^(-delta) over their listing
+    in 50-digit mpmath."""
+    pp = _accel.PrimePowers(10**5)
+    with mpmath.workdps(50):
+        return pp, {delta: [mpmath.mpf(p) ** -mpmath.mpf(delta) for p in pp.listing[1].tolist()]
+                    for delta in BOUND_DELTAS}
+
+
+@pytest.mark.parametrize("delta", BOUND_DELTAS, ids=["0.3", "0.5", "-0.3", "1/3", "2"])
+@pytest.mark.parametrize("name,params", [
+    ("divisor_pow", {"alpha": 1}), ("d_beta", {"beta": "3/2"}), ("omega", {}),
+    ("big_omega", {}), ("mult_on_p", {}), ("companion", {}),
+])
+def test_float_factors_within_the_rounding_bound(name, params, delta, mp_powers):
+    # _factor's bound gamma_(2r+5) P^(r-1) (P |hi| + |lo|), P = p^(-delta), against 50-digit
+    # mpmath at every p^r <= 10^5: the factors of the columns (hi and lo the floats of
+    # w_(p^r) and w_(p^(r-1))) and the companions (hi = lo = 1)
+    pp, P = mp_powers[0], mp_powers[1][delta]
+    _, p, r = pp.listing
+    if name == "companion":
+        got, hi, lo = condition._factor(delta, p, r), [1.0] * len(p), [1.0] * len(p)
+    else:
+        w = _family(name, params)
+        _, _, at, fq, _ = condition._prime_power_factors(w, delta, False, pp)
+        got = fq[at(p, r)]
+        hi, lo = ([float(w.prime_power(q, s - e)) for q, s in zip(p.tolist(), r.tolist())]
+                  for e in (0, 1))
+    u = 2.0**-53
+    with mpmath.workdps(50):
+        for x, Pq, s, h, l in zip(got.tolist(), P, r.tolist(), hi, lo):
+            scale, k = Pq ** (s - 1), 2 * s + 5
+            err = abs(mpmath.mpf(x) - scale * (Pq * h - l))
+            assert err <= k * u / (1 - k * u) * scale * (Pq * abs(h) + abs(l)), (x, s, h, l)
 
 
 @pytest.mark.parametrize("name,params,delta,n_max,method", [
