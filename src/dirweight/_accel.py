@@ -24,9 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-#: sieve segments, power_sum blocks, and windows of streamed tables and of the
-#: fill's cofactors, each at absolute multiples of its length
-SEGMENT, POWER_BLOCK, WINDOW = 1 << 18, 1 << 14, 1 << 16
+#: sieve segments, power_sum blocks (a window's divisors below OpenBLAS's 10^4-entry
+#: threading threshold), and windows of streamed tables and of the fill's
+#: cofactors, each at absolute multiples of its length
+SEGMENT, POWER_BLOCK, WINDOW = 1 << 18, 1 << 13, 1 << 16
 
 
 def _primes(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarray:
@@ -294,11 +295,12 @@ def power_sum(vals, start: int, points, pairs, zeta: bool = False):
     j runs in blocks at absolute multiples of POWER_BLOCK.  A block makes
     one log column and one column j^(-s) per point that a live pair uses
     (a real exp when Im s = 0), and one BLAS dot (np.vdot) per live pair
-    over its slice; block partials add in ascending order.  So an entry's
-    value depends on (vals, start, s_a, s_b, n) alone, not on the pairs
-    that share the pass or on how vals is made, and the columns take about
-    m B 32 bytes for m points.  Non-finite values propagate without a
-    RuntimeWarning."""
+    over its slice, shorter than the 10^4 entries past which OpenBLAS
+    splits a dot across threads; block partials add in ascending order.  So
+    an entry's value depends on (vals, start, s_a, s_b, n) alone, not on the
+    pairs that share the pass, how vals is made or the number of CPUs, and
+    the columns take about m B 32 bytes for m points.  Non-finite values
+    propagate without a RuntimeWarning."""
     if not isinstance(vals, Column):
         vals = np.ascontiguousarray(vals, dtype=np.float64)
     start = max(int(start), 1)

@@ -251,7 +251,7 @@ def cmd_check_condition(args) -> int:
     report = condition.check_range(
         fam, delta, cfg.get("k"), cfg["n_max"], methods=tuple(cfg["methods"]), tol=cfg["tol"]
     )
-    envelope = _report_envelope("check-condition", cfg, report.to_json_dict(with_records=False))
+    envelope = _report_envelope("check-condition", cfg, report.to_json_dict())
     _emit(_spliced(envelope, "records", report.render), cfg)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     return _EXIT_BY_VERDICT[report.verdict]

@@ -269,7 +269,8 @@ class ConditionReport:
                                         return_counts=True)
         return {VERDICTS[codes[i]]: int(count[i]) for i in np.argsort(first)}
 
-    def to_json_dict(self, with_records: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
+        """The summary, with an empty "records" list that cli._spliced fills from render."""
         return {
             "family": self.family,
             "delta": self.delta,
@@ -281,9 +282,7 @@ class ConditionReport:
             "verdict": self.verdict,
             "agreement_failures": self.agreement_failures,
             "counts": self.counts(),
-            "records": [{"n": r.n, "value": _strict_json(r.value), "method": r.method,
-                         "verdict": r.verdict, "margin": _strict_json(r.margin)}
-                        for r in (self.records if with_records else ())],
+            "records": [],
         }
 
     def render(self, pad: str = "", chunk: int = 1 << 14):
@@ -307,10 +306,6 @@ class ConditionReport:
             yield text, _join(n, ",", value_csv, pair_csv[method * len(VERDICTS) + verdict],
                               margin_csv, "\r\n")
         yield ("]" if size == 0 else f"\n{pad}]"), ""
-
-    def write_csv(self, fh) -> None:
-        """The CSV projection: a header, then one row per record."""
-        fh.writelines(rows for _, rows in self.render())
 
 
 def _strict_json(v):

@@ -23,21 +23,21 @@ The three functions, ``default_grid`` and ``gram_psd`` share one
 truncation (``terms``), the coefficient table (``table``) and the entries
 with their tails (``entries``, which alone propagates the quotient's
 error).  ``entries`` makes one ``_accel.power_sum`` call for every pair
-(a, b, n) of a run: the engine walks j in blocks of B = 2^14, builds one
+(a, b, n) of a run: the engine walks j in blocks of B = 2^13, builds one
 column j^(-s) per point and block (a real exp when Im s = 0) and sums each
-entry as one BLAS dot per block, so the columns of m points take about
-m B 32 bytes.  The ratio route folds j^(-delta) into its table and reads
-its zeta denominators from the same columns.  Tables stream: the weights
-and the exact lane's factored S column (``condition.series_column``, the
-int64 window of ``condition._factored`` cast to float64) are
-``_accel.Column``s, filled one window of 2^16 entries at a time from one
-``_accel.PrimePowers``; only divisor-sum S columns are built whole.  An
-eval-kernel value thus equals the Gram entry at the same point and
-per-entry target bit for bit: block partials do not depend on the entries
-that share the pass, a window is the same slice of the table at any
-length, and a float S(n) column up to TRUNCATION_CAP is a prefix of a
-longer one (see ``_accel._convolve``), equal to the exact lane's factored
-column where that is taken.
+entry as one BLAS dot per block, short enough for BLAS to take on one
+thread, so the columns of m points take about m B 32 bytes.  The ratio
+route folds j^(-delta) into its table and reads its zeta denominators from
+the same columns.  Tables stream: the weights and the exact lane's
+factored S column (``condition.series_column``, the int64 window of
+``condition._factored`` cast to float64) are ``_accel.Column``s, filled
+one window of 2^16 entries at a time from one ``_accel.PrimePowers``; only
+divisor-sum S columns are built whole.  An eval-kernel value thus equals
+the Gram entry at the same point and per-entry target bit for bit: block
+partials do not depend on the entries that share the pass, a window is the
+same slice of the table at any length, and a float S(n) column up to
+TRUNCATION_CAP is a prefix of a longer one (see ``_accel._convolve``),
+equal to the exact lane's factored column where that is taken.
 """
 
 from __future__ import annotations

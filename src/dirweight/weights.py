@@ -420,8 +420,10 @@ def measure_induced(spec: MeasureSpec, n0: int, n: int) -> float:
 
 
 def measure_family(spec: MeasureSpec, n0: int = 2, name: str = "measure") -> WeightFamily:
-    """Wrap a measure spec as a WeightFamily (float values)."""
+    """Wrap a measure spec as a WeightFamily (float values).  A weight at the
+    start index that is not a finite positive float raises ValueError here."""
     start = max(n0, 2)
+    measure_induced(spec, n0, start)
     # w_n = n^(delta + o(1)) gives (sigma, delta) = (1 + delta, delta)
     if spec.kind == "discrete":
         # mass near 0 dominates the growth: w_n <= n^(2 s_min) / m(s_min) = w_n (1 + o(1))
@@ -533,8 +535,8 @@ def _d_beta_family(beta, bf: float) -> WeightFamily:
 
 def _log_pow_family(alpha, af: float) -> WeightFamily:
     """w_n = (log n)^alpha: the gamma-density measure family at alpha."""
-    spec = _keyed("alpha", lambda a: MeasureSpec("gamma_density", alpha=a), af)
-    return measure_family(spec, name=f"log_pow(alpha={alpha})")
+    return _keyed("alpha", lambda a: measure_family(MeasureSpec("gamma_density", alpha=a),
+                                                    name=f"log_pow(alpha={alpha})"), af)
 
 
 def _one_plus_family(base: WeightFamily) -> WeightFamily:
@@ -705,6 +707,7 @@ def family_from_config(cfg: dict) -> WeightFamily:
         else:
             spec = _keyed("spec.alpha", lambda a: MeasureSpec("gamma_density", alpha=_float(a)),
                           spec_cfg.get("alpha", 1))
-        fam = measure_family(spec, _keyed("n0", _int, cfg.get("n0", 2)), f"measure({stype})")
+        n0 = _keyed("n0", _int, cfg.get("n0", 2))
+        fam = _keyed("spec", lambda sp: measure_family(sp, n0, f"measure({stype})"), spec)
     fam.declare(**decl)
     return fam

@@ -357,6 +357,21 @@ def test_a_bad_family_scalar_names_its_key(family, message, tmp_path, capsys):
     assert captured.out == "" and captured.err.splitlines() == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize("atoms", [[[600, 1.0]], [[1, 1e-308]]])  # w_2 = 2^1200, 4e308
+@pytest.mark.parametrize("argv", [["check-condition"], ["classify"], ["gram"],
+                                  ["eval-kernel", "--s", "2"]])
+def test_a_measure_with_no_finite_first_weight_is_a_config_error(atoms, argv, tmp_path, capsys):
+    # these once printed the progress line, then an error that named no key
+    family = {"kind": "measure", "spec": {"type": "discrete", "atoms": atoms}}
+    cfg = write_config(tmp_path, "c.json", {"family": family, "n_max": 4})
+    out = tmp_path / "rep"
+    assert run([*argv, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "config error: spec: measure-induced weight at n=2 is inf; no weight defined"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 # the top-level config keys each subcommand reads
 READS = {
     "check-condition": ["family", "delta", "k", "n_max", "methods", "tol", "mode", "out",
@@ -884,7 +899,7 @@ def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path
     assert token in text
     # the references never read the renderer: json.dumps and csv.writer over the records
     envelope = json.loads(text)
-    envelope["result"] = {**report.to_json_dict(with_records=False), "records": [
+    envelope["result"] = {**report.to_json_dict(), "records": [
         {"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
          "verdict": r.verdict, "margin": r.margin} for r in report.records]}
     assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
@@ -1225,6 +1240,8 @@ def test_gram_on_the_default_grid_with_inf_weights_is_inconclusive(tmp_path, cap
     *(("d_beta", "beta", b, f"d_beta needs beta > 0, got {f!r}")
       for b, f in ((0, 0.0), (-1, -1.0), ("-1/2", -0.5))),
     ("log_pow", "alpha", -1, "gamma density needs a finite alpha > 0, got -1.0"),
+    # (log 2)^3000 underflows: once the progress line, then an unkeyed error
+    ("log_pow", "alpha", 3000, "measure-induced weight at n=2 is 0.0; no weight defined"),
 ])
 def test_named_family_parameters_are_finite_floats(name, key, value, message, tmp_path,
                                                    capsys):

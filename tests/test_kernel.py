@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -293,6 +297,47 @@ def test_eval_kernel_is_the_gram_entry_bit_for_bit(fams, route, name):
     assert len(n_terms) > 1 and max(n_terms) == check.n_terms_max
     if name.endswith("_wide"):  # and end in at least 3 distinct blocks
         assert len({n // _accel.POWER_BLOCK for n in n_terms}) >= 3
+
+
+_D3 = {"kind": "named", "name": "d_beta", "parameters": {"beta": 3}}
+_FAMILY_FLAGS = [
+    ({"kind": "named", "name": "log_pow", "parameters": {"alpha": 2}},
+     ["eval-kernel", "--kernel", "weight", "--s", "1.6+0.3j", "--u", "1.6-0.7j"]),
+    ({"kind": "named", "name": "omega"},
+     ["eval-kernel", "--kernel", "series", "--s", "1.6+0.3j", "--u", "1.6-0.7j"]),
+    (_D3, ["eval-kernel", "--kernel", "ratio", "--s", "1.6+0.3j", "--u", "1.6-0.7j"]),
+    (_D3, ["gram", "--kernel", "series"]),
+    (_D3, ["gram", "--kernel", "ratio"]),
+    (_D3, ["gram", "--kernel", "ratio", "--n-points", "64"]),
+]
+
+
+def test_kernel_reports_do_not_depend_on_the_cpu_count(tmp_path):
+    # OpenBLAS splits a dot of more than 10^4 entries across threads, and the
+    # bits of such a sum follow the thread count.  Every dot power_sum takes
+    # spans at most one block, and a block divides a window, so no block
+    # straddles two reads of a streamed table.
+    assert _accel.WINDOW % _accel.POWER_BLOCK == 0 and _accel.POWER_BLOCK <= 10_000
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cpus = os.sched_getaffinity(0)
+    for i, (family, argv) in enumerate(_FAMILY_FLAGS):
+        cfg = tmp_path / f"{i}.json"
+        cfg.write_text(json.dumps({"family": family}))
+        args = [sys.executable, "-m", "dirweight", *argv, "--config", str(cfg),
+                "--stdout", "--no-timestamp"]
+        runs = []
+        # one child on one CPU, as perfbench/run.py launches it, and one on every CPU
+        for pinned in ({sorted(cpus)[i % len(cpus)]}, cpus):
+            os.sched_setaffinity(0, pinned)  # inherited by the child
+            try:
+                runs.append(subprocess.Popen(args, env=env, stdout=subprocess.PIPE,
+                                             stderr=subprocess.DEVNULL, text=True))
+            finally:
+                os.sched_setaffinity(0, cpus)
+        one, every = (proc.communicate(timeout=60)[0] for proc in runs)
+        assert [proc.returncode for proc in runs] == [0, 0], argv
+        assert json.loads(one)["result"] and one == every, argv
 
 
 def test_series_route_memory_is_bounded_by_the_block():
