@@ -132,9 +132,9 @@ def evaluate(f, dtype, *args) -> np.ndarray:
 
 
 class PrimePowers:
-    """What a run shares of the prime powers <= n, each made on first use:
-    the base primes up to sqrt(n) and the listing, which ``at`` indexes.  Every
-    column reads its prime-power function through ``values``."""
+    """What a run shares of the prime powers <= n, each made on first use: the base primes up
+    to sqrt(n) and the listing, only for values on p (``at`` searches it) or a check of each
+    p^r.  Every column reads its prime-power function through ``values``."""
 
     def __init__(self, n: int):
         self.n = n

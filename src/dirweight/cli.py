@@ -3,7 +3,7 @@
 Subcommands: check-condition, classify, gram, eval-kernel, von-mangoldt.
 Reports are JSON (source of truth); check-condition and von-mangoldt stream
 their rows into it and into a CSV projection through one writer, _spliced.
-Every report embeds its resolved config, so a report file passed back via
+Every report embeds the config keys it read, so a report file passed back via
 --config reruns it.  Exit codes: 0 nonnegative/PSD, 1 config or usage
 error, 2 certified violation/indefinite, 3 inconclusive.
 
@@ -142,7 +142,7 @@ def _load_config(path: str | None) -> dict:
 def _config(args, reads: str, embedded=None, **defaults) -> dict:
     """out, timestamp and the keys in reads, embedded and defaults: each from the flags, else
     the --config file, else embedded, else defaults, parsed once by its reader in _READERS.
-    "config" holds the flags, file and embedded as given, for the report to embed; "outputs"
+    "config" holds those keys as given, no unread one, for the report to embed; "outputs"
     the report files and whether the JSON goes to stdout: PREFIX.json (and PREFIX.csv) for
     out, else for the subcommand's default prefix (args.report) unless --stdout is set;
     stdout alone without either.  A run is refused if a report file is the --config file."""
@@ -151,8 +151,9 @@ def _config(args, reads: str, embedded=None, **defaults) -> dict:
     if getattr(args, "n_points", None) is not None and isinstance(cfg.setdefault("grid", {}), dict):
         cfg["grid"]["n_points"] = args.n_points
     keys = {"out", "timestamp", *reads.split(), *(embedded or {}), *defaults}
+    cfg = {key: v for key, v in cfg.items() if key in keys}  # an unread key is left out
     val = {key: weights._keyed(key, _READERS[key], v, ConfigError)
-           for key, v in {**defaults, **cfg}.items() if key in keys}
+           for key, v in {**defaults, **cfg}.items()}
     default, with_csv = args.report
     prefix, to_stdout = val.get("out"), args.stdout
     if prefix is None and not to_stdout:
@@ -179,25 +180,31 @@ def _report_envelope(command: str, cfg: dict, result: dict) -> dict:
 
 
 def _emit(report, cfg: dict) -> None:
-    """Write a report to cfg["outputs"] (see _config): ``report`` is the
-    envelope dict, whose floats that are not finite become the strings
-    "inf", "-inf" and "nan" (condition._strict_json), or an iterable of
-    (JSON text, CSV text) pairs whose parts join to the JSON report and to
-    its CSV projection."""
+    """Write a report to cfg["outputs"] (see _config): ``report`` is the envelope dict, whose
+    floats that are not finite become the strings "inf", "-inf" and "nan"
+    (condition._strict_json), or an iterable of (JSON text, CSV text) pairs whose parts join to
+    the JSON report and to its CSV projection.  Each file is renamed into place after the last
+    piece, so a run that fails writes no report and leaves an earlier one intact."""
     if isinstance(report, dict):
         report = [(json.dumps(condition._strict_json(report), sort_keys=True, indent=2), "")]
     paths, to_stdout = cfg["outputs"]
     if paths:
         report = list(report) if to_stdout else report  # the JSON is written twice
-        with ExitStack() as stack:
-            files = [stack.enter_context(open(path, "w", newline=newline))
-                     for path, newline in zip(paths, (None, ""))]
-            for pieces in report:
-                for fh, text in zip(files, pieces):
-                    fh.write(text)
-            files[0].write("\n")
-        for path in paths:
-            print(f"wrote {path}", file=sys.stderr)
+        temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+        try:
+            with ExitStack() as stack:
+                files = [stack.enter_context(open(temp, "w", newline=newline))
+                         for temp, newline in zip(temps, (None, ""))]
+                for pieces in report:
+                    for fh, text in zip(files, pieces):
+                        fh.write(text)
+                files[0].write("\n")
+            for temp, path in zip(temps, paths):
+                os.replace(temp, path)
+                print(f"wrote {path}", file=sys.stderr)
+        finally:
+            for temp in filter(os.path.exists, temps):
+                os.remove(temp)
     if to_stdout:
         sys.stdout.writelines(text for text, _ in report)
         sys.stdout.write("\n")
@@ -235,13 +242,9 @@ def cmd_check_condition(args) -> int:
     fam, delta = cfg["family"], cfg.get("delta")
     if cfg["mode"] == "float":
         fam.exact = False
-    elif cfg["mode"] == "exact":
-        d, exact = condition._mode(fam, delta)
-        if not exact:
-            raise ConfigError(
-                "exact mode needs rational weights and delta = 0 "
-                f"(family {fam.name}, delta {d})"
-            )
+    elif cfg["mode"] == "exact" and not (mode := condition._mode(fam, delta))[1]:
+        raise ConfigError(f"exact mode needs rational weights and delta = 0 (family {fam.name}, "
+                          f"delta {mode[0]})")
     last = fam.last_index
     if last is not None and cfg["n_max"] > last:  # classify clamps instead
         raise ConfigError(f"n_max: expected at most {last}, the last index of {fam.name}, "

@@ -10,13 +10,13 @@ closed form available for multiplicative families; ``additive_Tt`` uses
 the per-prime decomposition available for additive families, whose
 individual terms are the sharper per-term certificates.  ``s_columns``
 computes S(0..n) by any of the three and alone picks the arithmetic lane:
-``check_range`` cross-checks its columns.  The factored routes are windows
-of ``_factored``, the one function that turns the prime-power factors into
-S; ``series_column``, the series kernel's, is its exact window in float64
-wherever the divisor sums equal it bit for bit.  ``prime_power_check`` reads
-the signs of the factors, which decide the condition for multiplicative and
-additive families; ``_factor`` computes each float one, per n or in a column,
-over arrays.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is Lambda_alpha
+``check_range`` cross-checks its columns.  The factor of each prime power
+comes from one table, ``_LocalFactors`` (each float one from ``_factor``),
+read by the per-n routes, by ``prime_power_check``, whose signs decide the
+condition for multiplicative and additive families, and by ``_factored``,
+whose windows are the factored columns; ``series_column``, the series
+kernel's, is its exact window in float64 wherever the divisor sums equal it
+bit for bit.  For w_j = (log j)^alpha, delta = 0 and k = 2, S is Lambda_alpha
 = mu * L^alpha, which ``von_mangoldt_alpha`` (one n) and
 ``von_mangoldt_range`` (a float64 column) compute by its recurrence.
 
@@ -109,14 +109,34 @@ def _factor(delta, p, r, hi=1.0, lo=1.0) -> np.ndarray:
         return pd ** (r - 1) * (pd * hi - lo)
 
 
-def _factors_at(w, delta, exact, n) -> tuple[list, list]:
-    """(factors, companions) of the p^r || n, p ascending (_factor), from w.prime_power."""
-    factors = arith.factorize(n).factors
-    hi, lo = ([w.prime_power(p, r - e) for p, r in factors] for e in (0, 1))
-    if exact:  # hi - lo; at delta = 0 every companion p^(-delta) - 1 vanishes
-        return [h - l for h, l in zip(hi, lo)], [0] * len(factors)
-    hi, lo = ([list(map(_to_float, v)), [1.0] * len(v)] for v in (hi, lo))  # rows: f, companion
-    return _factor(delta, *np.array(factors, dtype=np.float64).reshape(-1, 2).T, hi, lo).tolist()
+class _LocalFactors:
+    """hi = w_(p^r) and lo = w_(p^(r-1)) (w_1 at r = 1), in one lane, over the pairs (p, r) of
+    a PrimePowers's ``values`` (per exponent on r alone, ``at`` then r - 1; else the listing,
+    which ``at`` searches) or of the p^r || n.  ``factor`` gives the factor of any p^r; exact,
+    ``size`` is |hi| + |lo| of each pair in float64, which bounds |factor| at delta 0."""
+
+    def __init__(self, w: WeightFamily, delta: float, exact: bool, source):
+        f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
+        dtype = object if exact else np.float64
+        if isinstance(source, _accel.PrimePowers):  # one w.prime_power call per pair
+            p, r, hi, self.at = source.values(f, dtype, w.r_only)
+            lo = np.full(len(p), f(2, 0), dtype=dtype)  # w_1 below every p^1
+            lo[r > 1] = hi[self.at(p[r > 1], r[r > 1] - 1)]
+        else:
+            pairs = arith.factorize(source).factors
+            p, r = np.array(pairs, np.int64).reshape(-1, 2).T
+            hi, lo = (np.array([f(q, s - e) for q, s in pairs], dtype) for e in (0, 1))
+            self.at = lambda q, s: np.searchsorted(p, q)
+        self.delta, self.exact, self.p, self.r, self.hi, self.lo = delta, exact, p, r, hi, lo
+        if exact:  # hi - lo, int64 for an integer-valued family while they fit
+            self.diff, self.size = hi - lo, _accel.evaluate(_to_float, float, abs(hi) + abs(lo))
+            with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
+                self.diff = self.diff.astype(np.int64) if w.integer_valued else self.diff
+
+    def factor(self, p, r) -> np.ndarray:
+        """At arrays p and r: hi - lo if exact, else _factor computed at p from hi and lo."""
+        i = self.at(p, r)
+        return self.diff[i] if self.exact else _factor(self.delta, p, r, self.hi[i], self.lo[i])
 
 
 def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
@@ -124,7 +144,8 @@ def mult_factors(w: WeightFamily, delta: float, n: int) -> list:
     whose product is S(n) for a multiplicative family with k = 1."""
     if w.kind != "multiplicative":
         raise ValueError(f"{w.name} is not multiplicative")
-    return _factors_at(w, *_mode(w, delta), n)[0]
+    local = _LocalFactors(w, *_mode(w, delta), n)
+    return local.factor(local.p, local.r).tolist()
 
 
 def mult_product(w: WeightFamily, delta: float, n: int):
@@ -140,7 +161,9 @@ def additive_Tt(w: WeightFamily, delta: float, n: int):
         raise ValueError(f"{w.name} is not additive")
     if arith._check_positive(n) < 2:
         raise ValueError("additive decomposition needs n >= 2")
-    factors, comp = _factors_at(w, *_mode(w, delta), n)
+    local = _LocalFactors(w, *_mode(w, delta), n)
+    factors = local.factor(local.p, local.r).tolist()  # at delta = 0 every companion vanishes
+    comp = [0] * len(factors) if local.exact else _factor(local.delta, local.p, local.r).tolist()
     # T_t: its factor times the companion of every other prime, in ascending order
     terms = [math.prod((c for j, c in enumerate(comp) if j != t), start=f)
              for t, f in enumerate(factors)]
@@ -357,27 +380,6 @@ def _join(*pieces) -> str:
     return "".join(np.stack(columns, axis=1).ravel().tolist())
 
 
-def _prime_power_factors(w: WeightFamily, delta: float, exact: bool, pp: _accel.PrimePowers):
-    """(p, r, at, fq, size) from pp.values, per exponent where f depends on r alone (at
-    every delta): one w.prime_power call per pair gives hi = w_(p^r), and lo = w_(p^(r-1))
-    is hi at r - 1 (w_1 at r = 1).  fq is one _factor call over their float64 columns, over
-    the listing where delta != 0 makes p^(-delta) vary with p; or, when exact, hi - lo, int64
-    for an integer-valued family while they fit, and size the floats |hi| + |lo|."""
-    f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
-    p, r, hi, at = pp.values(f, object if exact else np.float64, w.r_only)
-    lo = np.full(len(p), f(2, 0), dtype=hi.dtype)  # w_1 below every p^1
-    lo[r > 1] = hi[at(p[r > 1], r[r > 1] - 1)]
-    if not exact:
-        if w.r_only and delta != 0.0:  # hi and lo of each exponent at each of its p^r
-            _, p, r = pp.listing
-            hi, lo, at = hi[r - 1], lo[r - 1], pp.at
-        return p, r, at, _factor(delta, p, r, hi, lo), None
-    fq, size = hi - lo, _accel.evaluate(_to_float, np.float64, abs(hi) + abs(lo))
-    with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
-        fq = fq.astype(np.int64) if w.integer_valued else fq
-    return p, r, at, fq, size
-
-
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)  # product past 2^59
 
 
@@ -397,7 +399,7 @@ _dual.identity = (1.0, 0.0)
 
 def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers, exact: bool):
     """(window, bound): window(lo, hi) is mult_product or additive_Tt on [lo, hi),
-    hi <= pp.n + 1, from the factors of the prime powers (_prime_power_factors), exact
+    hi <= pp.n + 1, from the factors of the prime powers (_LocalFactors over pp), exact
     ones in int64 or Python objects, else float64 ones (not finite past the float range,
     where rows are not finite).  At delta = 0 only the prime powers carry an additive S;
     the float additive_Tt is one fill of the pairs (companion, factor) under _dual, both
@@ -412,9 +414,8 @@ def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers
     WINDOW at a time, or inf once a size, and so the bound, reaches 2^53.  Either is
     exact below 2^53 and never rounds below it.  Products of factors are int64 below
     2^62, where none overflows, and Python ints past it."""
-    n = pp.n
-    p, r, at, fq, size = _prime_power_factors(w, delta, exact, pp)
-    bound = math.inf
+    n, local = pp.n, _LocalFactors(w, delta, exact, pp)
+    size, bound = local.size if exact else None, math.inf
     with np.errstate(over="ignore"):  # inf is past every bound
         if exact and method == "additive_Tt":
             bound = 2.0 * math.sqrt(n) * math.log2(n) * size.max(initial=0.0)
@@ -429,20 +430,20 @@ def _factored(w: WeightFamily, delta: float, method: str, pp: _accel.PrimePowers
                     todo.append((i + 1, e, m, product * size[e - 1]))
         elif exact and size.max(initial=0.0) < _FLOAT_EXACT:
             bound = max(_accel.prime_power_fill(
-                lo, min(lo + _accel.WINDOW, n + 1), pp.base, lambda p, r: size[at(p, r)],
+                lo, min(lo + _accel.WINDOW, n + 1), pp.base, lambda p, r: size[local.at(p, r)],
                 np.multiply).max() for lo in range(0, n + 1, _accel.WINDOW))
     if exact and method == "mult_product" and not bound < _INT64_SAFE:
-        fq = fq.astype(object)
-    elif not exact and method == "additive_Tt":
-        fq = np.stack([_factor(delta, p, r), fq], axis=1)
+        local.diff = local.diff.astype(object)
+    factor = local.factor if exact or method == "mult_product" else (  # (companion, factor)
+        lambda p, r: np.stack([_factor(delta, p, r), local.factor(p, r)], axis=-1))
 
     def window(lo, hi):
         if exact and method == "additive_Tt":
             q, p, r = _accel._prime_powers(lo, hi, pp.base)
-            col = np.zeros(hi - lo, dtype=fq.dtype)
-            col[q - lo] = fq[at(p, r)]
+            col = np.zeros(hi - lo, dtype=local.diff.dtype)
+            col[q - lo] = factor(p, r)
             return col
-        col = _accel.prime_power_fill(lo, hi, pp.base, lambda p, r: fq[at(p, r)],
+        col = _accel.prime_power_fill(lo, hi, pp.base, factor,
                                       np.multiply if method == "mult_product" else _dual)
         # + 0.0: a product 0 * (negative) is -0.0, the per-n sum's 0 is +0.0
         return col if method == "mult_product" else col[:, 1] + 0.0
@@ -592,8 +593,8 @@ def check_range(
 def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
                       tol: float = DEFAULT_TOL) -> dict:
     """The sign of S(p^r) at every prime power p^r <= n_max, from the factor
-    p^(-delta (r-1)) (p^(-delta) w_(p^r) - w_(p^(r-1))) (_prime_power_factors,
-    looked up over the listing), under check_range's sign policy: an exact
+    p^(-delta (r-1)) (p^(-delta) w_(p^r) - w_(p^(r-1))) (_LocalFactors, taken at
+    every p^r of the listing), under check_range's sign policy: an exact
     factor fails below 0, a float one below -tol or when it is not finite.
 
     Multiplicative w, k = 1 (Stetler): S is multiplicative and S(p^r) is the
@@ -612,13 +613,10 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
     n_max = arith._check_sieve(n_max, "n_max")
     arith._check_tol(tol)
     mult, pp = w.kind == "multiplicative", _accel.PrimePowers(n_max)
-    _, _, at, fq, _ = _prime_power_factors(w, delta, exact, pp)
-    margin = _accel.evaluate(_to_float, np.float64, fq) if exact else fq
-    fails = fq < 0 if exact else ~np.isfinite(margin) | (margin < -tol)
     _, p, r = pp.listing
-    keep = r >= (1 if mult else 2)
-    p, r = p[keep], r[keep]
-    bad = np.flatnonzero(fails[at(p, r)])
+    p, r = (p, r) if mult else (p[r > 1], r[r > 1])  # every p^r checked: no copy of the listing
+    fq = _LocalFactors(w, delta, exact, pp).factor(p, r)
+    bad = np.flatnonzero(fq < 0 if exact else ~np.isfinite(fq) | (fq < -tol))
     i = bad[0] if len(bad) else None
     return {
         "rule": "multiplicative r>=1" if mult else "additive r>=2",
@@ -627,7 +625,6 @@ def prime_power_check(w: WeightFamily, delta: float | None, n_max: int,
         "checks": len(p),
         "passed": len(bad) == 0,
         "violations": len(bad),
-        "first_violation": None if i is None else [int(p[i]), int(r[i]),
-                                                    float(margin[at(p[i], r[i])])],
+        "first_violation": None if i is None else [int(p[i]), int(r[i]), _to_float(fq[i])],
         "delta_nonpositive": None if mult else delta <= 0.0,
     }

@@ -427,6 +427,38 @@ def test_a_bad_value_of_any_key_is_one_keyed_config_error(command, key, value, t
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+def test_a_report_embeds_only_the_keys_its_subcommand_reads(tmp_path, capsys):
+    # at the parent gram embedded the unread "methods": ["bogus"] and "n_max" in its report;
+    # an unread key is left out, not refused, so a report of one config reruns any subcommand
+    path = write_config(tmp_path, "c.json", {"family": OMEGA, "n_max": 4, "methods": ["bogus"]})
+    assert run(["gram", "--config", path, "--no-timestamp", "--stdout"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {"family": OMEGA, "timestamp": False}
+    every = {"family": OMEGA, "delta": None, "k": 2, "n_max": 30, "methods": ["divisor_sum"],
+             "tol": 1e-8, "mode": "auto", "kernel": "weight", "grid": {"n_points": 2},
+             "alpha": 1, "n": 6, "s": [2.0, 0.0], "u": [2.0, 0.0]}
+    path = write_config(tmp_path, "every.json", every)
+    for command, keys in READS.items():
+        assert run([command, "--config", path, "--no-timestamp", "--stdout"]) == 0, command
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            **{key: every[key] for key in keys if key in every}, "timestamp": False}, command
+
+
+def test_a_failed_run_leaves_no_report_and_an_earlier_one_intact(tmp_path, monkeypatch):
+    # S(n) of divisor_pow(4000) passes Python's 4300-digit limit of str() while the rows
+    # render: at the parent that left part.json ending at '"records": [' and the CSV header
+    monkeypatch.chdir(tmp_path)
+    family = {"kind": "named", "name": "divisor_pow", "parameters": {"alpha": 4000}}
+    bad = write_config(tmp_path, "bad.json", {"family": family, "n_max": 1000})
+    good = write_config(tmp_path, "good.json", {"family": family, "n_max": 10})
+    argv = ["check-condition", "--out", "part", "--no-timestamp", "--config"]
+    assert run([*argv, bad]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+    assert run([*argv, good]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run([*argv, bad]) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_n_points_flag_over_a_grid_that_is_no_object_is_a_config_error(tmp_path, capsys):
     # at the parent --n-points indexed the list [2.0] and ended in a traceback
     path = write_config(tmp_path, "c.json", {"family": OMEGA, "grid": [2.0]})
@@ -803,14 +835,19 @@ def test_von_mangoldt_reports_match_reference_rendering(argv, mode, tmp_path, mo
 
 
 def test_von_mangoldt_rows_land_in_the_result_past_an_empty_config_list(tmp_path):
-    # the embedded config holds a second "values": [], before the result's
+    # von-mangoldt reads no family, so its report leaves the config's out; an envelope
+    # whose config holds a second "values": [], before the result's, is spliced right
     family = {"kind": "explicit", "values": [], "start_index": 2}
     cfg = write_config(tmp_path, "c.json", {"family": family, "alpha": 2, "n_max": 300})
     out = tmp_path / "lam"
     assert run(["von-mangoldt", "--config", cfg, "--no-timestamp", "--out", str(out)]) == 0
     rows = list(zip(range(2, 301), map(float, condition.von_mangoldt_range(300, 2))))
     text = _assert_von_mangoldt_reference(out, 2, rows)
-    assert json.loads(text)["config"]["family"] == family
+    assert "family" not in json.loads(text)["config"]
+    envelope = {"config": {"family": family}, "result": {"alpha": 2, "values": []}}
+    text = "".join(part for part, _ in cli._spliced(envelope, "values",
+                                                    lambda pad: [("[1]", "")]))
+    assert json.loads(text) == {"config": {"family": family}, "result": {"alpha": 2, "values": [1]}}
 
 
 def test_von_mangoldt_report_memory_is_the_columns_and_one_chunk(tmp_path):

@@ -911,8 +911,7 @@ def test_float_factors_within_the_rounding_bound(name, params, delta, mp_powers)
         got, hi, lo = condition._factor(delta, p, r), [1.0] * len(p), [1.0] * len(p)
     else:
         w = _family(name, params)
-        _, _, at, fq, _ = condition._prime_power_factors(w, delta, False, pp)
-        got = fq[at(p, r)]
+        got = condition._LocalFactors(w, delta, False, pp).factor(p, r)
         hi, lo = ([float(w.prime_power(q, s - e)) for q, s in zip(p.tolist(), r.tolist())]
                   for e in (0, 1))
     u = 2.0**-53
@@ -1040,8 +1039,9 @@ def test_exact_lane_bound_is_the_max_of_the_size_fill(name, params):
     assert w.r_only
     for n in (2309, 2310, 30029, 30030, 2 * _accel.WINDOW + 1, 510509, 510510):
         pp = _accel.PrimePowers(n)
-        _, _, at, _, size = condition._prime_power_factors(w, 0.0, True, pp)
-        whole = pp.column(lambda p, r: size[at(p, r)], np.multiply).max()
+        local = condition._LocalFactors(w, 0.0, True, pp)
+        size = local.size
+        whole = pp.column(lambda p, r: size[local.at(p, r)], np.multiply).max()
         assert condition._factored(w, 0.0, "mult_product", pp, True)[1] == whole, n
         w.r_only = False  # the same sizes, read from the listing
         bound = condition._factored(w, 0.0, "mult_product", pp, True)[1]
@@ -1082,8 +1082,9 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
                                                             monkeypatch):
     # mu is built once, for divisor_sum alone, and no route factorizes:
     # prime-power values come from the family's prime_power.  The base primes
-    # are sieved once, and the prime powers listed once where a value depends
-    # on p (the factors and companions at delta != 0), never for r alone
+    # are sieved once, and the prime powers never listed: a family on r alone
+    # has one hi and lo per exponent, its factors and companions taken at each
+    # p^r at every delta
     calls, mobius_table, factorize = [], _accel.mobius_table, arith.factorize
     sieves, listings = [], []
     primes_up_to, listing = _accel.primes_up_to, _accel.PrimePowers.listing.func
@@ -1099,7 +1100,27 @@ def test_check_range_builds_the_factor_tables_at_most_twice(name, params, method
     assert rep.mode == ("float" if delta else "exact")
     assert calls == ([1000] if "divisor_sum" in methods else [])
     assert sieves == [31]
-    assert listings == ([1000] if delta and methods != ("divisor_sum",) else [])
+    assert listings == []
+
+
+def test_families_on_r_alone_never_look_up_a_prime_power(monkeypatch):
+    # a family whose f depends on r alone has one hi and lo per exponent and its factor at
+    # p^r is computed at p, so neither the float factored routes off delta = 0 nor the
+    # series column list the prime powers or look one up; a family on p does both
+    reads, listing, at = [], _accel.PrimePowers.listing.func, _accel.PrimePowers.at
+    monkeypatch.setattr(_accel.PrimePowers, "listing",
+                        property(lambda pp: reads.append("listing") or listing(pp)))
+    monkeypatch.setattr(_accel.PrimePowers, "at",
+                        lambda pp, p, r: reads.append("at") or at(pp, p, r))
+    for name, params in (("omega", {}), ("divisor_pow", {"alpha": 1})):
+        w = weights.named_family(name, **params)
+        rep = condition.check_range(w, -0.3, None, 3000,
+                                    ("divisor_sum", condition.FACTORED[w.kind][0]))
+        assert rep.mode == "float" and rep.agreement_failures == 0
+    assert len(condition.series_column(weights.named_family("omega"), None, 3000)[:]) == 3001
+    assert reads == []
+    condition.check_range(ON_P["add_on_p"], -0.3, None, 3000, ("additive_Tt",))
+    assert {"listing", "at"} <= set(reads)
 
 
 @pytest.mark.parametrize("kind,exact,integer_valued", [
