@@ -212,8 +212,8 @@ def _emit(report, cfg: dict) -> None:
 
 def _spliced(envelope: dict, key: str, rows, *args):
     """The report as (JSON, CSV) text pairs (see _emit): json.dumps(envelope, sort_keys=True,
-    indent=2) with rows(*args, pad) streamed into the empty list result[key] at its indent pad.
-    Keys sort and only scalars follow key in a result, so the last '"key": []' is result's."""
+    indent=2) with rows(*args, pad), one row a line, streamed into the empty list result[key]
+    at its indent pad.  Only scalars sort after key in a result: the last '"key": []' is its."""
     text = json.dumps(condition._strict_json(envelope), sort_keys=True, indent=2)
     head, _, tail = text.rpartition(f'"{key}": []')
     yield head + f'"{key}": ', ""
@@ -222,12 +222,14 @@ def _spliced(envelope: dict, key: str, rows, *args):
 
 
 def _value_rows(ns: np.ndarray, values: np.ndarray, pad: str, chunk: int = 1 << 14):
-    """The von-mangoldt rows {"n": n, "value": v} and "n,value", as ConditionReport.render's."""
+    """The von-mangoldt rows {"n": n, "value": v}, one a line, and "n,value", from
+    ConditionReport.render's column tokens; every entry is distinct, so the key text
+    stays out of the tokens, which JSON and CSV then share."""
     yield "[", "n,value\r\n"
     for lo in range(0, len(ns), chunk):
         (n, _), (value, csv) = (condition._column_tokens(c[lo : lo + chunk]) for c in (ns, values))
-        yield (condition._join(f',\n{pad}  {{\n{pad}    "n": ', n, f',\n{pad}    "value": ', value,
-                               f"\n{pad}  }}")[lo == 0 :], condition._join(n, ",", csv, "\r\n"))
+        yield (condition._join(f',\n{pad}  {{"n": ', n, ', "value": ', value, "}")[lo == 0 :],
+               condition._join(n, ",", csv, "\r\n"))
     yield ("]" if len(ns) == 0 else f"\n{pad}]"), ""
 
 

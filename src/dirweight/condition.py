@@ -112,13 +112,13 @@ def _factor(delta, p, r, hi=1.0, lo=1.0) -> np.ndarray:
 class _LocalFactors:
     """hi = w_(p^r) and lo = w_(p^(r-1)) (w_1 at r = 1), in one lane, over the pairs (p, r) of
     a PrimePowers's ``values`` (per exponent on r alone, ``at`` then r - 1; else the listing,
-    which ``at`` searches) or of the p^r || n.  ``factor`` gives the factor of any p^r; exact,
-    ``size`` is |hi| + |lo| of each pair in float64, which bounds |factor| at delta 0."""
+    which ``at`` searches) or of the p^r || n.  ``factor`` gives the factor of any p^r; for the
+    exact columns, ``size`` is |hi| + |lo| in float64, which bounds |factor| at delta 0."""
 
     def __init__(self, w: WeightFamily, delta: float, exact: bool, source):
         f = w.prime_power if exact else lambda p, r: _to_float(w.prime_power(p, r))
         dtype = object if exact else np.float64
-        if isinstance(source, _accel.PrimePowers):  # one w.prime_power call per pair
+        if columns := isinstance(source, _accel.PrimePowers):  # one w.prime_power call a pair
             p, r, hi, self.at = source.values(f, dtype, w.r_only)
             lo = np.full(len(p), f(2, 0), dtype=dtype)  # w_1 below every p^1
             lo[r > 1] = hi[self.at(p[r > 1], r[r > 1] - 1)]
@@ -128,8 +128,9 @@ class _LocalFactors:
             hi, lo = (np.array([f(q, s - e) for q, s in pairs], dtype) for e in (0, 1))
             self.at = lambda q, s: np.searchsorted(p, q)
         self.delta, self.exact, self.p, self.r, self.hi, self.lo = delta, exact, p, r, hi, lo
-        if exact:  # hi - lo, int64 for an integer-valued family while they fit
-            self.diff, self.size = hi - lo, _accel.evaluate(_to_float, float, abs(hi) + abs(lo))
+        self.diff = hi - lo if exact else None
+        if exact and columns:  # int64 for an integer-valued family while they fit
+            self.size = _accel.evaluate(_to_float, float, abs(hi) + abs(lo))
             with suppress(OverflowError):  # a factor past int64 keeps them all Python ints
                 self.diff = self.diff.astype(np.int64) if w.integer_valued else self.diff
 
@@ -294,40 +295,29 @@ class ConditionReport:
 
     def to_json_dict(self) -> dict:
         """The summary, with an empty "records" list that cli._spliced fills from render."""
-        return {
-            "family": self.family,
-            "delta": self.delta,
-            "k": self.k,
-            "range": [self.n_lo, self.n_hi],
-            "mode": self.mode,
-            "tol": self.tol,
-            "methods": list(self.methods),
-            "verdict": self.verdict,
-            "agreement_failures": self.agreement_failures,
-            "counts": self.counts(),
-            "records": [],
-        }
+        keys = ("family", "delta", "k", "mode", "tol", "verdict", "agreement_failures")
+        return {**{key: getattr(self, key) for key in keys}, "range": [self.n_lo, self.n_hi],
+                "methods": list(self.methods), "counts": self.counts(), "records": []}
 
     def render(self, pad: str = "", chunk: int = 1 << 14):
-        """Yield (JSON text, CSV text) pairs, one per chunk of rows between a
-        head and a tail.  The JSON parts join to the records array as
-        json.dumps(..., sort_keys=True, indent=2) writes it at indent ``pad``,
-        the CSV parts to the header and one excel-dialect (CRLF) row per
-        record: each one join of the same column tokens (see _column_tokens)."""
-        head, value_key = f',\n{pad}  {{\n{pad}    "margin": ', f',\n{pad}    "value": '
+        """Yield (JSON text, CSV text) pairs, one per chunk of rows between a head and a
+        tail.  The JSON parts join to the records array at indent ``pad``, [] if empty, else
+        one json.dumps(record, sort_keys=True) a line at ``pad`` plus two spaces; the CSV parts
+        to the header and one excel-dialect (CRLF) row per record.  Each row joins 5 pieces
+        (4 in CSV): column tokens carrying the key text (_column_tokens) and code fragments."""
         method_json, verdict_json, pair_csv = (np.array(pieces, dtype=object) for pieces in (
-            [f',\n{pad}    "method": "{m}",\n{pad}    "n": ' for m in METHODS],
-            [f',\n{pad}    "verdict": "{v}"\n{pad}  }}' for v in VERDICTS],
+            [f', "method": "{m}", "n": ' for m in METHODS],
+            [f', "verdict": "{v}"}}' for v in VERDICTS],
             [f",{m},{v}," for m in METHODS for v in VERDICTS]))  # by method * 4 + verdict
         yield "[", ",".join(FIELDS) + "\r\n"
         for lo in range(0, size := len(self.columns["n"]), chunk):
             n, value, method, verdict, margin = (c[lo : lo + chunk] for c in self.columns.values())
-            n, (value, value_csv), (margin, margin_csv) = (
-                _column_tokens(n)[0], _column_tokens(value), _column_tokens(margin))
-            text = _join(head, margin, method_json[method], n, value_key, value,
-                         verdict_json[verdict])[lo == 0 :]  # row 0 opens without ","
-            yield text, _join(n, ",", value_csv, pair_csv[method * len(VERDICTS) + verdict],
-                              margin_csv, "\r\n")
+            (n, n_csv), (value, value_csv), (margin, margin_csv) = (
+                _column_tokens(n, ("", ', "value": '), ("", ",")), _column_tokens(value),
+                _column_tokens(margin, (f',\n{pad}  {{"margin": ', ""), ("", "\r\n")))
+            text = _join(margin, method_json[method], n, value, verdict_json[verdict])
+            pair = pair_csv[method * len(VERDICTS) + verdict]
+            yield text[lo == 0 :], _join(n_csv, value_csv, pair, margin_csv)  # row 0: no ","
         yield ("]" if size == 0 else f"\n{pad}]"), ""
 
 
@@ -346,32 +336,35 @@ def _strict_json(v):
     return int(v) if isinstance(v, np.integer) else v
 
 
-def _tokens(col: np.ndarray) -> tuple[list[str], list[str]]:
-    """The JSON and the CSV token of each entry of a column chunk: str() of
-    ints and repr() of floats in both, except "nan"/"inf" (JSON strings)
-    against nan/inf (CSV), and "p/q" (JSON) against p/q (CSV) for a
-    Fraction."""
+def _tokens(col: np.ndarray) -> tuple[str, str]:
+    """The JSON and the CSV tokens of a column chunk's entries, joined by NUL, which no
+    token holds (JSON escapes it), one text where they agree: str() of ints and repr() of
+    floats in both, except "nan"/"inf" (JSON strings) against nan/inf (CSV), and "p/q"
+    (JSON) against p/q (CSV) for a Fraction."""
     finite = col.dtype.kind != "f" or np.isfinite(col).all()
     scalars = col.tolist()
     if col.dtype == object or not finite:
         scalars = list(map(_strict_json, scalars))
-    if col.dtype.kind == "i":
-        return (tokens := list(map(str, scalars))), tokens
-    tokens = json.dumps(scalars, separators=("\n", ":"))[1:-1].split("\n")  # C encoder
-    return tokens, tokens if col.dtype.kind == "f" and finite else list(map(str, scalars))
+    text = json.dumps(scalars, separators=("\0", ":"))[1:-1]  # C encoder
+    return text, text if col.dtype.kind in "if" and finite else "\0".join(map(str, scalars))
 
 
-def _column_tokens(col: np.ndarray) -> tuple:
-    """_tokens of each distinct int64 or float64 entry (floats keyed on their bits, so
-    -0.0 is not 0.0), gathered back per row, once where JSON and CSV share them; row
-    by row for objects, which mix types."""
-    if col.dtype == object:
-        return _tokens(col)
-    key = col.view(np.int64) if col.dtype.kind == "f" else col
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    json_tokens, csv_tokens = _tokens(col[first])
-    rows = np.array(json_tokens, dtype=object)[inverse]
-    return rows, rows if csv_tokens is json_tokens else np.array(csv_tokens, dtype=object)[inverse]
+def _column_tokens(col: np.ndarray, json_around=("", ""), csv_around=("", "")) -> tuple:
+    """The JSON and the CSV token of each row of a column chunk, each between the strings
+    of json_around or csv_around: _tokens of each distinct int64 or float64 entry (floats
+    keyed on their bits, so -0.0 is not 0.0), wrapped by one replace and one split and
+    gathered back per row, once where JSON and CSV agree; row by row for objects."""
+    rows = slice(None)
+    if col.dtype != object:
+        _, first, rows = np.unique(col.view(np.int64) if col.dtype.kind == "f" else col,
+                                   return_index=True, return_inverse=True)
+        col = col[first]
+    json_text, csv_text = _tokens(col)
+    wrap = lambda text, a, b: np.array(
+        (a + text.replace("\0", b + "\0" + a) + b).split("\0"), dtype=object)[rows]
+    json_rows = wrap(json_text, *json_around)
+    same = (csv_text, csv_around) == (json_text, json_around)
+    return json_rows, json_rows if same else wrap(csv_text, *csv_around)
 
 
 def _join(*pieces) -> str:

@@ -19,6 +19,7 @@ import pytest
 
 import dirweight
 from dirweight import arith, cli, condition, weights
+from report_reference import assert_same_text, envelope_json
 
 
 def write_config(tmp_path, name, payload):
@@ -808,9 +809,11 @@ def _assert_von_mangoldt_reference(out, alpha, rows):
     values = [v for _, v in rows]
     envelope["result"] = {"alpha": alpha, "values": [{"n": n, "value": v} for n, v in rows],
                           "zero_count": values.count(0.0), "min_value": min(values, default=0.0)}
-    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    assert out.with_suffix(".csv").read_bytes().decode() == "n,value\r\n" + "".join(
-        f"{n},{v!r}\r\n" for n, v in rows)
+    assert_same_text(text, envelope_json(envelope, "values"))
+    assert json.loads(text) == json.loads(json.dumps(envelope, sort_keys=True, indent=2))
+    buf = io.StringIO()
+    csv.writer(buf).writerows([("n", "value"), *rows])
+    assert_same_text(out.with_suffix(".csv").read_bytes().decode(), buf.getvalue())
     return text
 
 
@@ -939,11 +942,12 @@ def test_check_condition_reports_match_reference_rendering(case, chunk, tmp_path
     envelope["result"] = {**report.to_json_dict(), "records": [
         {"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
          "verdict": r.verdict, "margin": r.margin} for r in report.records]}
-    assert text == json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    assert_same_text(text, envelope_json(envelope, "records"))
+    assert json.loads(text) == json.loads(json.dumps(envelope, sort_keys=True, indent=2))
     buf = io.StringIO()
     csv.writer(buf).writerows([condition.FIELDS, *(
         (r.n, r.value, r.method, r.verdict, r.margin) for r in report.records)])
-    assert (tmp_path / "rep.csv").read_bytes().decode() == buf.getvalue()
+    assert_same_text((tmp_path / "rep.csv").read_bytes().decode(), buf.getvalue())
 
 
 def test_float_run_writes_the_n1_value_as_a_float(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirweight import _accel, arith, condition, kernel, weights
+from report_reference import assert_same_text, rows_json
 
 
 @pytest.fixture(scope="module")
@@ -639,16 +640,17 @@ def _hand_report(n, value, method, verdict, margin) -> condition.ConditionReport
 
 
 def _assert_renders_like_the_reference(rep, chunk):
-    """report.render against json.dumps(..., sort_keys=True, indent=2) and
+    """report.render against one json.dumps(record, sort_keys=True) a line and
     csv.writer over the records, which never read the renderer's tokens."""
     pieces = list(rep.render("  ", chunk))
     records = [{"n": r.n, "value": condition._strict_json(r.value), "method": r.method,
                 "verdict": r.verdict, "margin": condition._strict_json(r.margin)}
                for r in rep.records]
     text = "".join(j for j, _ in pieces)
-    assert "{\n  \"records\": " + text + "\n}" == json.dumps(
-        {"records": records}, sort_keys=True, indent=2)
-    json.loads(text, parse_constant=_no_constant)  # strict JSON: no NaN or Infinity tokens
+    assert_same_text(text, rows_json(records, "  "))
+    # strict JSON (no NaN or Infinity tokens), the document json.dumps(..., indent=2) writes
+    assert json.loads(text, parse_constant=_no_constant) == json.loads(
+        json.dumps(records, sort_keys=True, indent=2))
     buf = io.StringIO()
     csv.writer(buf).writerows(
         [condition.FIELDS, *((r.n, r.value, r.method, r.verdict, r.margin) for r in rep.records)])
@@ -811,6 +813,25 @@ def test_vectorized_factored_routes_match_per_n(name, params, method):
     else:
         want = [condition.additive_Tt(w, 0.0, n)[0] for n in range(2, 5001)]
     assert col[2:].tolist() == want
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name", ["ones", "divisor_pow", "d_beta", "geometric", "omega",
+                                  "big_omega"])
+def test_per_n_routes_are_divisor_sum_in_value_and_type(name, exact):
+    # the per-n routes build no column state (sizes, int64 factors), yet give divisor_sum's
+    # Python ints or Fractions in the exact lane and its floats in the float one
+    w = weights.named_family(name)
+    w.exact = exact  # what --float does
+    if w.kind == "multiplicative":
+        route, k = lambda n: condition.mult_product(w, None, n), 1
+    else:
+        route, k = lambda n: condition.additive_Tt(w, None, n)[0], 2
+    got = [route(n) for n in range(2, 2001)]
+    want = [condition.divisor_sum(w, None, k, n) for n in range(2, 2001)]
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+    assert {type(v) for v in got} == (
+        {float} if not exact else {Fraction} if name == "geometric" else {int})
 
 
 def _hex(v):
@@ -1243,7 +1264,9 @@ def test_report_columns_match_records(fam, name, delta, k, methods, tol):
          "verdict": r.verdict, "margin": r.margin}
         for r in records
     ]
-    assert "".join(j for j, _ in rep.render()) == json.dumps(by_record, sort_keys=True, indent=2)
+    text = "".join(j for j, _ in rep.render())
+    assert_same_text(text, rows_json(by_record))
+    assert json.loads(text) == json.loads(json.dumps(by_record, sort_keys=True, indent=2))
     counts: dict = {}
     for r in records:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
